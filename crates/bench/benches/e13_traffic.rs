@@ -17,8 +17,7 @@
 //! * `oracle_epoch` — the end-to-end `apply_traffic` entry point
 //!   (scale + swap + customize + cache invalidation).
 //!
-//! The `[exp]` lines print the derived numbers for EXPERIMENTS.md; the
-//! machine-readable rows land in `BENCH_e9.json` via `perf_report`.
+//! The `[exp]` lines print the derived numbers for EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptrider_datagen::{synthetic_city, CityConfig, CongestionConfig, CongestionProfile};

@@ -3,9 +3,9 @@
 //! level-parallel) and point-query latency across growing synthetic
 //! cities.
 //!
-//! Criterion keeps the sizes modest so the bench stays runnable in CI; the
-//! full curve up to continental sizes (2×10⁵ vertices) is produced by
-//! `perf_report` into `BENCH_e9.json` (`e16_preprocess_sweep`). Every
+//! Criterion keeps the sizes modest so the bench stays runnable in CI; a
+//! 1-CPU sweep up to continental sizes (2×10⁵ vertices) is on record in
+//! `bench/legacy/BENCH_e9.json` (frozen; `e16_preprocess_sweep`). Every
 //! timed artefact is cross-checked for bit-identity on sampled pairs, so
 //! the bench doubles as a smoke gate: a parallel path that diverges
 //! panics here.

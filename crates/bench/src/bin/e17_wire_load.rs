@@ -10,10 +10,9 @@
 //! `503 + Retry-After` — never a hang, never a protocol error.
 //!
 //! Prints per-level throughput and client-observed latency percentiles,
-//! and merges an `e17_wire` section into `BENCH_e9.json` (override the
-//! path with `PTRIDER_BENCH_JSON`, the per-level session budget with
-//! `PTRIDER_WIRE_SESSIONS`). The wire overhead is reported against the
-//! in-process E12 baseline recorded in the same file.
+//! then the same numbers as an `e17_wire` JSON section, to stdout; nothing
+//! is written to disk. `PTRIDER_WIRE_SESSIONS` sets the per-level session
+//! budget.
 //!
 //! Run with `cargo run --release -p ptrider-bench --bin e17_wire_load`.
 
@@ -269,42 +268,19 @@ fn run_level(
     }
 }
 
-/// Extracts the E12 in-process baseline (`service_1_submitters`) from the
-/// bench report, if present.
-fn e12_baseline(report: &str) -> Option<f64> {
-    let section = report.find("\"service_1_submitters\"")?;
-    let rest = &report[section..];
-    let key = rest.find("\"sessions_per_sec\"")?;
-    let tail = &rest[key + "\"sessions_per_sec\"".len()..];
-    let tail = tail.trim_start_matches([':', ' ']);
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Renders the `e17_wire` section (2-space root indent, matching
-/// `perf_report`'s hand-rendered style).
-fn render_section(levels: &[Level], e12: Option<f64>) -> String {
+/// Renders the `e17_wire` section.
+fn render_section(levels: &[Level]) -> String {
     let best = levels.iter().map(|l| l.rate).fold(0.0f64, f64::max);
     let mut out = String::new();
     out.push_str("  \"e17_wire\": {\n");
-    out.push_str("    \"single_cpu\": true,\n");
+    out.push_str(&format!(
+        "    \"cores\": {},\n",
+        ptrider_core::detected_parallelism()
+    ));
     out.push_str(&format!(
         "    \"threads\": 8, \"max_conns\": {MAX_CONNS}, \"sse_conns\": {SSE_CONNS},\n"
     ));
-    match e12 {
-        Some(base) => {
-            out.push_str(&format!(
-                "    \"e12_sessions_per_sec\": {base}, \"best_sessions_per_sec\": {:.1}, \"wire_overhead_pct\": {:.2},\n",
-                best,
-                (base - best) / base * 100.0
-            ));
-        }
-        None => {
-            out.push_str(&format!("    \"best_sessions_per_sec\": {best:.1},\n"));
-        }
-    }
+    out.push_str(&format!("    \"best_sessions_per_sec\": {best:.1},\n"));
     out.push_str("    \"rows\": [\n");
     for (i, l) in levels.iter().enumerate() {
         out.push_str(&format!(
@@ -328,50 +304,6 @@ fn render_section(levels: &[Level], e12: Option<f64>) -> String {
     out.push_str("    ]\n");
     out.push_str("  }");
     out
-}
-
-/// Merges the section into the report file: replaces an existing
-/// `e17_wire` object or appends a new one before the closing brace.
-fn merge_into_report(path: &str, section: &str) -> std::io::Result<()> {
-    let mut text = std::fs::read_to_string(path)?;
-    if let Some(key) = text.find("\"e17_wire\"") {
-        // Walk back over whitespace to a separating comma, forward over
-        // the object's balanced braces.
-        let mut start = key;
-        while start > 0 && text.as_bytes()[start - 1].is_ascii_whitespace() {
-            start -= 1;
-        }
-        let had_comma = start > 0 && text.as_bytes()[start - 1] == b',';
-        if had_comma {
-            start -= 1;
-        }
-        let open = key + text[key..].find('{').expect("e17_wire object");
-        let mut depth = 0usize;
-        let mut end = open;
-        for (offset, byte) in text.as_bytes()[open..].iter().enumerate() {
-            match byte {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + offset + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        text.replace_range(start..end, "");
-    }
-    let root_close = text.rfind('}').expect("root object");
-    let trimmed = text[..root_close].trim_end();
-    let glue = if trimmed.ends_with(['{', ',']) {
-        ""
-    } else {
-        ","
-    };
-    let merged = format!("{trimmed}{glue}\n{section}\n}}\n");
-    std::fs::write(path, merged)
 }
 
 fn main() {
@@ -459,18 +391,7 @@ fn main() {
         levels.push(level);
     }
 
-    let report_path =
-        std::env::var("PTRIDER_BENCH_JSON").unwrap_or_else(|_| "BENCH_e9.json".to_string());
-    let e12 = std::fs::read_to_string(&report_path)
-        .ok()
-        .as_deref()
-        .and_then(e12_baseline);
-    let section = render_section(&levels, e12);
-    println!("{section}");
-    match merge_into_report(&report_path, &section) {
-        Ok(()) => println!("[e17] merged into {report_path}"),
-        Err(e) => println!("[e17] not merged into {report_path}: {e}"),
-    }
+    println!("{}", render_section(&levels));
 
     if failed {
         eprintln!("[e17] FAIL");

@@ -81,7 +81,7 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(5.0);
-    // Smaller world than perf_report so the gate stays CI-friendly.
+    // A small world so the gate stays CI-friendly.
     let params = WorldParams {
         city_side: 30,
         vehicles: 400,

@@ -64,77 +64,17 @@ pub struct BenchWorld {
 /// `.with_distance_backend(DistanceBackend::Ch)` to measure a world on the
 /// contraction-hierarchy backend (the hierarchy is built during this call).
 pub fn build_world(params: WorldParams, config: EngineConfig, probes: usize) -> BenchWorld {
-    build_world_inner(params, config, probes, None)
-}
-
-/// Like [`build_world`] but with the engine's oracle in pre-refactor legacy
-/// mode (single global cache lock, allocating Dijkstra, no ALT, no
-/// batching). Used by the perf report as the speedup baseline.
-pub fn build_world_legacy_oracle(
-    params: WorldParams,
-    config: EngineConfig,
-    probes: usize,
-) -> BenchWorld {
-    build_world_with_oracle(params, config, probes, |net, grid| {
-        ptrider_roadnet::DistanceOracle::legacy_baseline(net, grid)
-    })
-}
-
-/// Like [`build_world`] but with a caller-constructed distance oracle over
-/// the world's city — e.g. to reuse one prebuilt `Arc<ContractionHierarchy>`
-/// across worlds instead of paying CH preprocessing per world (the city is
-/// generated deterministically from `params`, so any oracle built over an
-/// identical `synthetic_city` call is valid here).
-pub fn build_world_with_oracle(
-    params: WorldParams,
-    config: EngineConfig,
-    probes: usize,
-    make_oracle: impl FnOnce(
-        std::sync::Arc<ptrider_core::RoadNetwork>,
-        std::sync::Arc<ptrider_core::GridIndex>,
-    ) -> ptrider_roadnet::DistanceOracle,
-) -> BenchWorld {
-    build_world_inner(params, config, probes, Some(Box::new(make_oracle)))
-}
-
-type MakeOracle<'a> = Box<
-    dyn FnOnce(
-            std::sync::Arc<ptrider_core::RoadNetwork>,
-            std::sync::Arc<ptrider_core::GridIndex>,
-        ) -> ptrider_roadnet::DistanceOracle
-        + 'a,
->;
-
-fn build_world_inner(
-    params: WorldParams,
-    config: EngineConfig,
-    probes: usize,
-    make_oracle: Option<MakeOracle<'_>>,
-) -> BenchWorld {
-    use ptrider_roadnet::GridIndex;
-    use std::sync::Arc;
-
     let city = synthetic_city(&CityConfig {
         cols: params.city_side,
         rows: params.city_side,
         seed: params.seed,
         ..CityConfig::default()
     });
-    let mut engine = if let Some(make_oracle) = make_oracle {
-        let net = Arc::new(city);
-        let grid = Arc::new(GridIndex::build(
-            &net,
-            GridConfig::with_dimensions(params.grid_side, params.grid_side),
-        ));
-        let oracle = make_oracle(Arc::clone(&net), Arc::clone(&grid));
-        PtRider::with_oracle(net, grid, oracle, config)
-    } else {
-        PtRider::new(
-            city,
-            GridConfig::with_dimensions(params.grid_side, params.grid_side),
-            config,
-        )
-    };
+    let mut engine = PtRider::new(
+        city,
+        GridConfig::with_dimensions(params.grid_side, params.grid_side),
+        config,
+    );
     engine.set_matcher(MatcherKind::DualSide);
 
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0xf1ee7);

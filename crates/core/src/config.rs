@@ -36,39 +36,6 @@ pub fn default_distance_backend() -> DistanceBackend {
     })
 }
 
-/// How [`crate::PtRider::submit_batch_greedy`] admits a burst of
-/// simultaneous requests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BatchAdmission {
-    /// The paper's strictly sequential greedy order: match one request,
-    /// commit the rider's choice, then match the next. Reference behaviour.
-    Sequential,
-    /// Conflict-graph parallel admission (the default): requests are
-    /// partitioned by the candidate-vehicle sets their P1–P5 pruning
-    /// produces, independent partitions are matched concurrently on the
-    /// persistent worker pool, and conflicts are resolved in the greedy
-    /// order — the outcomes are byte-identical to [`Self::Sequential`]
-    /// (property-tested in `tests/batch_admission_equivalence.rs`).
-    ///
-    /// On a runtime resolved to parallelism 1 this path is pure
-    /// bookkeeping overhead (a few percent; see `BENCH_e9.json`'s
-    /// `e11_burst_admission`) — it stays the default there because
-    /// single-thread runs exercising the exact same admission code is what
-    /// makes its determinism testable everywhere; select
-    /// [`Self::Sequential`] explicitly when that overhead matters.
-    #[default]
-    ConflictGraph,
-}
-
-impl std::fmt::Display for BatchAdmission {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchAdmission::Sequential => write!(f, "sequential"),
-            BatchAdmission::ConflictGraph => write!(f, "conflict-graph"),
-        }
-    }
-}
-
 /// Global PTRider settings.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -111,14 +78,10 @@ pub struct EngineConfig {
     /// `std::thread::available_parallelism()`. An explicit size (≥ 1) wins
     /// over the environment; `1` disables worker threads entirely.
     pub pool_size: usize,
-    /// Minimum candidate-batch size before `ParallelMode::Auto` dispatches
-    /// verification onto the worker pool; smaller batches run inline
-    /// (dispatch costs more than a handful of kinetic-tree insertions).
-    /// Replaces the hardcoded threshold `matching::par` used to carry.
+    /// Minimum candidate-batch size before verification is dispatched onto
+    /// the worker pool; smaller batches run inline (dispatch costs more
+    /// than a handful of kinetic-tree insertions).
     pub par_auto_min_batch: usize,
-    /// How bursts submitted through
-    /// [`crate::PtRider::submit_batch_greedy`] are admitted.
-    pub batch_admission: BatchAdmission,
     /// Seed for the deterministic chaos harness: `Some(seed)` arms a
     /// transient-error [`ptrider_roadnet::fault::FaultPlan`] process-wide
     /// when the engine is built (injected CH-build / customization /
@@ -144,7 +107,6 @@ impl Default for EngineConfig {
             distance_backend: default_distance_backend(),
             pool_size: 0,
             par_auto_min_batch: 16,
-            batch_admission: BatchAdmission::default(),
             fault_seed: None,
             price: PriceModel::default(),
         }
@@ -207,17 +169,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the minimum batch size at which `Auto` verification goes
-    /// parallel.
+    /// Sets the minimum batch size at which verification goes parallel.
     pub fn with_par_auto_min_batch(mut self, min_batch: usize) -> Self {
         self.par_auto_min_batch = min_batch;
-        self
-    }
-
-    /// Selects the batch-admission strategy. Purely an execution knob: both
-    /// strategies produce byte-identical outcomes.
-    pub fn with_batch_admission(mut self, admission: BatchAdmission) -> Self {
-        self.batch_admission = admission;
         self
     }
 
@@ -311,14 +265,8 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.pool_size, 0, "default pool size is auto");
         assert_eq!(c.par_auto_min_batch, 16);
-        assert_eq!(c.batch_admission, BatchAdmission::ConflictGraph);
-        let c = c
-            .with_pool_size(4)
-            .with_par_auto_min_batch(8)
-            .with_batch_admission(BatchAdmission::Sequential);
+        let c = c.with_pool_size(4).with_par_auto_min_batch(8);
         assert_eq!(c.pool_size, 4);
         assert_eq!(c.par_auto_min_batch, 8);
-        assert_eq!(c.batch_admission, BatchAdmission::Sequential);
-        assert_eq!(BatchAdmission::ConflictGraph.to_string(), "conflict-graph");
     }
 }

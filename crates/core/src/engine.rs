@@ -40,7 +40,7 @@
 //! are therefore bit-identical between the two facades — property-tested in
 //! `tests/service_equivalence.rs`.
 
-use crate::config::{BatchAdmission, EngineConfig};
+use crate::config::EngineConfig;
 use crate::matching::{MatchContext, MatchResult, Matcher, MatcherKind};
 use crate::options::RideOption;
 use crate::request::Request;
@@ -582,34 +582,8 @@ pub struct BatchOutcome {
     pub chosen: Option<usize>,
 }
 
-/// Greedy batch admission over split engine state, dispatching on
-/// [`EngineConfig::batch_admission`]. The shared implementation behind
-/// [`PtRider::submit_batch_greedy`] and
-/// [`crate::RideService::submit_batch_greedy`].
-pub(crate) fn run_batch_greedy<F>(
-    shared: &EngineShared,
-    matcher: &dyn Matcher,
-    world: &mut World,
-    ledger: &mut Ledger,
-    specs: &[(VertexId, VertexId, u32)],
-    now: f64,
-    selector: F,
-) -> Vec<BatchOutcome>
-where
-    F: FnMut(&[RideOption]) -> Option<usize>,
-{
-    match shared.config.batch_admission {
-        BatchAdmission::Sequential => {
-            run_batch_sequential(shared, matcher, world, ledger, specs, now, selector)
-        }
-        BatchAdmission::ConflictGraph => {
-            run_batch_conflict_graph(shared, matcher, world, ledger, specs, now, selector)
-        }
-    }
-}
-
 /// The paper's strictly sequential greedy admission loop — the reference
-/// behaviour [`run_batch_conflict_graph`] is property-tested against.
+/// behaviour [`run_batch_greedy`] is property-tested against.
 pub(crate) fn run_batch_sequential<F>(
     shared: &EngineShared,
     matcher: &dyn Matcher,
@@ -646,7 +620,10 @@ where
     outcomes
 }
 
-/// Conflict-graph parallel batch admission.
+/// Greedy batch admission over split engine state, run as conflict-graph
+/// parallel admission. The shared implementation behind
+/// [`PtRider::submit_batch_greedy`] and
+/// [`crate::RideService::submit_batch_greedy`].
 ///
 /// Peak-load bursts are admitted in three phases:
 ///
@@ -672,9 +649,9 @@ where
 /// untouched since the burst began — in which case it *is* the result
 /// the sequential loop would compute. Conflicted requests fall back to
 /// literal sequential matching. Matcher **work counters** may differ
-/// slightly between the modes (a vehicle pruned early in one mode can
+/// slightly from the sequential loop's (a vehicle pruned early in one can
 /// be considered in the other); the option skylines do not.
-pub(crate) fn run_batch_conflict_graph<F>(
+pub(crate) fn run_batch_greedy<F>(
     shared: &EngineShared,
     matcher: &dyn Matcher,
     world: &mut World,
@@ -1210,12 +1187,11 @@ impl PtRider {
     /// `None` to decline) — is committed before the next request is matched,
     /// so later requests see the updated vehicle schedules.
     ///
-    /// The execution strategy is selected by
-    /// [`EngineConfig::batch_admission`]: the strictly sequential reference
-    /// loop, or conflict-graph parallel admission on the persistent worker
-    /// pool (the default). Both produce **byte-identical** outcomes — the
-    /// selector is invoked in request order with bit-equal option slices
-    /// either way — so the choice is purely a throughput knob.
+    /// Runs as conflict-graph parallel admission on the persistent worker
+    /// pool (see [`run_batch_greedy`] for the three-phase algorithm and its
+    /// determinism argument): the outcomes are **byte-identical** to the
+    /// strictly sequential loop's — the selector is invoked in request order
+    /// with bit-equal option slices.
     ///
     /// Returns one [`BatchOutcome`] per input, in order.
     pub fn submit_batch_greedy<F>(
@@ -1239,8 +1215,9 @@ impl PtRider {
     }
 
     /// The paper's strictly sequential greedy admission loop — the reference
-    /// behaviour [`Self::submit_batch_conflict_graph`] is property-tested
-    /// against.
+    /// [`Self::submit_batch_greedy`] is property-tested against
+    /// (`tests/batch_admission_equivalence.rs`).
+    #[doc(hidden)]
     pub fn submit_batch_sequential<F>(
         &mut self,
         specs: &[(VertexId, VertexId, u32)],
@@ -1251,28 +1228,6 @@ impl PtRider {
         F: FnMut(&[RideOption]) -> Option<usize>,
     {
         run_batch_sequential(
-            &self.shared,
-            &*self.matcher,
-            &mut self.world,
-            &mut self.ledger,
-            specs,
-            now,
-            selector,
-        )
-    }
-
-    /// Conflict-graph parallel batch admission (see [`run_batch_conflict_graph`]
-    /// for the three-phase algorithm and its determinism argument).
-    pub fn submit_batch_conflict_graph<F>(
-        &mut self,
-        specs: &[(VertexId, VertexId, u32)],
-        now: f64,
-        selector: F,
-    ) -> Vec<BatchOutcome>
-    where
-        F: FnMut(&[RideOption]) -> Option<usize>,
-    {
-        run_batch_conflict_graph(
             &self.shared,
             &*self.matcher,
             &mut self.world,
@@ -1639,30 +1594,33 @@ mod tests {
             (VertexId(3), VertexId(3), 1u32), // invalid: origin == dest
             (VertexId(20), VertexId(22), 2u32),
         ];
-        let run = |admission: BatchAdmission, pool: usize| {
+        let run = |sequential: bool, pool: usize| {
             let mut e = PtRider::new(
                 city(),
                 GridConfig::with_dimensions(3, 3),
-                EngineConfig::default()
-                    .with_batch_admission(admission)
-                    .with_pool_size(pool),
+                EngineConfig::default().with_pool_size(pool),
             );
             e.add_vehicle(VertexId(12));
             e.add_vehicle(VertexId(24));
             let mut calls = Vec::new();
-            let outcomes = e.submit_batch_greedy(&specs, 0.0, |options| {
+            let selector = |options: &[RideOption]| {
                 calls.push(options.len());
                 if options.is_empty() {
                     None
                 } else {
                     Some(0)
                 }
-            });
+            };
+            let outcomes = if sequential {
+                e.submit_batch_sequential(&specs, 0.0, selector)
+            } else {
+                e.submit_batch_greedy(&specs, 0.0, selector)
+            };
             (outcomes, calls, e.stats().requests_chosen)
         };
-        let (seq, seq_calls, seq_chosen) = run(BatchAdmission::Sequential, 1);
+        let (seq, seq_calls, seq_chosen) = run(true, 1);
         for pool in [1usize, 2, 4] {
-            let (par, par_calls, par_chosen) = run(BatchAdmission::ConflictGraph, pool);
+            let (par, par_calls, par_chosen) = run(false, pool);
             assert_eq!(seq_calls, par_calls, "selector call sequence (pool {pool})");
             assert_eq!(seq_chosen, par_chosen);
             assert_eq!(seq.len(), par.len());

@@ -60,13 +60,13 @@ pub mod skyline;
 pub mod stats;
 pub mod telemetry;
 
-pub use config::{default_distance_backend, BatchAdmission, EngineConfig};
+pub use config::{default_distance_backend, EngineConfig};
 pub use engine::{BatchOutcome, EngineError, PtRider, TrafficUpdateOutcome};
 pub use events::{EngineEvent, EventCursor, EventLog, StampedEvent};
 pub use journal::{Journal, JournalConfig, JournalError};
 pub use matching::{
-    parallel_mode, set_parallel_mode, DualSideMatcher, MatchContext, MatchResult, MatchStats,
-    Matcher, MatcherKind, NaiveMatcher, ParallelMode, SingleSideMatcher,
+    DualSideMatcher, MatchContext, MatchResult, MatchStats, Matcher, MatcherKind, NaiveMatcher,
+    SingleSideMatcher,
 };
 pub use options::RideOption;
 pub use price::PriceModel;

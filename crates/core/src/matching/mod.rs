@@ -16,13 +16,12 @@
 
 mod dual_side;
 mod naive;
-pub mod par;
+mod par;
 mod search;
 mod single_side;
 
 pub use dual_side::DualSideMatcher;
 pub use naive::NaiveMatcher;
-pub use par::{parallel_mode, set_parallel_mode, ParallelMode};
 pub use single_side::SingleSideMatcher;
 
 use crate::config::EngineConfig;

@@ -23,71 +23,17 @@
 use super::{verify_vehicle, MatchContext, MatchStats};
 use crate::skyline::Skyline;
 use ptrider_vehicles::{ProspectiveRequest, Vehicle};
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// How the verification loop schedules work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ParallelMode {
-    /// Parallelise when the batch is large enough to amortise dispatch
-    /// (the default). The threshold is
-    /// [`crate::EngineConfig::par_auto_min_batch`].
-    Auto,
-    /// Always verify sequentially (reference behaviour).
-    Sequential,
-    /// Parallelise every batch of at least two vehicles (used by the
-    /// equivalence property tests).
-    Parallel,
-}
-
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the global verification mode (process-wide; primarily for tests and
-/// benchmarks that compare the sequential and parallel paths).
-pub fn set_parallel_mode(mode: ParallelMode) {
-    MODE.store(
-        match mode {
-            ParallelMode::Auto => 0,
-            ParallelMode::Sequential => 1,
-            ParallelMode::Parallel => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current global verification mode.
-pub fn parallel_mode() -> ParallelMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => ParallelMode::Sequential,
-        2 => ParallelMode::Parallel,
-        _ => ParallelMode::Auto,
-    }
-}
-
-/// Minimum vehicles per worker in `Auto` mode.
+/// Minimum vehicles per chunk.
 const MIN_PER_THREAD: usize = 4;
 
 /// How many chunks (caller + pool workers) to split a batch into.
 fn worker_count(ctx: &MatchContext<'_>, batch: usize) -> usize {
     let available = ctx.runtime.map(|rt| rt.parallelism()).unwrap_or(1);
-    match parallel_mode() {
-        ParallelMode::Sequential => 1,
-        ParallelMode::Parallel => {
-            if batch < 2 || ctx.runtime.is_none() {
-                1
-            } else {
-                // Forced mode exists to exercise the multi-chunk merge
-                // (equivalence tests), so use at least two chunks even when
-                // the runtime resolved to a single thread.
-                available.max(2).min(batch)
-            }
-        }
-        ParallelMode::Auto => {
-            if batch < ctx.config.par_auto_min_batch.max(2) || available < 2 {
-                1
-            } else {
-                available.min(batch / MIN_PER_THREAD).max(1)
-            }
-        }
+    if batch < ctx.config.par_auto_min_batch.max(2) || available < 2 {
+        1
+    } else {
+        available.min(batch / MIN_PER_THREAD).max(1)
     }
 }
 

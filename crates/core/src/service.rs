@@ -1190,8 +1190,7 @@ impl RideService {
     // ------------------------------------------------------------------
 
     /// Admits a burst of simultaneous requests through the engine's greedy
-    /// batch admission (sequential or conflict-graph, per
-    /// [`EngineConfig::batch_admission`]) on the writer path. The riders'
+    /// (conflict-graph) batch admission on the writer path. The riders'
     /// choices are made synchronously by `selector` — this models the
     /// dispatch-window batching of peak periods, where no offer/respond
     /// round-trip happens per request. Outcomes are byte-identical to

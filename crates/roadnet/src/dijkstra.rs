@@ -44,35 +44,6 @@ pub fn distance(net: &RoadNetwork, source: VertexId, target: VertexId) -> Option
     })
 }
 
-/// The seed's per-call-allocating Dijkstra, kept as the measurement baseline
-/// for the perf report (`BENCH_e9.json` quotes scratch vs. allocating).
-#[doc(hidden)]
-pub fn distance_allocating(net: &RoadNetwork, source: VertexId, target: VertexId) -> Option<f64> {
-    if source == target {
-        return Some(0.0);
-    }
-    let mut dist = vec![INFINITE_DISTANCE; net.num_vertices()];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(Reverse((OrdF64(0.0), source)));
-    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
-        }
-        if u == target {
-            return Some(d);
-        }
-        for (v, w) in net.neighbors(u) {
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                heap.push(Reverse((OrdF64(nd), v)));
-            }
-        }
-    }
-    None
-}
-
 /// One-to-many shortest-path distances: a single bounded Dijkstra from
 /// `source` that stops as soon as every vertex in `targets` is settled.
 ///

@@ -240,11 +240,6 @@ pub struct DistanceOracle {
     cache: Arc<Vec<Shard>>,
     /// Per-shard entry cap for clock eviction; `usize::MAX` disables it.
     shard_capacity: usize,
-    /// Legacy-baseline mode: one global lock (shard 0, always write-locked),
-    /// per-call-allocating plain Dijkstra, no ALT, no batching — the
-    /// pre-refactor oracle's behaviour, kept runnable so benchmarks can
-    /// quote the speedup against it. See [`Self::legacy_baseline`].
-    legacy: bool,
     exact_computations: Arc<AtomicU64>,
     cache_hits: Arc<AtomicU64>,
     lower_bound_queries: Arc<AtomicU64>,
@@ -282,7 +277,6 @@ impl DistanceOracle {
                     .collect(),
             ),
             shard_capacity: (DEFAULT_CACHE_CAPACITY / num_cache_shards()).max(1),
-            legacy: false,
             exact_computations: Arc::new(AtomicU64::new(0)),
             cache_hits: Arc::new(AtomicU64::new(0)),
             lower_bound_queries: Arc::new(AtomicU64::new(0)),
@@ -290,18 +284,6 @@ impl DistanceOracle {
             traffic_epochs: Arc::new(AtomicU64::new(0)),
             ch_customizations: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Creates an oracle that reproduces the pre-refactor behaviour: a
-    /// single globally-locked cache map, a fresh `O(V)` allocation per exact
-    /// query, no goal direction, no landmark bounds and no batched
-    /// one-to-many search. Exists solely as the measurement baseline for
-    /// `BENCH_e9.json`; do not use in production paths.
-    #[doc(hidden)]
-    pub fn legacy_baseline(net: Arc<RoadNetwork>, grid: Arc<GridIndex>) -> Self {
-        let mut oracle = Self::new(net, grid);
-        oracle.legacy = true;
-        oracle
     }
 
     /// Creates an oracle whose exact queries are ALT-accelerated and whose
@@ -501,10 +483,6 @@ impl DistanceOracle {
 
     #[inline]
     fn cached(&self, u: VertexId, v: VertexId) -> Option<f64> {
-        if self.legacy {
-            // The seed's Mutex had no shared-read mode.
-            return self.cache[0].write().get(&(u, v)).map(|s| s.dist);
-        }
         let epoch = self.epoch.load(Ordering::Relaxed);
         let key = self.cache_key(u, v);
         let shard = self.cache[shard_of(key.0, key.1)].read();
@@ -573,25 +551,6 @@ impl DistanceOracle {
 
     #[inline]
     fn store(&self, u: VertexId, v: VertexId, d: f64, epoch: u64) {
-        if self.legacy {
-            // Legacy baseline: unbounded single-map cache, as the seed had.
-            self.cache[0].write().insert(
-                (u, v),
-                CacheSlot {
-                    dist: d,
-                    epoch: 0,
-                    referenced: AtomicBool::new(false),
-                },
-            );
-            if self.net.is_undirected() {
-                self.cache[0].write().entry((v, u)).or_insert(CacheSlot {
-                    dist: d,
-                    epoch: 0,
-                    referenced: AtomicBool::new(false),
-                });
-            }
-            return;
-        }
         // One canonical entry per unordered pair on undirected networks
         // (half the footprint of the old two-direction mirror).
         let key = self.cache_key(u, v);
@@ -651,11 +610,6 @@ impl DistanceOracle {
             return d;
         }
         self.exact_computations.fetch_add(1, Ordering::Relaxed);
-        if self.legacy {
-            let d = dijkstra::distance_allocating(&self.net, u, v).unwrap_or(f64::INFINITY);
-            self.store(u, v, d, 0);
-            return d;
-        }
         let (d, epoch) = self.backend_distance_canonical(u, v);
         self.store(u, v, d, epoch);
         d
@@ -669,10 +623,6 @@ impl DistanceOracle {
     /// independent point-to-point searches — the batching entry point for
     /// the matchers' verification loops and the kinetic-tree re-annotation.
     pub fn distances_from(&self, source: VertexId, targets: &[VertexId]) -> Vec<f64> {
-        if self.legacy {
-            // Pre-refactor behaviour: k independent point-to-point queries.
-            return targets.iter().map(|&t| self.distance(source, t)).collect();
-        }
         let mut out = vec![0.0f64; targets.len()];
         let mut missing: Vec<VertexId> = Vec::new();
         let mut missing_idx: Vec<usize> = Vec::new();
@@ -780,18 +730,8 @@ impl DistanceOracle {
     ///
     /// # Panics
     /// Panics if `model` was built for a different network (arc-count
-    /// mismatch). On the legacy-baseline oracle this is a no-op (the
-    /// baseline predates the metric split; it exists only as a benchmark
-    /// reference).
+    /// mismatch).
     pub fn apply_traffic(&self, model: &TrafficModel) -> TrafficApplied {
-        if self.legacy {
-            return TrafficApplied {
-                epoch: 0,
-                ch_repaired: false,
-                congested_arcs: model.congested_arcs(),
-                max_factor: model.max_factor(),
-            };
-        }
         // A fully free-flow model scales every weight by exactly 1.0, so
         // the metric is bit-identical to the base network: reinstate the
         // base `Arc` and the retained build-time hierarchy (which answers
@@ -908,7 +848,7 @@ impl DistanceOracle {
             return d;
         }
         let mut lb = 0.0f64;
-        if self.requested_backend == DistanceBackend::Ch && !self.legacy {
+        if self.requested_backend == DistanceBackend::Ch {
             if let Some((bounded, epoch)) = self.ch_bounded_canonical(u, v) {
                 match bounded {
                     Bounded::Exact(d) => {
@@ -1129,8 +1069,7 @@ mod tests {
         let o = DistanceOracle::with_landmarks(net, grid, lm);
         for u in [a, v1, c] {
             for v in [a, v1, c] {
-                let exact = crate::dijkstra::distance_allocating(o.network(), u, v)
-                    .unwrap_or(f64::INFINITY);
+                let exact = dijkstra::distance(o.network(), u, v).unwrap_or(f64::INFINITY);
                 // Bound first: once distance() caches the pair, lower_bound
                 // returns the exact value and would mask an inflated bound.
                 let lb = o.lower_bound(u, v);

@@ -78,9 +78,8 @@ pub struct SimConfig {
     pub cross_check: bool,
     /// Burst arrival mode: all trips due within one step are submitted as
     /// **one batch** through [`PtRider::submit_batch_greedy`] — the
-    /// engine's conflict-graph admission (or the sequential reference,
-    /// per [`EngineConfig::batch_admission`]) — instead of one engine call
-    /// per trip. Models dispatch-window batching in peak periods; the
+    /// engine's conflict-graph admission — instead of one engine call per
+    /// trip. Models dispatch-window batching in peak periods; the
     /// batch is stamped with the step's clock.
     pub burst_admission: bool,
     /// Congestion mode: when set, a rush-hour profile applies a traffic

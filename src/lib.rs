@@ -86,12 +86,12 @@ pub use ptrider_sim as sim;
 pub use ptrider_server as server;
 
 pub use ptrider_core::{
-    BatchAdmission, BatchOutcome, Confirmation, Decision, DistanceBackend, EngineConfig,
-    EngineEvent, EngineStats, EventCursor, EventLog, GridConfig, Journal, JournalConfig,
-    JournalError, LandmarkIndex, MatchResult, MatchRuntime, MatchStats, Matcher, MatcherKind,
-    Offer, OptionId, ParallelMode, PriceModel, PtRider, Request, RequestId, RideOption,
-    RideService, RoadNetwork, ServiceConfig, ServiceError, SessionId, SessionState, Skyline, Speed,
-    Stop, StopKind, TrafficEdge, TrafficModel, TrafficUpdateOutcome, Vehicle, VehicleId, VertexId,
+    BatchOutcome, Confirmation, Decision, DistanceBackend, EngineConfig, EngineEvent, EngineStats,
+    EventCursor, EventLog, GridConfig, Journal, JournalConfig, JournalError, LandmarkIndex,
+    MatchResult, MatchRuntime, MatchStats, Matcher, MatcherKind, Offer, OptionId, PriceModel,
+    PtRider, Request, RequestId, RideOption, RideService, RoadNetwork, ServiceConfig, ServiceError,
+    SessionId, SessionState, Skyline, Speed, Stop, StopKind, TrafficEdge, TrafficModel,
+    TrafficUpdateOutcome, Vehicle, VehicleId, VertexId,
 };
 pub use ptrider_core::{
     Histogram, HistogramSnapshot, Span, Stage, Telemetry, TelemetryConfig, TelemetryLevel,

@@ -1,8 +1,8 @@
-//! Property test: conflict-graph parallel batch admission produces
-//! **byte-identical** `BatchOutcome`s to the paper's sequential greedy
-//! admission — across random cities, fleets, warm-up assignments and
-//! bursts; across runtime pool sizes {1, 2, 4}; and on both distance
-//! backends (`Alt` and `Ch`).
+//! Property test: `submit_batch_greedy` (conflict-graph parallel batch
+//! admission) produces **byte-identical** `BatchOutcome`s to the paper's
+//! sequential greedy admission (`submit_batch_sequential`) — across random
+//! cities, fleets, warm-up assignments and bursts; across runtime pool
+//! sizes {1, 2, 4}; and on both distance backends (`Alt` and `Ch`).
 //!
 //! The two engines of each comparison are constructed identically and
 //! replay the same warm-up sequence, so they enter the burst in identical
@@ -17,8 +17,7 @@
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
 use ptrider::{
-    BatchAdmission, BatchOutcome, DistanceBackend, EngineConfig, GridConfig, MatcherKind, PtRider,
-    VertexId,
+    BatchOutcome, DistanceBackend, EngineConfig, GridConfig, MatcherKind, PtRider, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -150,19 +149,17 @@ fn run_scenario(
         seed,
         num_vehicles,
         warm_requests,
-        base.with_batch_admission(BatchAdmission::Sequential)
-            .with_pool_size(1),
+        base.with_pool_size(1),
         matcher,
     );
-    let seq = reference.submit_batch_greedy(&burst, 1_000.0, make_selector());
+    let seq = reference.submit_batch_sequential(&burst, 1_000.0, make_selector());
 
     for pool_size in [1usize, 2, 4] {
         let mut engine = build_engine(
             seed,
             num_vehicles,
             warm_requests,
-            base.with_batch_admission(BatchAdmission::ConflictGraph)
-                .with_pool_size(pool_size),
+            base.with_pool_size(pool_size),
             matcher,
         );
         let par = engine.submit_batch_greedy(&burst, 1_000.0, make_selector());

@@ -1,6 +1,7 @@
-//! Property test: forcing the parallel candidate-verification path produces
-//! byte-identical skylines to the sequential reference, for all three
-//! matchers, on randomly generated cities, fleets and request sequences.
+//! Property test: candidate verification split across the worker pool
+//! produces byte-identical skylines to the single-thread loop, for all
+//! three matchers, on randomly generated cities, fleets and request
+//! sequences.
 //!
 //! The parallel path partitions surviving candidate vehicles across worker
 //! threads with per-thread skylines merged at the end; because skyline
@@ -8,54 +9,70 @@
 //! on one thread, the merged result must equal the sequential one exactly
 //! (full `RideOption` equality, schedules included).
 //!
-//! All comparisons run inside a single `#[test]` per scenario family:
-//! `set_parallel_mode` is process-global, so interleaving it with other
-//! tests in the same binary would race. This file contains only these
-//! tests, and each flips the mode around every matching call it makes.
+//! Each scenario drives two engines over the same world in lockstep: one
+//! with `pool_size: 1` (never splits) and one with `pool_size: 4` and
+//! `par_auto_min_batch: 2` (splits every batch of at least 8 vehicles).
+//! Both pool sizes are explicit, so `PTRIDER_POOL_SIZE` cannot move them,
+//! and the pooled engine's pool-job histogram proves batches really were
+//! split, in every random case and under every matcher — the comparison
+//! cannot silently go sequential.
 
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
+use ptrider::roadnet::{DistanceOracle, GridIndex};
 use ptrider::{
-    EngineConfig, GridConfig, MatcherKind, ParallelMode, PtRider, Request, RideOption, VertexId,
+    EngineConfig, GridConfig, MatcherKind, PtRider, Request, Stage, TelemetryConfig, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
-fn match_all(
-    engine: &PtRider,
-    request: &Request,
-    mode: ParallelMode,
-) -> Vec<(MatcherKind, Vec<RideOption>)> {
-    ptrider::core::set_parallel_mode(mode);
-    let out = MatcherKind::all()
-        .iter()
-        .map(|&kind| {
-            (
-                kind,
-                engine
-                    .match_request_with(kind, request)
-                    .expect("valid request")
-                    .options,
-            )
-        })
-        .collect();
-    ptrider::core::set_parallel_mode(ParallelMode::Auto);
-    out
+/// The grid searches verify cell by cell, so only a coarse grid under a
+/// dense fleet leaves them batches big enough to split.
+const GRID_SIDE: usize = 2;
+
+/// An engine over the tiny city with spans telemetry forced on (whatever
+/// `PTRIDER_TELEMETRY` says), so its pool-job histogram is attached.
+fn build_engine(seed: u64, config: EngineConfig) -> PtRider {
+    let net = Arc::new(synthetic_city(&CityConfig::tiny(seed)));
+    let grid = Arc::new(GridIndex::build(
+        &net,
+        GridConfig::with_dimensions(GRID_SIDE, GRID_SIDE),
+    ));
+    let oracle = DistanceOracle::with_backend(
+        Arc::clone(&net),
+        Arc::clone(&grid),
+        None,
+        config.distance_backend,
+    );
+    PtRider::with_oracle_and_telemetry(net, grid, oracle, config, TelemetryConfig::spans())
 }
 
-fn run_scenario(seed: u64, num_vehicles: usize, num_requests: usize) -> Result<(), TestCaseError> {
-    let city = synthetic_city(&CityConfig::tiny(seed));
-    let config = EngineConfig::paper_defaults();
-    let mut engine = PtRider::new(city, GridConfig::with_dimensions(4, 4), config);
-    engine.set_matcher(MatcherKind::DualSide);
+/// Chunks the engine's verification loops have handed to pool workers.
+fn pool_jobs(engine: &PtRider) -> u64 {
+    engine.telemetry().stage_snapshot(Stage::PoolJob).count()
+}
+
+/// Runs the scenario and returns, per matcher (in `MatcherKind::all()`
+/// order), how many verification chunks the pooled engine dispatched.
+fn run_scenario(
+    seed: u64,
+    num_vehicles: usize,
+    num_requests: usize,
+) -> Result<Vec<u64>, TestCaseError> {
+    let base = EngineConfig::paper_defaults();
+    let mut sequential = build_engine(seed, base.with_pool_size(1));
+    let mut pooled = build_engine(seed, base.with_pool_size(4).with_par_auto_min_batch(2));
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9a11e1);
-    let n = engine.network().num_vertices() as u32;
+    let n = sequential.network().num_vertices() as u32;
     for _ in 0..num_vehicles {
-        engine.add_vehicle(VertexId(rng.gen_range(0..n)));
+        let at = VertexId(rng.gen_range(0..n));
+        sequential.add_vehicle(at);
+        pooled.add_vehicle(at);
     }
     let trips = TripGenerator::new(
-        engine.network(),
+        sequential.network(),
         TripConfig {
             num_trips: num_requests,
             seed: seed ^ 0x77,
@@ -64,50 +81,68 @@ fn run_scenario(seed: u64, num_vehicles: usize, num_requests: usize) -> Result<(
     )
     .generate();
 
+    let mut jobs = vec![0u64; MatcherKind::all().len()];
     for (i, trip) in trips.iter().enumerate() {
-        let id = engine.allocate_request_id();
-        let request = Request::new(id, trip.origin, trip.destination, trip.riders, i as f64);
+        let now = i as f64;
+        let id = sequential.allocate_request_id();
+        prop_assert_eq!(id, pooled.allocate_request_id());
+        let request = Request::new(id, trip.origin, trip.destination, trip.riders, now);
 
-        let sequential = match_all(&engine, &request, ParallelMode::Sequential);
-        let parallel = match_all(&engine, &request, ParallelMode::Parallel);
-        for ((kind, seq), (_, par)) in sequential.iter().zip(&parallel) {
+        for (k, &kind) in MatcherKind::all().iter().enumerate() {
+            let seq = sequential
+                .match_request_with(kind, &request)
+                .expect("valid request")
+                .options;
+            let before = pool_jobs(&pooled);
+            let par = pooled
+                .match_request_with(kind, &request)
+                .expect("valid request")
+                .options;
+            jobs[k] += pool_jobs(&pooled) - before;
             prop_assert_eq!(
                 seq,
                 par,
-                "matcher {} parallel skyline differs on request #{}",
+                "matcher {} pooled skyline differs on request #{}",
                 kind,
                 i
             );
         }
 
-        // Assign via the normal engine path so later requests see busy
-        // vehicles (the interesting case for verification batches).
-        let (rid, options) = engine.submit(trip.origin, trip.destination, trip.riders, i as f64);
+        // Assign via the normal engine path, on both engines, so later
+        // requests see busy vehicles (the interesting case for
+        // verification batches).
+        let (rid, options) = sequential.submit(trip.origin, trip.destination, trip.riders, now);
+        let (twin_rid, twin_options) =
+            pooled.submit(trip.origin, trip.destination, trip.riders, now);
+        prop_assert_eq!(rid, twin_rid);
+        prop_assert_eq!(&options, &twin_options, "submitted skyline #{}", i);
         if let Some(first) = options.first() {
-            let _ = engine.choose(rid, first, i as f64);
+            let _ = sequential.choose(rid, first, now);
+            let _ = pooled.choose(twin_rid, first, now);
         } else {
-            let _ = engine.decline(rid);
+            let _ = sequential.decline(rid);
+            let _ = pooled.decline(twin_rid);
         }
     }
-    Ok(())
+    prop_assert_eq!(pool_jobs(&sequential), 0, "pool_size 1 never dispatches");
+    Ok(jobs)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
+    // 64 or more vehicles on the 2×2 grid leave every matcher two chunks
+    // of four candidates after pruning (2000 random cases checked), so
+    // every case must split under every matcher.
     #[test]
-    fn parallel_and_sequential_skylines_are_identical(
+    fn pooled_and_sequential_skylines_are_identical(
         seed in 0u64..1_000_000,
-        num_vehicles in 1usize..24,
+        num_vehicles in 64usize..128,
         num_requests in 1usize..8,
     ) {
-        run_scenario(seed, num_vehicles, num_requests)?;
+        let jobs = run_scenario(seed, num_vehicles, num_requests)?;
+        for (kind, jobs) in MatcherKind::all().iter().zip(jobs) {
+            prop_assert!(jobs > 0, "matcher {} never split a verification batch", kind);
+        }
     }
-}
-
-#[test]
-fn parallel_matches_sequential_on_a_dense_fixed_scenario() {
-    // Large enough that every matcher's verification batches actually span
-    // multiple worker threads.
-    run_scenario(20090529, 48, 12).unwrap();
 }
