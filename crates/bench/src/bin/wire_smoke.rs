@@ -323,10 +323,7 @@ fn tracing_leg() {
         "traced submit",
     );
     gate(offer.status == 200, "tracing leg: ride submitted");
-    let rid = offer
-        .header("x-request-id")
-        .unwrap_or_default()
-        .to_string();
+    let rid = offer.header("x-request-id").unwrap_or_default().to_string();
     gate(
         rid.len() == 16 && rid.bytes().all(|b| b.is_ascii_hexdigit()),
         "every response echoes a 16-hex X-Request-Id",

@@ -262,11 +262,8 @@ impl RideService {
         // Lock sites resolve to `None` below the `Spans` telemetry level,
         // leaving each lock a plain `std::sync` lock behind one branch.
         let t = &shared.telemetry;
-        let world = ProfiledRwLock::new(
-            world,
-            t.lock_site("world.read"),
-            t.lock_site("world.write"),
-        );
+        let world =
+            ProfiledRwLock::new(world, t.lock_site("world.read"), t.lock_site("world.write"));
         let ledger = ProfiledMutex::new(ledger, t.lock_site("ledger"));
         let sessions = ProfiledMutex::new(
             SessionStore {

@@ -142,7 +142,10 @@ impl ContentionReport {
     }
 }
 
-fn wrap_result<G, P>(result: Result<G, PoisonError<G>>, wrap: impl FnOnce(G) -> P) -> LockResult<P> {
+fn wrap_result<G, P>(
+    result: Result<G, PoisonError<G>>,
+    wrap: impl FnOnce(G) -> P,
+) -> LockResult<P> {
     match result {
         Ok(g) => Ok(wrap(g)),
         Err(p) => Err(PoisonError::new(wrap(p.into_inner()))),

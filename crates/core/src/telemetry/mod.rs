@@ -602,9 +602,7 @@ impl Telemetry {
             return;
         }
         if let Some(store) = &self.store {
-            let start_us = start
-                .saturating_duration_since(self.origin)
-                .as_micros() as u64;
+            let start_us = start.saturating_duration_since(self.origin).as_micros() as u64;
             store.push(TraceEvent {
                 start_us,
                 duration_ns: nanos,
@@ -900,7 +898,9 @@ mod tests {
         assert_eq!(root_ctx.span_id, 0);
         let trace_id = root_ctx.trace_id;
         {
-            let root = t.span_in(Stage::ServiceSubmit, Some(root_ctx)).with_request(9);
+            let root = t
+                .span_in(Stage::ServiceSubmit, Some(root_ctx))
+                .with_request(9);
             let child_ctx = root.context().expect("traced span has a context");
             assert_eq!(child_ctx.trace_id, trace_id);
             assert_ne!(child_ctx.span_id, 0);

@@ -106,8 +106,7 @@ impl TraceTree {
     /// truncation), children hang off their recorded parent, and every
     /// sibling list is sorted by `start_us`.
     pub fn roots(&self) -> Vec<SpanNode<'_>> {
-        let known: std::collections::HashSet<u64> =
-            self.spans.iter().map(|s| s.span_id).collect();
+        let known: std::collections::HashSet<u64> = self.spans.iter().map(|s| s.span_id).collect();
         let mut by_parent: HashMap<u64, Vec<&TraceEvent>> = HashMap::new();
         let mut roots: Vec<&TraceEvent> = Vec::new();
         for span in &self.spans {

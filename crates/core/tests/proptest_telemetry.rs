@@ -202,7 +202,14 @@ fn check_subtree(node: &SpanNode<'_>, parents: &[usize]) -> Result<usize, TestCa
     let mut visited = 1usize;
     for child in &node.children {
         let (i, p) = (child.event.request as usize, node.event.request as usize);
-        prop_assert_eq!(parents[i], p, "node {} reattached to {} not {}", i, p, parents[i]);
+        prop_assert_eq!(
+            parents[i],
+            p,
+            "node {} reattached to {} not {}",
+            i,
+            p,
+            parents[i]
+        );
         prop_assert!(
             child.event.start_us + SLACK_US >= node.event.start_us,
             "child {} starts before parent {}",
@@ -292,7 +299,11 @@ fn concurrent_traces_stay_disjoint() {
             assert!(seen.insert(trace_id), "trace ids are unique");
             let tree = t.trace_tree(trace_id).expect("trace stored");
             assert!(!tree.truncated);
-            assert_eq!(tree.spans.len(), parents.len(), "no foreign spans leaked in");
+            assert_eq!(
+                tree.spans.len(),
+                parents.len(),
+                "no foreign spans leaked in"
+            );
             assert!(tree.spans.iter().all(|s| s.trace_id == trace_id));
             let roots = tree.roots();
             assert_eq!(roots.len(), 1);
@@ -352,7 +363,9 @@ fn lock_profiler_accounting_balances() {
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 500;
     let t = Telemetry::new(TelemetryConfig::spans());
-    let site = t.lock_site("proptest.mutex").expect("spans level registers sites");
+    let site = t
+        .lock_site("proptest.mutex")
+        .expect("spans level registers sites");
     let lock = ProfiledMutex::new(0u64, Some(Arc::clone(&site)));
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
@@ -381,7 +394,10 @@ fn lock_profiler_accounting_balances() {
     assert!(summary.hold_p50_ns <= summary.hold_p99_ns);
     let report = t.contention_report();
     assert_eq!(
-        report.site("proptest.mutex").expect("site reported").acquisitions,
+        report
+            .site("proptest.mutex")
+            .expect("site reported")
+            .acquisitions,
         total
     );
 }

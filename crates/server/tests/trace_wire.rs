@@ -28,7 +28,9 @@ fn tracing_round_trips_over_the_wire() {
             Some(r#"{"origin":1,"destination":4,"riders":1,"now":0.0}"#),
         );
         assert_eq!(offer.status, 200, "{}", offer.body);
-        let rid = offer.header("x-request-id").expect("id echoed with tracing off");
+        let rid = offer
+            .header("x-request-id")
+            .expect("id echoed with tracing off");
         assert_eq!(rid.len(), 16, "16-hex correlation id, got {rid:?}");
         assert!(
             offer.header("traceparent").is_none(),
@@ -134,7 +136,9 @@ fn tracing_round_trips_over_the_wire() {
 
     // Unknown trace ids 404; malformed ones too.
     assert_eq!(
-        client.request("GET", "/trace/fffffffffffffff1", None).status,
+        client
+            .request("GET", "/trace/fffffffffffffff1", None)
+            .status,
         404
     );
     assert_eq!(client.request("GET", "/trace/zzzz", None).status, 404);
