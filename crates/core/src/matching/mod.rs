@@ -17,6 +17,7 @@
 mod dual_side;
 mod naive;
 mod par;
+mod plan;
 mod search;
 mod single_side;
 

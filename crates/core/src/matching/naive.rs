@@ -8,6 +8,7 @@
 //! experiments.
 
 use super::par::verify_vehicles;
+use super::plan::DistancePlan;
 use super::{MatchContext, MatchResult, MatchStats, Matcher};
 use crate::skyline::Skyline;
 use crate::telemetry::Stage;
@@ -41,7 +42,8 @@ impl Matcher for NaiveMatcher {
         });
         stats.vehicles_considered += vehicles.len();
         clock.time(&mut verify_ns, || {
-            verify_vehicles(ctx, req, &vehicles, &mut skyline, &mut stats)
+            let mut plan = DistancePlan::new(ctx.oracle, req);
+            verify_vehicles(ctx, req, &mut plan, &vehicles, &mut skyline, &mut stats)
         });
 
         stats.exact_distance_computations = ctx.oracle.exact_computations() - exact_before;

@@ -20,6 +20,7 @@
 //! take the rest. A context without a runtime handle falls back to the
 //! sequential loop — never to per-batch spawning.
 
+use super::plan::DistancePlan;
 use super::{verify_vehicle, MatchContext, MatchStats};
 use crate::skyline::Skyline;
 use ptrider_vehicles::{ProspectiveRequest, Vehicle};
@@ -52,14 +53,18 @@ fn verify_chunk(
 }
 
 /// Verifies a batch of vehicles, in parallel when worthwhile, merging all
-/// options and counters into `skyline` / `stats`.
+/// options and counters into `skyline` / `stats`. The request's distance
+/// plan first caches the batch's `s`/`d` legs, so the verification itself
+/// (on any thread) reads them from the oracle cache.
 pub(crate) fn verify_vehicles(
     ctx: &MatchContext<'_>,
     req: &ProspectiveRequest,
+    plan: &mut DistancePlan<'_>,
     vehicles: &[&Vehicle],
     skyline: &mut Skyline,
     stats: &mut MatchStats,
 ) {
+    plan.prepare(vehicles);
     let workers = worker_count(ctx, vehicles.len());
     let runtime = match ctx.runtime {
         Some(rt) if workers > 1 => rt,

@@ -11,9 +11,11 @@
 //! exact shortest-path distances computed.
 
 use super::par::verify_vehicles;
+use super::plan::DistancePlan;
 use super::{MatchContext, MatchResult, MatchStats};
 use crate::skyline::Skyline;
 use crate::telemetry::Stage;
+use ptrider_roadnet::LOWER_BOUND_HAIRCUT;
 use ptrider_vehicles::{ProspectiveRequest, Vehicle};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -80,6 +82,7 @@ pub(crate) fn grid_search(
     // verified as one (possibly parallel) batch before the next cell so the
     // cell-level termination checks still see the up-to-date skyline.
     let mut batch: Vec<&Vehicle> = Vec::new();
+    let mut plan = DistancePlan::new(ctx.oracle, req);
 
     for &(cell, cell_lb) in grid.cells_by_lower_bound(s_cell) {
         if empty_done && non_empty_done {
@@ -90,7 +93,7 @@ pub(crate) fn grid_search(
         let t_cell_lb = if !symmetric || cell == s_cell {
             0.0
         } else if cell_lb.is_finite() {
-            cell_lb + s_min
+            (cell_lb + s_min) * LOWER_BOUND_HAIRCUT
         } else {
             f64::INFINITY
         };
@@ -142,7 +145,7 @@ pub(crate) fn grid_search(
 
         if !batch.is_empty() {
             clock.time(&mut verify_ns, || {
-                verify_vehicles(ctx, req, &batch, &mut skyline, &mut stats)
+                verify_vehicles(ctx, req, &mut plan, &batch, &mut skyline, &mut stats)
             });
             batch.clear();
         }

@@ -6,7 +6,7 @@
 //! `dist(u, v)` of Section 2.1.
 
 use crate::graph::RoadNetwork;
-use crate::scratch::{with_scratch, with_scratch_pair};
+use crate::scratch::{with_scratch, with_scratch_pair, SearchScratch};
 use crate::types::{OrdF64, VertexId, INFINITE_DISTANCE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -154,37 +154,139 @@ pub fn multi_target_canonical(
         }
         targets
             .iter()
-            .map(|&t| {
-                let d = s.get(t);
-                if t >= source || !d.is_finite() {
-                    return d;
-                }
-                // Walk the tree path t → … → source, summing in walk order —
-                // the fold a t-rooted search would accumulate on this path.
-                let mut acc = 0.0;
-                let mut cur = t;
-                while cur != source {
-                    let Some(parent) = s.parent_of(cur) else {
-                        // Root reached unexpectedly; fall back to the
-                        // forward fold rather than returning a wrong sum.
-                        return d;
-                    };
-                    // The relaxed tree edge carries the minimum weight among
-                    // parallel `cur → parent` edges (symmetric on undirected
-                    // networks, so this is also the `parent → cur` weight).
-                    let mut weight = INFINITE_DISTANCE;
-                    for (v, w) in net.neighbors(cur) {
-                        if v == parent && w < weight {
-                            weight = w;
-                        }
-                    }
-                    acc += weight;
-                    cur = parent;
-                }
-                acc
-            })
+            .map(|&t| fold_toward_root(net, s, source, t))
             .collect()
     })
+}
+
+/// The settled distance of `t` in a search rooted at `root`, folded in
+/// canonical direction: targets above the root keep the search's forward
+/// accumulation; for targets below it, the tree path `t → … → root` is
+/// re-summed in walk order — the fold a `t`-rooted search would produce on
+/// this path. Requires symmetric edge weights (see
+/// [`multi_target_canonical`]).
+fn fold_toward_root(net: &RoadNetwork, s: &SearchScratch, root: VertexId, t: VertexId) -> f64 {
+    let d = s.get(t);
+    if t >= root || !d.is_finite() {
+        return d;
+    }
+    let mut acc = 0.0;
+    let mut cur = t;
+    while cur != root {
+        let Some(parent) = s.parent_of(cur) else {
+            // Root reached unexpectedly; fall back to the forward fold
+            // rather than returning a wrong sum.
+            return d;
+        };
+        // The relaxed tree edge carries the minimum weight among parallel
+        // `cur → parent` edges (symmetric on undirected networks, so this
+        // is also the `parent → cur` weight).
+        let mut weight = INFINITE_DISTANCE;
+        for (v, w) in net.neighbors(cur) {
+            if v == parent && w < weight {
+                weight = w;
+            }
+        }
+        acc += weight;
+        cur = parent;
+    }
+    acc
+}
+
+/// A Dijkstra search rooted at one vertex that grows in steps: each
+/// [`Self::settle`] runs only until its targets are settled, and the next
+/// call resumes from the frontier where the previous one stopped — no
+/// vertex is ever settled twice for one root. Owns its generation-stamped
+/// scratch (separate from the thread-local one point queries use), so a
+/// search can stay open while other queries run and be re-rooted with
+/// [`Self::reset`] without an `O(V)` clear.
+///
+/// Pausing between pops does not change the heap's operation sequence, so
+/// labels and tree paths are exactly those of one uninterrupted search.
+pub(crate) struct GrowingSearch {
+    scratch: SearchScratch,
+    /// Per-vertex state for this root: unset, [`PENDING`] (a target not
+    /// yet settled) or [`SETTLED`].
+    marks: SearchScratch,
+    root: VertexId,
+    settled: u64,
+}
+
+const PENDING: f64 = 1.0;
+const SETTLED: f64 = 2.0;
+
+impl Default for GrowingSearch {
+    fn default() -> Self {
+        GrowingSearch {
+            scratch: SearchScratch::new(),
+            marks: SearchScratch::new(),
+            root: VertexId(0),
+            settled: 0,
+        }
+    }
+}
+
+impl GrowingSearch {
+    /// Re-roots the search at `root` on `net` (generation bumps only);
+    /// must precede the first [`Self::settle`].
+    pub fn reset(&mut self, net: &RoadNetwork, root: VertexId) {
+        let n = net.num_vertices();
+        self.scratch.begin(n);
+        self.marks.begin(n);
+        self.scratch.set(root, 0.0);
+        self.scratch.push(0.0, root);
+        self.root = root;
+        self.settled = 0;
+    }
+
+    /// Vertices settled since the last [`Self::reset`].
+    pub fn settled(&self) -> u64 {
+        self.settled
+    }
+
+    /// Grows the search until every vertex of `targets` is settled (or the
+    /// frontier runs dry: those targets are unreachable). Targets settled by
+    /// an earlier call cost one array read.
+    pub fn settle(&mut self, net: &RoadNetwork, targets: &[VertexId]) {
+        let mut remaining = 0usize;
+        for &t in targets {
+            if self.marks.get(t).is_infinite() {
+                self.marks.set(t, PENDING);
+                remaining += 1;
+            }
+        }
+        while remaining > 0 {
+            let Some((d, u)) = self.scratch.pop() else {
+                break;
+            };
+            if d > self.scratch.get(u) {
+                continue;
+            }
+            if self.marks.get(u) == PENDING {
+                remaining -= 1;
+            }
+            self.marks.set(u, SETTLED);
+            self.settled += 1;
+            // Relax before checking `remaining`, so a paused search leaves
+            // every settled vertex fully expanded.
+            for (v, w) in net.neighbors(u) {
+                let nd = d + w;
+                if nd < self.scratch.get(v) {
+                    self.scratch.set_with_parent(v, nd, u);
+                    self.scratch.push(nd, v);
+                }
+            }
+        }
+    }
+
+    /// The distance between the root and a target settled by
+    /// [`Self::settle`], folded in canonical direction like
+    /// [`multi_target_canonical`] (undirected networks only).
+    /// `INFINITE_DISTANCE` when unreachable.
+    pub fn canonical_distance(&self, net: &RoadNetwork, t: VertexId) -> f64 {
+        debug_assert!(t == self.root || self.marks.get(t) == SETTLED);
+        fold_toward_root(net, &self.scratch, self.root, t)
+    }
 }
 
 /// Point-to-point shortest path returning `(distance, path)`.

@@ -62,7 +62,8 @@ pub use graph::{Edge, RoadNetwork, RoadNetworkBuilder};
 pub use grid::{CellId, GridCell, GridConfig, GridIndex};
 pub use landmarks::LandmarkIndex;
 pub use oracle::{
-    num_cache_shards, DistanceBackend, DistanceOracle, TrafficApplied, DEFAULT_CACHE_CAPACITY,
+    num_cache_shards, DistanceBackend, DistanceOracle, OneToMany, TrafficApplied,
+    DEFAULT_CACHE_CAPACITY, LOWER_BOUND_HAIRCUT,
 };
 pub use traffic::{TrafficEdge, TrafficModel};
 pub use types::{Point, Speed, VertexId, INFINITE_DISTANCE};

@@ -27,6 +27,10 @@
 //!   `k` same-source queries with a single bounded multi-target Dijkstra
 //!   (ALT backend) or a many-to-many bucket query (CH backend) instead of
 //!   `k` point-to-point searches.
+//! * **Resumable one-to-many** — [`DistanceOracle::settle_from`] grows a
+//!   caller-owned [`OneToMany`] search from one root just far enough to
+//!   answer the targets that miss the cache, and resumes it on the next
+//!   call; the matchers keep one open per request endpoint.
 //! * **Canonical-direction memoisation** — on undirected networks each
 //!   unordered pair is cached under a single canonical key (smaller vertex
 //!   id first) and its exact value is always *folded* in the canonical
@@ -76,7 +80,7 @@
 use crate::astar;
 use crate::ch::query::Bounded;
 use crate::ch::{CchTopology, ContractionHierarchy};
-use crate::dijkstra;
+use crate::dijkstra::{self, GrowingSearch};
 use crate::graph::RoadNetwork;
 use crate::grid::GridIndex;
 use crate::landmarks::LandmarkIndex;
@@ -113,6 +117,16 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 22;
 /// resolve exactly and seed the cache; small enough that a truncated probe
 /// stays within a few microseconds regardless of graph size.
 const LOWER_BOUND_SETTLE_CAP: usize = 48;
+
+/// Relative haircut on every non-exact lower bound. Landmark differences
+/// and grid sums `umin + lb + vmin` fold their terms in another order than
+/// the exact search folds the path, so in floating point they can land a
+/// few ulp *above* the exact distance. A bound that high would prune a
+/// vehicle at an exact price/time tie on a cold cache and keep it on a warm
+/// one (where the cached exact value is returned instead). The haircut is
+/// orders of magnitude wider than any such rounding and orders narrower
+/// than any real difference in distance.
+pub const LOWER_BOUND_HAIRCUT: f64 = 1.0 - 1e-9;
 
 /// Which exact shortest-path backend a [`DistanceOracle`] uses on a cache
 /// miss.
@@ -204,6 +218,54 @@ fn shard_of(u: VertexId, v: VertexId) -> usize {
     // any power-of-two shard count.
     let shift = 64 - shards.trailing_zeros();
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize & (shards - 1)
+}
+
+/// A one-to-many search owned by the caller and grown by
+/// [`DistanceOracle::settle_from`]: the root and the metric snapshot it runs
+/// on (taken lazily, on the first target that misses the cache). Reusable
+/// across roots via [`Self::reset`]; its scratch is allocated once and
+/// generation-stamped after that.
+pub struct OneToMany {
+    search: GrowingSearch,
+    root: VertexId,
+    /// Metric network and epoch the search runs under, once started.
+    run: Option<(Arc<RoadNetwork>, u64)>,
+    pending: Vec<VertexId>,
+}
+
+impl Default for OneToMany {
+    fn default() -> Self {
+        OneToMany {
+            search: GrowingSearch::default(),
+            root: VertexId(0),
+            run: None,
+            pending: Vec::new(),
+        }
+    }
+}
+
+impl OneToMany {
+    /// Re-roots at `root`. Constant time: the search itself only starts
+    /// when a target misses the cache.
+    pub fn reset(&mut self, root: VertexId) {
+        self.root = root;
+        self.run = None;
+    }
+
+    /// Whether a search has run for this root (a fully cached target set
+    /// never starts one).
+    pub fn started(&self) -> bool {
+        self.run.is_some()
+    }
+
+    /// Vertices settled for this root so far.
+    pub fn settled(&self) -> u64 {
+        if self.started() {
+            self.search.settled()
+        } else {
+            0
+        }
+    }
 }
 
 /// Thread-safe memoising distance oracle.
@@ -493,8 +555,13 @@ impl DistanceOracle {
                 return None;
             }
             // Second chance: a hit through the read lock marks the entry
-            // referenced so the next eviction sweep spares it.
-            slot.referenced.store(true, Ordering::Relaxed);
+            // referenced so the next eviction sweep spares it. Store only
+            // when the bit is clear: on a warm cache most hits find it set,
+            // and skipping the write keeps the entry's cache line shared
+            // between cores instead of bouncing it on every lookup.
+            if !slot.referenced.load(Ordering::Relaxed) {
+                slot.referenced.store(true, Ordering::Relaxed);
+            }
             Some(slot.dist)
         })
     }
@@ -718,6 +785,58 @@ impl DistanceOracle {
         out
     }
 
+    /// Answers `dist(root, t)` for every target of `search`'s root that is
+    /// not cached yet, and caches the answers.
+    ///
+    /// One Dijkstra per root, grown only until this call's missing targets
+    /// are settled and resumed where it stopped on the next call — it never
+    /// restarts. It starts lazily, on the first target that misses the
+    /// cache, and counts as one exact computation however many calls it
+    /// spans; each target costs one cache lookup. Answers are folded in
+    /// canonical direction (the parent-walk re-fold of
+    /// [`dijkstra::multi_target_canonical`]) and stored through the normal
+    /// cache path stamped with the epoch the search started under, so
+    /// later [`Self::distance`] / [`Self::distances_from`] calls hit.
+    ///
+    /// A no-op on directed metrics: answering `dist(t, root)` would need a
+    /// reverse search the network has no adjacency for, so callers keep
+    /// their point queries there.
+    pub fn settle_from(&self, search: &mut OneToMany, targets: &[VertexId]) {
+        let root = search.root;
+        search.pending.clear();
+        for &t in targets {
+            if t != root && self.cached(root, t).is_none() {
+                search.pending.push(t);
+            }
+        }
+        if search.pending.is_empty() {
+            return;
+        }
+        if search.run.is_none() {
+            let m = self.metric.read();
+            if !m.undirected {
+                return;
+            }
+            search.run = Some((Arc::clone(&m.net), m.epoch));
+            drop(m);
+            self.exact_computations.fetch_add(1, Ordering::Relaxed);
+            let net = &search.run.as_ref().expect("just started").0;
+            search.search.reset(net, root);
+        }
+        let (net, epoch) = search.run.as_ref().expect("started above");
+        search.search.settle(net, &search.pending);
+        for &t in &search.pending {
+            let d = search.search.canonical_distance(net, t);
+            self.store(root, t, d, *epoch);
+        }
+    }
+
+    /// Whether the metric exact queries currently run on is symmetric —
+    /// the condition for [`Self::settle_from`] to answer anything.
+    pub fn is_metric_undirected(&self) -> bool {
+        self.metric_undirected.load(Ordering::Relaxed)
+    }
+
     /// Applies a traffic model: swaps in the scaled metric network, repairs
     /// the CH backend (customization pass over the repair topology — built
     /// lazily on the first epoch — with an ALT fallback when the graph
@@ -827,9 +946,10 @@ impl DistanceOracle {
     }
 
     /// Cheap lower bound on the shortest-path distance (never exceeds
-    /// [`Self::distance`]). Takes the maximum of the grid bound, the
-    /// Euclidean bound and — when available — the ALT landmark bound, or
-    /// returns the cached exact value outright.
+    /// [`Self::distance`], bit for bit). Takes the maximum of the grid
+    /// bound, the Euclidean bound and — when available — the ALT landmark
+    /// bound, shaved by [`LOWER_BOUND_HAIRCUT`], or returns the cached exact
+    /// value outright.
     ///
     /// On the CH backend a settle-capped upward query
     /// ([`ContractionHierarchy::bounded_distance`]) joins the maximum:
@@ -876,7 +996,7 @@ impl DistanceOracle {
                 lb = alt;
             }
         }
-        lb
+        lb * LOWER_BOUND_HAIRCUT
     }
 
     /// Runs the settle-capped CH query for [`Self::lower_bound`] in
@@ -905,7 +1025,7 @@ impl DistanceOracle {
         if !self.net.is_undirected() {
             return 0.0;
         }
-        self.grid.lower_bound_to_cell(u, cell)
+        self.grid.lower_bound_to_cell(u, cell) * LOWER_BOUND_HAIRCUT
     }
 
     /// Number of exact shortest-path computations performed so far (a
@@ -1342,6 +1462,137 @@ mod tests {
         let applied = o.apply_traffic(&TrafficModel::uniform(o.network(), 1.5));
         assert!(!applied.ch_repaired);
         assert_eq!(o.ch_customizations(), 0);
+    }
+
+    /// A 6×6 lattice with irregular weights, so fold order shows in the
+    /// last bit and shortest paths are unique.
+    fn jittered_oracle() -> DistanceOracle {
+        let side = 6usize;
+        let mut b = RoadNetworkBuilder::new();
+        let ids: Vec<_> = (0..side * side)
+            .map(|i| b.add_vertex((i % side) as f64 * 100.0, (i / side) as f64 * 100.0))
+            .collect();
+        let weight = |i: usize| 100.0 + ((i * 7919) % 97) as f64 * 0.37 + 0.013;
+        for y in 0..side {
+            for x in 0..side {
+                let i = y * side + x;
+                if x + 1 < side {
+                    b.add_bidirectional_edge(ids[i], ids[i + 1], weight(2 * i));
+                }
+                if y + 1 < side {
+                    b.add_bidirectional_edge(ids[i], ids[i + side], weight(2 * i + 1));
+                }
+            }
+        }
+        let net = Arc::new(b.build().unwrap());
+        let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(2, 2)));
+        DistanceOracle::new(net, grid)
+    }
+
+    fn rooted(root: u32) -> OneToMany {
+        let mut search = OneToMany::default();
+        search.reset(VertexId(root));
+        search
+    }
+
+    #[test]
+    fn settle_from_answers_bit_equal_to_point_queries() {
+        let o = jittered_oracle();
+        let reference = jittered_oracle();
+        let root = 14u32;
+        let targets: Vec<VertexId> = (0..36).map(VertexId).collect();
+        let mut search = rooted(root);
+        o.settle_from(&mut search, &targets);
+        assert_eq!(o.exact_computations(), 1, "one search for the batch");
+        for &t in &targets {
+            let planned = o.distance(VertexId(root), t);
+            let point = reference.distance(VertexId(root), t);
+            assert_eq!(planned.to_bits(), point.to_bits(), "{root} -> {t}");
+            // The mirrored direction is the same canonical entry.
+            assert_eq!(o.distance(t, VertexId(root)).to_bits(), point.to_bits());
+        }
+        assert_eq!(o.exact_computations(), 1, "every answer was cached");
+    }
+
+    #[test]
+    fn settle_from_resumes_instead_of_restarting() {
+        let o = jittered_oracle();
+        let mut search = rooted(0);
+        o.settle_from(&mut search, &[VertexId(1), VertexId(6)]);
+        let first = search.settled();
+        assert!(first > 0);
+        o.settle_from(&mut search, &[VertexId(35)]);
+        // An uninterrupted search for the far target alone pops exactly the
+        // same vertices: nothing was settled twice.
+        let fresh = jittered_oracle();
+        let mut one_shot = rooted(0);
+        fresh.settle_from(&mut one_shot, &[VertexId(35)]);
+        assert_eq!(search.settled(), one_shot.settled());
+        assert!(search.settled() > first);
+        assert_eq!(o.exact_computations(), 1, "one search across both calls");
+        assert_eq!(
+            o.distance(VertexId(0), VertexId(35)).to_bits(),
+            fresh.distance(VertexId(0), VertexId(35)).to_bits()
+        );
+    }
+
+    #[test]
+    fn settle_from_runs_no_search_for_cached_targets() {
+        let o = jittered_oracle();
+        let targets = [VertexId(3), VertexId(20), VertexId(31)];
+        for &t in &targets {
+            let _ = o.distance(VertexId(9), t);
+        }
+        let exact = o.exact_computations();
+        let mut search = rooted(9);
+        o.settle_from(&mut search, &targets);
+        o.settle_from(&mut search, &targets);
+        assert_eq!(o.exact_computations(), exact);
+        assert!(!search.started());
+        assert_eq!(search.settled(), 0);
+    }
+
+    #[test]
+    fn settle_from_stamps_the_epoch_it_ran_under() {
+        let o = jittered_oracle();
+        let (root, t) = (VertexId(7), VertexId(28));
+        let mut search = rooted(root.0);
+        o.settle_from(&mut search, &[t]);
+        let free = o.distance(root, t);
+        assert_eq!(o.exact_computations(), 1, "epoch-0 answer is a hit");
+
+        o.apply_traffic(&TrafficModel::uniform(o.network(), 2.0));
+        search.reset(root);
+        o.settle_from(&mut search, &[t]);
+        assert_eq!(o.exact_computations(), 2, "the epoch-0 entry is stale");
+        let congested = o.distance(root, t);
+        assert_eq!(o.exact_computations(), 2, "stamped with epoch 1: a hit");
+        let metric = o.metric_network();
+        let exact = dijkstra::distance(&metric, root, t).unwrap();
+        assert_eq!(congested.to_bits(), exact.to_bits());
+        assert!(congested > free);
+    }
+
+    #[test]
+    fn settle_from_is_a_no_op_on_directed_metrics() {
+        let mut b = RoadNetworkBuilder::new();
+        let v0 = b.add_vertex(0.0, 0.0);
+        let v1 = b.add_vertex(100.0, 0.0);
+        let v2 = b.add_vertex(50.0, 100.0);
+        b.add_directed_edge(v0, v1, 10.0);
+        b.add_bidirectional_edge(v0, v2, 300.0);
+        b.add_bidirectional_edge(v2, v1, 300.0);
+        let net = Arc::new(b.build().unwrap());
+        let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(2, 2)));
+        let o = DistanceOracle::new(net, grid);
+        assert!(!o.is_metric_undirected());
+        let mut search = rooted(v1.0);
+        o.settle_from(&mut search, &[v0, v2]);
+        assert!(!search.started());
+        assert_eq!(o.exact_computations(), 0);
+        assert_eq!(o.cache_len(), 0);
+        // Point queries still answer the reverse direction correctly.
+        assert_eq!(o.distance(v1, v0), 600.0);
     }
 
     #[test]

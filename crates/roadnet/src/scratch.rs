@@ -36,7 +36,8 @@ pub struct SearchScratch {
 }
 
 impl SearchScratch {
-    fn new() -> Self {
+    /// An empty scratch; its arrays grow on the first [`Self::begin`].
+    pub(crate) fn new() -> Self {
         SearchScratch {
             dist: Vec::new(),
             parent: Vec::new(),

@@ -3,11 +3,14 @@
 //! path engine agrees with plain Dijkstra.
 
 use proptest::prelude::*;
+use ptrider_datagen::{synthetic_city, CityConfig};
 use ptrider_roadnet::{
-    astar, dijkstra, GridConfig, GridIndex, RoadNetwork, RoadNetworkBuilder, VertexId,
+    astar, dijkstra, DistanceOracle, GridConfig, GridIndex, LandmarkIndex, RoadNetwork,
+    RoadNetworkBuilder, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Builds a random connected network: a jittered lattice with random extra
 /// chords and random weights.
@@ -114,6 +117,44 @@ proptest! {
             }
             for &(other, lb) in row {
                 prop_assert_eq!(grid.cell_lower_bound(cell, other), lb);
+            }
+        }
+    }
+
+    /// The oracle's bound is admissible to the last bit: never above the
+    /// exact distance the same oracle returns, with no tolerance. A bound a
+    /// few ulp high would prune at exact price/time ties on a cold cache
+    /// and not on a warm one.
+    #[test]
+    fn oracle_lower_bound_never_exceeds_the_exact_bits(
+        seed in 0u64..10_000,
+        cells in 1usize..5,
+        landmarks in 0usize..5,
+    ) {
+        let net = Arc::new(synthetic_city(&CityConfig {
+            cols: 6,
+            rows: 6,
+            seed,
+            ..CityConfig::default()
+        }));
+        let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(cells, cells)));
+        let landmarks = (landmarks > 0).then(|| Arc::new(LandmarkIndex::build_auto(&net, landmarks)));
+        let bounds = DistanceOracle::with_backend(
+            Arc::clone(&net),
+            Arc::clone(&grid),
+            landmarks,
+            Default::default(),
+        );
+        // Exact values from a second oracle, so `bounds` never caches a pair
+        // and every bound below is a cold-cache bound.
+        let exact = DistanceOracle::new(Arc::clone(&net), grid);
+        let n = net.num_vertices() as u32;
+        for u in 0..n {
+            for v in 0..n {
+                let (u, v) = (VertexId(u), VertexId(v));
+                let lb = bounds.lower_bound(u, v);
+                let d = exact.distance(u, v);
+                prop_assert!(lb <= d, "lb {lb:e} > exact {d:e} for {u}->{v}");
             }
         }
     }

@@ -38,6 +38,12 @@ pub trait Distances {
     fn distances_from(&self, source: VertexId, targets: &[VertexId]) -> Vec<f64> {
         targets.iter().map(|&t| self.distance(source, t)).collect()
     }
+
+    /// Whether `distance(u, v)` and `distance(v, u)` always return the same
+    /// bits. `false` (the safe default) unless the backend guarantees it.
+    fn is_symmetric(&self) -> bool {
+        false
+    }
 }
 
 impl Distances for DistanceOracle {
@@ -52,6 +58,12 @@ impl Distances for DistanceOracle {
     fn distances_from(&self, source: VertexId, targets: &[VertexId]) -> Vec<f64> {
         DistanceOracle::distances_from(self, source, targets)
     }
+
+    /// On an undirected metric every pair has one canonical cache entry and
+    /// one canonical fold, so both directions return the same bits.
+    fn is_symmetric(&self) -> bool {
+        self.is_metric_undirected()
+    }
 }
 
 impl<T: Distances + ?Sized> Distances for &T {
@@ -65,6 +77,10 @@ impl<T: Distances + ?Sized> Distances for &T {
 
     fn distances_from(&self, source: VertexId, targets: &[VertexId]) -> Vec<f64> {
         (**self).distances_from(source, targets)
+    }
+
+    fn is_symmetric(&self) -> bool {
+        (**self).is_symmetric()
     }
 }
 
@@ -87,14 +103,24 @@ pub struct PrefetchedDistances<'a, D: Distances> {
 
 impl<'a, D: Distances> PrefetchedDistances<'a, D> {
     /// Prefetches the full pairwise matrix over `locations` (duplicates are
-    /// removed) with one batched query per distinct location.
+    /// removed) with one batched query per distinct location. On a
+    /// symmetric backend only the upper triangle is queried and mirrored:
+    /// half the lookups, the same bits.
     pub fn new(inner: &'a D, mut locations: Vec<VertexId>) -> Self {
         locations.sort_unstable();
         locations.dedup();
         let k = locations.len();
-        let mut matrix = Vec::with_capacity(k * k);
-        for &src in &locations {
-            matrix.extend(inner.distances_from(src, &locations));
+        let mut matrix = vec![0.0; k * k];
+        let symmetric = inner.is_symmetric();
+        for (i, &src) in locations.iter().enumerate() {
+            let first = if symmetric { i + 1 } else { 0 };
+            let row = inner.distances_from(src, &locations[first..]);
+            for (j, d) in (first..k).zip(row) {
+                matrix[i * k + j] = d;
+                if symmetric {
+                    matrix[j * k + i] = d;
+                }
+            }
         }
         PrefetchedDistances {
             inner,
@@ -124,6 +150,10 @@ impl<D: Distances> Distances for PrefetchedDistances<'_, D> {
 
     fn lower_bound(&self, u: VertexId, v: VertexId) -> f64 {
         self.inner.lower_bound(u, v)
+    }
+
+    fn is_symmetric(&self) -> bool {
+        self.inner.is_symmetric()
     }
 
     fn distances_from(&self, source: VertexId, targets: &[VertexId]) -> Vec<f64> {
@@ -174,6 +204,33 @@ mod tests {
         let d = FnDistances(|u: VertexId, v: VertexId| (u.0 as f64 - v.0 as f64).abs());
         let out = d.distances_from(VertexId(5), &[VertexId(1), VertexId(5), VertexId(9)]);
         assert_eq!(out, vec![4.0, 0.0, 4.0]);
+    }
+
+    /// A symmetric backend that counts the lookups it serves.
+    struct CountingSymmetric(std::cell::Cell<usize>);
+
+    impl Distances for CountingSymmetric {
+        fn distance(&self, u: VertexId, v: VertexId) -> f64 {
+            self.0.set(self.0.get() + 1);
+            (u.0 as f64 - v.0 as f64).abs() * 10.0
+        }
+
+        fn is_symmetric(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_symmetric_backend_is_queried_for_the_upper_triangle_only() {
+        let d = CountingSymmetric(std::cell::Cell::new(0));
+        let locations = vec![VertexId(3), VertexId(1), VertexId(7), VertexId(12)];
+        let pre = PrefetchedDistances::new(&d, locations);
+        assert_eq!(d.0.get(), 6, "k(k-1)/2 pairs for k = 4");
+        for &u in pre.locations() {
+            for &v in pre.locations() {
+                assert_eq!(pre.distance(u, v), (u.0 as f64 - v.0 as f64).abs() * 10.0);
+            }
+        }
     }
 
     #[test]

@@ -441,6 +441,16 @@ impl Vehicle {
         Some(event)
     }
 
+    /// Locations of the outstanding stops — each waiting request's pickup
+    /// and every request's drop-off — without walking the kinetic tree
+    /// (duplicates possible).
+    pub fn stop_locations(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.requests.values().flat_map(|r| {
+            let pickup = r.is_waiting().then_some(r.pickup);
+            pickup.into_iter().chain(std::iter::once(r.dropoff))
+        })
+    }
+
     /// Locations of every stop in the kinetic tree (used to register the
     /// vehicle's schedule legs in the vehicle grid index).
     pub fn scheduled_locations(&self) -> Vec<VertexId> {
@@ -638,6 +648,24 @@ mod tests {
         for expected in [2u32, 8, 4, 6] {
             assert!(locs.contains(&VertexId(expected)));
         }
+    }
+
+    #[test]
+    fn stop_locations_match_the_tree_stops() {
+        let dist = line_dist();
+        let mut v = Vehicle::new(VehicleId(1), 4, VertexId(0));
+        v.assign(&dist, &request(1, 2, 8, 1, 0.5), 200.0, 1000.0, 4.0, 0.0)
+            .unwrap();
+        v.assign(&dist, &request(2, 4, 6, 1, 0.5), 400.0, 1000.0, 2.0, 0.0)
+            .unwrap();
+        v.move_to(&dist, VertexId(2), 200.0);
+        v.serve_next_stop(&dist).unwrap();
+        let mut direct: Vec<_> = v.stop_locations().collect();
+        let mut tree = v.scheduled_locations();
+        direct.sort_unstable();
+        tree.sort_unstable();
+        assert_eq!(direct, tree);
+        assert!(!direct.contains(&VertexId(2)), "served pickup is gone");
     }
 
     #[test]
