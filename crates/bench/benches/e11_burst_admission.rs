@@ -2,7 +2,7 @@
 //!
 //! Replays bursts of simultaneous requests (the peak-period arrival shape
 //! of `ptrider_datagen::BurstConfig`) through `submit_batch_greedy` at
-//! worker-pool sizes 1, 2 and 4, beside the strictly sequential reference
+//! fan-out widths 1, 2 and 4, beside the strictly sequential reference
 //! loop (`submit_batch_sequential`). Every rider takes the first option, so
 //! commits, conflicts and re-matches really occur; each sample therefore
 //! runs on a fresh world, built outside the timed region.
@@ -60,7 +60,7 @@ struct Sample {
 
 /// Admits the burst stream on a fresh world: through the sequential
 /// reference loop when `pool` is `None`, otherwise through
-/// `submit_batch_greedy` on a pool of that size.
+/// `submit_batch_greedy` fanned out to that many threads.
 fn run(params: WorldParams, pool: Option<usize>) -> Sample {
     let config = EngineConfig::paper_defaults()
         .with_max_pickup_dist(3_000.0)

@@ -14,9 +14,9 @@ use std::sync::OnceLock;
 
 /// The distance backend [`EngineConfig::default`] starts from, honouring
 /// the `PTRIDER_DISTANCE_BACKEND` environment variable (read once per
-/// process, mirroring `PTRIDER_POOL_SIZE`): `alt` or `ch` select that
-/// backend for every engine built with default configuration; `auto`,
-/// unset or unparsable mean the library default (ALT). An explicit
+/// process): `alt` or `ch` select that backend for every engine built
+/// with default configuration; `auto`, unset or unparsable mean the
+/// library default (ALT). An explicit
 /// [`EngineConfig::with_distance_backend`] always wins over the
 /// environment — the variable only moves the *default*, which is what lets
 /// a CI matrix run the whole tier-1 suite once per backend without
@@ -71,17 +71,12 @@ pub struct EngineConfig {
     /// variable (`auto`/`alt`/`ch`, see [`default_distance_backend`]); an
     /// explicit [`Self::with_distance_backend`] wins over the environment.
     pub distance_backend: DistanceBackend,
-    /// Worker-pool size of the persistent matching runtime
+    /// How many threads a burst's tentative matching fans out to
     /// ([`crate::runtime::MatchRuntime`]), counting the caller's thread.
-    /// `0` (the default) resolves automatically: the `PTRIDER_POOL_SIZE`
-    /// environment variable if set, otherwise
-    /// `std::thread::available_parallelism()`. An explicit size (≥ 1) wins
-    /// over the environment; `1` disables worker threads entirely.
+    /// `0` (the default) means `std::thread::available_parallelism()`;
+    /// `1` keeps every burst on the caller's thread. Single requests are
+    /// always matched on the caller's thread.
     pub pool_size: usize,
-    /// Minimum candidate-batch size before verification is dispatched onto
-    /// the worker pool; smaller batches run inline (dispatch costs more
-    /// than a handful of kinetic-tree insertions).
-    pub par_auto_min_batch: usize,
     /// Seed for the deterministic chaos harness: `Some(seed)` arms a
     /// transient-error [`ptrider_roadnet::fault::FaultPlan`] process-wide
     /// when the engine is built (injected CH-build / customization /
@@ -106,7 +101,6 @@ impl Default for EngineConfig {
             num_landmarks: 8,
             distance_backend: default_distance_backend(),
             pool_size: 0,
-            par_auto_min_batch: 16,
             fault_seed: None,
             price: PriceModel::default(),
         }
@@ -162,16 +156,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the matching runtime's pool size (0 = auto; see
-    /// [`Self::pool_size`]).
+    /// Sets how wide a burst fans out (0 = auto; see [`Self::pool_size`]).
     pub fn with_pool_size(mut self, pool_size: usize) -> Self {
         self.pool_size = pool_size;
-        self
-    }
-
-    /// Sets the minimum batch size at which verification goes parallel.
-    pub fn with_par_auto_min_batch(mut self, min_batch: usize) -> Self {
-        self.par_auto_min_batch = min_batch;
         self
     }
 
@@ -264,9 +251,7 @@ mod tests {
     fn runtime_knobs_default_and_override() {
         let c = EngineConfig::default();
         assert_eq!(c.pool_size, 0, "default pool size is auto");
-        assert_eq!(c.par_auto_min_batch, 16);
-        let c = c.with_pool_size(4).with_par_auto_min_batch(8);
+        let c = c.with_pool_size(4);
         assert_eq!(c.pool_size, 4);
-        assert_eq!(c.par_auto_min_batch, 8);
     }
 }

@@ -46,7 +46,7 @@ use crate::options::RideOption;
 use crate::request::Request;
 use crate::runtime::MatchRuntime;
 use crate::stats::EngineStats;
-use crate::telemetry::{Stage, Telemetry, TelemetryConfig};
+use crate::telemetry::{Telemetry, TelemetryConfig};
 use ptrider_roadnet::{DistanceOracle, GridConfig, GridIndex, RoadNetwork, TrafficModel, VertexId};
 use ptrider_vehicles::{
     ProspectiveRequest, RequestId, StopEvent, Vehicle, VehicleId, VehicleIndex,
@@ -96,17 +96,16 @@ pub(crate) struct PendingRequest {
 
 /// The immutable engine substrate, shared by the read and write paths:
 /// road network, grid index, distance oracle, configuration and the
-/// persistent matching runtime. Everything here is safe to use from many
+/// matching runtime. Everything here is safe to use from many
 /// threads at once (the oracle's memoisation is internally sharded).
 pub(crate) struct EngineShared {
     pub(crate) net: Arc<RoadNetwork>,
     pub(crate) grid: Arc<GridIndex>,
     pub(crate) oracle: DistanceOracle,
     pub(crate) config: EngineConfig,
-    /// The persistent matching runtime: a long-lived worker pool sized from
-    /// [`EngineConfig::pool_size`], shared by candidate verification and
-    /// batch admission.
-    pub(crate) runtime: Arc<MatchRuntime>,
+    /// The matching runtime: how wide a burst's tentative matching fans
+    /// out ([`EngineConfig::pool_size`]).
+    pub(crate) runtime: MatchRuntime,
     /// The engine's telemetry hub: per-stage latency histograms, the trace
     /// ring and the named counter/gauge registry. Every layer shares this
     /// one hub (level from `PTRIDER_TELEMETRY` unless overridden at
@@ -149,12 +148,7 @@ impl EngineShared {
             ptrider_roadnet::fault::arm(ptrider_roadnet::fault::FaultPlan::transient(seed));
         }
         let telemetry = Arc::new(Telemetry::new(telemetry_config));
-        let runtime = Arc::new(MatchRuntime::from_config(config.pool_size));
-        if telemetry.spans_enabled() {
-            runtime
-                .pool()
-                .attach_job_histogram(telemetry.stage_histogram(Stage::PoolJob));
-        }
+        let runtime = MatchRuntime::from_config(config.pool_size);
         let shared = EngineShared {
             net,
             grid,
@@ -185,21 +179,14 @@ impl EngineShared {
         shared
     }
 
-    /// A matching context over `world`. `use_runtime` selects whether the
-    /// verification loop may dispatch onto the worker pool (it must not
-    /// when the caller itself runs *on* the pool).
-    pub(crate) fn match_context<'a>(
-        &'a self,
-        world: &'a World,
-        use_runtime: bool,
-    ) -> MatchContext<'a> {
+    /// A matching context over `world`.
+    pub(crate) fn match_context<'a>(&'a self, world: &'a World) -> MatchContext<'a> {
         MatchContext {
             oracle: &self.oracle,
             grid: &self.grid,
             vehicles: &world.vehicles,
             index: &world.index,
             config: &self.config,
-            runtime: use_runtime.then_some(&*self.runtime),
             telemetry: Some(&self.telemetry),
             trace: None,
         }
@@ -357,9 +344,8 @@ pub(crate) fn match_options(
     matcher: &dyn Matcher,
     world: &World,
     prospective: &ProspectiveRequest,
-    use_runtime: bool,
 ) -> (MatchResult, f64) {
-    match_options_in(shared, matcher, world, prospective, use_runtime, None)
+    match_options_in(shared, matcher, world, prospective, None)
 }
 
 /// [`match_options`] with a request trace context threaded into the
@@ -370,11 +356,10 @@ pub(crate) fn match_options_in(
     matcher: &dyn Matcher,
     world: &World,
     prospective: &ProspectiveRequest,
-    use_runtime: bool,
     trace: Option<crate::telemetry::TraceContext>,
 ) -> (MatchResult, f64) {
     let started = Instant::now();
-    let mut ctx = shared.match_context(world, use_runtime);
+    let mut ctx = shared.match_context(world);
     ctx.trace = trace;
     let result = matcher.find_options(&ctx, prospective);
     (result, started.elapsed().as_secs_f64())
@@ -476,7 +461,7 @@ pub(crate) fn submit_request(
     request: Request,
 ) -> Result<MatchResult, EngineError> {
     let prospective = prepare_request(shared, &request)?;
-    let (result, elapsed) = match_options(shared, matcher, world, &prospective, true);
+    let (result, elapsed) = match_options(shared, matcher, world, &prospective);
     ledger.record_match(&result, elapsed);
     ledger.pending.insert(
         request.id,
@@ -628,10 +613,11 @@ where
 /// Peak-load bursts are admitted in three phases:
 ///
 /// 1. **Parallel tentative matching** (read-only): every request is
-///    matched against the pre-burst state on the persistent worker
-///    pool, and its over-approximate candidate-vehicle set
-///    ([`VehicleIndex::pickup_candidates`]) is extracted — the vehicles
-///    whose state could possibly influence the request's skyline.
+///    matched against the pre-burst state, and its over-approximate
+///    candidate-vehicle set ([`VehicleIndex::pickup_candidates`]) is
+///    extracted — the vehicles whose state could possibly influence the
+///    request's skyline. The burst is split into contiguous chunks that
+///    run on scoped threads ([`MatchRuntime::fill_chunked`]).
 /// 2. **Conflict graph**: requests sharing a candidate vehicle are
 ///    joined into one partition (union–find). Disjoint partitions touch
 ///    disjoint vehicle sets, so their order of admission is irrelevant.
@@ -666,7 +652,6 @@ where
     // Request ids are allocated upfront, in input order, exactly as the
     // sequential loop would hand them out.
     let ids: Vec<RequestId> = specs.iter().map(|_| ledger.allocate_request_id()).collect();
-    let runtime = Arc::clone(&shared.runtime);
 
     struct Tentative {
         request: Request,
@@ -712,11 +697,7 @@ where
                 prospective.pickup,
                 shared.config.max_pickup_dist,
             );
-            // `use_runtime: false`: this job may itself run on a pool
-            // worker, and a job must not enqueue nested pool work the
-            // busy pool could never get to. Burst-level parallelism
-            // already saturates the workers.
-            let ctx = shared.match_context(world_ref, false);
+            let ctx = shared.match_context(world_ref);
             let result = matcher.find_options(&ctx, &prospective);
             Tentative {
                 request,
@@ -727,7 +708,7 @@ where
             }
         };
 
-        runtime.fill_chunked(runtime.parallelism(), &mut tentatives, |i, slot| {
+        shared.runtime.fill_chunked(&mut tentatives, |i, slot| {
             *slot = Some(compute(i));
         });
     }
@@ -804,10 +785,9 @@ where
             // An earlier commit touched a shared candidate vehicle: the
             // tentative skyline is stale. Re-match against the current
             // state — this *is* the sequential behaviour for this
-            // request. We are back on the caller thread here, so the
-            // verification loop may use the pool again.
+            // request.
             rematches += 1;
-            match_options(shared, matcher, world, &prospective, true)
+            match_options(shared, matcher, world, &prospective)
         } else {
             (result, elapsed)
         };
@@ -881,7 +861,6 @@ pub(crate) fn match_request_with_oracle(
         vehicles: &world.vehicles,
         index: &world.index,
         config: &shared.config,
-        runtime: Some(&shared.runtime),
         telemetry: Some(&shared.telemetry),
         trace: None,
     };
@@ -1037,8 +1016,8 @@ impl PtRider {
         &self.shared.oracle
     }
 
-    /// The persistent matching runtime (worker pool) this engine dispatches
-    /// parallel verification and batch admission onto.
+    /// The matching runtime: how wide [`Self::submit_batch_greedy`] fans
+    /// out.
     pub fn runtime(&self) -> &MatchRuntime {
         &self.shared.runtime
     }
@@ -1187,11 +1166,11 @@ impl PtRider {
     /// `None` to decline) — is committed before the next request is matched,
     /// so later requests see the updated vehicle schedules.
     ///
-    /// Runs as conflict-graph parallel admission on the persistent worker
-    /// pool (see [`run_batch_greedy`] for the three-phase algorithm and its
-    /// determinism argument): the outcomes are **byte-identical** to the
-    /// strictly sequential loop's — the selector is invoked in request order
-    /// with bit-equal option slices.
+    /// Runs as conflict-graph parallel admission (see [`run_batch_greedy`]
+    /// for the three-phase algorithm and its determinism argument): the
+    /// outcomes are **byte-identical** to the strictly sequential loop's —
+    /// the selector is invoked in request order with bit-equal option
+    /// slices.
     ///
     /// Returns one [`BatchOutcome`] per input, in order.
     pub fn submit_batch_greedy<F>(

@@ -71,7 +71,7 @@ pub use matching::{
 pub use options::RideOption;
 pub use price::PriceModel;
 pub use request::Request;
-pub use runtime::{detected_parallelism, MatchRuntime, WorkerPool};
+pub use runtime::{detected_parallelism, MatchRuntime};
 pub use service::{RideService, ServiceConfig};
 pub use session::{Confirmation, Decision, Offer, OptionId, ServiceError, SessionId, SessionState};
 pub use skyline::Skyline;

@@ -16,7 +16,6 @@
 
 mod dual_side;
 mod naive;
-mod par;
 mod plan;
 mod search;
 mod single_side;
@@ -45,11 +44,6 @@ pub struct MatchContext<'a> {
     pub index: &'a VehicleIndex,
     /// Global engine configuration (capacity, `w`, `δ`, speed, price model).
     pub config: &'a EngineConfig,
-    /// The persistent matching runtime the verification loop dispatches
-    /// onto. `None` means verify inline (sequentially) — used by contexts
-    /// built without an engine and by jobs already running *on* the pool,
-    /// which must not enqueue nested pool work.
-    pub runtime: Option<&'a crate::runtime::MatchRuntime>,
     /// The engine's telemetry hub. When present and running at the `Spans`
     /// level, matchers accumulate per-stage nanoseconds (candidate
     /// extraction, pruning, exact verification, skyline merge) and record
@@ -96,19 +90,6 @@ pub struct MatchStats {
     pub exact_distance_computations: u64,
     /// Candidate (time, price) pairs generated before skyline filtering.
     pub candidates_generated: usize,
-}
-
-impl MatchStats {
-    /// Adds another stats record (used to combine per-thread counters from
-    /// the parallel verification path).
-    pub fn merge(&mut self, other: &MatchStats) {
-        self.vehicles_considered += other.vehicles_considered;
-        self.vehicles_verified += other.vehicles_verified;
-        self.vehicles_pruned += other.vehicles_pruned;
-        self.cells_visited += other.cells_visited;
-        self.exact_distance_computations += other.exact_distance_computations;
-        self.candidates_generated += other.candidates_generated;
-    }
 }
 
 /// Result of matching one request.

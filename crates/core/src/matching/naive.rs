@@ -7,8 +7,7 @@
 //! optimised matchers are tested against, and the baseline of the latency
 //! experiments.
 
-use super::par::verify_vehicles;
-use super::plan::DistancePlan;
+use super::plan::{verify_vehicles, DistancePlan};
 use super::{MatchContext, MatchResult, MatchStats, Matcher};
 use crate::skyline::Skyline;
 use crate::telemetry::Stage;
@@ -120,7 +119,6 @@ mod tests {
             vehicles: &vehicles,
             index: &index,
             config: &config,
-            runtime: None,
             telemetry: None,
             trace: None,
         };
@@ -161,7 +159,6 @@ mod tests {
             vehicles: &vehicles,
             index: &index,
             config: &config,
-            runtime: None,
             telemetry: None,
             trace: None,
         };

@@ -22,9 +22,29 @@
 //! adjacency to answer `dist(x, s)` from an `s`-rooted search, and
 //! verification keeps its point queries.
 
+use super::{verify_vehicle, MatchContext, MatchStats};
+use crate::skyline::Skyline;
 use ptrider_roadnet::{DistanceOracle, OneToMany, VertexId};
 use ptrider_vehicles::{ProspectiveRequest, Vehicle};
 use std::cell::Cell;
+
+/// Verifies a batch of vehicles on the caller's thread, adding every
+/// option and counter to `skyline` / `stats`. The plan first caches the
+/// batch's `s`/`d` legs, so the verification reads them from the oracle
+/// cache.
+pub(crate) fn verify_vehicles(
+    ctx: &MatchContext<'_>,
+    req: &ProspectiveRequest,
+    plan: &mut DistancePlan<'_>,
+    vehicles: &[&Vehicle],
+    skyline: &mut Skyline,
+    stats: &mut MatchStats,
+) {
+    plan.prepare(vehicles);
+    for vehicle in vehicles {
+        verify_vehicle(ctx, req, vehicle, skyline, stats);
+    }
+}
 
 /// The two searches and their target buffers, kept per thread so a
 /// request reuses the previous request's scratch instead of allocating
@@ -101,8 +121,6 @@ impl Drop for DistancePlan<'_> {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::matching::{verify_vehicle, MatchContext, MatchStats};
-    use crate::skyline::Skyline;
     use ptrider_roadnet::{GridConfig, GridIndex, RoadNetwork, RoadNetworkBuilder};
     use ptrider_vehicles::{RequestId, VehicleId, VehicleIndex};
     use std::collections::HashMap;
@@ -174,7 +192,6 @@ mod tests {
             vehicles: &vehicles,
             index: &index,
             config: &config,
-            runtime: None,
             telemetry: None,
             trace: None,
         };

@@ -10,8 +10,7 @@
 //! property tests); pruning only reduces the number of vehicles verified and
 //! exact shortest-path distances computed.
 
-use super::par::verify_vehicles;
-use super::plan::DistancePlan;
+use super::plan::{verify_vehicles, DistancePlan};
 use super::{MatchContext, MatchResult, MatchStats};
 use crate::skyline::Skyline;
 use crate::telemetry::Stage;
@@ -79,7 +78,7 @@ pub(crate) fn grid_search(
     let mut empty_done = false;
     let mut non_empty_done = false;
     // Vehicles that survived the cheap bound pruning of the current cell;
-    // verified as one (possibly parallel) batch before the next cell so the
+    // verified as one batch before the next cell so the
     // cell-level termination checks still see the up-to-date skyline.
     let mut batch: Vec<&Vehicle> = Vec::new();
     let mut plan = DistancePlan::new(ctx.oracle, req);

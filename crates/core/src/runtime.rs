@@ -1,343 +1,23 @@
-//! The persistent matching runtime: a long-lived worker pool.
+//! The matching runtime: how wide a burst fans out.
 //!
-//! Before this module existed, every parallel verification batch spawned
-//! fresh OS threads through `std::thread::scope`. That paid the spawn cost
-//! per batch **and** started every worker with cold thread-local state — the
-//! generation-stamped scratch buffers of `ptrider-roadnet` are per-thread,
-//! so a scoped thread allocates them anew on its first exact query and
-//! throws them away when the batch ends.
+//! Every request is matched on its caller's thread. The one place the
+//! engine fans out is phase 1 (tentative matching) of conflict-graph batch
+//! admission (`engine::run_batch_greedy`): [`MatchRuntime::fill_chunked`]
+//! splits the burst into contiguous chunks, runs the first on the caller
+//! and each other chunk on its own `std::thread::scope` thread, and returns
+//! once every chunk has finished.
 //!
-//! [`WorkerPool`] replaces that with crossbeam-style channel dispatch built
-//! on plain `std::thread`: a fixed set of workers is spawned once (lazily,
-//! on the first dispatched batch), pops jobs from a shared injector queue
-//! and keeps running until the pool is dropped. Workers therefore keep
-//! their scratch buffers warm across batches, and dispatching a batch costs
-//! two mutex operations per job instead of a thread spawn.
+//! The width is [`crate::EngineConfig::pool_size`]; `0` (the default)
+//! means `std::thread::available_parallelism()`.
 //!
-//! [`MatchRuntime`] wraps a pool with the engine-level sizing policy:
-//!
-//! * an explicit [`crate::EngineConfig::pool_size`] wins;
-//! * otherwise the `PTRIDER_POOL_SIZE` environment variable (the CI lever
-//!   that forces single-thread containers to still exercise the parallel
-//!   admission logic, and vice versa);
-//! * otherwise `std::thread::available_parallelism()`.
-//!
-//! # Borrowed jobs and safety
-//!
-//! Pool jobs borrow the caller's stack (match contexts, request state,
-//! result slots). [`WorkerPool::execute_with_local`] makes that sound the
-//! same way `std::thread::scope` does: it does not return until every
-//! dispatched job has finished, so the borrows outlive the jobs. The
-//! lifetime erasure (`'env` → `'static`) is confined to that function, and a
-//! drop guard keeps the guarantee even when the caller's own closure panics.
-//! Job panics are caught on the worker (the long-lived thread must survive),
-//! recorded, and re-raised on the caller once the batch has drained.
+//! A panic in a spawned chunk does not unwind past the scope: every
+//! spawned chunk is joined first, each panic is counted into
+//! [`MatchRuntime::job_panics`], and then the first payload (in chunk
+//! order) is re-raised on the caller.
 
-use crate::telemetry::ShardedHistogram;
 use ptrider_roadnet::fault;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-
-/// A job dispatched to the pool. Lifetime-erased; see the module docs for
-/// why that is sound.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared state between the pool handle and its workers.
-struct PoolShared {
-    /// Injector queue the workers pop from.
-    queue: Mutex<VecDeque<Job>>,
-    /// Signalled when a job is pushed or the pool shuts down.
-    work: Condvar,
-    /// Set once by `Drop`; workers exit when they see it.
-    shutdown: AtomicBool,
-}
-
-/// What one batch observed: outstanding jobs, the first panic payload, and
-/// how many jobs panicked in total (so no panic is silently swallowed when
-/// several jobs of the same batch fail).
-struct LatchState {
-    remaining: usize,
-    first_panic: Option<Box<dyn std::any::Any + Send>>,
-    panics: u64,
-}
-
-/// Completion latch for one dispatched batch.
-struct Latch {
-    state: Mutex<LatchState>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(jobs: usize) -> Arc<Self> {
-        Arc::new(Latch {
-            state: Mutex::new(LatchState {
-                remaining: jobs,
-                first_panic: None,
-                panics: 0,
-            }),
-            done: Condvar::new(),
-        })
-    }
-
-    /// Marks one job finished. Every panic is counted; the first payload is
-    /// kept for re-raising.
-    fn complete(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
-        let mut state = self.state.lock().unwrap();
-        state.remaining -= 1;
-        if panic.is_some() {
-            state.panics += 1;
-            if state.first_panic.is_none() {
-                state.first_panic = panic;
-            }
-        }
-        if state.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until every job has completed.
-    fn wait(&self) {
-        let mut state = self.state.lock().unwrap();
-        while state.remaining > 0 {
-            state = self.done.wait(state).unwrap();
-        }
-    }
-
-    /// The batch's panic tally and first payload (call after [`Self::wait`]).
-    fn take_panics(&self) -> (u64, Option<Box<dyn std::any::Any + Send>>) {
-        let mut state = self.state.lock().unwrap();
-        (state.panics, state.first_panic.take())
-    }
-}
-
-/// Waits for the batch even if the caller's local closure panics — the
-/// dispatched jobs borrow the caller's stack, so unwinding past them would
-/// be unsound.
-struct WaitGuard<'a>(&'a Latch);
-
-impl Drop for WaitGuard<'_> {
-    fn drop(&mut self) {
-        self.0.wait();
-    }
-}
-
-/// A long-lived worker pool with channel dispatch.
-///
-/// The pool owns `threads` OS threads (spawned lazily on the first batch;
-/// a pool of zero threads runs every job inline on the caller). Dropping
-/// the pool shuts the workers down and joins them.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    threads: usize,
-    /// Worker handles, populated on first use (lazy spawn).
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    spawned: AtomicBool,
-    /// Total job panics re-raised over the pool's lifetime.
-    job_panics: AtomicU64,
-    /// Optional job-latency histogram (nanoseconds per executed job),
-    /// attached once by the engine when spans-level telemetry is on.
-    job_hist: OnceLock<Arc<ShardedHistogram>>,
-}
-
-impl WorkerPool {
-    /// Creates a pool that will run `threads` worker threads. The threads
-    /// are not spawned until the first batch is dispatched, so pools built
-    /// for engines that never hit a parallel path cost nothing.
-    pub fn new(threads: usize) -> Self {
-        WorkerPool {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(VecDeque::new()),
-                work: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            }),
-            threads,
-            handles: Mutex::new(Vec::new()),
-            spawned: AtomicBool::new(false),
-            job_panics: AtomicU64::new(0),
-            job_hist: OnceLock::new(),
-        }
-    }
-
-    /// Attaches a job-latency histogram (first attach wins). Every job —
-    /// pooled or inline-fallback — records its execution time into it.
-    pub fn attach_job_histogram(&self, hist: Arc<ShardedHistogram>) {
-        let _ = self.job_hist.set(hist);
-    }
-
-    /// Jobs currently waiting in the injector queue (a scrape-time gauge;
-    /// the queue drains to zero between batches).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().unwrap().len()
-    }
-
-    /// Number of worker threads this pool runs (0 = inline execution).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Total jobs that panicked on this pool's workers over its lifetime
-    /// (every panic is counted, including the ones whose payloads could not
-    /// be re-raised because another job of the same batch panicked first).
-    pub fn job_panics(&self) -> u64 {
-        self.job_panics.load(Ordering::Relaxed)
-    }
-
-    fn ensure_spawned(&self) {
-        if self.threads == 0 || self.spawned.load(Ordering::Acquire) {
-            return;
-        }
-        let mut handles = self.handles.lock().unwrap();
-        if self.spawned.load(Ordering::Acquire) {
-            return;
-        }
-        for i in 0..self.threads {
-            let shared = Arc::clone(&self.shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ptrider-match-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn matching worker"),
-            );
-        }
-        self.spawned.store(true, Ordering::Release);
-    }
-
-    /// Runs a batch of borrowed jobs on the pool while the caller executes
-    /// `local` inline, returning once **all** of them (jobs and `local`)
-    /// have finished. With zero worker threads the jobs run inline after
-    /// `local`, in order — same results, no concurrency.
-    ///
-    /// Panics that occur in a job are re-raised here after the batch has
-    /// drained; the worker threads themselves survive.
-    pub fn execute_with_local<'env>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        local: impl FnOnce(),
-    ) {
-        if jobs.is_empty() {
-            local();
-            return;
-        }
-        if self.threads == 0 {
-            local();
-            for job in jobs {
-                if let Some(hist) = self.job_hist.get() {
-                    let started = std::time::Instant::now();
-                    job();
-                    hist.record(started.elapsed().as_nanos() as u64);
-                } else {
-                    job();
-                }
-            }
-            return;
-        }
-        self.ensure_spawned();
-
-        let latch = Latch::new(jobs.len());
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            for job in jobs {
-                let hist = self.job_hist.get().map(Arc::clone);
-                // SAFETY: the latch guarantees (via `WaitGuard`, even on
-                // panic) that this function does not return before the job
-                // has run to completion, so every `'env` borrow the job
-                // carries stays valid for its whole execution — the same
-                // argument `std::thread::scope` makes.
-                let job: Job = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce() + Send + 'env>,
-                        Box<dyn FnOnce() + Send + 'static>,
-                    >(job)
-                };
-                let latch = Arc::clone(&latch);
-                queue.push_back(Box::new(move || {
-                    let started = hist.as_ref().map(|_| std::time::Instant::now());
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        // Chaos site: an injected panic here is caught and
-                        // re-raised exactly like a genuine job panic.
-                        fault::panic_point(fault::POOL_JOB);
-                        job()
-                    }));
-                    if let (Some(hist), Some(started)) = (hist, started) {
-                        hist.record(started.elapsed().as_nanos() as u64);
-                    }
-                    latch.complete(result.err());
-                }));
-            }
-            self.shared.work.notify_all();
-        }
-
-        let guard = WaitGuard(&latch);
-        local();
-        drop(guard);
-        let (panics, first) = latch.take_panics();
-        if panics > 0 {
-            self.job_panics.fetch_add(panics, Ordering::Relaxed);
-        }
-        match (panics, first) {
-            (0, _) => {}
-            (1, Some(payload)) => std::panic::resume_unwind(payload),
-            (n, _) => std::panic::resume_unwind(Box::new(format!(
-                "{n} pool jobs panicked in one batch; re-raising the first, \
-                 {} further payload(s) were dropped",
-                n - 1
-            ))),
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work.notify_all();
-        let mut handles = self.handles.lock().unwrap();
-        for handle in handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.threads)
-            .field("spawned", &self.spawned.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                queue = shared.work.wait(queue).unwrap();
-            }
-        };
-        // The job wrapper already catches panics and feeds its latch.
-        job();
-    }
-}
-
-/// Environment override for the worker-pool size, read once per process.
-fn env_pool_size() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PTRIDER_POOL_SIZE")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
-}
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cores the runtime detected on this machine.
 pub fn detected_parallelism() -> usize {
@@ -346,39 +26,35 @@ pub fn detected_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The engine's persistent matching runtime: one long-lived [`WorkerPool`]
-/// plus the resolved sizing policy. Owned by `PtRider` behind an `Arc` and
-/// threaded through [`crate::MatchContext`] so the verification and batch-
-/// admission paths dispatch onto warm workers instead of spawning threads.
+/// The engine's matching runtime: the resolved fan-out width plus the
+/// tally of panicked chunks. Owned by the engine's shared substrate.
+#[derive(Debug)]
 pub struct MatchRuntime {
-    /// Total parallelism: the caller's thread plus `pool` workers.
+    /// Total parallelism: the caller's thread plus spawned chunks.
     parallelism: usize,
-    pool: WorkerPool,
+    /// Spawned chunks that panicked over the runtime's lifetime.
+    job_panics: AtomicU64,
 }
 
 impl MatchRuntime {
-    /// Builds a runtime with the resolved pool size for `configured`
-    /// (the [`crate::EngineConfig::pool_size`] value): an explicit size
-    /// (≥ 1) wins, `PTRIDER_POOL_SIZE` overrides the auto default, and auto
-    /// means [`detected_parallelism`].
+    /// Builds a runtime for `configured` (the
+    /// [`crate::EngineConfig::pool_size`] value): an explicit size (≥ 1)
+    /// wins, `0` means [`detected_parallelism`].
     pub fn from_config(configured: usize) -> Self {
         let parallelism = if configured >= 1 {
             configured
         } else {
-            env_pool_size().unwrap_or_else(detected_parallelism)
+            detected_parallelism()
         };
         Self::with_parallelism(parallelism)
     }
 
     /// Builds a runtime with an explicit total parallelism (1 = fully
-    /// inline: no worker threads are ever spawned).
+    /// inline: no thread is ever spawned).
     pub fn with_parallelism(parallelism: usize) -> Self {
-        let parallelism = parallelism.max(1);
         MatchRuntime {
-            parallelism,
-            // The caller participates in every batch (`execute_with_local`),
-            // so a runtime of parallelism N needs N - 1 pool workers.
-            pool: WorkerPool::new(parallelism - 1),
+            parallelism: parallelism.max(1),
+            job_panics: AtomicU64::new(0),
         }
     }
 
@@ -387,31 +63,24 @@ impl MatchRuntime {
         self.parallelism
     }
 
-    /// The underlying worker pool.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// Total job panics re-raised by this runtime's pool (see
-    /// [`WorkerPool::job_panics`]); surfaced as
-    /// [`crate::EngineStats::runtime_job_panics`].
+    /// Total spawned chunks that panicked over this runtime's lifetime
+    /// (every panic is counted, including the ones whose payloads were not
+    /// re-raised because an earlier chunk of the same call panicked too);
+    /// surfaced as [`crate::EngineStats::runtime_job_panics`].
     pub fn job_panics(&self) -> u64 {
-        self.pool.job_panics()
+        self.job_panics.load(Ordering::Relaxed)
     }
 
     /// Fills every element of `slots` via `fill(global_index, slot)`,
-    /// split into at most `workers` contiguous chunks: the first chunk
-    /// runs on the caller, the rest as borrowed pool jobs (the
-    /// [`WorkerPool::execute_with_local`] pattern). Returns once every
-    /// slot is filled.
+    /// split into at most [`Self::parallelism`] contiguous chunks: the
+    /// first chunk runs on the caller, each other chunk on its own scoped
+    /// thread. Returns once every slot is filled.
     ///
-    /// This is the one scoped-dispatch shape both parallel matching paths
-    /// use (per-request candidate verification in `matching::par` and
-    /// phase 1 of conflict-graph batch admission), so the subtle offset
-    /// bookkeeping lives in exactly one place. Chunk boundaries depend
-    /// only on `workers` and `slots.len()` — deterministic for a given
-    /// configuration, which the bit-identity properties rely on.
-    pub fn fill_chunked<T, F>(&self, workers: usize, slots: &mut [T], fill: F)
+    /// Chunk boundaries depend only on the parallelism and `slots.len()` —
+    /// deterministic for a given configuration, which the bit-identity
+    /// properties rely on. A panic in a spawned chunk is re-raised here
+    /// after every chunk has joined (see the module docs).
+    pub fn fill_chunked<T, F>(&self, slots: &mut [T], fill: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
@@ -419,39 +88,44 @@ impl MatchRuntime {
         if slots.is_empty() {
             return;
         }
-        let workers = workers.min(slots.len()).max(1);
-        let chunk_size = slots.len().div_ceil(workers);
-        let mut chunks: Vec<(usize, &mut [T])> = Vec::new();
-        for (ci, chunk) in slots.chunks_mut(chunk_size).enumerate() {
-            chunks.push((ci * chunk_size, chunk));
-        }
-        let mut chunks = chunks.into_iter();
-        let (local_offset, local_chunk) =
-            chunks.next().expect("a non-empty slice has a first chunk");
-        let fill = &fill;
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-            .map(|(offset, chunk)| {
-                Box::new(move || {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        fill(offset + j, slot);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.pool.execute_with_local(jobs, || {
-            for (j, slot) in local_chunk.iter_mut().enumerate() {
-                fill(local_offset + j, slot);
+        let chunk_size = slots.len().div_ceil(self.parallelism.min(slots.len()));
+        let fill_chunk = |offset: usize, chunk: &mut [T]| {
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                fill(offset + j, slot);
             }
+        };
+        let mut chunks = slots.chunks_mut(chunk_size);
+        let local = chunks.next().expect("a non-empty slice has a first chunk");
+        let (local_result, panics) = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .enumerate()
+                .map(|(ci, chunk)| {
+                    let fill_chunk = &fill_chunk;
+                    scope.spawn(move || {
+                        // Chaos site: an injected panic here is counted and
+                        // re-raised exactly like a genuine chunk panic.
+                        fault::panic_point(fault::POOL_JOB);
+                        fill_chunk((ci + 1) * chunk_size, chunk)
+                    })
+                })
+                .collect();
+            let local_result = catch_unwind(AssertUnwindSafe(|| fill_chunk(0, local)));
+            let panics: Vec<_> = handles
+                .into_iter()
+                .filter_map(|handle| handle.join().err())
+                .collect();
+            (local_result, panics)
         });
-    }
-}
-
-impl std::fmt::Debug for MatchRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatchRuntime")
-            .field("parallelism", &self.parallelism)
-            .field("pool", &self.pool)
-            .finish()
+        if !panics.is_empty() {
+            self.job_panics
+                .fetch_add(panics.len() as u64, Ordering::Relaxed);
+        }
+        if let Err(payload) = local_result {
+            resume_unwind(payload);
+        }
+        if let Some(first) = panics.into_iter().next() {
+            resume_unwind(first);
+        }
     }
 }
 
@@ -461,121 +135,13 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn zero_thread_pool_runs_jobs_inline() {
-        let pool = WorkerPool::new(0);
-        let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        pool.execute_with_local(jobs, || {
-            counter.fetch_add(10, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 14);
-        assert_eq!(pool.threads(), 0);
-    }
-
-    #[test]
-    fn pool_executes_borrowed_jobs_into_slots() {
-        let pool = WorkerPool::new(3);
-        let mut results = vec![0usize; 8];
-        {
-            let mut slots: Vec<&mut usize> = results.iter_mut().collect();
-            let local_slot = slots.remove(0);
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    Box::new(move || {
-                        *slot = i + 1;
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.execute_with_local(jobs, || {
-                *local_slot = 100;
-            });
-        }
-        assert_eq!(results, vec![100, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn pool_survives_many_batches() {
-        // The whole point: one pool, many batches, no per-batch spawns.
-        let pool = WorkerPool::new(2);
-        let total = AtomicUsize::new(0);
-        for _ in 0..50 {
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-                .map(|_| {
-                    Box::new(|| {
-                        total.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.execute_with_local(jobs, || {});
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    fn job_panic_propagates_after_the_batch_drains() {
-        let pool = WorkerPool::new(2);
-        let finished = Arc::new(AtomicUsize::new(0));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let finished = Arc::clone(&finished);
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![
-                Box::new(|| panic!("worker job failed")),
-                Box::new(move || {
-                    finished.fetch_add(1, Ordering::Relaxed);
-                }),
-            ];
-            pool.execute_with_local(jobs, || {});
-        }));
-        assert!(result.is_err(), "the job panic must reach the caller");
-        assert_eq!(finished.load(Ordering::Relaxed), 1);
-        // The pool is still usable after a panicked batch.
-        let ok = AtomicUsize::new(0);
-        pool.execute_with_local(
-            vec![Box::new(|| {
-                ok.fetch_add(1, Ordering::Relaxed);
-            }) as Box<dyn FnOnce() + Send>],
-            || {},
-        );
-        assert_eq!(ok.load(Ordering::Relaxed), 1);
-        assert_eq!(pool.job_panics(), 1);
-    }
-
-    #[test]
-    fn every_job_panic_is_counted_not_just_the_first() {
-        let pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![
-                Box::new(|| panic!("first failure")),
-                Box::new(|| panic!("second failure")),
-                Box::new(|| {}),
-            ];
-            pool.execute_with_local(jobs, || {});
-        }));
-        let payload = result.expect_err("the batch must re-raise");
-        assert_eq!(pool.job_panics(), 2, "both panics must be counted");
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("a multi-panic batch re-raises a summary message");
-        assert!(
-            message.contains("2 pool jobs panicked"),
-            "the summary must name the swallowed panic count: {message}"
-        );
-    }
-
-    #[test]
     fn runtime_resolution_prefers_explicit_config() {
-        let rt = MatchRuntime::from_config(3);
-        assert_eq!(rt.parallelism(), 3);
-        assert_eq!(rt.pool().threads(), 2);
-        let auto = MatchRuntime::from_config(0);
-        assert!(auto.parallelism() >= 1);
+        assert_eq!(MatchRuntime::from_config(3).parallelism(), 3);
+        assert_eq!(
+            MatchRuntime::from_config(0).parallelism(),
+            detected_parallelism()
+        );
+        assert_eq!(MatchRuntime::with_parallelism(0).parallelism(), 1);
     }
 
     #[test]
@@ -584,7 +150,7 @@ mod tests {
             let rt = MatchRuntime::with_parallelism(parallelism);
             for len in [0usize, 1, 3, 8, 17] {
                 let mut slots = vec![usize::MAX; len];
-                rt.fill_chunked(rt.parallelism(), &mut slots, |i, slot| {
+                rt.fill_chunked(&mut slots, |i, slot| {
                     *slot = i * 10;
                 });
                 let expected: Vec<usize> = (0..len).map(|i| i * 10).collect();
@@ -596,14 +162,53 @@ mod tests {
     #[test]
     fn parallelism_one_never_spawns() {
         let rt = MatchRuntime::with_parallelism(1);
-        assert_eq!(rt.pool().threads(), 0);
-        let ran = AtomicUsize::new(0);
-        rt.pool().execute_with_local(
-            vec![Box::new(|| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }) as Box<dyn FnOnce() + Send>],
-            || {},
+        let caller = std::thread::current().id();
+        let mut slots = vec![None; 5];
+        rt.fill_chunked(&mut slots, |_, slot| {
+            *slot = Some(std::thread::current().id());
+        });
+        assert!(slots.iter().all(|&id| id == Some(caller)));
+    }
+
+    #[test]
+    fn job_panic_propagates_after_the_batch_drains() {
+        let rt = MatchRuntime::with_parallelism(3);
+        let finished = AtomicUsize::new(0);
+        let mut slots = vec![0u8; 3];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            rt.fill_chunked(&mut slots, |i, _| {
+                if i == 1 {
+                    panic!("chunk failed");
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+            });
+        }));
+        assert!(result.is_err(), "the chunk panic must reach the caller");
+        assert_eq!(finished.load(Ordering::Relaxed), 2, "the others ran");
+        assert_eq!(rt.job_panics(), 1);
+        // The runtime is still usable after a panicked call.
+        rt.fill_chunked(&mut slots, |i, slot| *slot = i as u8);
+        assert_eq!(slots, vec![0, 1, 2]);
+        assert_eq!(rt.job_panics(), 1);
+    }
+
+    #[test]
+    fn every_job_panic_is_counted_not_just_the_first() {
+        let rt = MatchRuntime::with_parallelism(3);
+        let mut slots = vec![0u8; 3];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            rt.fill_chunked(&mut slots, |i, _| match i {
+                1 => panic!("first failure"),
+                2 => panic!("second failure"),
+                _ => {}
+            });
+        }));
+        let payload = result.expect_err("the call must re-raise");
+        assert_eq!(rt.job_panics(), 2, "both panics must be counted");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"first failure"),
+            "the first chunk's payload is re-raised"
         );
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 }

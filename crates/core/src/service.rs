@@ -7,7 +7,7 @@
 //!
 //! * [`RideService::submit`] validates a request, matches it on the **read
 //!   path** — `&self`, under a shared read lock on the vehicle world, so
-//!   any number of submits run in parallel on the persistent runtime — and
+//!   any number of submits run in parallel — and
 //!   returns an [`Offer`] with a typed [`SessionId`] and a clock-driven
 //!   deadline;
 //! * [`RideService::respond`] takes the rider's [`Decision`] and, for a
@@ -468,7 +468,7 @@ impl RideService {
         &self.shared.oracle
     }
 
-    /// The persistent matching runtime.
+    /// The matching runtime (how wide a burst fans out).
     pub fn runtime(&self) -> &MatchRuntime {
         &self.shared.runtime
     }
@@ -480,9 +480,10 @@ impl RideService {
 
     /// A snapshot of the aggregated statistics.
     ///
-    /// [`EngineStats::runtime_job_panics`] is stamped from the worker pool
-    /// at read time (it never enters the ledger, so journal replay — which
-    /// absorbs no panics — reproduces the ledger image exactly).
+    /// [`EngineStats::runtime_job_panics`] is stamped from the matching
+    /// runtime at read time (it never enters the ledger, so journal
+    /// replay — which absorbs no panics — reproduces the ledger image
+    /// exactly).
     pub fn stats(&self) -> EngineStats {
         // Read the seqlock mirror instead of the ledger mutex: lock-free,
         // and guaranteed un-torn (the old clone-under-mutex could observe a
@@ -611,11 +612,9 @@ impl RideService {
     /// Submits a request and returns the offer — the **read path**.
     ///
     /// Validation and matching run under a shared read lock on the vehicle
-    /// world, so concurrent submits proceed in parallel (each may
-    /// additionally fan its candidate verification out onto the persistent
-    /// worker pool). With [`ServiceConfig::hold_offers`] the world is
-    /// write-locked instead, because option 0 is tentatively committed at
-    /// offer time. The returned [`Offer`] stays respondable via
+    /// world, so concurrent submits proceed in parallel. With
+    /// [`ServiceConfig::hold_offers`] the world is write-locked instead,
+    /// because option 0 is tentatively committed at offer time. The returned [`Offer`] stays respondable via
     /// [`Self::respond`] until `expires_at`.
     ///
     /// Invalid requests (unknown vertices, `origin == destination`, zero
@@ -634,9 +633,9 @@ impl RideService {
     /// [`Self::submit`] inside a caller-provided trace context — the HTTP
     /// front door threads the context it minted (or adopted from an
     /// inbound `traceparent`) through here, so the `service.submit` span
-    /// and everything below it (match stages, pool jobs, the journal
-    /// append) hang off the server's `server.handle` root. With `parent ==
-    /// None` and tracing active, a fresh trace is minted for the request —
+    /// and everything below it (match stages, the journal append) hang
+    /// off the server's `server.handle` root. With `parent == None` and
+    /// tracing active, a fresh trace is minted for the request —
     /// the in-process caller's entry point into request-scoped tracing.
     pub fn submit_in(
         &self,
@@ -741,14 +740,8 @@ impl RideService {
             // Hold mode runs on the write path: option 0 is tentatively
             // committed while the offer is open.
             let mut world = self.world_write()?;
-            let (result, elapsed) = engine::match_options_in(
-                &self.shared,
-                &*self.matcher,
-                &world,
-                &prospective,
-                true,
-                ctx,
-            );
+            let (result, elapsed) =
+                engine::match_options_in(&self.shared, &*self.matcher, &world, &prospective, ctx);
             {
                 let mut ledger = self.ledger_lock()?;
                 journal_submit(&mut ledger, &result, elapsed);
@@ -765,14 +758,8 @@ impl RideService {
             (result, hold)
         } else {
             let world = self.world_read()?;
-            let (result, elapsed) = engine::match_options_in(
-                &self.shared,
-                &*self.matcher,
-                &world,
-                &prospective,
-                true,
-                ctx,
-            );
+            let (result, elapsed) =
+                engine::match_options_in(&self.shared, &*self.matcher, &world, &prospective, ctx);
             let mut ledger = self.ledger_lock()?;
             journal_submit(&mut ledger, &result, elapsed);
             (result, None)
@@ -1329,7 +1316,7 @@ impl RideService {
     /// Renders a live metrics exposition in the Prometheus text format
     /// (version 0.0.4): the admission-ordered service counters (read
     /// through the seqlock stats mirror), derived gauges sampled from the
-    /// oracle / worker pool / journal / event log at scrape time, any
+    /// oracle / matching runtime / journal / event log at scrape time, any
     /// counters and gauges registered on the [`Telemetry`] hub, and — at
     /// the `Spans` level — one latency histogram per pipeline [`Stage`]
     /// (values in seconds). Cheap enough to scrape continuously: no world
@@ -1338,7 +1325,6 @@ impl RideService {
         let t = &self.shared.telemetry;
         let stats = self.stats();
         let oracle = &self.shared.oracle;
-        let pool = self.shared.runtime.pool();
         let mut w = PromWriter::new();
 
         // Service layer: the admission-ordered ledger counters.
@@ -1492,20 +1478,10 @@ impl RideService {
             None => w.gauge_sample("ptrider_oracle_backend_fallback", "reason=\"\"", 0.0),
         }
 
-        // Worker pool.
-        w.gauge(
-            "ptrider_pool_threads",
-            "Worker threads the matching pool may spawn.",
-            pool.threads() as f64,
-        );
-        w.gauge(
-            "ptrider_pool_queue_depth",
-            "Jobs waiting in the pool injector right now.",
-            pool.queue_depth() as f64,
-        );
+        // Matching runtime.
         w.counter(
             "ptrider_pool_job_panics_total",
-            "Worker-pool jobs that panicked (absorbed).",
+            "Burst chunks that panicked on a spawned thread (re-raised).",
             self.shared.runtime.job_panics(),
         );
 
@@ -1662,7 +1638,6 @@ impl RideService {
         let t = &self.shared.telemetry;
         let stats = self.stats();
         let oracle = &self.shared.oracle;
-        let pool = self.shared.runtime.pool();
         let mut out = String::with_capacity(2048);
         out.push('{');
         out.push_str(&format!(
@@ -1704,9 +1679,7 @@ impl RideService {
             },
         ));
         out.push_str(&format!(
-            "\"pool\":{{\"threads\":{},\"queue_depth\":{},\"job_panics\":{}}},",
-            pool.threads(),
-            pool.queue_depth(),
+            "\"pool\":{{\"job_panics\":{}}},",
             self.shared.runtime.job_panics(),
         ));
         match &self.journal {

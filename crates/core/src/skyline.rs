@@ -55,18 +55,6 @@ impl Skyline {
         true
     }
 
-    /// Merges another skyline into this one: every option of `other` is
-    /// offered in its original insertion order, preserving the invariant.
-    /// Used to combine the per-thread skylines of the parallel verification
-    /// path; the final non-dominated set is insertion-order independent
-    /// (dominance is transitive), so merging per-thread results yields
-    /// exactly the sequential skyline.
-    pub fn merge(&mut self, other: Skyline) {
-        for option in other.options {
-            self.insert(option);
-        }
-    }
-
     /// `true` if a *hypothetical* option with the given lower bounds on time
     /// and price would necessarily be dominated by the current skyline —
     /// i.e. some member has `time ≤ time_lb` and `price ≤ price_lb` with at

@@ -252,8 +252,6 @@ pub enum Stage {
     MatchVerify,
     /// Matcher: final skyline merge and sort into the option list.
     MatchSkyline,
-    /// One worker-pool job (chunk of a parallel verification batch).
-    PoolJob,
     /// `Journal::append` (encode + buffered write + publish).
     JournalAppend,
     /// One background group-commit `fsync` (`sync_data`).
@@ -274,7 +272,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 16] = [
+    pub const ALL: [Stage; 15] = [
         Stage::ServiceSubmit,
         Stage::ServiceRespond,
         Stage::ServiceTick,
@@ -283,7 +281,6 @@ impl Stage {
         Stage::MatchPrune,
         Stage::MatchVerify,
         Stage::MatchSkyline,
-        Stage::PoolJob,
         Stage::JournalAppend,
         Stage::JournalFsync,
         Stage::JournalSnapshot,
@@ -304,7 +301,6 @@ impl Stage {
             Stage::MatchPrune => "match.prune",
             Stage::MatchVerify => "match.verify",
             Stage::MatchSkyline => "match.skyline",
-            Stage::PoolJob => "pool.job",
             Stage::JournalAppend => "journal.append",
             Stage::JournalFsync => "journal.fsync",
             Stage::JournalSnapshot => "journal.snapshot",

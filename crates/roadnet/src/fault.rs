@@ -35,7 +35,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// Panic site: inside a worker-pool job, before the job's own work runs.
+/// Panic site: inside a spawned chunk of a burst's tentative matching,
+/// before the chunk's own work runs.
 pub const POOL_JOB: &str = "pool-job";
 /// Panic site: inside `commit_choice`, after the vehicle accepted the
 /// insertion but before the spatial index was updated — the world is

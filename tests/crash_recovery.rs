@@ -14,10 +14,10 @@
 //!
 //! * both recoveries must agree bit for bit (replay is deterministic);
 //! * if the killed operation died *before* its journal append
-//!   ([`fault::MID_COMMIT`], [`fault::POOL_JOB`]) — or the scheduled hit
-//!   was never reached — the recovered `journal_next_seq()` indexes a
-//!   recorded fingerprint, which must match exactly: the torn in-memory
-//!   op simply never happened;
+//!   ([`fault::MID_COMMIT`], or [`fault::POOL_JOB`] inside a burst's
+//!   tentative matching) — or the scheduled hit was never reached — the
+//!   recovered `journal_next_seq()` indexes a recorded fingerprint, which
+//!   must match exactly: the torn in-memory op simply never happened;
 //! * if it died *after* the append ([`fault::POST_APPEND`]) the journal
 //!   holds one record nobody observed live; the recovered seq is then
 //!   exactly one past the recorded trail, and determinism plus continued
@@ -26,10 +26,13 @@
 //!
 //! Covered across both distance backends and runtime pools {1, 4}, with
 //! capacity holds on and off and frequent automatic snapshots so the
-//! snapshot + tail path is exercised, not just from-genesis replay.
+//! snapshot + tail path is exercised, not just from-genesis replay. The
+//! scripts include bursts (`submit_batch_greedy`), whose tentative
+//! matching fans out to scoped threads at pool 4 — the only place the
+//! `pool-job` site is hit; a deterministic case pins that path down.
 //!
-//! This binary owns the process-global fault plan: it must stay the only
-//! test in its file.
+//! The fault plan is process-global, so every test here holds
+//! [`FAULT_PLAN`] while it runs.
 
 use proptest::prelude::*;
 use ptrider::roadnet::RoadNetworkBuilder;
@@ -41,6 +44,14 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// Serialises the tests of this binary over the process-global fault plan.
+static FAULT_PLAN: Mutex<()> = Mutex::new(());
+
+/// Where the chaos run puts its vehicles: spread over the lattice so
+/// bursts find several candidates and conflict on some of them.
+const VEHICLES: [u32; 6] = [0, 4, 7, 12, 20, 24];
 
 /// A 5x5 lattice with 1 km edges — big enough for multi-stop schedules,
 /// small enough that a CH builds in microseconds.
@@ -95,6 +106,23 @@ enum ScriptOp {
         at: f64,
     },
     Prune,
+    /// `submit_batch_greedy` over the first `len` specs (2–4); every rider
+    /// takes option 0.
+    Burst {
+        specs: [(u32, u32, u32); 4],
+        len: usize,
+        at: f64,
+    },
+}
+
+/// A `(origin, destination, riders)` spec with distinct endpoints.
+fn spec(next: &mut impl FnMut(u64) -> u64) -> (u32, u32, u32) {
+    let origin = next(25) as u32;
+    let mut destination = next(25) as u32;
+    if destination == origin {
+        destination = (destination + 1) % 25;
+    }
+    (origin, destination, 1 + next(2) as u32)
 }
 
 /// Derives a deterministic script from a seed with a tiny xorshift
@@ -113,17 +141,13 @@ fn script(seed: u64, len: usize) -> Vec<ScriptOp> {
     let mut clock = 0.0f64;
     for _ in 0..len {
         clock += 1.0;
-        let roll = next(10);
+        let roll = next(11);
         if submits == 0 || roll < 4 {
-            let origin = next(25) as u32;
-            let mut destination = next(25) as u32;
-            if destination == origin {
-                destination = (destination + 1) % 25;
-            }
+            let (origin, destination, riders) = spec(&mut next);
             ops.push(ScriptOp::Submit {
                 origin,
                 destination,
-                riders: 1 + next(2) as u32,
+                riders,
                 at: clock,
             });
             submits += 1;
@@ -137,8 +161,20 @@ fn script(seed: u64, len: usize) -> Vec<ScriptOp> {
             // Jump the clock so open offers cross the TTL.
             clock += 10.0;
             ops.push(ScriptOp::Tick { at: clock });
-        } else {
+        } else if roll == 9 {
             ops.push(ScriptOp::Prune);
+        } else {
+            let specs = [
+                spec(&mut next),
+                spec(&mut next),
+                spec(&mut next),
+                spec(&mut next),
+            ];
+            ops.push(ScriptOp::Burst {
+                specs,
+                len: 2 + next(3) as usize,
+                at: clock,
+            });
         }
     }
     ops
@@ -157,10 +193,15 @@ fn build_service(
 }
 
 /// Runs the script, calling `observe` after every completed operation.
-/// Returns `false` if an operation died on an injected panic.
-fn run_script(svc: &RideService, ops: &[ScriptOp], mut observe: impl FnMut(&RideService)) -> bool {
+/// Returns the index of the operation that died on an injected panic, or
+/// `None` when every operation completed.
+fn run_script(
+    svc: &RideService,
+    ops: &[ScriptOp],
+    mut observe: impl FnMut(&RideService),
+) -> Option<usize> {
     let mut sessions: Vec<SessionId> = Vec::new();
-    for op in ops {
+    for (index, op) in ops.iter().enumerate() {
         let outcome = catch_unwind(AssertUnwindSafe(|| match *op {
             ScriptOp::Submit {
                 origin,
@@ -198,15 +239,23 @@ fn run_script(svc: &RideService, ops: &[ScriptOp], mut observe: impl FnMut(&Ride
                 svc.prune_resolved();
                 None
             }
+            ScriptOp::Burst { specs, len, at } => {
+                let specs: Vec<_> = specs[..len]
+                    .iter()
+                    .map(|&(o, d, r)| (VertexId(o), VertexId(d), r))
+                    .collect();
+                svc.submit_batch_greedy(&specs, at, |_| Some(0));
+                None
+            }
         }));
         match outcome {
             Ok(Some(session)) => sessions.push(session),
             Ok(None) => {}
-            Err(_) => return false,
+            Err(_) => return Some(index),
         }
         observe(svc);
     }
-    true
+    None
 }
 
 fn recover_once(
@@ -224,22 +273,30 @@ fn recover_once(
     .expect("recovery succeeds")
 }
 
+/// What one chaos case observed.
+struct CaseOutcome {
+    /// Index of the script operation the injected panic killed.
+    died_at: Option<usize>,
+    /// `runtime_job_panics` of the torn service.
+    job_panics: u64,
+    /// Recovery landed on a fingerprint the live run recorded.
+    on_trail: bool,
+}
+
 fn run_case(
-    seed: u64,
-    site_index: usize,
+    ops: &[ScriptOp],
+    site: &'static str,
     panic_at: u64,
     backend: DistanceBackend,
     pool_size: usize,
     hold_offers: bool,
-) -> Result<(), TestCaseError> {
+) -> Result<CaseOutcome, TestCaseError> {
     let engine_config = EngineConfig::default()
         .with_distance_backend(backend)
         .with_pool_size(pool_size);
     let service_config = ServiceConfig::default()
         .with_offer_ttl_secs(8.0)
         .with_hold_offers(hold_offers);
-    let ops = script(seed, 28);
-    let site = fault::PANIC_SITES[site_index % fault::PANIC_SITES.len()];
     let dir = temp_dir();
 
     // Chaos run, recording its own reference trail: every fingerprint is
@@ -247,10 +304,11 @@ fn run_case(
     // byte-identical to a fault-free one.
     let mut fingerprints: HashMap<u64, u64> = HashMap::new();
     let mut max_seq = 0u64;
-    {
+    let (died_at, job_panics) = {
         let svc = build_service(engine_config, service_config, &dir);
-        svc.add_vehicle(VertexId(0));
-        svc.add_vehicle(VertexId(24));
+        for at in VEHICLES {
+            svc.add_vehicle(VertexId(at));
+        }
         let mut record = |svc: &RideService| {
             let seq = svc.journal_next_seq().expect("journal attached");
             let fp = svc.fingerprint();
@@ -262,10 +320,10 @@ fn run_case(
         };
         record(&svc);
         fault::arm(fault::FaultPlan::panic_once(site, panic_at));
-        let _completed = run_script(&svc, &ops, &mut record);
+        let died_at = run_script(&svc, ops, &mut record);
         fault::disarm();
-    }
-
+        (died_at, svc.stats().runtime_job_panics)
+    };
     // Recover twice over fresh engines; wherever the crash landed, replay
     // must be deterministic.
     let recovered = recover_once(engine_config, service_config, &dir);
@@ -287,6 +345,7 @@ fn run_case(
         hold_offers
     );
 
+    let on_trail = fingerprints.contains_key(&seq);
     match fingerprints.get(&seq).copied() {
         // The crash predates the killed op's append (or never fired): the
         // recovered state is one the live run observed, bit for bit.
@@ -330,7 +389,11 @@ fn run_case(
     );
 
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
+    Ok(CaseOutcome {
+        died_at,
+        job_panics,
+        on_trail,
+    })
 }
 
 proptest! {
@@ -342,11 +405,55 @@ proptest! {
         site_index in 0usize..3,
         panic_at in 0u64..12,
     ) {
+        let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
         let hold_offers = seed % 2 == 0;
+        let ops = script(seed, 28);
+        let site = fault::PANIC_SITES[site_index % fault::PANIC_SITES.len()];
         for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
             for pool_size in [1usize, 4] {
-                run_case(seed, site_index, panic_at, backend, pool_size, hold_offers)?;
+                run_case(&ops, site, panic_at, backend, pool_size, hold_offers)?;
             }
         }
     }
+}
+
+/// The scoped-thread panic path: the first spawned chunk of a burst's
+/// tentative matching panics, the burst dies before its journal append,
+/// the panic is counted, and recovery lands on the pre-burst state.
+#[test]
+fn a_panicking_burst_chunk_recovers_to_the_pre_burst_state() -> Result<(), TestCaseError> {
+    let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    let ops = [
+        ScriptOp::Submit {
+            origin: 6,
+            destination: 18,
+            riders: 1,
+            at: 1.0,
+        },
+        ScriptOp::Respond {
+            submit_index: 0,
+            choose: true,
+            at: 2.0,
+        },
+        ScriptOp::Burst {
+            specs: [(5, 9, 1), (11, 13, 2), (15, 3, 1), (21, 17, 1)],
+            len: 4,
+            at: 3.0,
+        },
+        ScriptOp::Submit {
+            origin: 2,
+            destination: 22,
+            riders: 1,
+            at: 4.0,
+        },
+    ];
+    for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
+        for hold_offers in [false, true] {
+            let outcome = run_case(&ops, fault::POOL_JOB, 0, backend, 4, hold_offers)?;
+            prop_assert_eq!(outcome.died_at, Some(2), "the burst dies ({:?})", backend);
+            prop_assert_eq!(outcome.job_panics, 1, "the chunk panic is counted");
+            prop_assert!(outcome.on_trail, "recovery lands on a recorded state");
+        }
+    }
+    Ok(())
 }

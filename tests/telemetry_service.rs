@@ -88,9 +88,9 @@ fn metrics_text_covers_every_subsystem() {
         "ptrider_match_vehicles_verified_total",   // matcher
         "ptrider_oracle_exact_computations_total", // oracle
         "ptrider_oracle_backend_fallback{",
-        "ptrider_pool_queue_depth",                   // worker pool
-        "ptrider_journal_fsync_failed 0",             // journal, healthy
-        "ptrider_events_published_total",             // event log
+        "ptrider_pool_job_panics_total 0", // matching runtime
+        "ptrider_journal_fsync_failed 0",  // journal, healthy
+        "ptrider_events_published_total",  // event log
         "ptrider_events_cursor_missed_total{cursor=", // per-cursor lag
         "ptrider_telemetry_uptime_seconds",
     ] {
@@ -124,6 +124,7 @@ fn metrics_text_covers_every_subsystem() {
         assert!(json.contains(key), "missing {key} in:\n{json}");
     }
     assert!(json.contains("\"fsync_failed\":false"));
+    assert!(json.contains("\"pool\":{\"job_panics\":0}"));
     // Crude structural validity: balanced braces outside strings (the
     // exposition never emits braces inside string values).
     let opens = json.matches('{').count();
