@@ -449,17 +449,19 @@ mod tests {
         assert_eq!(ws.hold_snapshot().count(), 1);
 
         // A held read blocks a writer: the write site sees contention.
+        // `write` counts contention before it blocks, so once the count
+        // moves the writer is queued and the hold below is all wait.
         std::thread::scope(|scope| {
-            let reader = scope.spawn(|| {
-                let _r = rw.read().unwrap();
-                std::thread::sleep(Duration::from_millis(30));
-            });
-            std::thread::sleep(Duration::from_millis(10));
+            let r = rw.read().unwrap();
             let writer = scope.spawn(|| {
                 let mut w = rw.write().unwrap();
                 *w = 2;
             });
-            reader.join().unwrap();
+            while ws.contended() == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            drop(r);
             writer.join().unwrap();
         });
         assert!(ws.contended() >= 1, "writer queued behind reader");

@@ -97,8 +97,7 @@ pub fn shortest_path(
             }
             for (v, w) in net.neighbors(u) {
                 let ng = gu + w;
-                if ng < s.get(v) {
-                    s.set_with_parent(v, ng, u);
+                if s.relax(v, ng, u) {
                     s.push(ng + h(v), v);
                 }
             }
@@ -147,8 +146,7 @@ pub fn distance_with_heuristic(
             }
             for (v, w) in net.neighbors(u) {
                 let ng = gu + w;
-                if ng < s.get(v) {
-                    s.set(v, ng);
+                if s.relax(v, ng, u) {
                     s.push(ng + h(v), v);
                 }
             }

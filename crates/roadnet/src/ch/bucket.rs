@@ -79,8 +79,7 @@ pub(super) fn distances_from(ch: &ContractionHierarchy, source: u32, targets: &[
                 }
                 for (x, w) in down.arcs(u.0) {
                     let nd = d + w;
-                    if nd < s.get(VertexId(x)) {
-                        s.set_with_parent(VertexId(x), nd, u);
+                    if s.relax(VertexId(x), nd, u) {
                         s.push(nd, VertexId(x));
                     }
                 }
@@ -114,8 +113,7 @@ pub(super) fn distances_from(ch: &ContractionHierarchy, source: u32, targets: &[
             }
             for (x, w) in up.arcs(u.0) {
                 let nd = d + w;
-                if nd < s.get(VertexId(x)) {
-                    s.set_with_parent(VertexId(x), nd, u);
+                if s.relax(VertexId(x), nd, u) {
                     s.push(nd, VertexId(x));
                 }
             }

@@ -150,8 +150,7 @@ fn plan_shortcuts(
                         continue; // contracted-this-round vertices are removed
                     }
                     let nd = d + w;
-                    if nd < s.get(VertexId(z)) {
-                        s.set(VertexId(z), nd);
+                    if s.relax(VertexId(z), nd, y) {
                         s.push(nd, VertexId(z));
                     }
                 }

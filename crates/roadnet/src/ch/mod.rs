@@ -336,8 +336,7 @@ impl ContractionHierarchy {
                     settled += 1;
                     for (x, w) in graph.arcs(u.0) {
                         let nd = d + w;
-                        if nd < s.get(VertexId(x)) {
-                            s.set(VertexId(x), nd);
+                        if s.relax(VertexId(x), nd, u) {
                             s.push(nd, VertexId(x));
                         }
                     }

@@ -114,8 +114,7 @@ pub(crate) fn bounded_distance(
                 }
                 for (x, w) in up.arcs(u.0) {
                     let nd = d + w;
-                    if nd < f.get(VertexId(x)) {
-                        f.set_with_parent(VertexId(x), nd, u);
+                    if f.relax(VertexId(x), nd, u) {
                         f.push(nd, VertexId(x));
                     }
                 }
@@ -136,8 +135,7 @@ pub(crate) fn bounded_distance(
                 }
                 for (x, w) in down.arcs(u.0) {
                     let nd = d + w;
-                    if nd < b.get(VertexId(x)) {
-                        b.set_with_parent(VertexId(x), nd, u);
+                    if b.relax(VertexId(x), nd, u) {
                         b.push(nd, VertexId(x));
                     }
                 }
@@ -209,8 +207,7 @@ pub(super) fn distance(ch: &ContractionHierarchy, s: u32, t: u32) -> f64 {
                 }
                 for (x, w) in up.arcs(u.0) {
                     let nd = d + w;
-                    if nd < f.get(VertexId(x)) {
-                        f.set_with_parent(VertexId(x), nd, u);
+                    if f.relax(VertexId(x), nd, u) {
                         f.push(nd, VertexId(x));
                     }
                 }
@@ -230,8 +227,7 @@ pub(super) fn distance(ch: &ContractionHierarchy, s: u32, t: u32) -> f64 {
                 }
                 for (x, w) in down.arcs(u.0) {
                     let nd = d + w;
-                    if nd < b.get(VertexId(x)) {
-                        b.set_with_parent(VertexId(x), nd, u);
+                    if b.relax(VertexId(x), nd, u) {
                         b.push(nd, VertexId(x));
                     }
                 }

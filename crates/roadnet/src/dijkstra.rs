@@ -6,10 +6,8 @@
 //! `dist(u, v)` of Section 2.1.
 
 use crate::graph::RoadNetwork;
-use crate::scratch::{with_scratch, with_scratch_pair, SearchScratch};
-use crate::types::{OrdF64, VertexId, INFINITE_DISTANCE};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::scratch::{with_scratch, Frontier, SearchScratch};
+use crate::types::{VertexId, INFINITE_DISTANCE};
 
 /// Point-to-point shortest path distance with early termination.
 ///
@@ -22,73 +20,64 @@ pub fn distance(net: &RoadNetwork, source: VertexId, target: VertexId) -> Option
         return Some(0.0);
     }
     with_scratch(|s| {
-        s.begin(net.num_vertices());
-        s.set(source, 0.0);
-        s.push(0.0, source);
-        while let Some((d, u)) = s.pop() {
-            if d > s.get(u) {
-                continue;
-            }
-            if u == target {
-                return Some(d);
-            }
-            for (v, w) in net.neighbors(u) {
-                let nd = d + w;
-                if nd < s.get(v) {
-                    s.set(v, nd);
-                    s.push(nd, v);
-                }
+        start(net, s, source, &[target]);
+        let d = s.get(target);
+        d.is_finite().then_some(d)
+    })
+}
+
+/// Roots a search at `source` on `s` and settles it until every vertex of
+/// `targets` is settled (see [`settle_targets`]).
+fn start(net: &RoadNetwork, s: &mut SearchScratch, source: VertexId, targets: &[VertexId]) {
+    s.begin(net.num_vertices());
+    s.set(source, 0.0);
+    s.push(0.0, source);
+    settle_targets(net, s, targets);
+}
+
+/// Marks `targets` pending on `s` and grows its search until every one of
+/// them is settled or the frontier runs dry; returns the number of vertices
+/// settled. Each settled vertex is fully relaxed before the stop test, so a
+/// later call resumes exactly where this one stopped: labels and tree paths
+/// are those of one uninterrupted search.
+fn settle_targets(net: &RoadNetwork, s: &mut SearchScratch, targets: &[VertexId]) -> u64 {
+    let mut remaining = targets.iter().filter(|&&t| s.mark_target(t)).count();
+    let mut settled = 0;
+    while remaining > 0 {
+        let Some((d, u)) = s.pop() else {
+            break;
+        };
+        if d > s.get(u) {
+            continue;
+        }
+        if s.mark_settled(u) {
+            remaining -= 1;
+        }
+        settled += 1;
+        for (v, w) in net.neighbors(u) {
+            let nd = d + w;
+            if s.relax(v, nd, u) {
+                s.push(nd, v);
             }
         }
-        None
-    })
+    }
+    settled
 }
 
 /// One-to-many shortest-path distances: a single bounded Dijkstra from
 /// `source` that stops as soon as every vertex in `targets` is settled.
 ///
-/// Allocation-free apart from the output vector; the target set is marked in
-/// the second thread-local scratch (its generation stamps double as a
-/// membership bitmap), so batching `k` queries costs one search instead of
-/// `k` independent point-to-point searches. Unreachable targets get
-/// [`INFINITE_DISTANCE`]. Duplicate targets are fine.
+/// Allocation-free apart from the output vector; the target set lives in
+/// the scratch's generation-stamped mark array, so batching `k` queries
+/// costs one search instead of `k` independent point-to-point searches.
+/// Unreachable targets get [`INFINITE_DISTANCE`]. Duplicate targets are
+/// fine.
 pub fn multi_target(net: &RoadNetwork, source: VertexId, targets: &[VertexId]) -> Vec<f64> {
     if targets.is_empty() {
         return Vec::new();
     }
-    with_scratch_pair(|s, marks| {
-        let n = net.num_vertices();
-        s.begin(n);
-        marks.begin(n);
-        // Mark targets; `remaining` counts distinct unsettled targets.
-        let mut remaining = 0usize;
-        for &t in targets {
-            if marks.get(t).is_infinite() {
-                marks.set(t, 1.0);
-                remaining += 1;
-            }
-        }
-        s.set(source, 0.0);
-        s.push(0.0, source);
-        while let Some((d, u)) = s.pop() {
-            if d > s.get(u) {
-                continue;
-            }
-            if marks.get(u) == 1.0 {
-                marks.set(u, 2.0); // settled target
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            for (v, w) in net.neighbors(u) {
-                let nd = d + w;
-                if nd < s.get(v) {
-                    s.set(v, nd);
-                    s.push(nd, v);
-                }
-            }
-        }
+    with_scratch(|s| {
+        start(net, s, source, targets);
         targets.iter().map(|&t| s.get(t)).collect()
     })
 }
@@ -120,38 +109,8 @@ pub fn multi_target_canonical(
     if targets.is_empty() {
         return Vec::new();
     }
-    with_scratch_pair(|s, marks| {
-        let n = net.num_vertices();
-        s.begin(n);
-        marks.begin(n);
-        let mut remaining = 0usize;
-        for &t in targets {
-            if marks.get(t).is_infinite() {
-                marks.set(t, 1.0);
-                remaining += 1;
-            }
-        }
-        s.set(source, 0.0);
-        s.push(0.0, source);
-        while let Some((d, u)) = s.pop() {
-            if d > s.get(u) {
-                continue;
-            }
-            if marks.get(u) == 1.0 {
-                marks.set(u, 2.0);
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            for (v, w) in net.neighbors(u) {
-                let nd = d + w;
-                if nd < s.get(v) {
-                    s.set_with_parent(v, nd, u);
-                    s.push(nd, v);
-                }
-            }
-        }
+    with_scratch(|s| {
+        start(net, s, source, targets);
         targets
             .iter()
             .map(|&t| fold_toward_root(net, s, source, t))
@@ -201,25 +160,19 @@ fn fold_toward_root(net: &RoadNetwork, s: &SearchScratch, root: VertexId, t: Ver
 /// search can stay open while other queries run and be re-rooted with
 /// [`Self::reset`] without an `O(V)` clear.
 ///
-/// Pausing between pops does not change the heap's operation sequence, so
-/// labels and tree paths are exactly those of one uninterrupted search.
+/// Pausing between pops does not change the frontier's operation sequence,
+/// so labels and tree paths are exactly those of one uninterrupted search.
 pub(crate) struct GrowingSearch {
+    /// Labels plus this root's pending-target / settled marks.
     scratch: SearchScratch,
-    /// Per-vertex state for this root: unset, [`PENDING`] (a target not
-    /// yet settled) or [`SETTLED`].
-    marks: SearchScratch,
     root: VertexId,
     settled: u64,
 }
-
-const PENDING: f64 = 1.0;
-const SETTLED: f64 = 2.0;
 
 impl Default for GrowingSearch {
     fn default() -> Self {
         GrowingSearch {
             scratch: SearchScratch::new(),
-            marks: SearchScratch::new(),
             root: VertexId(0),
             settled: 0,
         }
@@ -227,14 +180,10 @@ impl Default for GrowingSearch {
 }
 
 impl GrowingSearch {
-    /// Re-roots the search at `root` on `net` (generation bumps only);
+    /// Re-roots the search at `root` on `net` (generation bump only);
     /// must precede the first [`Self::settle`].
     pub fn reset(&mut self, net: &RoadNetwork, root: VertexId) {
-        let n = net.num_vertices();
-        self.scratch.begin(n);
-        self.marks.begin(n);
-        self.scratch.set(root, 0.0);
-        self.scratch.push(0.0, root);
+        start(net, &mut self.scratch, root, &[]);
         self.root = root;
         self.settled = 0;
     }
@@ -248,35 +197,7 @@ impl GrowingSearch {
     /// frontier runs dry: those targets are unreachable). Targets settled by
     /// an earlier call cost one array read.
     pub fn settle(&mut self, net: &RoadNetwork, targets: &[VertexId]) {
-        let mut remaining = 0usize;
-        for &t in targets {
-            if self.marks.get(t).is_infinite() {
-                self.marks.set(t, PENDING);
-                remaining += 1;
-            }
-        }
-        while remaining > 0 {
-            let Some((d, u)) = self.scratch.pop() else {
-                break;
-            };
-            if d > self.scratch.get(u) {
-                continue;
-            }
-            if self.marks.get(u) == PENDING {
-                remaining -= 1;
-            }
-            self.marks.set(u, SETTLED);
-            self.settled += 1;
-            // Relax before checking `remaining`, so a paused search leaves
-            // every settled vertex fully expanded.
-            for (v, w) in net.neighbors(u) {
-                let nd = d + w;
-                if nd < self.scratch.get(v) {
-                    self.scratch.set_with_parent(v, nd, u);
-                    self.scratch.push(nd, v);
-                }
-            }
-        }
+        self.settled += settle_targets(net, &mut self.scratch, targets);
     }
 
     /// The distance between the root and a target settled by
@@ -284,7 +205,9 @@ impl GrowingSearch {
     /// [`multi_target_canonical`] (undirected networks only).
     /// `INFINITE_DISTANCE` when unreachable.
     pub fn canonical_distance(&self, net: &RoadNetwork, t: VertexId) -> f64 {
-        debug_assert!(t == self.root || self.marks.get(t) == SETTLED);
+        debug_assert!(
+            t == self.root || self.scratch.is_settled(t) || !self.scratch.get(t).is_finite()
+        );
         fold_toward_root(net, &self.scratch, self.root, t)
     }
 }
@@ -303,24 +226,7 @@ pub fn shortest_path(
         return Some((0.0, vec![source]));
     }
     with_scratch(|s| {
-        s.begin(net.num_vertices());
-        s.set(source, 0.0);
-        s.push(0.0, source);
-        while let Some((d, u)) = s.pop() {
-            if d > s.get(u) {
-                continue;
-            }
-            if u == target {
-                break;
-            }
-            for (v, w) in net.neighbors(u) {
-                let nd = d + w;
-                if nd < s.get(v) {
-                    s.set_with_parent(v, nd, u);
-                    s.push(nd, v);
-                }
-            }
-        }
+        start(net, s, source, &[target]);
         let total = s.get(target);
         if total.is_infinite() {
             return None;
@@ -354,14 +260,14 @@ pub fn single_source(net: &RoadNetwork, source: VertexId) -> Vec<f64> {
 /// cell, Section 3.2.1) and the cell-pair lower-bound matrix.
 pub fn multi_source(net: &RoadNetwork, sources: impl IntoIterator<Item = VertexId>) -> Vec<f64> {
     let mut dist = vec![INFINITE_DISTANCE; net.num_vertices()];
-    let mut heap = BinaryHeap::new();
+    let mut frontier = Frontier::default();
     for s in sources {
         if dist[s.index()] > 0.0 {
             dist[s.index()] = 0.0;
-            heap.push(Reverse((OrdF64(0.0), s)));
+            frontier.push(0.0, s);
         }
     }
-    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
+    while let Some((d, u)) = frontier.pop() {
         if d > dist[u.index()] {
             continue;
         }
@@ -369,47 +275,11 @@ pub fn multi_source(net: &RoadNetwork, sources: impl IntoIterator<Item = VertexI
             let nd = d + w;
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
-                heap.push(Reverse((OrdF64(nd), v)));
+                frontier.push(nd, v);
             }
         }
     }
     dist
-}
-
-/// Single-source Dijkstra that stops as soon as every vertex in `targets`
-/// has been settled; returns the distance to each target in the same order.
-///
-/// Used by the grid index to compute per-vertex border-distance tables
-/// without exploring the whole network.
-pub fn distances_to_targets(net: &RoadNetwork, source: VertexId, targets: &[VertexId]) -> Vec<f64> {
-    multi_target(net, source, targets)
-}
-
-/// Single-source Dijkstra truncated at a radius: returns `(vertex, distance)`
-/// for every vertex whose distance from `source` is at most `radius`.
-pub fn within_radius(net: &RoadNetwork, source: VertexId, radius: f64) -> Vec<(VertexId, f64)> {
-    let mut dist = vec![INFINITE_DISTANCE; net.num_vertices()];
-    let mut heap = BinaryHeap::new();
-    let mut out = Vec::new();
-    dist[source.index()] = 0.0;
-    heap.push(Reverse((OrdF64(0.0), source)));
-    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
-        }
-        if d > radius {
-            break;
-        }
-        out.push((u, d));
-        for (v, w) in net.neighbors(u) {
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                heap.push(Reverse((OrdF64(nd), v)));
-            }
-        }
-    }
-    out
 }
 
 /// Bidirectional Dijkstra for point-to-point distance queries.
@@ -430,17 +300,17 @@ pub fn bidirectional_distance(
     let n = net.num_vertices();
     let mut dist_f = vec![INFINITE_DISTANCE; n];
     let mut dist_b = vec![INFINITE_DISTANCE; n];
-    let mut heap_f = BinaryHeap::new();
-    let mut heap_b = BinaryHeap::new();
+    let mut frontier_f = Frontier::default();
+    let mut frontier_b = Frontier::default();
     dist_f[source.index()] = 0.0;
     dist_b[target.index()] = 0.0;
-    heap_f.push(Reverse((OrdF64(0.0), source)));
-    heap_b.push(Reverse((OrdF64(0.0), target)));
+    frontier_f.push(0.0, source);
+    frontier_b.push(0.0, target);
     let mut best = INFINITE_DISTANCE;
 
     loop {
-        let top_f = heap_f.peek().map(|Reverse((OrdF64(d), _))| *d);
-        let top_b = heap_b.peek().map(|Reverse((OrdF64(d), _))| *d);
+        let top_f = frontier_f.peek().map(|(d, _)| d);
+        let top_b = frontier_b.peek().map(|(d, _)| d);
         if let (None, None) = (top_f, top_b) {
             break;
         }
@@ -451,7 +321,7 @@ pub fn bidirectional_distance(
         }
         // Expand the side with the smaller frontier distance.
         if tf <= tb {
-            if let Some(Reverse((OrdF64(d), u))) = heap_f.pop() {
+            if let Some((d, u)) = frontier_f.pop() {
                 if d > dist_f[u.index()] {
                     continue;
                 }
@@ -459,14 +329,14 @@ pub fn bidirectional_distance(
                     let nd = d + w;
                     if nd < dist_f[v.index()] {
                         dist_f[v.index()] = nd;
-                        heap_f.push(Reverse((OrdF64(nd), v)));
+                        frontier_f.push(nd, v);
                     }
                     if dist_b[v.index()].is_finite() {
                         best = best.min(nd + dist_b[v.index()]);
                     }
                 }
             }
-        } else if let Some(Reverse((OrdF64(d), u))) = heap_b.pop() {
+        } else if let Some((d, u)) = frontier_b.pop() {
             if d > dist_b[u.index()] {
                 continue;
             }
@@ -474,7 +344,7 @@ pub fn bidirectional_distance(
                 let nd = d + w;
                 if nd < dist_b[v.index()] {
                     dist_b[v.index()] = nd;
-                    heap_b.push(Reverse((OrdF64(nd), v)));
+                    frontier_b.push(nd, v);
                 }
                 if dist_f[v.index()].is_finite() {
                     best = best.min(nd + dist_f[v.index()]);
@@ -576,9 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn distances_to_targets_early_exit() {
+    fn multi_target_early_exit() {
         let net = line_net();
-        let d = distances_to_targets(&net, VertexId(0), &[VertexId(1), VertexId(2)]);
+        let d = multi_target(&net, VertexId(0), &[VertexId(1), VertexId(2)]);
         assert_eq!(d, vec![1.0, 3.0]);
     }
 
@@ -618,17 +488,6 @@ mod tests {
         for (c, p) in canonical.iter().zip(&plain) {
             assert!((c - p).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn within_radius_truncates() {
-        let net = line_net();
-        let mut inside = within_radius(&net, VertexId(0), 3.0);
-        inside.sort_by_key(|(v, _)| *v);
-        assert_eq!(
-            inside,
-            vec![(VertexId(0), 0.0), (VertexId(1), 1.0), (VertexId(2), 3.0)]
-        );
     }
 
     #[test]

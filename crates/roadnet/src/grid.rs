@@ -179,7 +179,7 @@ impl GridIndex {
             let mut tables: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); net.num_vertices()];
             for cell in &cells {
                 for &b in &cell.border_vertices {
-                    let ds = dijkstra::distances_to_targets(net, b, &cell.vertices);
+                    let ds = dijkstra::multi_target(net, b, &cell.vertices);
                     for (&v, &d) in cell.vertices.iter().zip(ds.iter()) {
                         tables[v.index()].push((b, d));
                     }

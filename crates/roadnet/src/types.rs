@@ -143,27 +143,6 @@ impl Default for Speed {
     }
 }
 
-/// A totally ordered wrapper around a non-NaN `f64`, used as priority in
-/// binary heaps throughout the crate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct OrdF64(pub f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("OrdF64 must not contain NaN")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,12 +193,5 @@ mod tests {
     #[should_panic(expected = "speed must be positive")]
     fn speed_rejects_negative_mps() {
         let _ = Speed::from_mps(-3.0);
-    }
-
-    #[test]
-    fn ordf64_total_order() {
-        let mut xs = vec![OrdF64(3.0), OrdF64(1.0), OrdF64(2.0)];
-        xs.sort();
-        assert_eq!(xs, vec![OrdF64(1.0), OrdF64(2.0), OrdF64(3.0)]);
     }
 }
