@@ -5,6 +5,8 @@
 //! matching latency with the dual-side search. Finer grids give tighter
 //! lower bounds (better pruning) at a higher build/memory cost.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptrider_core::{EngineConfig, MatcherKind, PtRider, Request, RequestId};
 use ptrider_datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};

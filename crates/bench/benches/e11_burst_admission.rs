@@ -19,6 +19,8 @@
 //!
 //! Run with `cargo bench -p ptrider-bench --bench e11_burst_admission`.
 
+#![forbid(unsafe_code)]
+
 use ptrider_bench::{build_world, WorldParams};
 use ptrider_core::{detected_parallelism, BatchOutcome, EngineConfig, RideOption};
 use ptrider_datagen::{BurstConfig, TripConfig, TripGenerator};

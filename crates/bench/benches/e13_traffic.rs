@@ -1,34 +1,24 @@
-//! E13 — live-traffic metric repair: CH customization vs full rebuild vs
-//! ALT-under-traffic.
+//! E13 — the distance oracle under live traffic.
 //!
-//! The experiment the traffic subsystem exists for: on the city-scale
-//! graph, a traffic epoch must cost a *customization pass* (bottom-up
-//! weight recomputation over the fixed contraction order), not a full
-//! hierarchy rebuild (node ordering + witness searches). This bench
-//! measures, per epoch of a rush-hour factor curve:
+//! On the city-scale graph, per epoch of a rush-hour factor curve, this
+//! bench measures:
 //!
-//! * `customize`   — `CchTopology::customize` with the epoch's scaled
-//!   weights (the repair path `DistanceOracle::apply_traffic` takes);
-//! * `full_rebuild` — `ContractionHierarchy::build` on the re-weighted
-//!   network (what a traffic epoch used to cost);
-//! * `alt_query` / `ch_query` — point-query latency under the congested
-//!   metric on both backends, so the repaired hierarchy's query-side win
-//!   is visible too;
+//! * `alt_query` — ALT point-query latency under the congested metric
+//!   (base-metric landmark and grid heuristics, which factors ≥ 1 keep
+//!   admissible);
 //! * `oracle_epoch` — the end-to-end `apply_traffic` entry point
-//!   (scale + swap + customize + cache invalidation).
+//!   (scale + swap + cache invalidation).
 //!
-//! The `[exp]` lines print the derived numbers for EXPERIMENTS.md.
+//! The `[exp]` line prints the derived numbers for EXPERIMENTS.md.
+
+#![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptrider_datagen::{synthetic_city, CityConfig, CongestionConfig, CongestionProfile};
-use ptrider_roadnet::{
-    astar, CchTopology, ContractionHierarchy, DistanceBackend, DistanceOracle, GridConfig,
-    GridIndex, LandmarkIndex, VertexId,
-};
+use ptrider_roadnet::{astar, DistanceOracle, GridConfig, GridIndex, LandmarkIndex, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e13_traffic");
@@ -47,68 +37,16 @@ fn bench(c: &mut Criterion) {
     let grid = Arc::new(GridIndex::build(&city, GridConfig::with_dimensions(24, 24)));
     let landmarks = Arc::new(LandmarkIndex::build_auto(&city, 8));
 
-    let build_start = Instant::now();
-    let _witness_ch = ContractionHierarchy::build(&city).expect("city graphs contract");
-    let base_build_secs = build_start.elapsed().as_secs_f64();
-
-    let topo_start = Instant::now();
-    let topo = Arc::new(CchTopology::build(&city).expect("city graphs repair"));
-    let topo_secs = topo_start.elapsed().as_secs_f64();
-    println!(
-        "[exp] e13 city-scale: {} vertices, witness build {:.2}s, repair topology {:.2}s \
-         ({} arcs, {} triangles)",
-        city.num_vertices(),
-        base_build_secs,
-        topo_secs,
-        topo.num_arcs(),
-        topo.num_triangles()
-    );
-
     // A morning-rush epoch from the packaged congestion profile.
     let profile = CongestionProfile::build(&city, CongestionConfig::default());
     let model = profile.model_at(&city, 8.0 * 3600.0);
-    let scaled = model.scaled_weights(&city);
-    let metric = Arc::new(city.with_metric(scaled.clone()).unwrap());
+    let metric = Arc::new(city.with_metric(model.scaled_weights(&city)).unwrap());
 
-    group.bench_function("customize_city_scale", |b| {
-        b.iter(|| std::hint::black_box(topo.customize(&scaled)));
-    });
-    group.bench_function("full_rebuild_city_scale", |b| {
-        b.iter(|| std::hint::black_box(ContractionHierarchy::build(&metric).unwrap()));
-    });
-
-    // Wall-clock cross-check outside criterion so the [exp] line always
-    // prints the ratio the acceptance criterion asks about.
-    let reps = 3;
-    let t = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(topo.customize(&scaled));
-    }
-    let customize_secs = t.elapsed().as_secs_f64() / reps as f64;
-    let t = Instant::now();
-    let rebuilt = ContractionHierarchy::build(&metric).unwrap();
-    let rebuild_secs = t.elapsed().as_secs_f64();
-    println!(
-        "[exp] e13 repair: customize {:.3}s vs full rebuild {:.3}s = {:.1}x",
-        customize_secs,
-        rebuild_secs,
-        rebuild_secs / customize_secs.max(1e-12)
-    );
-
-    // Query latency under traffic: repaired CH vs ALT on the same metric.
-    let repaired = topo.customize(&scaled);
     let mut rng = ChaCha8Rng::seed_from_u64(0xe13);
     let n = city.num_vertices() as u32;
     let pairs: Vec<(VertexId, VertexId)> = (0..256)
         .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
         .collect();
-    group.bench_function("ch_query_under_traffic", |b| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                std::hint::black_box(repaired.distance(u, v));
-            }
-        });
-    });
     group.bench_function("alt_query_under_traffic", |b| {
         b.iter(|| {
             for &(u, v) in &pairs {
@@ -122,37 +60,33 @@ fn bench(c: &mut Criterion) {
             }
         });
     });
-    // Sampled exactness cross-check: the repaired hierarchy must agree
-    // with Dijkstra on the congested metric bit for bit.
+    // Sampled exactness cross-check: ALT on the congested metric must
+    // agree with Dijkstra bit for bit.
     for &(u, v) in pairs.iter().take(32) {
-        let exact = ptrider_roadnet::dijkstra::distance(&metric, u, v).unwrap_or(f64::INFINITY);
-        let got = repaired.distance(u, v);
-        assert!(
-            got.to_bits() == exact.to_bits() || (got.is_infinite() && exact.is_infinite()),
-            "repaired CH diverged from Dijkstra under traffic: {u}->{v} {got} vs {exact}"
+        let exact = ptrider_roadnet::dijkstra::distance(&metric, u, v);
+        let got = astar::distance_with_landmarks(&metric, u, v, Some(&grid), Some(&landmarks));
+        assert_eq!(
+            got.map(f64::to_bits),
+            exact.map(f64::to_bits),
+            "ALT diverged from Dijkstra under traffic: {u}->{v}"
         );
     }
-    drop(rebuilt);
 
-    // End-to-end oracle epoch: scale + swap + customize + invalidate,
-    // seeded with the already-built topology so the nested-dissection
-    // build is paid once per bench run.
-    let oracle = DistanceOracle::with_backend(
+    // End-to-end oracle epoch: scale + swap + invalidate.
+    let oracle = DistanceOracle::with_landmarks(
         Arc::clone(&city),
         Arc::clone(&grid),
-        Some(Arc::clone(&landmarks)),
-        DistanceBackend::Ch,
-    )
-    .with_repair_topology(Arc::clone(&topo));
-    oracle.apply_traffic(&model);
+        Arc::clone(&landmarks),
+    );
     group.bench_function("oracle_apply_traffic_city_scale", |b| {
         b.iter(|| std::hint::black_box(oracle.apply_traffic(&model)));
     });
     println!(
-        "[exp] e13 oracle: backend {} after {} epochs, fallback {:?}",
+        "[exp] e13 city-scale: {} vertices, backend {} after {} epochs, {} congested arcs",
+        city.num_vertices(),
         oracle.backend(),
         oracle.traffic_epoch(),
-        oracle.backend_fallback()
+        model.congested_arcs()
     );
 
     group.finish();

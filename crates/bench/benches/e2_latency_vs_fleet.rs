@@ -1,5 +1,4 @@
-//! E2 — matching latency vs. fleet size, per algorithm and distance
-//! backend.
+//! E2 — matching latency vs. fleet size, per algorithm.
 //!
 //! Reproduces the paper's central performance claim ("answers the
 //! ridesharing request in real time" on a 17,000-taxi workload): per-request
@@ -7,14 +6,12 @@
 //! and the dual-side search as the fleet grows. The expected shape is that
 //! both index-based searches stay roughly flat (they only touch vehicles
 //! near the request) while the naive scan grows linearly with the fleet.
-//!
-//! Each (fleet, matcher) pair is measured under both exact distance
-//! backends — ALT A* (`alt`) and the contraction hierarchy (`ch`) — so the
-//! report shows how much of the remaining latency is exact-distance time.
+
+#![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptrider_bench::{build_world, match_probe, print_row, summarise, WorldParams};
-use ptrider_core::{DistanceBackend, EngineConfig, MatcherKind};
+use ptrider_core::{EngineConfig, MatcherKind};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_latency_vs_fleet");
@@ -28,31 +25,20 @@ fn bench(c: &mut Criterion) {
             warm_assignments: fleet / 4,
             ..WorldParams::default()
         };
-        for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
-            let config = EngineConfig::paper_defaults().with_distance_backend(backend);
-            let world = build_world(params, config, 64);
+        let world = build_world(params, EngineConfig::paper_defaults(), 64);
 
-            for kind in MatcherKind::all() {
-                let summary = summarise(&world.engine, kind, &world.probes);
-                print_row(
-                    "E2",
-                    &format!("fleet={fleet} backend={backend} matcher={kind}"),
-                    &summary,
-                );
+        for kind in MatcherKind::all() {
+            let summary = summarise(&world.engine, kind, &world.probes);
+            print_row("E2", &format!("fleet={fleet} matcher={kind}"), &summary);
 
-                let mut idx = 0usize;
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{backend}/{kind}"), fleet),
-                    &fleet,
-                    |b, _| {
-                        b.iter(|| {
-                            let trip = &world.probes[idx % world.probes.len()];
-                            idx += 1;
-                            match_probe(&world.engine, kind, trip, idx as u64)
-                        })
-                    },
-                );
-            }
+            let mut idx = 0usize;
+            group.bench_with_input(BenchmarkId::new(kind.to_string(), fleet), &fleet, |b, _| {
+                b.iter(|| {
+                    let trip = &world.probes[idx % world.probes.len()];
+                    idx += 1;
+                    match_probe(&world.engine, kind, trip, idx as u64)
+                })
+            });
         }
     }
     group.finish();

@@ -6,6 +6,8 @@
 //! more matching work. The bench sweeps `w` ∈ {2, 5, 10, 15} minutes with
 //! the dual-side matcher.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptrider_bench::{build_world, match_probe, print_row, summarise, WorldParams};
 use ptrider_core::{EngineConfig, MatcherKind};

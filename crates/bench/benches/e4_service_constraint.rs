@@ -5,6 +5,8 @@
 //! options and each verification costs more. The bench sweeps
 //! `δ` ∈ {0.1, 0.2, 0.4, 0.8} with the dual-side matcher.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptrider_bench::{build_world, match_probe, print_row, summarise, WorldParams};
 use ptrider_core::{EngineConfig, MatcherKind};

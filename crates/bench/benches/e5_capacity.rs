@@ -5,6 +5,8 @@
 //! (the capacity constraint prunes less), increasing both options per
 //! request and matching work. Sweeps capacity ∈ {2, 3, 4, 6}.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptrider_bench::{build_world, match_probe, print_row, summarise, WorldParams};
 use ptrider_core::{EngineConfig, MatcherKind};

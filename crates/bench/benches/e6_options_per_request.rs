@@ -4,6 +4,8 @@
 //! request) on the default world and prints min / mean / p95 / max, plus the
 //! matching latency of producing the whole skyline.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptrider_bench::{build_world, match_probe, print_row, summarise, WorldParams};
 use ptrider_core::{EngineConfig, MatcherKind};

@@ -6,6 +6,8 @@
 //! time and average sharing rate, plus answer rate and options per request.
 //! Criterion measures the wall-clock cost of simulating the slice.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptrider_core::{EngineConfig, MatcherKind};
 use ptrider_datagen::scaled_shanghai;

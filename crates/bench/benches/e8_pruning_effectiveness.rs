@@ -5,39 +5,19 @@
 //! bench compares, per algorithm, how many vehicles are verified and how
 //! many exact shortest-path distances are computed — overall and split by
 //! trip length (short vs. long origin–destination distance), where the
-//! dual-side advantage should be largest for long trips. A per-backend
-//! pass (`alt` vs `ch`) confirms the pruning counters are invariant under
-//! the exact-distance backend.
+//! dual-side advantage should be largest for long trips.
+
+#![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptrider_bench::{build_world, match_probe, print_row, summarise, WorldParams};
-use ptrider_core::{DistanceBackend, EngineConfig, MatcherKind};
+use ptrider_core::{EngineConfig, MatcherKind};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8_pruning_effectiveness");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-
-    // Pruning-count invariance across backends: bounds and skylines are
-    // identical under `alt` and `ch`, so the verified / pruned / options
-    // columns must agree row-for-row; only the exact-distance *cost*
-    // differs. Printed per backend so EXPERIMENTS.md can quote both.
-    {
-        let ch_world = build_world(
-            WorldParams {
-                vehicles: 1200,
-                warm_assignments: 500,
-                ..WorldParams::default()
-            },
-            EngineConfig::paper_defaults().with_distance_backend(DistanceBackend::Ch),
-            128,
-        );
-        for kind in MatcherKind::all() {
-            let all = summarise(&ch_world.engine, kind, &ch_world.probes);
-            print_row("E8", &format!("backend=ch {kind} / all trips"), &all);
-        }
-    }
 
     let world = build_world(
         WorldParams {
@@ -73,7 +53,7 @@ fn bench(c: &mut Criterion) {
 
     for kind in MatcherKind::all() {
         let all = summarise(&world.engine, kind, &world.probes);
-        print_row("E8", &format!("backend=alt {kind} / all trips"), &all);
+        print_row("E8", &format!("{kind} / all trips"), &all);
         let s = summarise(&world.engine, kind, &short);
         print_row(
             "E8",

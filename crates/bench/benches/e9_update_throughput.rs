@@ -4,13 +4,14 @@
 //! Measures (a) location updates of empty vehicles (cheap: re-register in
 //! one cell), (b) location updates of non-empty vehicles (kinetic-tree
 //! recompute plus schedule-cell re-registration), and (c) the full
-//! assignment cycle (submit + choose) — each under both exact distance
-//! backends (`alt` and `ch`), since non-empty updates and assignments are
-//! dominated by the exact distances behind kinetic-tree re-annotation.
+//! assignment cycle (submit + choose). Non-empty updates and assignments
+//! are dominated by the exact distances behind kinetic-tree re-annotation.
+
+#![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptrider_bench::{build_world, WorldParams};
-use ptrider_core::{DistanceBackend, EngineConfig, MatcherKind, PtRider};
+use ptrider_core::{EngineConfig, MatcherKind, PtRider};
 use ptrider_roadnet::VertexId;
 use ptrider_vehicles::VehicleId;
 use rand::{Rng, SeedableRng};
@@ -27,79 +28,76 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
 
-    for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
-        let world = build_world(
-            WorldParams {
-                vehicles: 800,
-                warm_assignments: 300,
-                ..WorldParams::default()
-            },
-            EngineConfig::paper_defaults().with_distance_backend(backend),
-            64,
-        );
-        let mut engine = world.engine;
-        engine.set_matcher(MatcherKind::DualSide);
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
+    let world = build_world(
+        WorldParams {
+            vehicles: 800,
+            warm_assignments: 300,
+            ..WorldParams::default()
+        },
+        EngineConfig::paper_defaults(),
+        64,
+    );
+    let mut engine = world.engine;
+    engine.set_matcher(MatcherKind::DualSide);
+    let mut rng = ChaCha8Rng::seed_from_u64(99);
 
-        let empty_ids: Vec<VehicleId> = engine
-            .vehicles()
-            .filter(|v| v.is_empty())
-            .map(|v| v.id())
-            .collect();
-        let busy_ids: Vec<VehicleId> = engine
-            .vehicles()
-            .filter(|v| !v.is_empty())
-            .map(|v| v.id())
-            .collect();
-        println!(
-            "[E9] backend={backend} fleet: {} empty vehicles, {} non-empty vehicles",
-            empty_ids.len(),
-            busy_ids.len()
-        );
+    let empty_ids: Vec<VehicleId> = engine
+        .vehicles()
+        .filter(|v| v.is_empty())
+        .map(|v| v.id())
+        .collect();
+    let busy_ids: Vec<VehicleId> = engine
+        .vehicles()
+        .filter(|v| !v.is_empty())
+        .map(|v| v.id())
+        .collect();
+    println!(
+        "[E9] fleet: {} empty vehicles, {} non-empty vehicles",
+        empty_ids.len(),
+        busy_ids.len()
+    );
 
-        let mut i = 0usize;
-        group.bench_function(format!("{backend}/location_update_empty"), |b| {
+    let mut i = 0usize;
+    group.bench_function("location_update_empty", |b| {
+        b.iter(|| {
+            let id = empty_ids[i % empty_ids.len()];
+            i += 1;
+            let loc = engine.vehicle(id).unwrap().location();
+            let (next, dist) = neighbour_of(&engine, loc, &mut rng);
+            engine.location_update(id, next, dist).unwrap();
+        })
+    });
+
+    if !busy_ids.is_empty() {
+        let mut j = 0usize;
+        group.bench_function("location_update_non_empty", |b| {
             b.iter(|| {
-                let id = empty_ids[i % empty_ids.len()];
-                i += 1;
+                let id = busy_ids[j % busy_ids.len()];
+                j += 1;
                 let loc = engine.vehicle(id).unwrap().location();
                 let (next, dist) = neighbour_of(&engine, loc, &mut rng);
                 engine.location_update(id, next, dist).unwrap();
             })
         });
+    }
 
-        if !busy_ids.is_empty() {
-            let mut j = 0usize;
-            group.bench_function(format!("{backend}/location_update_non_empty"), |b| {
-                b.iter(|| {
-                    let id = busy_ids[j % busy_ids.len()];
-                    j += 1;
-                    let loc = engine.vehicle(id).unwrap().location();
-                    let (next, dist) = neighbour_of(&engine, loc, &mut rng);
-                    engine.location_update(id, next, dist).unwrap();
-                })
-            });
-        }
-
-        let mut k = 0usize;
-        group.bench_function(format!("{backend}/submit_choose_cycle"), |b| {
-            b.iter(|| {
-                let trip = &world.probes[k % world.probes.len()];
-                k += 1;
-                let (id, options) =
-                    engine.submit(trip.origin, trip.destination, trip.riders, k as f64);
-                if let Some(option) = options.first() {
-                    // Choose and immediately complete nothing: the assignment
-                    // itself is the measured cost; declining keeps state bounded.
-                    if engine.choose(id, option, k as f64).is_err() {
-                        let _ = engine.decline(id);
-                    }
-                } else {
+    let mut k = 0usize;
+    group.bench_function("submit_choose_cycle", |b| {
+        b.iter(|| {
+            let trip = &world.probes[k % world.probes.len()];
+            k += 1;
+            let (id, options) = engine.submit(trip.origin, trip.destination, trip.riders, k as f64);
+            if let Some(option) = options.first() {
+                // Choose and immediately complete nothing: the assignment
+                // itself is the measured cost; declining keeps state bounded.
+                if engine.choose(id, option, k as f64).is_err() {
                     let _ = engine.decline(id);
                 }
-            })
-        });
-    }
+            } else {
+                let _ = engine.decline(id);
+            }
+        })
+    });
 
     group.finish();
 }

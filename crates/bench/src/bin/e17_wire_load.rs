@@ -16,6 +16,8 @@
 //!
 //! Run with `cargo run --release -p ptrider-bench --bin e17_wire_load`.
 
+#![forbid(unsafe_code)]
+
 use ptrider_bench::wire::{json_u64, open_sse, read_sse_frames, WireClient};
 use ptrider_bench::{build_world, WorldParams};
 use ptrider_core::{EngineConfig, MatcherKind, RideService, ServiceConfig, VertexId};

@@ -19,6 +19,8 @@
 //! The interleaved A/B/C works in one process because `TelemetryConfig::
 //! from_env` re-reads the environment at every engine construction.
 
+#![forbid(unsafe_code)]
+
 use ptrider_bench::{build_world, WorldParams};
 use ptrider_core::{Decision, EngineConfig, MatcherKind, RideService, ServiceConfig, VertexId};
 use ptrider_datagen::{TripConfig, TripGenerator};

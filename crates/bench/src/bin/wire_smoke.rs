@@ -14,6 +14,8 @@
 //! PTRIDER_CHAOS=7 cargo run --release -p ptrider-bench --bin wire_smoke
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ptrider_bench::wire::{json_u64, open_sse, read_sse_frames, WireClient};
 use ptrider_core::{
     fault, EngineConfig, Journal, JournalConfig, PtRider, RideService, ServiceConfig,

@@ -12,6 +12,8 @@
 //! talks about — options per request, vehicles verified, sharing rate — so
 //! `cargo bench` output can be transcribed directly into EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod wire;
 
 use ptrider_core::{EngineConfig, MatchResult, MatcherKind, PtRider, Request};
@@ -59,10 +61,7 @@ pub struct BenchWorld {
 /// of probe trips; then warms the engine up by assigning `warm_assignments`
 /// trips (each rider takes the earliest-pickup option).
 ///
-/// The engine honours every knob of `config`, including
-/// `EngineConfig::distance_backend` — pass
-/// `.with_distance_backend(DistanceBackend::Ch)` to measure a world on the
-/// contraction-hierarchy backend (the hierarchy is built during this call).
+/// The engine honours every knob of `config`.
 pub fn build_world(params: WorldParams, config: EngineConfig, probes: usize) -> BenchWorld {
     let city = synthetic_city(&CityConfig {
         cols: params.city_side,

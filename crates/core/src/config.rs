@@ -10,31 +10,6 @@
 use crate::price::PriceModel;
 use ptrider_roadnet::{DistanceBackend, Speed};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
-
-/// The distance backend [`EngineConfig::default`] starts from, honouring
-/// the `PTRIDER_DISTANCE_BACKEND` environment variable (read once per
-/// process): `alt` or `ch` select that backend for every engine built
-/// with default configuration; `auto`, unset or unparsable mean the
-/// library default (ALT). An explicit
-/// [`EngineConfig::with_distance_backend`] always wins over the
-/// environment — the variable only moves the *default*, which is what lets
-/// a CI matrix run the whole tier-1 suite once per backend without
-/// touching any test.
-pub fn default_distance_backend() -> DistanceBackend {
-    static ENV: OnceLock<DistanceBackend> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        match std::env::var("PTRIDER_DISTANCE_BACKEND")
-            .as_deref()
-            .map(str::trim)
-        {
-            Ok("ch") | Ok("CH") | Ok("Ch") => DistanceBackend::Ch,
-            Ok("alt") | Ok("ALT") | Ok("Alt") => DistanceBackend::Alt,
-            // `auto`, unset, or anything unparsable: the library default.
-            _ => DistanceBackend::default(),
-        }
-    })
-}
 
 /// Global PTRider settings.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -60,16 +35,8 @@ pub struct EngineConfig {
     /// disables them. Build cost is one single-source Dijkstra per
     /// landmark.
     pub num_landmarks: usize,
-    /// Which exact shortest-path backend the engine's distance oracle uses
-    /// on a cache miss: ALT A* ([`DistanceBackend::Alt`], the default) or a
-    /// contraction hierarchy ([`DistanceBackend::Ch`], heavier start-up,
-    /// microsecond queries). Both are exact, so the matchers return
-    /// identical skylines either way; if CH construction fails the oracle
-    /// falls back to ALT (observable via
-    /// [`ptrider_roadnet::DistanceOracle::backend_fallback`]). The
-    /// *default* honours the `PTRIDER_DISTANCE_BACKEND` environment
-    /// variable (`auto`/`alt`/`ch`, see [`default_distance_backend`]); an
-    /// explicit [`Self::with_distance_backend`] wins over the environment.
+    /// The exact shortest-path backend the engine's distance oracle uses
+    /// on a cache miss. ALT A* ([`DistanceBackend::Alt`]) is the only one.
     pub distance_backend: DistanceBackend,
     /// How many threads a burst's tentative matching fans out to
     /// ([`crate::runtime::MatchRuntime`]), counting the caller's thread.
@@ -79,10 +46,10 @@ pub struct EngineConfig {
     pub pool_size: usize,
     /// Seed for the deterministic chaos harness: `Some(seed)` arms a
     /// transient-error [`ptrider_roadnet::fault::FaultPlan`] process-wide
-    /// when the engine is built (injected CH-build / customization /
-    /// journal-write failures, each absorbed by a single retry at the
-    /// call site). `None` (the default) leaves fault injection to the
-    /// `PTRIDER_CHAOS` environment variable, or off entirely.
+    /// when the engine is built (injected journal-write failures, each
+    /// absorbed by a single retry at the call site). `None` (the default)
+    /// leaves fault injection to the `PTRIDER_CHAOS` environment variable,
+    /// or off entirely.
     pub fault_seed: Option<u64>,
     /// The price calculator.
     pub price: PriceModel,
@@ -99,7 +66,7 @@ impl Default for EngineConfig {
             // 15 minutes of driving at the constant speed.
             max_pickup_dist: speed.seconds_to_distance(900.0),
             num_landmarks: 8,
-            distance_backend: default_distance_backend(),
+            distance_backend: DistanceBackend::Alt,
             pool_size: 0,
             fault_seed: None,
             price: PriceModel::default(),
@@ -148,9 +115,7 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the exact distance backend (ALT A* or contraction
-    /// hierarchy). Purely a performance knob: every backend is exact, so
-    /// matcher results are identical.
+    /// Selects the exact distance backend (see [`Self::distance_backend`]).
     pub fn with_distance_backend(mut self, backend: DistanceBackend) -> Self {
         self.distance_backend = backend;
         self
@@ -202,24 +167,6 @@ mod tests {
         assert!((c.max_pickup_dist - 12_000.0).abs() < 1e-6);
         // 5 min at 48 km/h = 4 km.
         assert!((c.max_wait_dist() - 4_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn default_backend_honours_the_environment() {
-        // Under `PTRIDER_DISTANCE_BACKEND` (the CI backend matrix) the
-        // default moves with the environment; without it, it is ALT.
-        assert_eq!(
-            EngineConfig::default().distance_backend,
-            default_distance_backend()
-        );
-        if std::env::var("PTRIDER_DISTANCE_BACKEND").is_err() {
-            assert_eq!(default_distance_backend(), DistanceBackend::Alt);
-        }
-        // An explicit builder call always wins over the environment.
-        let c = EngineConfig::default().with_distance_backend(DistanceBackend::Ch);
-        assert_eq!(c.distance_backend, DistanceBackend::Ch);
-        let c = EngineConfig::default().with_distance_backend(DistanceBackend::Alt);
-        assert_eq!(c.distance_backend, DistanceBackend::Alt);
     }
 
     #[test]

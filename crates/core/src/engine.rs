@@ -116,11 +116,11 @@ pub(crate) struct EngineShared {
 /// `PTRIDER_TRAFFIC_EPOCHS` (read once per process): when set to `n > 0`,
 /// every engine construction applies `n` synthetic traffic epochs before
 /// serving — each mid epoch congests a deterministic third of the arcs, and
-/// the **final epoch returns every factor to free flow**. The whole repair
-/// pipeline (metric swap, CH customization, epoch-stamped cache
-/// invalidation) is therefore exercised by every test of the suite while
-/// the final metric is bit-identical to the base one (`w * 1.0 == w`), so
-/// no distance- or price-level assertion changes. CI runs the full suite
+/// the **final epoch returns every factor to free flow**. The whole epoch
+/// pipeline (metric swap, epoch-stamped cache invalidation) is therefore
+/// exercised by every test of the suite while the final metric is
+/// bit-identical to the base one (`w * 1.0 == w`), so no distance- or
+/// price-level assertion changes. CI runs the full suite
 /// once with this set; see `.github/workflows/ci.yml`.
 fn env_traffic_epochs() -> u64 {
     static ENV: OnceLock<u64> = OnceLock::new();
@@ -143,8 +143,7 @@ impl EngineShared {
     ) -> Self {
         if let Some(seed) = config.fault_seed {
             // Arm the process-global chaos plan before anything that hosts a
-            // fail point runs (the CH build already happened in the caller;
-            // `PTRIDER_CHAOS` covers that path, a config seed covers reuse).
+            // fail point runs.
             ptrider_roadnet::fault::arm(ptrider_roadnet::fault::FaultPlan::transient(seed));
         }
         let telemetry = Arc::new(Telemetry::new(telemetry_config));
@@ -517,9 +516,6 @@ pub(crate) fn decline(ledger: &mut Ledger, request_id: RequestId) -> Result<(), 
 pub struct TrafficUpdateOutcome {
     /// The metric epoch now in effect.
     pub epoch: u64,
-    /// Whether the contraction hierarchy was repaired by a customization
-    /// pass (`false` on the ALT backend or after a repair fallback).
-    pub ch_repaired: bool,
     /// Arcs above free flow in the applied model.
     pub congested_arcs: usize,
     /// Largest multiplicative factor in the applied model.
@@ -527,9 +523,8 @@ pub struct TrafficUpdateOutcome {
 }
 
 /// Applies a traffic epoch — the **write path**. Swaps the oracle's metric
-/// (scaled by the model's ≥ 1.0 factors), repairs the CH backend via a
-/// customization pass (ALT fallback when impossible), lazily invalidates
-/// the epoch-stamped distance cache, and records the statistics. Shared by
+/// (scaled by the model's ≥ 1.0 factors), lazily invalidates the
+/// epoch-stamped distance cache, and records the statistics. Shared by
 /// [`PtRider::apply_traffic_update`] and
 /// [`crate::RideService::apply_traffic_update`].
 ///
@@ -544,12 +539,8 @@ pub(crate) fn apply_traffic(
 ) -> TrafficUpdateOutcome {
     let applied = shared.oracle.apply_traffic(model);
     ledger.stats.traffic_epochs += 1;
-    if applied.ch_repaired {
-        ledger.stats.ch_customizations += 1;
-    }
     TrafficUpdateOutcome {
         epoch: applied.epoch,
-        ch_repaired: applied.ch_repaired,
         congested_arcs: applied.congested_arcs,
         max_factor: applied.max_factor,
     }
@@ -901,19 +892,12 @@ impl PtRider {
     /// spin up many engines over one city should build them once and use
     /// [`Self::with_shared_landmarks`] instead.
     pub fn with_shared(net: Arc<RoadNetwork>, grid: Arc<GridIndex>, config: EngineConfig) -> Self {
-        let landmarks = (config.num_landmarks > 0).then(|| {
-            Arc::new(ptrider_roadnet::LandmarkIndex::build_auto(
-                &net,
-                config.num_landmarks,
-            ))
-        });
-        let oracle = DistanceOracle::with_backend(
-            Arc::clone(&net),
-            Arc::clone(&grid),
-            landmarks,
-            config.distance_backend,
-        );
-        Self::with_oracle(net, grid, oracle, config)
+        if config.num_landmarks == 0 {
+            let oracle = DistanceOracle::new(Arc::clone(&net), Arc::clone(&grid));
+            return Self::with_oracle(net, grid, oracle, config);
+        }
+        let landmarks = ptrider_roadnet::LandmarkIndex::build_auto(&net, config.num_landmarks);
+        Self::with_shared_landmarks(net, grid, Arc::new(landmarks), config)
     }
 
     /// Builds an engine over shared network, grid **and landmark** handles.
@@ -929,12 +913,7 @@ impl PtRider {
         landmarks: Arc<ptrider_roadnet::LandmarkIndex>,
         config: EngineConfig,
     ) -> Self {
-        let oracle = DistanceOracle::with_backend(
-            Arc::clone(&net),
-            Arc::clone(&grid),
-            Some(landmarks),
-            config.distance_backend,
-        );
+        let oracle = DistanceOracle::with_landmarks(Arc::clone(&net), Arc::clone(&grid), landmarks);
         Self::with_oracle(net, grid, oracle, config)
     }
 
@@ -1128,8 +1107,8 @@ impl PtRider {
 
     /// Like [`Self::match_request_with`] but matching through a
     /// caller-supplied distance oracle instead of the engine's own — the
-    /// entry point for comparing oracle configurations (e.g. the `Alt` vs
-    /// `Ch` backends) on one identical world. The oracle must be built over
+    /// entry point for comparing oracle configurations (e.g. cold vs warm
+    /// caches) on one identical world. The oracle must be built over
     /// the same road network.
     pub fn match_request_with_oracle(
         &self,
@@ -1251,9 +1230,8 @@ impl PtRider {
     }
 
     /// Applies a live-traffic epoch: the distance oracle's metric is
-    /// scaled by the model's factors (≥ 1.0 over free flow), the CH
-    /// backend is repaired by a CCH customization pass instead of a
-    /// rebuild, and the epoch-stamped distance cache invalidates lazily.
+    /// scaled by the model's factors (≥ 1.0 over free flow) and the
+    /// epoch-stamped distance cache invalidates lazily.
     /// The model must be built over this engine's road network
     /// ([`Self::network`]).
     pub fn apply_traffic_update(&mut self, model: &TrafficModel) -> TrafficUpdateOutcome {
@@ -1389,30 +1367,6 @@ mod tests {
             e2.oracle().landmarks().unwrap(),
             landmarks.as_ref()
         ));
-    }
-
-    #[test]
-    fn ch_backend_engine_returns_the_same_options() {
-        let mut alt = engine();
-        let mut ch = PtRider::new(
-            city(),
-            GridConfig::with_dimensions(3, 3),
-            EngineConfig::default().with_distance_backend(ptrider_roadnet::DistanceBackend::Ch),
-        );
-        assert_eq!(ch.oracle().backend(), ptrider_roadnet::DistanceBackend::Ch);
-        for e in [&mut alt, &mut ch] {
-            e.set_matcher(MatcherKind::DualSide);
-            e.add_vehicle(VertexId(0));
-            e.add_vehicle(VertexId(24));
-        }
-        let (_, opts_alt) = alt.submit(VertexId(6), VertexId(8), 2, 0.0);
-        let (_, opts_ch) = ch.submit(VertexId(6), VertexId(8), 2, 0.0);
-        assert_eq!(opts_alt.len(), opts_ch.len());
-        for (a, c) in opts_alt.iter().zip(&opts_ch) {
-            assert_eq!(a.vehicle, c.vehicle);
-            assert!((a.pickup_dist - c.pickup_dist).abs() < 1e-6);
-            assert!((a.price - c.price).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -1649,48 +1603,35 @@ mod tests {
     #[test]
     fn traffic_update_changes_prices_and_reset_restores_them() {
         use ptrider_roadnet::TrafficModel;
-        for backend in [
-            ptrider_roadnet::DistanceBackend::Alt,
-            ptrider_roadnet::DistanceBackend::Ch,
-        ] {
-            let mut e = PtRider::new(
-                city(),
-                GridConfig::with_dimensions(3, 3),
-                EngineConfig::default().with_distance_backend(backend),
-            );
-            e.set_matcher(MatcherKind::SingleSide);
-            e.add_vehicle(VertexId(0));
-            // Relative to the construction epoch: `PTRIDER_TRAFFIC_EPOCHS`
-            // pre-applies synthetic epochs before the engine serves.
-            let epoch0 = e.oracle().traffic_epoch();
-            let (req, base_options) = e.submit(VertexId(6), VertexId(8), 2, 0.0);
-            assert_eq!(base_options.len(), 1);
-            e.decline(req).unwrap();
-            let base_price = base_options[0].price;
-            let base_pickup = base_options[0].pickup_dist;
+        let mut e = engine();
+        e.set_matcher(MatcherKind::SingleSide);
+        e.add_vehicle(VertexId(0));
+        // Relative to the construction epoch: `PTRIDER_TRAFFIC_EPOCHS`
+        // pre-applies synthetic epochs before the engine serves.
+        let epoch0 = e.oracle().traffic_epoch();
+        let (req, base_options) = e.submit(VertexId(6), VertexId(8), 2, 0.0);
+        assert_eq!(base_options.len(), 1);
+        e.decline(req).unwrap();
+        let base_price = base_options[0].price;
+        let base_pickup = base_options[0].pickup_dist;
 
-            // Congest the whole city 2x: pickup distances and prices scale.
-            let model = TrafficModel::uniform(e.network(), 2.0);
-            let outcome = e.apply_traffic_update(&model);
-            assert_eq!(outcome.epoch, epoch0 + 1);
-            assert_eq!(
-                outcome.ch_repaired,
-                backend == ptrider_roadnet::DistanceBackend::Ch
-            );
-            assert_eq!(e.stats().traffic_epochs, 1);
-            let (req, congested) = e.submit(VertexId(6), VertexId(8), 2, 1.0);
-            assert_eq!(congested.len(), 1);
-            assert!((congested[0].pickup_dist - 2.0 * base_pickup).abs() < 1e-6);
-            assert!((congested[0].price - 2.0 * base_price).abs() < 1e-6);
-            e.decline(req).unwrap();
+        // Congest the whole city 2x: pickup distances and prices scale.
+        let model = TrafficModel::uniform(e.network(), 2.0);
+        let outcome = e.apply_traffic_update(&model);
+        assert_eq!(outcome.epoch, epoch0 + 1);
+        assert_eq!(e.stats().traffic_epochs, 1);
+        let (req, congested) = e.submit(VertexId(6), VertexId(8), 2, 1.0);
+        assert_eq!(congested.len(), 1);
+        assert!((congested[0].pickup_dist - 2.0 * base_pickup).abs() < 1e-6);
+        assert!((congested[0].price - 2.0 * base_price).abs() < 1e-6);
+        e.decline(req).unwrap();
 
-            // Free flow again: options return to the base bits.
-            let outcome = e.apply_traffic_update(&TrafficModel::free_flow(e.network()));
-            assert_eq!(outcome.epoch, epoch0 + 2);
-            let (_, restored) = e.submit(VertexId(6), VertexId(8), 2, 2.0);
-            assert_eq!(restored[0].price.to_bits(), base_price.to_bits());
-            assert_eq!(restored[0].pickup_dist.to_bits(), base_pickup.to_bits());
-        }
+        // Free flow again: options return to the base bits.
+        let outcome = e.apply_traffic_update(&TrafficModel::free_flow(e.network()));
+        assert_eq!(outcome.epoch, epoch0 + 2);
+        let (_, restored) = e.submit(VertexId(6), VertexId(8), 2, 2.0);
+        assert_eq!(restored[0].price.to_bits(), base_price.to_bits());
+        assert_eq!(restored[0].pickup_dist.to_bits(), base_pickup.to_bits());
     }
 
     #[test]

@@ -136,14 +136,10 @@ pub enum EngineEvent {
         location: VertexId,
     },
     /// A traffic epoch was applied on the writer path: the distance
-    /// oracle's metric was swapped, its cache invalidated, and — on the CH
-    /// backend — the hierarchy repaired by a customization pass.
+    /// oracle's metric was swapped and its cache invalidated.
     TrafficUpdated {
         /// The metric epoch now in effect.
         epoch: u64,
-        /// Whether the contraction hierarchy was repaired (`false` on the
-        /// ALT backend or after a repair fallback).
-        ch_repaired: bool,
         /// Arcs above free flow in the applied model.
         congested_arcs: usize,
         /// Largest multiplicative factor in the applied model.

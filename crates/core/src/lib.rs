@@ -43,6 +43,7 @@
 //! assert!(!engine.vehicle(taxi).unwrap().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -60,7 +61,7 @@ pub mod skyline;
 pub mod stats;
 pub mod telemetry;
 
-pub use config::{default_distance_backend, EngineConfig};
+pub use config::EngineConfig;
 pub use engine::{BatchOutcome, EngineError, PtRider, TrafficUpdateOutcome};
 pub use events::{EngineEvent, EventCursor, EventLog, StampedEvent};
 pub use journal::{Journal, JournalConfig, JournalError};

@@ -23,8 +23,7 @@
 //! direction folds make every answer history-independent — so a submit
 //! against a given world state returns the same option skyline, bit for
 //! bit, whether it runs alone on `PtRider` or concurrently here. This is
-//! property-tested in `tests/service_equivalence.rs` across pool sizes and
-//! distance backends.
+//! property-tested in `tests/service_equivalence.rs` across pool sizes.
 //!
 //! # Durability
 //!
@@ -1234,8 +1233,7 @@ impl RideService {
     /// so no in-flight submit can race the epoch: every match either
     /// completes on the old metric before the swap or starts on the new
     /// one after it. Publishes a typed [`EngineEvent::TrafficUpdated`] and
-    /// grows [`EngineStats::traffic_epochs`] /
-    /// [`EngineStats::ch_customizations`].
+    /// grows [`EngineStats::traffic_epochs`].
     ///
     /// The model must be built over this service's road network
     /// ([`Self::network`]). Factors are ≥ 1.0 over free flow by
@@ -1262,7 +1260,6 @@ impl RideService {
         };
         self.events.publish(EngineEvent::TrafficUpdated {
             epoch: outcome.epoch,
-            ch_repaired: outcome.ch_repaired,
             congested_arcs: outcome.congested_arcs,
             max_factor: outcome.max_factor,
             at: now,
@@ -1460,23 +1457,6 @@ impl RideService {
             "Current traffic epoch (0 = free flow).",
             oracle.traffic_epoch() as f64,
         );
-        w.counter(
-            "ptrider_oracle_ch_customizations_total",
-            "CH customization passes run by traffic epochs.",
-            oracle.ch_customizations(),
-        );
-        w.gauge_family(
-            "ptrider_oracle_backend_fallback",
-            "1 when the exact backend differs from the requested one; the reason label says why.",
-        );
-        match oracle.backend_fallback() {
-            Some(reason) => w.gauge_sample(
-                "ptrider_oracle_backend_fallback",
-                &format!("reason=\"{}\"", crate::telemetry::escape_label(&reason)),
-                1.0,
-            ),
-            None => w.gauge_sample("ptrider_oracle_backend_fallback", "reason=\"\"", 0.0),
-        }
 
         // Matching runtime.
         w.counter(
@@ -1662,21 +1642,14 @@ impl RideService {
         out.push_str(&format!(
             "\"oracle\":{{\"exact_computations\":{},\"cache_hits\":{},\
              \"lower_bound_queries\":{},\"evictions\":{},\"cache_len\":{},\
-             \"traffic_epoch\":{},\"ch_customizations\":{},\"backend\":\"{}\",\
-             \"backend_fallback\":{}}},",
+             \"traffic_epoch\":{},\"backend\":\"{}\"}},",
             oracle.exact_computations(),
             oracle.cache_hits(),
             oracle.lower_bound_queries(),
             oracle.evictions(),
             oracle.cache_len(),
             oracle.traffic_epoch(),
-            oracle.ch_customizations(),
             oracle.backend(),
-            match oracle.backend_fallback() {
-                Some(reason) =>
-                    format!("\"{}\"", reason.replace('\\', "\\\\").replace('"', "\\\"")),
-                None => "null".to_string(),
-            },
         ));
         out.push_str(&format!(
             "\"pool\":{{\"job_panics\":{}}},",
@@ -2249,7 +2222,7 @@ fn encode_stats(e: &mut Enc, s: &EngineStats) {
     e.u64(s.offers_declined);
     e.u64(s.offers_expired);
     e.u64(s.traffic_epochs);
-    e.u64(s.ch_customizations);
+    e.u64(0); // Reserved (was the CH customization count) until the next format bump.
     e.u64(s.runtime_job_panics);
     e.u64(s.match_work.vehicles_considered);
     e.u64(s.match_work.vehicles_verified);
@@ -2425,8 +2398,11 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<EngineStats, JournalError> {
         offers_declined: d.u64()?,
         offers_expired: d.u64()?,
         traffic_epochs: d.u64()?,
-        ch_customizations: d.u64()?,
-        runtime_job_panics: d.u64()?,
+        runtime_job_panics: {
+            // The reserved slot before it (see `encode_stats`) is dropped.
+            d.u64()?;
+            d.u64()?
+        },
         match_work: MatchWork {
             vehicles_considered: d.u64()?,
             vehicles_verified: d.u64()?,

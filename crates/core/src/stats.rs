@@ -49,12 +49,6 @@ pub struct EngineStats {
     /// Traffic epochs applied through `apply_traffic_update` (each swaps
     /// the oracle's metric and lazily invalidates its cache).
     pub traffic_epochs: u64,
-    /// Traffic epochs whose contraction hierarchy was repaired by a CCH
-    /// customization pass (≤ `traffic_epochs`; the remainder ran on the
-    /// ALT backend — by configuration or after a repair fallback — or
-    /// were fully free-flow resets, which reinstate the retained
-    /// build-time hierarchy without a pass).
-    pub ch_customizations: u64,
     /// Worker-pool jobs that panicked and were re-raised by the matching
     /// runtime (every panic is counted, not just the first per batch; see
     /// `MatchRuntime::job_panics`). Non-zero only after a caller caught a
@@ -96,7 +90,7 @@ impl MatchWork {
 impl EngineStats {
     /// Number of `u64` words in the seqlock wire encoding used by the
     /// service's tearing-free stats mirror (see `core::telemetry::SeqSnapshot`).
-    pub const WORDS: usize = 26;
+    pub const WORDS: usize = 25;
 
     /// Encodes every field into a fixed word array (floats as IEEE bits).
     /// The order is a private wire format shared only with `from_words`.
@@ -120,7 +114,6 @@ impl EngineStats {
             self.offers_declined,
             self.offers_expired,
             self.traffic_epochs,
-            self.ch_customizations,
             self.runtime_job_panics,
             self.match_work.vehicles_considered,
             self.match_work.vehicles_verified,
@@ -152,15 +145,14 @@ impl EngineStats {
             offers_declined: w[15],
             offers_expired: w[16],
             traffic_epochs: w[17],
-            ch_customizations: w[18],
-            runtime_job_panics: w[19],
+            runtime_job_panics: w[18],
             match_work: MatchWork {
-                vehicles_considered: w[20],
-                vehicles_verified: w[21],
-                vehicles_pruned: w[22],
-                cells_visited: w[23],
-                exact_distance_computations: w[24],
-                candidates_generated: w[25],
+                vehicles_considered: w[19],
+                vehicles_verified: w[20],
+                vehicles_pruned: w[21],
+                cells_visited: w[22],
+                exact_distance_computations: w[23],
+                candidates_generated: w[24],
             },
         }
     }

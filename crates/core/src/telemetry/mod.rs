@@ -46,7 +46,7 @@ pub use locks::{
     ContentionReport, LockSite, LockSiteSummary, ProfiledMutex, ProfiledMutexGuard,
     ProfiledReadGuard, ProfiledRwLock, ProfiledWriteGuard,
 };
-pub use prom::{escape_label, PromWriter};
+pub use prom::PromWriter;
 pub use trace::{SlowEntry, SpanNode, TraceContext, TraceEvent, TraceTree};
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,5 @@
-//! Prometheus text exposition: the zero-dependency [`PromWriter`] plus the
-//! label-escaping and float-formatting helpers it shares with the JSON
-//! renderers.
+//! Prometheus text exposition: the zero-dependency [`PromWriter`] and its
+//! float formatter.
 
 use super::histogram::{Exemplar, HistogramSnapshot};
 
@@ -65,21 +64,6 @@ impl PromWriter {
         self.header(name, help, "gauge");
         self.buf.push_str(name);
         self.buf.push(' ');
-        self.buf.push_str(&fmt_f64(value));
-        self.buf.push('\n');
-    }
-
-    /// Writes a gauge family header only.
-    pub fn gauge_family(&mut self, name: &str, help: &str) {
-        self.header(name, help, "gauge");
-    }
-
-    /// Appends a labelled gauge sample under an already-written header.
-    pub fn gauge_sample(&mut self, name: &str, labels: &str, value: f64) {
-        self.buf.push_str(name);
-        self.buf.push('{');
-        self.buf.push_str(labels);
-        self.buf.push_str("} ");
         self.buf.push_str(&fmt_f64(value));
         self.buf.push('\n');
     }
@@ -165,21 +149,6 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal or a
-/// Prometheus label value.
-pub fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::Histogram;
@@ -194,12 +163,8 @@ mod tests {
         let mut w = PromWriter::new();
         w.counter("ptrider_requests_submitted_total", "Requests submitted.", 4);
         w.gauge("ptrider_oracle_hit_rate", "Cache hit rate.", 0.75);
-        w.gauge_family("ptrider_oracle_backend_fallback", "Backend fell back.");
-        w.gauge_sample(
-            "ptrider_oracle_backend_fallback",
-            "reason=\"ch unavailable\"",
-            1.0,
-        );
+        w.counter_family("ptrider_events_cursor_missed_total", "Events lost.");
+        w.counter_sample("ptrider_events_cursor_missed_total", "cursor=\"7\"", 3);
         w.histogram(
             "ptrider_stage_duration_seconds_service_submit",
             "Submit latency.",
@@ -214,9 +179,9 @@ ptrider_requests_submitted_total 4
 # HELP ptrider_oracle_hit_rate Cache hit rate.
 # TYPE ptrider_oracle_hit_rate gauge
 ptrider_oracle_hit_rate 0.75
-# HELP ptrider_oracle_backend_fallback Backend fell back.
-# TYPE ptrider_oracle_backend_fallback gauge
-ptrider_oracle_backend_fallback{reason=\"ch unavailable\"} 1
+# HELP ptrider_events_cursor_missed_total Events lost.
+# TYPE ptrider_events_cursor_missed_total counter
+ptrider_events_cursor_missed_total{cursor=\"7\"} 3
 # HELP ptrider_stage_duration_seconds_service_submit Submit latency.
 # TYPE ptrider_stage_duration_seconds_service_submit histogram
 ptrider_stage_duration_seconds_service_submit_bucket{le=\"5\"} 2
@@ -258,10 +223,5 @@ ptrider_stage_duration_seconds_service_submit_count 4
         );
         // The un-annotated buckets keep the plain format.
         assert!(got.contains("m_bucket{le=\"5\"} 1\n"), "{got}");
-    }
-
-    #[test]
-    fn escape_label_escapes() {
-        assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

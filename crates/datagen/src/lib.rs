@@ -19,6 +19,7 @@
 //! * [`workload`] — packaged, scalable workloads (fleet + trip stream) whose
 //!   full scale matches the paper's 17,000 vehicles and 432,327 trips.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod city;

@@ -2,12 +2,11 @@
 //!
 //! A [`FaultPlan`] is a seeded, process-global schedule of injected
 //! failures at **named sites** threaded through the whole workspace:
-//! error-class sites ([`ORACLE_BUILD`], [`CCH_CUSTOMIZE`],
-//! [`JOURNAL_WRITE`]) simulate transient failures that the call site is
-//! expected to absorb with a single retry, while panic-class sites
-//! ([`POOL_JOB`], [`MID_COMMIT`], [`POST_APPEND`]) abort the operation
-//! mid-flight so crash-recovery tests can kill a service at an exact,
-//! reproducible point.
+//! the error-class site ([`JOURNAL_WRITE`]) simulates transient failures
+//! that the call site is expected to absorb with a single retry, while
+//! panic-class sites ([`POOL_JOB`], [`MID_COMMIT`], [`POST_APPEND`]) abort
+//! the operation mid-flight so crash-recovery tests can kill a service at
+//! an exact, reproducible point.
 //!
 //! Two arming paths:
 //!
@@ -45,15 +44,11 @@ pub const MID_COMMIT: &str = "mid-commit";
 /// Panic site: after the journal record was appended (durable) but before
 /// the caller acknowledged the operation to the rider.
 pub const POST_APPEND: &str = "post-append";
-/// Error site: a CCH customization pass over a traffic epoch's weights.
-pub const CCH_CUSTOMIZE: &str = "cch-customize";
-/// Error site: contraction-hierarchy construction at oracle build time.
-pub const ORACLE_BUILD: &str = "oracle-build";
 /// Error site: a journal append's write/flush to the WAL file.
 pub const JOURNAL_WRITE: &str = "journal-write";
 
 /// All error-class sites (fire under [`FaultPlan::transient`] plans).
-pub const ERROR_SITES: &[&str] = &[ORACLE_BUILD, CCH_CUSTOMIZE, JOURNAL_WRITE];
+pub const ERROR_SITES: &[&str] = &[JOURNAL_WRITE];
 /// All panic-class sites (fire only under [`FaultPlan::panic_once`] plans).
 pub const PANIC_SITES: &[&str] = &[POOL_JOB, MID_COMMIT, POST_APPEND];
 

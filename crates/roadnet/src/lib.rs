@@ -2,20 +2,16 @@
 //!
 //! This crate models the road network `G = (V, E, W)` of Section 2.1 of the
 //! paper, provides exact shortest-path engines (Dijkstra, bidirectional
-//! Dijkstra, A*, and a contraction hierarchy with bidirectional upward
-//! queries and many-to-many bucket queries), the grid partition index of
-//! Section 3.2.1 (border vertices, per-vertex border-distance tables, the
-//! cell-pair lower-bound matrix and per-cell neighbour lists sorted by lower
-//! bound), and a memoising [`DistanceOracle`] that serves exact distances
-//! and cheap lower bounds to the matching algorithms in `ptrider-core`
-//! through one of two swappable exact backends ([`DistanceBackend`]).
+//! Dijkstra, resumable one-to-many Dijkstra and landmark A*), the grid
+//! partition index of Section 3.2.1 (border vertices, per-vertex
+//! border-distance tables, the cell-pair lower-bound matrix and per-cell
+//! neighbour lists sorted by lower bound), and a memoising [`DistanceOracle`] that serves exact distances
+//! and cheap lower bounds to the matching algorithms in `ptrider-core`.
 //!
 //! The metric is **live**: [`traffic`] overlays epoch-versioned
 //! multiplicative edge factors (≥ 1.0 over free flow, so every lower bound
 //! stays admissible by construction), [`DistanceOracle::apply_traffic`]
-//! swaps the metric and lazily invalidates the epoch-stamped cache, and
-//! [`CchTopology`] repairs the contraction hierarchy with a
-//! customizable-CH-style weight pass instead of a rebuild.
+//! swaps the metric and lazily invalidates the epoch-stamped cache.
 //!
 //! Distances are expressed in metres and converted to travel time with a
 //! constant speed (the paper assumes 48 km/h); see [`Speed`].
@@ -39,10 +35,10 @@
 //! assert!(grid.lower_bound(a, d) <= 2000.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod astar;
-pub mod ch;
 pub mod dijkstra;
 pub mod error;
 pub mod fault;
@@ -54,9 +50,6 @@ pub mod scratch;
 pub mod traffic;
 pub mod types;
 
-pub use ch::{
-    preprocess_threads, CchTopology, ChBuildError, ChConfig, ContractionHierarchy, SeparatorStats,
-};
 pub use error::RoadNetError;
 pub use graph::{Edge, RoadNetwork, RoadNetworkBuilder};
 pub use grid::{CellId, GridCell, GridConfig, GridIndex};

@@ -16,17 +16,9 @@
 //!   generation-stamped scratch buffers ([`crate::scratch`]) with the
 //!   heuristic `max(euclidean, grid bound, landmark bound)`; see
 //!   [`crate::astar::distance_with_landmarks`].
-//! * **Swappable exact backends** — the exact computation behind a miss is
-//!   selected by [`DistanceBackend`]: the ALT A* above, or a contraction
-//!   hierarchy ([`crate::ch`]) whose bidirectional upward queries are
-//!   microsecond-scale on city graphs. The oracle surface (`distance` /
-//!   `distances_from` / `lower_bound`) is identical for both, so matchers
-//!   never see which backend answered. CH construction is fallible; when it
-//!   fails the oracle silently falls back to ALT instead of panicking.
 //! * **Batched one-to-many** — [`DistanceOracle::distances_from`] answers
 //!   `k` same-source queries with a single bounded multi-target Dijkstra
-//!   (ALT backend) or a many-to-many bucket query (CH backend) instead of
-//!   `k` point-to-point searches.
+//!   instead of `k` point-to-point searches.
 //! * **Resumable one-to-many** — [`DistanceOracle::settle_from`] grows a
 //!   caller-owned [`OneToMany`] search from one root just far enough to
 //!   answer the targets that miss the cache, and resumes it on the next
@@ -42,9 +34,8 @@
 //!   admission bit-identical to sequential admission. One residual
 //!   assumption: when a pair has *several* shortest paths whose float sums
 //!   differ in the last bit, different search roots may pick different tie
-//!   paths and re-fold to different bits — the same tie class the CH
-//!   backend's bit-equality with Dijkstra already rests on; exact-weight
-//!   grids fold identically on every tie path, and with jittered
+//!   paths and re-fold to different bits; exact-weight grids fold
+//!   identically on every tie path, and with jittered
 //!   real-valued weights exact ties are vanishingly rare (the equivalence
 //!   proptests would surface one as a seed failure). Networks with
 //!   one-way edges cache both directions separately, as
@@ -59,9 +50,7 @@
 //!   bounds are built on, from the *metric* network exact queries run on.
 //!   [`DistanceOracle::apply_traffic`] swaps in a re-weighted metric
 //!   ([`RoadNetwork::with_metric`] over a [`crate::traffic::TrafficModel`]
-//!   of factors ≥ 1.0), repairs the CH backend with a customization pass
-//!   ([`crate::ch::CchTopology`], falling back to ALT when the graph
-//!   cannot be repaired) and bumps the **metric epoch**. Cache entries are
+//!   of factors ≥ 1.0) and bumps the **metric epoch**. Cache entries are
 //!   stamped with the epoch they were computed under; a lookup whose stamp
 //!   differs from the current epoch is a miss, so an epoch change
 //!   invalidates the whole cache *lazily* — no stop-the-world clear, stale
@@ -78,8 +67,6 @@
 //! (E8).
 
 use crate::astar;
-use crate::ch::query::Bounded;
-use crate::ch::{CchTopology, ContractionHierarchy};
 use crate::dijkstra::{self, GrowingSearch};
 use crate::graph::RoadNetwork;
 use crate::grid::GridIndex;
@@ -112,12 +99,6 @@ pub fn num_cache_shards() -> usize {
 /// ≈ 100 MB. Override with [`DistanceOracle::with_cache_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 22;
 
-/// Settle budget of the CH-derived lower bound (both directions combined).
-/// Big enough that near pairs — the ones the matchers actually admit —
-/// resolve exactly and seed the cache; small enough that a truncated probe
-/// stays within a few microseconds regardless of graph size.
-const LOWER_BOUND_SETTLE_CAP: usize = 48;
-
 /// Relative haircut on every non-exact lower bound. Landmark differences
 /// and grid sums `umin + lb + vmin` fold their terms in another order than
 /// the exact search folds the path, so in floating point they can land a
@@ -128,33 +109,22 @@ const LOWER_BOUND_SETTLE_CAP: usize = 48;
 /// than any real difference in distance.
 pub const LOWER_BOUND_HAIRCUT: f64 = 1.0 - 1e-9;
 
-/// Which exact shortest-path backend a [`DistanceOracle`] uses on a cache
-/// miss.
-///
-/// Both backends return identical (exact) distances; they differ in
-/// preprocessing cost and per-query latency, so the right choice depends on
-/// the deployment — see DESIGN.md "Distance backends".
+/// The exact shortest-path backend a [`DistanceOracle`] uses on a cache
+/// miss. ALT is the only one (DESIGN.md "One exact backend"); the type
+/// lets configurations and reports name it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DistanceBackend {
     /// ALT: A* with `max(euclidean, grid, landmark)` heuristics. No
     /// preprocessing beyond the landmark tables; queries settle `O(ball)`
-    /// vertices. Best for small graphs, frequently-changing weights, or
-    /// when engine start-up latency matters.
+    /// vertices.
     #[default]
     Alt,
-    /// Contraction hierarchy: heavier one-off preprocessing, then
-    /// microsecond point queries and bucket-based batched queries. Best for
-    /// large static city graphs under sustained match load. Falls back to
-    /// [`DistanceBackend::Alt`] when construction fails (see
-    /// [`crate::ChBuildError`]).
-    Ch,
 }
 
 impl std::fmt::Display for DistanceBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DistanceBackend::Alt => write!(f, "alt"),
-            DistanceBackend::Ch => write!(f, "ch"),
         }
     }
 }
@@ -173,17 +143,14 @@ struct CacheSlot {
 
 type Shard = RwLock<HashMap<(VertexId, VertexId), CacheSlot>>;
 
-/// The swappable exact-query substrate: which network weights and which
-/// (possibly repaired) hierarchy answer cache misses right now. Guarded by
-/// one `RwLock` — exact computations hold a read guard for their duration,
-/// [`DistanceOracle::apply_traffic`] takes the write guard to swap.
+/// The swappable exact-query substrate: which network weights answer
+/// cache misses right now. Guarded by one `RwLock` — exact computations
+/// hold a read guard for their duration, [`DistanceOracle::apply_traffic`]
+/// takes the write guard to swap.
 struct MetricState {
     /// The network exact queries run on: the base network at epoch 0, a
     /// [`RoadNetwork::with_metric`] re-weighting afterwards.
     net: Arc<RoadNetwork>,
-    /// The hierarchy answering CH-backend queries under this metric
-    /// (`None` on the ALT backend, or after a repair fallback).
-    ch: Option<Arc<ContractionHierarchy>>,
     /// Monotone metric epoch; 0 is the build-time free-flow metric.
     epoch: u64,
     /// Whether *this metric* is symmetric (asymmetric traffic factors can
@@ -197,12 +164,6 @@ struct MetricState {
 pub struct TrafficApplied {
     /// The metric epoch now in effect (stamped on new cache entries).
     pub epoch: u64,
-    /// `true` when the CH backend was repaired by a customization pass;
-    /// `false` on the ALT backend, after a repair fallback — or when a
-    /// fully free-flow model reinstated the retained build-time hierarchy
-    /// instead (no pass needed; the witness-pruned hierarchy is both exact
-    /// and faster than any customized one).
-    pub ch_repaired: bool,
     /// Arcs above free flow in the applied model.
     pub congested_arcs: usize,
     /// Largest factor in the applied model.
@@ -278,13 +239,6 @@ pub struct DistanceOracle {
     net: Arc<RoadNetwork>,
     grid: Arc<GridIndex>,
     landmarks: Option<Arc<LandmarkIndex>>,
-    /// The build-time (witness-pruned) hierarchy over the base metric,
-    /// retained so a fully free-flow traffic model can reinstate it — it
-    /// answers queries ~an order of magnitude faster than the repair
-    /// topology's customized hierarchy.
-    base_ch: Option<Arc<ContractionHierarchy>>,
-    /// The backend the caller asked for (repair decisions key off this).
-    requested_backend: DistanceBackend,
     /// The metric exact queries currently run on (epoch-swapped).
     metric: Arc<RwLock<MetricState>>,
     /// Lock-free mirror of the metric epoch for cache staleness checks.
@@ -292,13 +246,6 @@ pub struct DistanceOracle {
     /// Lock-free mirror of the current metric's undirectedness for
     /// canonical cache folding.
     metric_undirected: Arc<AtomicBool>,
-    /// Lazily-built CH repair topology (`None` inside = repair impossible,
-    /// reason recorded in `fallback`).
-    cch: Arc<OnceLock<Option<Arc<CchTopology>>>>,
-    /// Why the oracle is not running the backend it was asked for (CH
-    /// construction failure at build time, or repair-topology failure at
-    /// the first traffic epoch). `None` while requested == effective.
-    fallback: Arc<RwLock<Option<String>>>,
     cache: Arc<Vec<Shard>>,
     /// Per-shard entry cap for clock eviction; `usize::MAX` disables it.
     shard_capacity: usize,
@@ -308,8 +255,6 @@ pub struct DistanceOracle {
     evictions: Arc<AtomicU64>,
     /// Traffic epochs applied (equals the current metric epoch).
     traffic_epochs: Arc<AtomicU64>,
-    /// CH customization passes run by [`Self::apply_traffic`].
-    ch_customizations: Arc<AtomicU64>,
 }
 
 impl DistanceOracle {
@@ -320,19 +265,14 @@ impl DistanceOracle {
         DistanceOracle {
             metric: Arc::new(RwLock::new(MetricState {
                 net: Arc::clone(&net),
-                ch: None,
                 epoch: 0,
                 undirected,
             })),
             net,
             grid,
             landmarks: None,
-            base_ch: None,
-            requested_backend: DistanceBackend::Alt,
             epoch: Arc::new(AtomicU64::new(0)),
             metric_undirected: Arc::new(AtomicBool::new(undirected)),
-            cch: Arc::new(OnceLock::new()),
-            fallback: Arc::new(RwLock::new(None)),
             cache: Arc::new(
                 (0..num_cache_shards())
                     .map(|_| RwLock::new(HashMap::new()))
@@ -344,7 +284,6 @@ impl DistanceOracle {
             lower_bound_queries: Arc::new(AtomicU64::new(0)),
             evictions: Arc::new(AtomicU64::new(0)),
             traffic_epochs: Arc::new(AtomicU64::new(0)),
-            ch_customizations: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -362,74 +301,6 @@ impl DistanceOracle {
         oracle
     }
 
-    /// Creates an oracle with an explicit exact backend. Landmarks remain
-    /// optional and, when present, tighten [`Self::lower_bound`] regardless
-    /// of the backend.
-    ///
-    /// Requesting [`DistanceBackend::Ch`] builds the hierarchy here; if
-    /// construction fails (see [`crate::ChBuildError`]) the oracle **falls
-    /// back to ALT** instead of panicking — [`Self::backend`] reports what
-    /// is actually in use.
-    pub fn with_backend(
-        net: Arc<RoadNetwork>,
-        grid: Arc<GridIndex>,
-        landmarks: Option<Arc<LandmarkIndex>>,
-        backend: DistanceBackend,
-    ) -> Self {
-        let mut oracle = Self::new(net, grid);
-        oracle.landmarks = landmarks;
-        oracle.requested_backend = backend;
-        if backend == DistanceBackend::Ch {
-            // Chaos hook: a fired fault point simulates the first build
-            // attempt failing transiently; the build below is the single
-            // retry (the schedule never fails two consecutive hits).
-            let _ = crate::fault::fail_point(crate::fault::ORACLE_BUILD);
-            match ContractionHierarchy::build(&oracle.net) {
-                Ok(ch) => {
-                    let ch = Arc::new(ch);
-                    oracle.base_ch = Some(Arc::clone(&ch));
-                    oracle.metric.write().ch = Some(ch);
-                }
-                Err(e) => {
-                    // Unsupported input for contraction (e.g. shortcut
-                    // blow-up): stay exact via the ALT backend, and leave
-                    // an observable trace instead of failing silently —
-                    // see `backend_fallback`.
-                    *oracle.fallback.write() =
-                        Some(format!("ch construction failed, serving via alt: {e}"));
-                }
-            }
-        }
-        oracle
-    }
-
-    /// Creates an oracle over a pre-built, shared contraction hierarchy —
-    /// the cheap path for many-engines-one-city harnesses, which build the
-    /// hierarchy once and hand every engine the same `Arc`.
-    pub fn with_contraction_hierarchy(
-        net: Arc<RoadNetwork>,
-        grid: Arc<GridIndex>,
-        landmarks: Option<Arc<LandmarkIndex>>,
-        ch: Arc<ContractionHierarchy>,
-    ) -> Self {
-        let mut oracle = Self::new(net, grid);
-        oracle.landmarks = landmarks;
-        oracle.requested_backend = DistanceBackend::Ch;
-        oracle.base_ch = Some(Arc::clone(&ch));
-        oracle.metric.write().ch = Some(ch);
-        oracle
-    }
-
-    /// Pre-seeds the CH repair topology (builder style, before sharing) —
-    /// the many-engines-one-city path for live traffic, mirroring
-    /// [`Self::with_contraction_hierarchy`]: build the topology once
-    /// (~seconds at city scale) and hand every oracle the same `Arc`
-    /// instead of paying the lazy build on each oracle's first epoch.
-    pub fn with_repair_topology(self, topology: Arc<crate::ch::CchTopology>) -> Self {
-        let _ = self.cch.set(Some(topology));
-        self
-    }
-
     /// Overrides the total cache capacity (entries across all shards).
     /// Eviction triggers per shard at `capacity / num_cache_shards()`;
     /// passing `usize::MAX` disables eviction entirely.
@@ -442,36 +313,9 @@ impl DistanceOracle {
         self
     }
 
-    /// The exact backend actually answering cache misses right now (may
-    /// differ from [`Self::requested_backend`] after a CH-construction
-    /// fallback, or after a traffic epoch the hierarchy could not be
-    /// repaired for — see [`Self::backend_fallback`] for why).
+    /// The exact backend answering cache misses.
     pub fn backend(&self) -> DistanceBackend {
-        if self.metric.read().ch.is_some() {
-            DistanceBackend::Ch
-        } else {
-            DistanceBackend::Alt
-        }
-    }
-
-    /// The backend this oracle was asked to run.
-    pub fn requested_backend(&self) -> DistanceBackend {
-        self.requested_backend
-    }
-
-    /// Why the effective backend differs from the requested one (`None`
-    /// while they agree): CH construction failure at build time, or a
-    /// repair-topology failure at the first traffic epoch. The perf report
-    /// surfaces this so a silent ALT fallback is visible in CI artifacts.
-    pub fn backend_fallback(&self) -> Option<String> {
-        self.fallback.read().clone()
-    }
-
-    /// The hierarchy currently answering CH-backend queries (the build-time
-    /// hierarchy at epoch 0, a customized one after a traffic epoch), if
-    /// this oracle runs the CH backend.
-    pub fn contraction_hierarchy(&self) -> Option<Arc<ContractionHierarchy>> {
-        self.metric.read().ch.clone()
+        DistanceBackend::Alt
     }
 
     /// Total cache capacity in entries (`usize::MAX` when unbounded).
@@ -501,11 +345,6 @@ impl DistanceOracle {
     /// The current traffic epoch (0 = build-time free-flow metric).
     pub fn traffic_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// CH customization passes run so far by [`Self::apply_traffic`].
-    pub fn ch_customizations(&self) -> u64 {
-        self.ch_customizations.load(Ordering::Relaxed)
     }
 
     /// The underlying grid index.
@@ -636,17 +475,8 @@ impl DistanceOracle {
     /// epoch's network.
     #[inline]
     fn snapshot_distance(&self, m: &MetricState, u: VertexId, v: VertexId) -> f64 {
-        match &m.ch {
-            Some(ch) => ch.distance(u, v),
-            None => astar::distance_with_landmarks(
-                &m.net,
-                u,
-                v,
-                Some(&self.grid),
-                self.landmarks.as_deref(),
-            )
-            .unwrap_or(f64::INFINITY),
-        }
+        astar::distance_with_landmarks(&m.net, u, v, Some(&self.grid), self.landmarks.as_deref())
+            .unwrap_or(f64::INFINITY)
     }
 
     /// Exact distance folded in canonical direction under the current
@@ -707,9 +537,8 @@ impl DistanceOracle {
         }
         match missing.len() {
             0 => {}
-            // For a few scattered misses, point queries (goal-directed ALT
-            // search or a CH upward query) beat a batch whose cost is
-            // dominated by setup.
+            // For a few scattered misses, goal-directed ALT point queries
+            // beat a batch whose cost is dominated by setup.
             1..=3 => {
                 let m = self.metric.read();
                 let epoch = m.epoch;
@@ -736,44 +565,13 @@ impl DistanceOracle {
                 self.exact_computations.fetch_add(1, Ordering::Relaxed);
                 let m = self.metric.read();
                 let epoch = m.epoch;
-                let undirected = m.undirected;
-                let ds: Vec<f64> = match &m.ch {
-                    // CH many-to-many bucket query: k backward upward
-                    // searches plus one forward — independent of the
-                    // geometric spread of the targets. On undirected
-                    // networks, targets below the source (whose canonical
-                    // fold runs the other way) are answered by canonical-
-                    // direction point queries instead; CH point queries are
-                    // microsecond-scale, so the batch still wins.
-                    Some(ch) => {
-                        if undirected {
-                            let fwd: Vec<VertexId> =
-                                missing.iter().copied().filter(|&t| source < t).collect();
-                            let mut fwd_ds = ch.distances_from(source, &fwd).into_iter();
-                            missing
-                                .iter()
-                                .map(|&t| {
-                                    if source < t {
-                                        fwd_ds.next().expect("one batch answer per fwd target")
-                                    } else {
-                                        ch.distance(t, source)
-                                    }
-                                })
-                                .collect()
-                        } else {
-                            ch.distances_from(source, &missing)
-                        }
-                    }
-                    // ALT: one bounded multi-target Dijkstra ball on the
-                    // metric network, folded in canonical direction on
-                    // undirected metrics.
-                    None => {
-                        if undirected {
-                            dijkstra::multi_target_canonical(&m.net, source, &missing)
-                        } else {
-                            dijkstra::multi_target(&m.net, source, &missing)
-                        }
-                    }
+                // One bounded multi-target Dijkstra ball on the metric
+                // network, folded in canonical direction on undirected
+                // metrics.
+                let ds = if m.undirected {
+                    dijkstra::multi_target_canonical(&m.net, source, &missing)
+                } else {
+                    dijkstra::multi_target(&m.net, source, &missing)
                 };
                 drop(m);
                 for ((&i, &t), d) in missing_idx.iter().zip(missing.iter()).zip(ds) {
@@ -837,11 +635,9 @@ impl DistanceOracle {
         self.metric_undirected.load(Ordering::Relaxed)
     }
 
-    /// Applies a traffic model: swaps in the scaled metric network, repairs
-    /// the CH backend (customization pass over the repair topology — built
-    /// lazily on the first epoch — with an ALT fallback when the graph
-    /// cannot be repaired), and bumps the metric epoch, which lazily
-    /// invalidates every cache shard without a stop-the-world clear.
+    /// Applies a traffic model: swaps in the scaled metric network and
+    /// bumps the metric epoch, which lazily invalidates every cache shard
+    /// without a stop-the-world clear.
     ///
     /// Epoch swaps are not linearizable with in-flight exact queries; see
     /// the module docs. The engine-level `apply_traffic_update` wrappers
@@ -853,59 +649,22 @@ impl DistanceOracle {
     pub fn apply_traffic(&self, model: &TrafficModel) -> TrafficApplied {
         // A fully free-flow model scales every weight by exactly 1.0, so
         // the metric is bit-identical to the base network: reinstate the
-        // base `Arc` and the retained build-time hierarchy (which answers
-        // queries ~an order of magnitude faster than a customized one)
-        // instead of re-deriving both. The epoch still bumps — cached
-        // entries hold previous-epoch traffic values.
-        let free_flow = model.congested_arcs() == 0;
-        // One shared weight vector per congested epoch: the metric network
-        // and the customized hierarchy fold the very same products, which
-        // is what makes unpacked CH sums bit-identical to Dijkstra.
-        let scaled = (!free_flow).then(|| model.scaled_weights(&self.net));
-        let metric_net = match &scaled {
-            None => {
-                debug_assert_eq!(model.num_arcs(), self.net.num_directed_edges());
-                Arc::clone(&self.net)
-            }
-            Some(scaled) => Arc::new(
-                self.net
-                    .with_metric(scaled.clone())
-                    .expect("scaled weights are finite, non-negative and length-checked"),
-            ),
-        };
-        let mut ch_repaired = false;
-        let new_ch = if self.requested_backend != DistanceBackend::Ch {
-            None
-        } else if free_flow && self.base_ch.is_some() {
-            self.base_ch.clone()
+        // base `Arc` instead of re-deriving it. The epoch still bumps —
+        // cached entries hold previous-epoch traffic values.
+        let metric_net = if model.congested_arcs() == 0 {
+            debug_assert_eq!(model.num_arcs(), self.net.num_directed_edges());
+            Arc::clone(&self.net)
         } else {
-            self.repair_topology().map(|topo| {
-                // Chaos hook: a fired fault point simulates a transiently
-                // failed customization pass; the pass below is the retry.
-                let _ = crate::fault::fail_point(crate::fault::CCH_CUSTOMIZE);
-                let weights = match &scaled {
-                    Some(scaled) => topo.customize(scaled),
-                    // Free flow without a retained build-time hierarchy
-                    // (construction failed but repair works): customize on
-                    // the base weights.
-                    None => topo.customize(&model.scaled_weights(&self.net)),
-                };
-                self.ch_customizations.fetch_add(1, Ordering::Relaxed);
-                ch_repaired = true;
-                Arc::new(weights)
-            })
+            Arc::new(
+                self.net
+                    .with_metric(model.scaled_weights(&self.net))
+                    .expect("scaled weights are finite, non-negative and length-checked"),
+            )
         };
-        if new_ch.is_some() {
-            // The effective backend matches the requested one again; any
-            // fallback reason recorded earlier no longer describes the
-            // oracle's state.
-            *self.fallback.write() = None;
-        }
         let undirected = metric_net.is_undirected();
         let epoch = {
             let mut state = self.metric.write();
             state.net = metric_net;
-            state.ch = new_ch;
             state.epoch += 1;
             state.undirected = undirected;
             // The lock-free mirrors are refreshed while the write guard is
@@ -918,31 +677,9 @@ impl DistanceOracle {
         self.traffic_epochs.fetch_add(1, Ordering::Relaxed);
         TrafficApplied {
             epoch,
-            ch_repaired,
             congested_arcs: model.congested_arcs(),
             max_factor: model.max_factor(),
         }
-    }
-
-    /// The lazily-built CH repair topology, or `None` (with the reason
-    /// recorded for [`Self::backend_fallback`]) when repair is impossible —
-    /// i.e. witness-free min-degree contraction would blow the shortcut
-    /// budget. Independent of the witness hierarchy: the topology carries
-    /// its own fill-in-reducing order, so even an oracle whose build-time
-    /// CH construction failed can serve traffic epochs on a repaired
-    /// hierarchy when the graph admits one.
-    fn repair_topology(&self) -> Option<&Arc<CchTopology>> {
-        self.cch
-            .get_or_init(|| match CchTopology::build(&self.net) {
-                Ok(topo) => Some(Arc::new(topo)),
-                Err(e) => {
-                    *self.fallback.write() = Some(format!(
-                        "ch repair topology failed, traffic epochs served via alt: {e}"
-                    ));
-                    None
-                }
-            })
-            .as_ref()
     }
 
     /// Cheap lower bound on the shortest-path distance (never exceeds
@@ -950,15 +687,6 @@ impl DistanceOracle {
     /// bound, the Euclidean bound and — when available — the ALT landmark
     /// bound, shaved by [`LOWER_BOUND_HAIRCUT`], or returns the cached exact
     /// value outright.
-    ///
-    /// On the CH backend a settle-capped upward query
-    /// ([`ContractionHierarchy::bounded_distance`]) joins the maximum:
-    /// pairs whose upward search spaces fit under the cap are answered
-    /// **exactly** (and seed the cache, so a later [`Self::distance`] on
-    /// the pair is a hit), and truncated searches contribute an admissible
-    /// bound computed on the *current traffic metric* — tighter than the
-    /// base-metric grid/landmark bounds wherever congestion has grown the
-    /// true distance.
     pub fn lower_bound(&self, u: VertexId, v: VertexId) -> f64 {
         self.lower_bound_queries.fetch_add(1, Ordering::Relaxed);
         if u == v {
@@ -968,17 +696,6 @@ impl DistanceOracle {
             return d;
         }
         let mut lb = 0.0f64;
-        if self.requested_backend == DistanceBackend::Ch {
-            if let Some((bounded, epoch)) = self.ch_bounded_canonical(u, v) {
-                match bounded {
-                    Bounded::Exact(d) => {
-                        self.store(u, v, d, epoch);
-                        return d;
-                    }
-                    Bounded::AtLeast(b) => lb = b,
-                }
-            }
-        }
         // The grid tables assume symmetric distances (forward border
         // searches only); on directed networks fall back to the Euclidean
         // bound, which is admissible in both directions.
@@ -997,24 +714,6 @@ impl DistanceOracle {
             }
         }
         lb * LOWER_BOUND_HAIRCUT
-    }
-
-    /// Runs the settle-capped CH query for [`Self::lower_bound`] in
-    /// canonical fold direction (so an exact answer is cache-storable),
-    /// returning it with the epoch to stamp. `None` off the CH backend or
-    /// while the hierarchy is unavailable (construction/repair fallback).
-    #[inline]
-    fn ch_bounded_canonical(&self, u: VertexId, v: VertexId) -> Option<(Bounded, u64)> {
-        let m = self.metric.read();
-        let ch = m.ch.as_ref()?;
-        // On undirected metrics the value for (v, u) equals (u, v), so
-        // querying the canonical direction loses nothing.
-        let (a, b) = if v < u && m.undirected {
-            (v, u)
-        } else {
-            (u, v)
-        };
-        Some((ch.bounded_distance(a, b, LOWER_BOUND_SETTLE_CAP), m.epoch))
     }
 
     /// Lower bound from a vertex to the closest vertex of a grid cell.
@@ -1271,58 +970,6 @@ mod tests {
         assert_eq!(o.lower_bound_queries(), 0);
     }
 
-    fn lattice_oracle_with_backend(backend: DistanceBackend) -> DistanceOracle {
-        let base = lattice_oracle(false);
-        DistanceOracle::with_backend(base.network_arc(), base.grid_arc(), None, backend)
-    }
-
-    #[test]
-    fn ch_backend_matches_alt_backend() {
-        let alt = lattice_oracle_with_backend(DistanceBackend::Alt);
-        let ch = lattice_oracle_with_backend(DistanceBackend::Ch);
-        assert_eq!(alt.backend(), DistanceBackend::Alt);
-        assert_eq!(ch.backend(), DistanceBackend::Ch);
-        assert!(ch.contraction_hierarchy().is_some());
-        for u in 0..25u32 {
-            for v in 0..25u32 {
-                let a = alt.distance(VertexId(u), VertexId(v));
-                let c = ch.distance(VertexId(u), VertexId(v));
-                assert!((a - c).abs() < 1e-6, "{u}->{v}: alt {a} vs ch {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn ch_backend_batches_through_buckets() {
-        let ch = lattice_oracle_with_backend(DistanceBackend::Ch);
-        let reference = lattice_oracle(false);
-        let source = VertexId(3);
-        let targets: Vec<VertexId> = (0..25).map(VertexId).collect();
-        let batch = ch.distances_from(source, &targets);
-        for (t, d) in targets.iter().zip(&batch) {
-            assert_eq!(*d, reference.distance(source, *t), "target {t}");
-        }
-        // The whole batch is one exact computation, like the ALT path.
-        assert_eq!(ch.exact_computations(), 1);
-    }
-
-    #[test]
-    fn ch_backend_is_exact_on_directed_networks() {
-        let mut b = RoadNetworkBuilder::new();
-        let v0 = b.add_vertex(0.0, 0.0);
-        let v1 = b.add_vertex(100.0, 0.0);
-        let v2 = b.add_vertex(50.0, 100.0);
-        b.add_directed_edge(v0, v1, 10.0);
-        b.add_bidirectional_edge(v0, v2, 300.0);
-        b.add_bidirectional_edge(v2, v1, 300.0);
-        let net = Arc::new(b.build().unwrap());
-        let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(2, 2)));
-        let o = DistanceOracle::with_backend(net, grid, None, DistanceBackend::Ch);
-        assert_eq!(o.backend(), DistanceBackend::Ch);
-        assert_eq!(o.distance(v0, v1), 10.0);
-        assert_eq!(o.distance(v1, v0), 600.0);
-    }
-
     #[test]
     fn eviction_bounds_the_cache() {
         // One entry per shard; 600 distinct pairs overflow immediately.
@@ -1387,51 +1034,37 @@ mod tests {
 
     #[test]
     fn traffic_epoch_invalidates_cached_distances_lazily() {
-        for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
-            let o = lattice_oracle_with_backend(backend);
-            let (u, v) = (VertexId(0), VertexId(24));
-            assert_eq!(o.traffic_epoch(), 0);
-            let base = o.distance(u, v);
-            assert_eq!(base, 800.0);
-            assert_eq!(o.exact_computations(), 1);
-            assert!(o.cache_len() > 0, "the base answer is cached");
+        let o = oracle();
+        let (u, v) = (VertexId(0), VertexId(24));
+        assert_eq!(o.traffic_epoch(), 0);
+        let base = o.distance(u, v);
+        assert_eq!(base, 800.0);
+        assert_eq!(o.exact_computations(), 1);
+        assert!(o.cache_len() > 0, "the base answer is cached");
 
-            // Congest everything 2x: the cached entry must become invisible
-            // without a clear, and the fresh answer reflects the new metric.
-            let model = TrafficModel::uniform(o.network(), 2.0);
-            let applied = o.apply_traffic(&model);
-            assert_eq!(applied.epoch, 1);
-            assert_eq!(o.traffic_epoch(), 1);
-            assert_eq!(applied.ch_repaired, backend == DistanceBackend::Ch);
-            assert_eq!(o.backend(), backend, "backend survives the epoch");
-            let congested = o.distance(u, v);
-            assert_eq!(congested, 1600.0, "backend {backend}");
-            assert_eq!(o.exact_computations(), 2, "stale entry must not hit");
+        // Congest everything 2x: the cached entry must become invisible
+        // without a clear, and the fresh answer reflects the new metric.
+        let model = TrafficModel::uniform(o.network(), 2.0);
+        let applied = o.apply_traffic(&model);
+        assert_eq!(applied.epoch, 1);
+        assert_eq!(o.traffic_epoch(), 1);
+        assert_eq!(o.distance(u, v), 1600.0);
+        assert_eq!(o.exact_computations(), 2, "stale entry must not hit");
 
-            // Back to free flow: values return to the base bits, the base
-            // network `Arc` is reinstated, and on the CH backend the
-            // retained build-time hierarchy comes back without another
-            // customization pass.
-            let applied = o.apply_traffic(&TrafficModel::free_flow(o.network()));
-            assert_eq!(applied.epoch, 2);
-            assert!(!applied.ch_repaired, "free flow reinstates, not repairs");
-            assert!(Arc::ptr_eq(&o.metric_network(), &o.network_arc()));
-            assert_eq!(o.distance(u, v).to_bits(), base.to_bits());
-            assert_eq!(o.backend(), backend);
-            if backend == DistanceBackend::Ch {
-                assert_eq!(o.ch_customizations(), 1, "only the congested epoch");
-                assert!(o.backend_fallback().is_none());
-            }
-        }
+        // Back to free flow: values return to the base bits and the base
+        // network `Arc` is reinstated.
+        let applied = o.apply_traffic(&TrafficModel::free_flow(o.network()));
+        assert_eq!(applied.epoch, 2);
+        assert!(Arc::ptr_eq(&o.metric_network(), &o.network_arc()));
+        assert_eq!(o.distance(u, v).to_bits(), base.to_bits());
     }
 
     #[test]
     fn traffic_batches_and_bounds_stay_consistent() {
-        let o = lattice_oracle_with_backend(DistanceBackend::Ch);
+        let o = lattice_oracle(true);
         let mut model = TrafficModel::free_flow(o.network());
-        // Congest a horizontal corridor asymmetrically strong enough to
-        // reroute paths, but keep it symmetric so the metric stays
-        // undirected.
+        // Congest a horizontal corridor strongly enough to reroute paths,
+        // but keep it symmetric so the metric stays undirected.
         for u in 0..4u32 {
             model.set_segment_factor(o.network(), VertexId(u), VertexId(u + 1), 5.0);
         }
@@ -1439,29 +1072,21 @@ mod tests {
         let metric = o.metric_network();
         let targets: Vec<VertexId> = (0..25).map(VertexId).collect();
         for source in [VertexId(0), VertexId(7), VertexId(24)] {
-            let batch = o.distances_from(source, &targets);
-            for (t, d) in targets.iter().zip(&batch) {
+            for t in &targets {
                 let exact = crate::dijkstra::distance(&metric, source, *t).unwrap_or(f64::INFINITY);
-                assert_eq!(d.to_bits(), exact.to_bits(), "{source}->{t}");
+                // Bound first: a cached pair would return its exact value.
                 let lb = o.lower_bound(source, *t);
                 assert!(
                     lb <= exact + 1e-9,
                     "lb {lb} > exact {exact} ({source}->{t})"
                 );
             }
+            let batch = o.distances_from(source, &targets);
+            for (t, d) in targets.iter().zip(&batch) {
+                let exact = crate::dijkstra::distance(&metric, source, *t).unwrap_or(f64::INFINITY);
+                assert_eq!(d.to_bits(), exact.to_bits(), "{source}->{t}");
+            }
         }
-    }
-
-    #[test]
-    fn alt_requested_oracle_reports_no_fallback() {
-        let o = lattice_oracle_with_backend(DistanceBackend::Alt);
-        assert_eq!(o.requested_backend(), DistanceBackend::Alt);
-        assert_eq!(o.backend(), DistanceBackend::Alt);
-        assert!(o.backend_fallback().is_none());
-        // Traffic on the ALT backend never claims a repair.
-        let applied = o.apply_traffic(&TrafficModel::uniform(o.network(), 1.5));
-        assert!(!applied.ch_repaired);
-        assert_eq!(o.ch_customizations(), 0);
     }
 
     /// A 6×6 lattice with irregular weights, so fold order shows in the

@@ -234,31 +234,15 @@ impl SearchScratch {
     pub fn pop(&mut self) -> Option<(f64, VertexId)> {
         self.frontier.pop()
     }
-
-    /// Smallest key currently on the frontier, without popping it. Drives
-    /// the alternation and termination tests of bidirectional searches
-    /// (e.g. the contraction-hierarchy upward query).
-    #[inline]
-    pub fn peek(&self) -> Option<(f64, VertexId)> {
-        self.frontier.peek()
-    }
 }
 
 thread_local! {
     static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
-    /// Second scratch for the contraction hierarchy's bidirectional
-    /// queries, which need two independent labellings at once.
-    static SCRATCH_B: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
 }
 
-/// Runs `f` with this thread's primary scratch buffer.
+/// Runs `f` with this thread's scratch buffer.
 pub fn with_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// Runs `f` with both of this thread's scratch buffers.
-pub fn with_scratch_pair<R>(f: impl FnOnce(&mut SearchScratch, &mut SearchScratch) -> R) -> R {
-    SCRATCH.with(|a| SCRATCH_B.with(|b| f(&mut a.borrow_mut(), &mut b.borrow_mut())))
 }
 
 #[cfg(test)]

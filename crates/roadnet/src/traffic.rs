@@ -29,8 +29,7 @@
 //! [`TrafficModel::version`]) and hand it to
 //! [`crate::DistanceOracle::apply_traffic`] — or the engine-level
 //! `apply_traffic_update` entry points — which scale the weights, swap the
-//! metric in, repair the contraction hierarchy and invalidate the memo
-//! cache under a fresh epoch.
+//! metric in and invalidate the memo cache under a fresh epoch.
 
 use crate::graph::RoadNetwork;
 use crate::types::VertexId;
@@ -194,9 +193,9 @@ impl TrafficModel {
     }
 
     /// The scaled per-arc weights `base_weight[i] * factor[i]` — the metric
-    /// the oracle swaps in via [`RoadNetwork::with_metric`]. The exact same
-    /// products feed CH customization, so unpacked CH sums and Dijkstra
-    /// relaxations fold bit-identical weights.
+    /// the oracle swaps in via [`RoadNetwork::with_metric`]. A fresh network
+    /// built over the same products answers bit-identically to the swapped
+    /// metric.
     ///
     /// # Panics
     /// Panics if the model was built for a network with a different arc

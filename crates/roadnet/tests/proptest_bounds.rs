@@ -138,13 +138,12 @@ proptest! {
             ..CityConfig::default()
         }));
         let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(cells, cells)));
-        let landmarks = (landmarks > 0).then(|| Arc::new(LandmarkIndex::build_auto(&net, landmarks)));
-        let bounds = DistanceOracle::with_backend(
-            Arc::clone(&net),
-            Arc::clone(&grid),
-            landmarks,
-            Default::default(),
-        );
+        let bounds = if landmarks > 0 {
+            let landmarks = Arc::new(LandmarkIndex::build_auto(&net, landmarks));
+            DistanceOracle::with_landmarks(Arc::clone(&net), Arc::clone(&grid), landmarks)
+        } else {
+            DistanceOracle::new(Arc::clone(&net), Arc::clone(&grid))
+        };
         // Exact values from a second oracle, so `bounds` never caches a pair
         // and every bound below is a cold-cache bound.
         let exact = DistanceOracle::new(Arc::clone(&net), grid);

@@ -1,14 +1,13 @@
 //! Property tests for the live-traffic subsystem: after each epoch of a
-//! random traffic-factor sequence, customized-CH distances are bit-identical
-//! to Dijkstra on the updated metric (directed *and* undirected networks),
-//! the oracle serves the updated metric through both backends with its
-//! epoch-stamped cache, and every base-metric lower bound stays admissible
-//! under congestion.
+//! random traffic-factor sequence, the oracle's point queries and batches
+//! are bit-identical to Dijkstra on the updated metric (directed *and*
+//! undirected networks) through its epoch-stamped cache, and every
+//! base-metric lower bound stays admissible under congestion.
 
 use proptest::prelude::*;
 use ptrider_roadnet::{
-    dijkstra, CchTopology, DistanceBackend, DistanceOracle, GridConfig, GridIndex, LandmarkIndex,
-    RoadNetwork, RoadNetworkBuilder, TrafficModel, VertexId,
+    dijkstra, DistanceOracle, GridConfig, GridIndex, LandmarkIndex, RoadNetwork,
+    RoadNetworkBuilder, TrafficModel, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -73,105 +72,101 @@ fn random_epoch(net: &RoadNetwork, model: &mut TrafficModel, rng: &mut ChaCha8Rn
     model.scaled_weights(net)
 }
 
+/// Dijkstra on `metric` in the direction the oracle folds `u → v`:
+/// undirected answers are folded from the smaller vertex id.
+fn reference(metric: &RoadNetwork, u: VertexId, v: VertexId) -> f64 {
+    let (a, b) = if metric.is_undirected() && v < u {
+        (v, u)
+    } else {
+        (u, v)
+    };
+    dijkstra::distance(metric, a, b).unwrap_or(f64::INFINITY)
+}
+
+fn same_bits(got: f64, exact: f64) -> bool {
+    got.to_bits() == exact.to_bits() || (got.is_infinite() && exact.is_infinite())
+}
+
+fn landmark_oracle(net: &Arc<RoadNetwork>) -> DistanceOracle {
+    let grid = Arc::new(GridIndex::build(net, GridConfig::with_dimensions(2, 2)));
+    let landmarks = Arc::new(LandmarkIndex::build_auto(net, 4));
+    DistanceOracle::with_landmarks(Arc::clone(net), grid, landmarks)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Acceptance property: after each epoch of a random traffic sequence,
-    /// the customized hierarchy answers bit-for-bit what Dijkstra answers
-    /// on the re-weighted network — undirected and directed.
+    /// every point query answers bit-for-bit what Dijkstra answers on the
+    /// re-weighted network — undirected and directed.
     #[test]
-    fn customized_ch_is_bit_identical_to_dijkstra_per_epoch(
+    fn point_queries_are_bit_identical_to_dijkstra_per_epoch(
         seed in 0u64..600,
         side in 4usize..6,
         one_way in 0usize..5,
         epochs in 1usize..4,
     ) {
-        let net = random_network(side, one_way, seed);
-        let topo = CchTopology::build(&net).unwrap();
+        let net = Arc::new(random_network(side, one_way, seed));
+        let oracle = landmark_oracle(&net);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7aff1c);
         let mut model = TrafficModel::free_flow(&net);
         for _ in 0..epochs {
             let scaled = random_epoch(&net, &mut model, &mut rng);
-            let metric = net.with_metric(scaled.clone()).unwrap();
-            let custom = topo.customize(&scaled);
+            let metric = net.with_metric(scaled).unwrap();
+            oracle.apply_traffic(&model);
             for u in net.vertices() {
                 for v in net.vertices() {
-                    let exact = dijkstra::distance(&metric, u, v).unwrap_or(f64::INFINITY);
-                    let got = custom.distance(u, v);
+                    let exact = reference(&metric, u, v);
+                    let got = oracle.distance(u, v);
                     prop_assert!(
-                        got.to_bits() == exact.to_bits()
-                            || (got.is_infinite() && exact.is_infinite()),
-                        "{u}->{v}: customized {got} vs dijkstra {exact} (seed {seed})"
+                        same_bits(got, exact),
+                        "{u}->{v}: oracle {got} vs dijkstra {exact} (seed {seed})"
                     );
                 }
             }
         }
     }
 
-    /// The oracle under traffic: both backends serve the updated metric
-    /// exactly through the epoch-stamped cache, and the base-metric lower
-    /// bounds remain admissible after every epoch.
+    /// The oracle's batches under traffic serve the updated metric exactly
+    /// through the epoch-stamped cache, and the base-metric lower bounds
+    /// remain admissible after every epoch.
     #[test]
-    fn oracle_serves_updated_metric_exactly_on_both_backends(
+    fn batches_serve_the_updated_metric_and_bounds_stay_admissible(
         seed in 0u64..400,
         one_way in 0usize..4,
         epochs in 1usize..4,
     ) {
         let net = Arc::new(random_network(4, one_way, seed));
-        let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(2, 2)));
-        let landmarks = Arc::new(LandmarkIndex::build_auto(&net, 4));
-        let oracles = [
-            DistanceOracle::with_backend(
-                Arc::clone(&net), Arc::clone(&grid), Some(Arc::clone(&landmarks)),
-                DistanceBackend::Alt,
-            ),
-            DistanceOracle::with_backend(
-                Arc::clone(&net), Arc::clone(&grid), Some(Arc::clone(&landmarks)),
-                DistanceBackend::Ch,
-            ),
-        ];
+        let oracle = landmark_oracle(&net);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0e13);
         let mut model = TrafficModel::free_flow(&net);
-        // Warm the caches on the base metric so staleness is actually
+        // Warm the cache on the base metric so staleness is actually
         // exercised by the epochs below.
-        for o in &oracles {
-            for u in net.vertices() {
-                let _ = o.distance(u, VertexId(0));
-            }
+        for u in net.vertices() {
+            let _ = oracle.distance(u, VertexId(0));
         }
         for _ in 0..epochs {
             let scaled = random_epoch(&net, &mut model, &mut rng);
             let metric = net.with_metric(scaled).unwrap();
-            for o in &oracles {
-                o.apply_traffic(&model);
-            }
+            oracle.apply_traffic(&model);
             let targets: Vec<VertexId> = net.vertices().collect();
             for u in net.vertices() {
-                for o in &oracles {
-                    let batch = o.distances_from(u, &targets);
-                    for (v, got) in targets.iter().zip(batch) {
-                        // The oracle folds undirected answers in canonical
-                        // direction (smaller vertex id first), so the
-                        // bit-level reference must run the same way.
-                        let (a, b) = if metric.is_undirected() && *v < u {
-                            (*v, u)
-                        } else {
-                            (u, *v)
-                        };
-                        let exact =
-                            dijkstra::distance(&metric, a, b).unwrap_or(f64::INFINITY);
-                        prop_assert!(
-                            got.to_bits() == exact.to_bits()
-                                || (got.is_infinite() && exact.is_infinite()),
-                            "{u}->{v}: oracle({:?}) {got} vs dijkstra {exact}",
-                            o.backend()
-                        );
-                        let lb = o.lower_bound(u, *v);
-                        prop_assert!(
-                            lb <= exact + 1e-9,
-                            "lb {lb} > exact {exact} under traffic ({u}->{v})"
-                        );
-                    }
+                // Bounds first: once a pair is cached the bound is exact.
+                for v in &targets {
+                    let exact = reference(&metric, u, *v);
+                    let lb = oracle.lower_bound(u, *v);
+                    prop_assert!(
+                        lb <= exact + 1e-9,
+                        "lb {lb} > exact {exact} under traffic ({u}->{v})"
+                    );
+                }
+                let batch = oracle.distances_from(u, &targets);
+                for (v, got) in targets.iter().zip(batch) {
+                    let exact = reference(&metric, u, *v);
+                    prop_assert!(
+                        same_bits(got, exact),
+                        "{u}->{v}: batch {got} vs dijkstra {exact}"
+                    );
                 }
             }
         }
@@ -179,51 +174,36 @@ proptest! {
 }
 
 /// Deterministic regression: a long alternating congest/relax sequence
-/// keeps the two backends bit-identical to each other (the `tests/`-level
-/// skyline property rests on this pairwise agreement).
+/// keeps the oracle bit-identical to Dijkstra on each epoch's metric, and
+/// free-flow resets return the base bits.
 #[test]
-fn backends_agree_bit_for_bit_across_a_long_epoch_sequence() {
+fn a_long_epoch_sequence_stays_bit_identical_to_dijkstra() {
     let net = Arc::new(random_network(5, 3, 99));
     let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(2, 2)));
-    let alt = DistanceOracle::with_backend(
-        Arc::clone(&net),
-        Arc::clone(&grid),
-        None,
-        DistanceBackend::Alt,
-    );
-    let ch = DistanceOracle::with_backend(
-        Arc::clone(&net),
-        Arc::clone(&grid),
-        None,
-        DistanceBackend::Ch,
-    );
-    assert_eq!(ch.backend(), DistanceBackend::Ch);
+    let oracle = DistanceOracle::new(Arc::clone(&net), grid);
     let mut rng = ChaCha8Rng::seed_from_u64(4242);
     let mut model = TrafficModel::free_flow(&net);
-    let mut expected_customizations = 0u64;
     for round in 0..10 {
         if round % 3 == 2 {
-            // Free-flow resets reinstate the retained build-time hierarchy
-            // instead of running a customization pass.
             model.reset();
         } else {
             let _ = random_epoch(&net, &mut model, &mut rng);
-            expected_customizations += 1;
         }
-        alt.apply_traffic(&model);
-        ch.apply_traffic(&model);
+        oracle.apply_traffic(&model);
+        let metric = oracle.metric_network();
+        if round % 3 == 2 {
+            assert!(Arc::ptr_eq(&metric, &net), "free flow reinstates the base");
+        }
         for u in net.vertices() {
             for v in net.vertices() {
-                let a = alt.distance(u, v);
-                let c = ch.distance(u, v);
+                let got = oracle.distance(u, v);
+                let exact = reference(&metric, u, v);
                 assert!(
-                    a.to_bits() == c.to_bits() || (a.is_infinite() && c.is_infinite()),
-                    "round {round}: {u}->{v} alt {a} vs ch {c}"
+                    same_bits(got, exact),
+                    "round {round}: {u}->{v} oracle {got} vs dijkstra {exact}"
                 );
             }
         }
     }
-    assert_eq!(ch.ch_customizations(), expected_customizations);
-    assert_eq!(alt.traffic_epoch(), 10);
-    assert_eq!(ch.traffic_epoch(), 10);
+    assert_eq!(oracle.traffic_epoch(), 10);
 }

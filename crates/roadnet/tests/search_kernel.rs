@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use ptrider_roadnet::scratch::Frontier;
 use ptrider_roadnet::{
-    astar, dijkstra, ContractionHierarchy, DistanceOracle, GridConfig, GridIndex, LandmarkIndex,
-    OneToMany, RoadNetwork, RoadNetworkBuilder, VertexId, INFINITE_DISTANCE,
+    astar, dijkstra, DistanceOracle, GridConfig, GridIndex, LandmarkIndex, OneToMany, RoadNetwork,
+    RoadNetworkBuilder, VertexId, INFINITE_DISTANCE,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -277,29 +277,6 @@ fn alt_astar_matches_the_reference_bit_for_bit() {
                     got.map(f64::to_bits),
                     Some(dist[t.index()].to_bits()),
                     "{name} {s}->{t}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn ch_queries_match_the_reference_bit_for_bit() {
-    for (name, net, roots) in cases() {
-        let ch = ContractionHierarchy::build(&net).unwrap();
-        let all: Vec<VertexId> = net.vertices().collect();
-        for &root in &roots {
-            let r = dijkstra_reference(&net, root);
-            assert_eq!(
-                bits(&ch.distances_from(root, &all)),
-                bits(&r.0),
-                "{name} {root}"
-            );
-            for &t in all.iter().step_by(5) {
-                assert_eq!(
-                    ch.distance(root, t).to_bits(),
-                    r.0[t.index()].to_bits(),
-                    "{name} {root}->{t}"
                 );
             }
         }

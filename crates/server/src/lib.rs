@@ -58,6 +58,7 @@
 //!
 //! [`RideService`]: ptrider_core::RideService
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -126,14 +126,13 @@ pub fn render_event(event: &EngineEvent) -> (&'static str, String) {
         ),
         EngineEvent::TrafficUpdated {
             epoch,
-            ch_repaired,
             congested_arcs,
             max_factor,
             at,
         } => (
             "traffic_updated",
             format!(
-                "{{\"epoch\":{epoch},\"ch_repaired\":{ch_repaired},\"congested_arcs\":{congested_arcs},\"max_factor\":{},\"at\":{}}}",
+                "{{\"epoch\":{epoch},\"congested_arcs\":{congested_arcs},\"max_factor\":{},\"at\":{}}}",
                 json::num(*max_factor), json::num(*at)
             ),
         ),
@@ -363,7 +362,6 @@ mod tests {
             },
             EngineEvent::TrafficUpdated {
                 epoch: 2,
-                ch_repaired: true,
                 congested_arcs: 10,
                 max_factor: 2.5,
                 at: 3.0,

@@ -17,6 +17,7 @@
 //! * [`SimulationReport`] — the statistics panel of Fig. 4(c) in structured
 //!   form (average response time, sharing rate, served rate, …).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod choice;

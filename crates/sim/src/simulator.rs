@@ -38,7 +38,7 @@ pub struct TrafficSimConfig {
     pub profile: CongestionConfig,
     /// How often a fresh epoch is applied, in simulated seconds. Each
     /// application goes through [`RideService::apply_traffic_update`] —
-    /// metric swap, CH repair, cache invalidation — on the writer path.
+    /// metric swap and cache invalidation — on the writer path.
     pub period_secs: f64,
 }
 
@@ -47,8 +47,8 @@ impl Default for TrafficSimConfig {
         TrafficSimConfig {
             profile: CongestionConfig::default(),
             // One epoch per simulated 5 minutes: frequent enough that the
-            // factor curves stay faithful, coarse enough that the
-            // customization cost stays a rounding error of a step.
+            // factor curves stay faithful, coarse enough that the metric
+            // swap stays a rounding error of a step.
             period_secs: 300.0,
         }
     }
@@ -872,12 +872,12 @@ mod tests {
     }
 
     #[test]
-    fn congestion_mode_is_deterministic_and_repairs_ch() {
-        let run = |backend| {
+    fn congestion_mode_is_deterministic() {
+        let run = || {
             let workload = small_workload(41, 40, 8);
             let mut sim = Simulator::new(
                 workload,
-                EngineConfig::paper_defaults().with_distance_backend(backend),
+                EngineConfig::paper_defaults(),
                 SimConfig {
                     traffic: Some(TrafficSimConfig::default()),
                     ..sim_config(900.0)
@@ -886,21 +886,13 @@ mod tests {
             let report = sim.run();
             (report, sim.service().stats())
         };
-        let (alt_a, _) = run(ptrider_core::DistanceBackend::Alt);
-        let (alt_b, _) = run(ptrider_core::DistanceBackend::Alt);
-        assert_eq!(alt_a.assigned, alt_b.assigned);
-        assert_eq!(alt_a.completed, alt_b.completed);
-        assert!((alt_a.fleet_distance_m - alt_b.fleet_distance_m).abs() < 1e-6);
-
-        // The CH backend serves the same day through customization passes:
-        // every epoch repairs the hierarchy instead of rebuilding it, and
-        // the outcomes match the ALT backend (both are exact).
-        let (ch, ch_stats) = run(ptrider_core::DistanceBackend::Ch);
-        assert_eq!(ch_stats.ch_customizations, ch_stats.traffic_epochs);
-        assert!(ch_stats.traffic_epochs > 0);
-        assert_eq!(ch.assigned, alt_a.assigned);
-        assert_eq!(ch.completed, alt_a.completed);
-        assert_eq!(ch.shared_trips, alt_a.shared_trips);
+        let (a, stats) = run();
+        let (b, _) = run();
+        assert!(stats.traffic_epochs > 0);
+        assert_eq!(a.assigned, b.assigned);
+        assert_eq!(a.completed, b.completed);
+        assert_eq!(a.shared_trips, b.shared_trips);
+        assert!((a.fleet_distance_m - b.fleet_distance_m).abs() < 1e-6);
     }
 
     #[test]

@@ -6,14 +6,10 @@
 //! the engine plug in the memoising [`ptrider_roadnet::DistanceOracle`]
 //! (whose counters drive the pruning-effectiveness experiment).
 //!
-//! The oracle itself dispatches to one of several exact backends
-//! (`DistanceBackend::Alt` or `DistanceBackend::Ch`, selected through the
-//! engine config) — nothing in this crate knows or cares which. The one
-//! contract the kinetic tree relies on is that
+//! The one contract the kinetic tree relies on is that
 //! [`Distances::distances_from`] is the cheap entry point for same-source
-//! batches: the ALT backend answers it with one bounded multi-target
-//! Dijkstra, the CH backend with a many-to-many bucket query, and
-//! [`PrefetchedDistances`] leans on it to turn the `O(k²)` leg lookups of
+//! batches: the oracle answers it with one bounded multi-target Dijkstra,
+//! and [`PrefetchedDistances`] leans on it to turn the `O(k²)` leg lookups of
 //! schedule verification into `k` batched searches.
 
 use ptrider_roadnet::{DistanceOracle, VertexId};

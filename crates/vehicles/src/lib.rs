@@ -9,6 +9,7 @@
 //! structure of Huang et al. (Noah, SIGMOD'13) extended — as the paper
 //! describes — with per-node residual capacity, detour slack and `dist_tr`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distances;

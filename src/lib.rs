@@ -63,6 +63,7 @@
 //! `examples/wire_quickstart.rs` for a client-and-server walkthrough and
 //! DESIGN.md ("Network front door") for the threading and shedding model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Road-network substrate (re-export of `ptrider-roadnet`).
@@ -98,6 +99,5 @@ pub use ptrider_core::{
     TraceEvent,
 };
 pub use ptrider_roadnet::fault;
-pub use ptrider_roadnet::{CchTopology, ContractionHierarchy};
 pub use ptrider_server::{Server, ServerConfig, ServerHandle};
 pub use ptrider_sim::{ChoicePolicy, SimConfig, SimulationReport, Simulator, TrafficSimConfig};

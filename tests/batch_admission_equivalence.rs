@@ -2,7 +2,7 @@
 //! admission) produces **byte-identical** `BatchOutcome`s to the paper's
 //! sequential greedy admission (`submit_batch_sequential`) — across random
 //! cities, fleets, warm-up assignments and bursts; across runtime pool
-//! sizes {1, 2, 4}; and on both distance backends (`Alt` and `Ch`).
+//! sizes {1, 2, 4}.
 //!
 //! The two engines of each comparison are constructed identically and
 //! replay the same warm-up sequence, so they enter the burst in identical
@@ -16,9 +16,7 @@
 
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
-use ptrider::{
-    BatchOutcome, DistanceBackend, EngineConfig, GridConfig, MatcherKind, PtRider, VertexId,
-};
+use ptrider::{BatchOutcome, EngineConfig, GridConfig, MatcherKind, PtRider, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -123,14 +121,13 @@ fn run_scenario(
     num_vehicles: usize,
     warm_requests: usize,
     burst_size: usize,
-    backend: DistanceBackend,
 ) -> Result<(), TestCaseError> {
     let matcher = match seed % 3 {
         0 => MatcherKind::Naive,
         1 => MatcherKind::SingleSide,
         _ => MatcherKind::DualSide,
     };
-    let base = EngineConfig::paper_defaults().with_distance_backend(backend);
+    let base = EngineConfig::paper_defaults();
 
     let burst: Vec<(VertexId, VertexId, u32)> = TripGenerator::new(
         &synthetic_city(&CityConfig::tiny(seed)),
@@ -163,7 +160,7 @@ fn run_scenario(
             matcher,
         );
         let par = engine.submit_batch_greedy(&burst, 1_000.0, make_selector());
-        let label = format!("{backend:?} pool {pool_size} matcher {matcher}");
+        let label = format!("pool {pool_size} matcher {matcher}");
         assert_outcomes_identical(&seq, &par, &label)?;
 
         // The committed world states agree too: every vehicle carries the
@@ -203,21 +200,7 @@ proptest! {
         warm_requests in 0usize..6,
         burst_size in 1usize..10,
     ) {
-        run_scenario(seed, num_vehicles, warm_requests, burst_size, DistanceBackend::Alt)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    #[test]
-    fn conflict_graph_admission_is_bit_identical_on_ch(
-        seed in 0u64..1_000_000,
-        num_vehicles in 1usize..16,
-        warm_requests in 0usize..5,
-        burst_size in 1usize..8,
-    ) {
-        run_scenario(seed, num_vehicles, warm_requests, burst_size, DistanceBackend::Ch)?;
+        run_scenario(seed, num_vehicles, warm_requests, burst_size)?;
     }
 }
 
@@ -225,6 +208,6 @@ proptest! {
 fn conflict_graph_matches_sequential_on_a_dense_fixed_burst() {
     // Large enough that phase 1 spans several pool chunks, partitions
     // genuinely overlap, and re-matches occur.
-    run_scenario(20090529, 48, 16, 32, DistanceBackend::Alt).unwrap();
-    run_scenario(20090529, 32, 8, 24, DistanceBackend::Ch).unwrap();
+    run_scenario(20090529, 48, 16, 32).unwrap();
+    run_scenario(20090529, 32, 8, 24).unwrap();
 }

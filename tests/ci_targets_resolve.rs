@@ -185,16 +185,16 @@ fn a_deleted_binary_is_reported() {
 fn a_target_resolves_only_inside_the_package_named() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let packages = packages(root);
-    let lines = "cargo test -q -p ptrider-roadnet --test backend_equivalence\n\
-                 cargo test -q -p ptrider --test backend_equivalence\n\
+    let lines = "cargo test -q -p ptrider-roadnet --test traffic_equivalence\n\
+                 cargo test -q -p ptrider --test traffic_equivalence\n\
                  cargo run --manifest-path ptbench/Cargo.toml --bin wire_smoke\n\
                  ./ptbench/target/release/ptbench --workload city.cold\n\
-                 cargo test -p ptrider-no-such-package --test backend_equivalence";
+                 cargo test -p ptrider-no-such-package --test traffic_equivalence";
     let verdicts: Vec<bool> = named_targets(lines)
         .iter()
         .map(|(dir, name, scope)| resolves(root, &packages, dir, name, scope))
         .collect();
-    // `backend_equivalence` lives in the root package, not in roadnet;
+    // `traffic_equivalence` lives in the root package, not in roadnet;
     // `wire_smoke` in crates/bench, not in ptbench.
     assert_eq!(verdicts, [false, true, false, true, false]);
 }

@@ -24,7 +24,7 @@
 //!   service (a fresh submit/confirm round-trip) stand in for the missing
 //!   observation.
 //!
-//! Covered across both distance backends and runtime pools {1, 4}, with
+//! Covered across runtime pools {1, 4}, with
 //! capacity holds on and off and frequent automatic snapshots so the
 //! snapshot + tail path is exercised, not just from-genesis replay. The
 //! scripts include bursts (`submit_batch_greedy`), whose tentative
@@ -37,8 +37,8 @@
 use proptest::prelude::*;
 use ptrider::roadnet::RoadNetworkBuilder;
 use ptrider::{
-    fault, Decision, DistanceBackend, EngineConfig, GridConfig, Journal, JournalConfig, OptionId,
-    PtRider, RideService, RoadNetwork, ServiceConfig, SessionId, VertexId,
+    fault, Decision, EngineConfig, GridConfig, Journal, JournalConfig, OptionId, PtRider,
+    RideService, RoadNetwork, ServiceConfig, SessionId, VertexId,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,7 +54,7 @@ static FAULT_PLAN: Mutex<()> = Mutex::new(());
 const VEHICLES: [u32; 6] = [0, 4, 7, 12, 20, 24];
 
 /// A 5x5 lattice with 1 km edges — big enough for multi-stop schedules,
-/// small enough that a CH builds in microseconds.
+/// small enough that every engine builds in microseconds.
 fn lattice() -> RoadNetwork {
     let side = 5usize;
     let mut b = RoadNetworkBuilder::new();
@@ -287,13 +287,10 @@ fn run_case(
     ops: &[ScriptOp],
     site: &'static str,
     panic_at: u64,
-    backend: DistanceBackend,
     pool_size: usize,
     hold_offers: bool,
 ) -> Result<CaseOutcome, TestCaseError> {
-    let engine_config = EngineConfig::default()
-        .with_distance_backend(backend)
-        .with_pool_size(pool_size);
+    let engine_config = EngineConfig::default().with_pool_size(pool_size);
     let service_config = ServiceConfig::default()
         .with_offer_ttl_secs(8.0)
         .with_hold_offers(hold_offers);
@@ -337,10 +334,9 @@ fn run_case(
     prop_assert_eq!(
         recovered.fingerprint(),
         again.fingerprint(),
-        "replay is deterministic ({} hit {}, backend {:?}, pool {}, holds {})",
+        "replay is deterministic ({} hit {}, pool {}, holds {})",
         site,
         panic_at,
-        backend,
         pool_size,
         hold_offers
     );
@@ -352,11 +348,10 @@ fn run_case(
         Some(expected) => prop_assert_eq!(
             recovered.fingerprint(),
             expected,
-            "recovery diverged at seq {} ({} hit {}, backend {:?}, pool {}, holds {})",
+            "recovery diverged at seq {} ({} hit {}, pool {}, holds {})",
             seq,
             site,
             panic_at,
-            backend,
             pool_size,
             hold_offers
         ),
@@ -409,10 +404,8 @@ proptest! {
         let hold_offers = seed % 2 == 0;
         let ops = script(seed, 28);
         let site = fault::PANIC_SITES[site_index % fault::PANIC_SITES.len()];
-        for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
-            for pool_size in [1usize, 4] {
-                run_case(&ops, site, panic_at, backend, pool_size, hold_offers)?;
-            }
+        for pool_size in [1usize, 4] {
+            run_case(&ops, site, panic_at, pool_size, hold_offers)?;
         }
     }
 }
@@ -447,13 +440,11 @@ fn a_panicking_burst_chunk_recovers_to_the_pre_burst_state() -> Result<(), TestC
             at: 4.0,
         },
     ];
-    for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
-        for hold_offers in [false, true] {
-            let outcome = run_case(&ops, fault::POOL_JOB, 0, backend, 4, hold_offers)?;
-            prop_assert_eq!(outcome.died_at, Some(2), "the burst dies ({:?})", backend);
-            prop_assert_eq!(outcome.job_panics, 1, "the chunk panic is counted");
-            prop_assert!(outcome.on_trail, "recovery lands on a recorded state");
-        }
+    for hold_offers in [false, true] {
+        let outcome = run_case(&ops, fault::POOL_JOB, 0, 4, hold_offers)?;
+        prop_assert_eq!(outcome.died_at, Some(2), "the burst dies");
+        prop_assert_eq!(outcome.job_panics, 1, "the chunk panic is counted");
+        prop_assert!(outcome.on_trail, "recovery lands on a recorded state");
     }
     Ok(())
 }

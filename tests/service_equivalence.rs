@@ -5,7 +5,7 @@
 //! world while a `PtRider` built identically answers the same requests one
 //! by one — the per-request option skylines must agree bit for bit
 //! (vehicle ids, pickup-distance and price bit patterns, full schedules),
-//! across runtime pool sizes {1, 4} and both distance backends. The two
+//! across runtime pool sizes {1, 4}. The two
 //! sides' oracle *cache histories* diverge wildly (the service's cache is
 //! raced by every submitter), which is exactly what the canonical-
 //! direction folds of `ptrider_roadnet::oracle` make irrelevant.
@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
 use ptrider::{
-    Decision, DistanceBackend, EngineConfig, EngineEvent, GridConfig, MatcherKind, OptionId,
-    PtRider, RideOption, RideService, ServiceConfig, SessionState, VertexId,
+    Decision, EngineConfig, EngineEvent, GridConfig, MatcherKind, OptionId, PtRider, RideOption,
+    RideService, ServiceConfig, SessionState, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -113,14 +113,13 @@ fn run_scenario(
     num_vehicles: usize,
     warm_requests: usize,
     num_probes: usize,
-    backend: DistanceBackend,
 ) -> Result<(), TestCaseError> {
     let matcher = match seed % 3 {
         0 => MatcherKind::Naive,
         1 => MatcherKind::SingleSide,
         _ => MatcherKind::DualSide,
     };
-    let base = EngineConfig::paper_defaults().with_distance_backend(backend);
+    let base = EngineConfig::paper_defaults();
     let probes: Vec<(VertexId, VertexId, u32)> = TripGenerator::new(
         &synthetic_city(&CityConfig::tiny(seed)),
         TripConfig {
@@ -183,7 +182,7 @@ fn run_scenario(
         });
         prop_assert_eq!(results.len(), probes.len());
         for (i, request, options) in results {
-            let label = format!("{backend:?} pool {pool_size} matcher {matcher} probe {i}");
+            let label = format!("pool {pool_size} matcher {matcher} probe {i}");
             let (expected_id, expected_options) = &expected[i];
             assert_options_bit_identical(
                 expected_options,
@@ -212,21 +211,7 @@ proptest! {
         warm_requests in 0usize..6,
         num_probes in 1usize..10,
     ) {
-        run_scenario(seed, num_vehicles, warm_requests, num_probes, DistanceBackend::Alt)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
-
-    #[test]
-    fn concurrent_submits_match_sequential_facade_on_ch(
-        seed in 0u64..1_000_000,
-        num_vehicles in 1usize..12,
-        warm_requests in 0usize..5,
-        num_probes in 1usize..8,
-    ) {
-        run_scenario(seed, num_vehicles, warm_requests, num_probes, DistanceBackend::Ch)?;
+        run_scenario(seed, num_vehicles, warm_requests, num_probes)?;
     }
 }
 
@@ -424,43 +409,38 @@ fn concurrent_lifecycle_storm_with_holds_never_fails_an_assignment() {
 /// resubmission gets a fresh request id (the request-state-leak
 /// regression, service edition).
 #[test]
-fn expired_offers_release_state_across_backends() {
-    for backend in [DistanceBackend::Alt, DistanceBackend::Ch] {
-        let engine = build_engine(
-            7,
-            6,
-            0,
-            EngineConfig::paper_defaults().with_distance_backend(backend),
-            MatcherKind::DualSide,
-        );
-        let service = RideService::from_engine(engine)
-            .with_service_config(ServiceConfig::default().with_offer_ttl_secs(30.0));
-        let first = service.submit(VertexId(3), VertexId(90), 1, 0.0).unwrap();
-        assert_eq!(service.tick(30.0), 0, "the deadline itself is inclusive");
-        assert_eq!(service.tick(31.0), 1);
-        assert_eq!(
-            service.session_state(first.session),
-            Some(SessionState::Expired)
-        );
-        assert!(service
-            .respond(first.session, Decision::Choose(OptionId(0)), 32.0)
-            .is_err());
-        assert_eq!(service.open_offers(), 0);
-        assert_eq!(service.ledger_pending_requests(), 0);
+fn expired_offers_release_state() {
+    let engine = build_engine(
+        7,
+        6,
+        0,
+        EngineConfig::paper_defaults(),
+        MatcherKind::DualSide,
+    );
+    let service = RideService::from_engine(engine)
+        .with_service_config(ServiceConfig::default().with_offer_ttl_secs(30.0));
+    let first = service.submit(VertexId(3), VertexId(90), 1, 0.0).unwrap();
+    assert_eq!(service.tick(30.0), 0, "the deadline itself is inclusive");
+    assert_eq!(service.tick(31.0), 1);
+    assert_eq!(
+        service.session_state(first.session),
+        Some(SessionState::Expired)
+    );
+    assert!(service
+        .respond(first.session, Decision::Choose(OptionId(0)), 32.0)
+        .is_err());
+    assert_eq!(service.open_offers(), 0);
+    assert_eq!(service.ledger_pending_requests(), 0);
 
-        let second = service.submit(VertexId(3), VertexId(90), 1, 40.0).unwrap();
-        assert_ne!(
-            first.request, second.request,
-            "fresh RequestId ({backend:?})"
-        );
-        assert_ne!(first.session, second.session);
-        // The re-offered skyline is reproduced bit-identically: nothing
-        // stale from the expired session influences matching.
-        assert_eq!(first.options.len(), second.options.len());
-        for (a, b) in first.options.iter().zip(&second.options) {
-            assert_eq!(a.vehicle, b.vehicle);
-            assert_eq!(a.price.to_bits(), b.price.to_bits());
-        }
-        assert_eq!(service.stats().offers_expired, 1);
+    let second = service.submit(VertexId(3), VertexId(90), 1, 40.0).unwrap();
+    assert_ne!(first.request, second.request, "fresh RequestId");
+    assert_ne!(first.session, second.session);
+    // The re-offered skyline is reproduced bit-identically: nothing
+    // stale from the expired session influences matching.
+    assert_eq!(first.options.len(), second.options.len());
+    for (a, b) in first.options.iter().zip(&second.options) {
+        assert_eq!(a.vehicle, b.vehicle);
+        assert_eq!(a.price.to_bits(), b.price.to_bits());
     }
+    assert_eq!(service.stats().offers_expired, 1);
 }

@@ -30,12 +30,7 @@ fn service_with(level: TelemetryConfig) -> RideService {
     let net = Arc::new(synthetic_city(&CityConfig::tiny(7)));
     let grid = Arc::new(GridIndex::build(&net, GridConfig::with_dimensions(4, 4)));
     let config = EngineConfig::paper_defaults();
-    let oracle = DistanceOracle::with_backend(
-        Arc::clone(&net),
-        Arc::clone(&grid),
-        None,
-        config.distance_backend,
-    );
+    let oracle = DistanceOracle::new(Arc::clone(&net), Arc::clone(&grid));
     let engine = PtRider::with_oracle_and_telemetry(net, grid, oracle, config, level);
     RideService::from_engine(engine)
         .with_service_config(ServiceConfig::default().with_offer_ttl_secs(5.0))
@@ -87,7 +82,7 @@ fn metrics_text_covers_every_subsystem() {
         "ptrider_service_open_offers",
         "ptrider_match_vehicles_verified_total",   // matcher
         "ptrider_oracle_exact_computations_total", // oracle
-        "ptrider_oracle_backend_fallback{",
+        "ptrider_oracle_traffic_epoch",
         "ptrider_pool_job_panics_total 0", // matching runtime
         "ptrider_journal_fsync_failed 0",  // journal, healthy
         "ptrider_events_published_total",  // event log

@@ -1,22 +1,23 @@
 //! Property tests for the live-traffic subsystem at the `tests/` (skyline)
-//! level: option skylines under traffic are **bit-identical** across the
-//! `{Alt, Ch}` distance backends after every epoch of a random traffic
-//! sequence, and the engine/service write paths account the epochs.
+//! level: after every epoch of a random traffic sequence, an engine whose
+//! metric was swapped epoch by epoch offers **bit-identical** option
+//! skylines to a fresh engine built over that epoch's metric network, and
+//! the engine/service write paths account the epochs.
 //!
-//! Two mirrored engines (one per backend) are driven through the *same*
-//! sequence of vehicle placements, warm assignments and traffic epochs.
-//! Because both backends are exact and bit-identical per query (the CH
-//! repair path unpacks and re-folds original scaled weights in path
-//! order), the mirrored worlds stay bit-identical state for state — which
-//! this test asserts via the option multisets of probe requests matched
-//! after each epoch.
+//! The swapped engine keeps its base-metric grid and landmark bounds and an
+//! epoch-stamped cache warmed under every earlier epoch; the fresh engine
+//! builds its bounds on the metric itself and starts cold. Equal skylines
+//! therefore mean that stale cache entries stay invisible and that the
+//! base-metric bounds (admissible because factors are ≥ 1) prune nothing
+//! the metric's own bounds would keep.
 
 use proptest::prelude::*;
 use ptrider::datagen::{
-    synthetic_city, CityConfig, CongestionConfig, CongestionProfile, TripConfig, TripGenerator,
+    synthetic_city, CityConfig, CongestionConfig, CongestionProfile, TimedTrip, TripConfig,
+    TripGenerator,
 };
 use ptrider::{
-    DistanceBackend, EngineConfig, GridConfig, MatcherKind, PtRider, TrafficModel, VertexId,
+    EngineConfig, GridConfig, MatcherKind, PtRider, RoadNetwork, TrafficModel, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -32,29 +33,36 @@ fn canonical(options: &[ptrider::RideOption]) -> Vec<(u32, u64, u64)> {
     v
 }
 
-fn run_scenario(seed: u64, num_vehicles: usize, epochs: usize) -> Result<(), TestCaseError> {
-    let make_engine = |backend: DistanceBackend| {
-        let city = synthetic_city(&CityConfig::tiny(seed));
-        let mut engine = PtRider::new(
-            city,
-            GridConfig::with_dimensions(4, 4),
-            EngineConfig::paper_defaults().with_distance_backend(backend),
-        );
-        engine.set_matcher(MatcherKind::DualSide);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xbac);
-        for _ in 0..num_vehicles {
-            engine.add_vehicle(VertexId(
-                rng.gen_range(0..engine.network().num_vertices() as u32),
-            ));
-        }
-        engine
-    };
-    let mut alt = make_engine(DistanceBackend::Alt);
-    let mut ch = make_engine(DistanceBackend::Ch);
-    prop_assert_eq!(ch.oracle().backend(), DistanceBackend::Ch);
+/// An engine over `net` with the scenario's fleet.
+fn make_engine(net: RoadNetwork, seed: u64, num_vehicles: usize) -> PtRider {
+    let mut engine = PtRider::new(
+        net,
+        GridConfig::with_dimensions(4, 4),
+        EngineConfig::paper_defaults(),
+    );
+    engine.set_matcher(MatcherKind::DualSide);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xbac);
+    for _ in 0..num_vehicles {
+        engine.add_vehicle(VertexId(
+            rng.gen_range(0..engine.network().num_vertices() as u32),
+        ));
+    }
+    engine
+}
 
+/// Submits every trip at `now` and declines it: warms the oracle cache
+/// under the current epoch without changing the world.
+fn probe_and_decline(engine: &mut PtRider, trips: &[TimedTrip], now: f64) {
+    for trip in trips {
+        let (req, _) = engine.submit(trip.origin, trip.destination, trip.riders, now);
+        let _ = engine.decline(req);
+    }
+}
+
+fn run_scenario(seed: u64, num_vehicles: usize, epochs: usize) -> Result<(), TestCaseError> {
+    let city = synthetic_city(&CityConfig::tiny(seed));
     let trips = TripGenerator::new(
-        alt.network(),
+        &city,
         TripConfig {
             num_trips: 24,
             seed: seed ^ 0x7aff1c,
@@ -63,67 +71,79 @@ fn run_scenario(seed: u64, num_vehicles: usize, epochs: usize) -> Result<(), Tes
     )
     .generate();
 
+    // The epoch sequence: a rush-hour snapshot at a random time of day,
+    // with occasional resets to free flow so the restore path is exercised.
     let profile = CongestionProfile::build(
-        alt.network(),
+        &city,
         CongestionConfig {
             seed,
             ..CongestionConfig::default()
         },
     );
-    let mut model = TrafficModel::free_flow(alt.network());
+    let mut model = TrafficModel::free_flow(&city);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xcafe);
-    let mut expected_customizations = 0u64;
-
+    let mut models = Vec::with_capacity(epochs);
     for epoch in 0..epochs {
-        // Every epoch: a rush-hour snapshot at a random time of day, with
-        // occasional resets to free flow so the restore path is exercised.
         if epoch > 0 && rng.gen_bool(0.25) {
             model.reset();
         } else {
             let t = rng.gen_range(0.0..86_400.0);
-            profile.update_model(alt.network(), t, &mut model);
+            profile.update_model(&city, t, &mut model);
         }
-        let congested = model.congested_arcs() > 0;
-        expected_customizations += congested as u64;
-        let alt_outcome = alt.apply_traffic_update(&model);
-        let ch_outcome = ch.apply_traffic_update(&model);
-        prop_assert_eq!(alt_outcome.epoch, ch_outcome.epoch);
-        prop_assert!(!alt_outcome.ch_repaired, "ALT engine never repairs");
-        // Congested epochs run a customization pass; free-flow resets
-        // reinstate the retained build-time hierarchy instead.
-        prop_assert_eq!(ch_outcome.ch_repaired, congested);
+        models.push(model.clone());
+    }
 
-        // Probe (and commit a subset, so the mirrored worlds evolve):
-        // skylines must agree bit for bit under the current traffic.
+    for (epoch, model) in models.iter().enumerate() {
+        // The swapped engine lives through every earlier epoch, warming its
+        // cache under each, before the epoch under test is applied.
+        let mut swapped = make_engine(city.clone(), seed, num_vehicles);
+        let epoch0 = swapped.oracle().traffic_epoch();
+        for (k, earlier) in models[..epoch].iter().enumerate() {
+            swapped.apply_traffic_update(earlier);
+            probe_and_decline(&mut swapped, &trips, k as f64);
+        }
+        let outcome = swapped.apply_traffic_update(model);
+        prop_assert_eq!(outcome.epoch, epoch0 + epoch as u64 + 1);
+        prop_assert_eq!(outcome.congested_arcs, model.congested_arcs());
+        prop_assert_eq!(swapped.stats().traffic_epochs, epoch as u64 + 1);
+        if model.congested_arcs() == 0 {
+            // A free-flow reset reinstates the base network itself.
+            let metric = swapped.oracle().metric_network();
+            prop_assert!(std::ptr::eq(&*metric, swapped.network()));
+        }
+
+        let metric = city
+            .with_metric(model.scaled_weights(&city))
+            .expect("scaled weights are valid");
+        let mut fresh = make_engine(metric, seed, num_vehicles);
+
+        // Probe both, committing every fourth trip on both identically so
+        // the two worlds evolve: skylines must agree bit for bit.
+        let now = epoch as f64 + 100.0;
         for (k, trip) in trips.iter().enumerate() {
-            let now = epoch as f64;
-            let (alt_req, alt_options) =
-                alt.submit(trip.origin, trip.destination, trip.riders, now);
-            let (ch_req, ch_options) = ch.submit(trip.origin, trip.destination, trip.riders, now);
+            let (s_req, s_options) =
+                swapped.submit(trip.origin, trip.destination, trip.riders, now);
+            let (f_req, f_options) = fresh.submit(trip.origin, trip.destination, trip.riders, now);
             prop_assert_eq!(
-                canonical(&alt_options),
-                canonical(&ch_options),
+                canonical(&s_options),
+                canonical(&f_options),
                 "epoch {} trip {} ({} -> {})",
                 epoch,
                 k,
                 trip.origin,
                 trip.destination
             );
-            // Commit every fourth trip on both worlds identically (the
-            // first option of a bit-identical skyline is the same option).
-            if k % 4 == 0 && !alt_options.is_empty() {
-                let ok_a = alt.choose(alt_req, &alt_options[0], now).is_ok();
-                let ok_c = ch.choose(ch_req, &ch_options[0], now).is_ok();
-                prop_assert_eq!(ok_a, ok_c);
+            // The first option of a bit-identical skyline is the same one.
+            if k % 4 == 0 && !s_options.is_empty() {
+                let ok_s = swapped.choose(s_req, &s_options[0], now).is_ok();
+                let ok_f = fresh.choose(f_req, &f_options[0], now).is_ok();
+                prop_assert_eq!(ok_s, ok_f);
             } else {
-                let _ = alt.decline(alt_req);
-                let _ = ch.decline(ch_req);
+                let _ = swapped.decline(s_req);
+                let _ = fresh.decline(f_req);
             }
         }
     }
-    prop_assert_eq!(alt.stats().traffic_epochs, epochs as u64);
-    prop_assert_eq!(ch.stats().ch_customizations, expected_customizations);
-    prop_assert_eq!(ch.oracle().traffic_epoch() >= epochs as u64, true);
     Ok(())
 }
 
@@ -131,7 +151,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     #[test]
-    fn skylines_under_traffic_are_bit_identical_across_backends(
+    fn skylines_under_traffic_match_a_fresh_engine_on_the_metric(
         seed in 0u64..300,
         num_vehicles in 6usize..14,
         epochs in 1usize..4,
@@ -151,7 +171,7 @@ fn service_traffic_lifecycle_round_trips() {
     let service = RideService::new(
         city,
         GridConfig::with_dimensions(4, 4),
-        EngineConfig::paper_defaults().with_distance_backend(DistanceBackend::Ch),
+        EngineConfig::paper_defaults(),
     );
     service.add_vehicle(VertexId(0));
     let mut cursor = service.subscribe();
@@ -168,7 +188,6 @@ fn service_traffic_lifecycle_round_trips() {
 
     let outcome = service.apply_traffic_update(&TrafficModel::uniform(service.network(), 2.0), 1.0);
     assert_eq!(outcome.epoch, epoch0 + 1);
-    assert!(outcome.ch_repaired);
     let congested = service.submit(VertexId(40), VertexId(80), 1, 2.0).unwrap();
     assert_ne!(
         canonical(&congested.options),
@@ -182,8 +201,8 @@ fn service_traffic_lifecycle_round_trips() {
     let outcome = service.apply_traffic_update(&TrafficModel::free_flow(service.network()), 3.0);
     assert_eq!(outcome.epoch, epoch0 + 2);
     assert!(
-        !outcome.ch_repaired,
-        "free flow reinstates the build-time hierarchy without a pass"
+        std::ptr::eq(&*service.oracle().metric_network(), service.network()),
+        "free flow reinstates the base network"
     );
     let restored = service.submit(VertexId(40), VertexId(80), 1, 4.0).unwrap();
     assert_eq!(
@@ -197,7 +216,6 @@ fn service_traffic_lifecycle_round_trips() {
 
     let stats = service.stats();
     assert_eq!(stats.traffic_epochs, 2);
-    assert_eq!(stats.ch_customizations, 1, "the free-flow reset needs none");
     let traffic_events: Vec<_> = service
         .poll_events(&mut cursor)
         .into_iter()

@@ -17,15 +17,15 @@
 //! goal-directed point searches, so a plan answer whose bits differ from a
 //! point query's shows up here.
 //!
-//! All three matchers must return byte-identical `RideOption`s on all of them,
-//! on the ALT and the CH backend. This holds only because cached values are
+//! All three matchers must return byte-identical `RideOption`s on all of
+//! them. This holds only because cached values are
 //! folded canonically (a pure function of the pair) and every non-exact
 //! lower bound stays at or below the exact bits, so pruning at an exact
 //! price/time tie cannot depend on whether the pair was cached.
 
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
-use ptrider::roadnet::{ContractionHierarchy, DistanceOracle, LandmarkIndex};
+use ptrider::roadnet::{DistanceOracle, LandmarkIndex};
 use ptrider::{EngineConfig, GridConfig, MatcherKind, PtRider, Request, RequestId, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -71,22 +71,8 @@ fn run_scenario(seed: u64, num_vehicles: usize, num_warm: usize, num_probes: usi
     let net = engine.oracle().network_arc();
     let grid = engine.oracle().grid_arc();
     let landmarks = Arc::new(LandmarkIndex::build_auto(&net, 4));
-    let ch = Arc::new(ContractionHierarchy::build(&net).expect("tiny cities contract"));
-    let fresh = |backend_ch: bool| {
-        if backend_ch {
-            DistanceOracle::with_contraction_hierarchy(
-                Arc::clone(&net),
-                Arc::clone(&grid),
-                Some(Arc::clone(&landmarks)),
-                Arc::clone(&ch),
-            )
-        } else {
-            DistanceOracle::with_landmarks(
-                Arc::clone(&net),
-                Arc::clone(&grid),
-                Arc::clone(&landmarks),
-            )
-        }
+    let fresh = || {
+        DistanceOracle::with_landmarks(Arc::clone(&net), Arc::clone(&grid), Arc::clone(&landmarks))
     };
 
     for (i, trip) in trips.iter().skip(num_warm).enumerate() {
@@ -97,58 +83,49 @@ fn run_scenario(seed: u64, num_vehicles: usize, num_warm: usize, num_probes: usi
             trip.riders,
             i as f64,
         );
-        for backend_ch in [false, true] {
-            for kind in MatcherKind::all() {
-                let run = |oracle: &DistanceOracle| {
-                    let result = engine
-                        .match_request_with_oracle(kind, &request, oracle)
-                        .expect("valid request");
-                    bytes(&result.options)
-                };
-                let cold = run(&fresh(backend_ch));
+        for kind in MatcherKind::all() {
+            let run = |oracle: &DistanceOracle| {
+                let result = engine
+                    .match_request_with_oracle(kind, &request, oracle)
+                    .expect("valid request");
+                bytes(&result.options)
+            };
+            let cold = run(&fresh());
 
-                let unrelated = fresh(backend_ch);
-                let mut warm_rng = ChaCha8Rng::seed_from_u64(seed ^ i as u64);
-                for _ in 0..200 {
-                    let u = VertexId(warm_rng.gen_range(0..n));
-                    let v = VertexId(warm_rng.gen_range(0..n));
-                    let _ = unrelated.distance(u, v);
-                    let _ = unrelated.lower_bound(v, u);
-                }
-                for _ in 0..8 {
-                    let source = VertexId(warm_rng.gen_range(0..n));
-                    let targets: Vec<VertexId> = (0..12)
-                        .map(|_| VertexId(warm_rng.gen_range(0..n)))
-                        .collect();
-                    let _ = unrelated.distances_from(source, &targets);
-                }
-                let unrelated = run(&unrelated);
-
-                let own = fresh(backend_ch);
-                let _ = run(&own);
-                let own = run(&own);
-
-                let points = fresh(backend_ch);
-                for x in 0..n {
-                    let _ = points.distance(VertexId(x), trip.origin);
-                    let _ = points.distance(trip.destination, VertexId(x));
-                }
-                let points = run(&points);
-
-                let backend = if backend_ch { "ch" } else { "alt" };
-                assert_eq!(
-                    cold, unrelated,
-                    "cold vs unrelated-warm: {kind} on {backend}, probe #{i}"
-                );
-                assert_eq!(
-                    cold, own,
-                    "cold vs plan-warm: {kind} on {backend}, probe #{i}"
-                );
-                assert_eq!(
-                    cold, points,
-                    "cold vs point-query-warm: {kind} on {backend}, probe #{i}"
-                );
+            let unrelated = fresh();
+            let mut warm_rng = ChaCha8Rng::seed_from_u64(seed ^ i as u64);
+            for _ in 0..200 {
+                let u = VertexId(warm_rng.gen_range(0..n));
+                let v = VertexId(warm_rng.gen_range(0..n));
+                let _ = unrelated.distance(u, v);
+                let _ = unrelated.lower_bound(v, u);
             }
+            for _ in 0..8 {
+                let source = VertexId(warm_rng.gen_range(0..n));
+                let targets: Vec<VertexId> = (0..12)
+                    .map(|_| VertexId(warm_rng.gen_range(0..n)))
+                    .collect();
+                let _ = unrelated.distances_from(source, &targets);
+            }
+            let unrelated = run(&unrelated);
+
+            let own = fresh();
+            let _ = run(&own);
+            let own = run(&own);
+
+            let points = fresh();
+            for x in 0..n {
+                let _ = points.distance(VertexId(x), trip.origin);
+                let _ = points.distance(trip.destination, VertexId(x));
+            }
+            let points = run(&points);
+
+            assert_eq!(
+                cold, unrelated,
+                "cold vs unrelated-warm: {kind}, probe #{i}"
+            );
+            assert_eq!(cold, own, "cold vs plan-warm: {kind}, probe #{i}");
+            assert_eq!(cold, points, "cold vs point-query-warm: {kind}, probe #{i}");
         }
     }
 }
