@@ -180,6 +180,7 @@ impl EngineShared {
 
     /// A matching context over `world`.
     pub(crate) fn match_context<'a>(&'a self, world: &'a World) -> MatchContext<'a> {
+        debug_assert!(world.index_live, "matching against a deferred index");
         MatchContext {
             oracle: &self.oracle,
             grid: &self.grid,
@@ -198,6 +199,10 @@ pub(crate) struct World {
     pub(crate) vehicles: HashMap<VehicleId, Vehicle>,
     pub(crate) index: VehicleIndex,
     next_vehicle: u32,
+    /// `false` while journal replay defers index maintenance: only the
+    /// matcher reads the index, so replay skips every per-vehicle refresh
+    /// and rebuilds the whole index once ([`Self::resume_index`]).
+    index_live: bool,
 }
 
 impl World {
@@ -206,7 +211,42 @@ impl World {
             vehicles: HashMap::new(),
             index: VehicleIndex::new(num_cells),
             next_vehicle: 0,
+            index_live: true,
         }
+    }
+
+    /// Re-registers a vehicle in the index after its state changed — the
+    /// one place the world refreshes its index. A no-op while indexing is
+    /// deferred.
+    pub(crate) fn reindex(&mut self, shared: &EngineShared, id: VehicleId) {
+        if !self.index_live {
+            return;
+        }
+        if let Some(vehicle) = self.vehicles.get(&id) {
+            self.index
+                .update_from_vehicle(vehicle, &shared.net, &shared.grid);
+        }
+    }
+
+    /// Stops index maintenance until [`Self::resume_index`]; the index is
+    /// stale meanwhile and nothing may match against the world.
+    pub(crate) fn defer_index(&mut self) {
+        self.index_live = false;
+    }
+
+    /// Ends a deferral by rebuilding the index over the whole fleet. Exact:
+    /// a vehicle's registration depends only on its current state, the
+    /// base network and the grid. A no-op when the index is live.
+    pub(crate) fn resume_index(&mut self, shared: &EngineShared) {
+        if self.index_live {
+            return;
+        }
+        let mut index = VehicleIndex::new(shared.grid.num_cells());
+        for vehicle in self.vehicles.values() {
+            index.update_from_vehicle(vehicle, &shared.net, &shared.grid);
+        }
+        self.index = index;
+        self.index_live = true;
     }
 
     /// Registers a new vehicle at `location`.
@@ -222,10 +262,9 @@ impl World {
         );
         let id = VehicleId(self.next_vehicle);
         self.next_vehicle += 1;
-        let vehicle = Vehicle::new(id, capacity, location);
-        self.index
-            .update_from_vehicle(&vehicle, &shared.net, &shared.grid, &shared.oracle);
-        self.vehicles.insert(id, vehicle);
+        self.vehicles
+            .insert(id, Vehicle::new(id, capacity, location));
+        self.reindex(shared, id);
         id
     }
 
@@ -401,9 +440,7 @@ pub(crate) fn commit_choice(
     // stale) while the caller holds the world write lock — the worst-case
     // crash the journal's recovery path must absorb.
     ptrider_roadnet::fault::panic_point(ptrider_roadnet::fault::MID_COMMIT);
-    world
-        .index
-        .update_from_vehicle(vehicle, &shared.net, &shared.grid, &shared.oracle);
+    world.reindex(shared, option.vehicle);
     Ok(())
 }
 
@@ -425,9 +462,7 @@ pub(crate) fn apply_location_update(
         .get_mut(&vehicle_id)
         .ok_or(EngineError::UnknownVehicle(vehicle_id))?;
     vehicle.move_to(&shared.oracle, location, travelled);
-    world
-        .index
-        .update_from_vehicle(vehicle, &shared.net, &shared.grid, &shared.oracle);
+    world.reindex(shared, vehicle_id);
     Ok(())
 }
 
@@ -443,9 +478,7 @@ pub(crate) fn apply_vehicle_arrived(
         .ok_or(EngineError::UnknownVehicle(vehicle_id))?;
     let event = vehicle.serve_next_stop(&shared.oracle);
     if event.is_some() {
-        world
-            .index
-            .update_from_vehicle(vehicle, &shared.net, &shared.grid, &shared.oracle);
+        world.reindex(shared, vehicle_id);
     }
     Ok(event)
 }

@@ -5,7 +5,8 @@
 //! corresponding lock is released — so the journal order **is** the
 //! admission order, and replaying the records through the very same engine
 //! code reconstructs a bit-identical service
-//! ([`crate::RideService::recover`]).
+//! ([`crate::RideService::recover`]). A submit record carries the skyline
+//! it offered, so replay applies it instead of running the matcher again.
 //!
 //! # On-disk layout
 //!
@@ -49,9 +50,11 @@
 //! strict durable-at-ack-even-through-power-loss at the cost of one inline
 //! fsync per operation. See DESIGN.md "Fault model & durability".
 
+use crate::options::RideOption;
 use crate::stats::MatchWork;
 use crate::telemetry::{ShardedHistogram, Stage, Telemetry};
-use ptrider_roadnet::fault;
+use ptrider_roadnet::{fault, VertexId};
+use ptrider_vehicles::{RequestId, Stop, StopKind, VehicleId};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -1108,6 +1111,9 @@ const OP_VEHICLE_ARRIVED: u8 = 6;
 const OP_TRAFFIC_UPDATE: u8 = 7;
 const OP_BATCH: u8 = 8;
 const OP_PRUNE_RESOLVED: u8 = 9;
+/// A submit that carries its offer. `OP_SUBMIT` records (written before
+/// offers were journaled) still decode, with `Op::Submit::offer` `None`.
+const OP_SUBMIT_OFFER: u8 = 10;
 
 /// One journaled admission-writer operation. Replayed through the same
 /// engine/service code that produced it ([`crate::RideService::recover`]).
@@ -1133,6 +1139,10 @@ pub(crate) enum Op {
         request: u64,
         match_secs_after: f64,
         work_after: MatchWork,
+        /// The skyline replay applies instead of re-matching. `None` only
+        /// in a record written before offers were journaled, which replay
+        /// re-matches.
+        offer: Option<JournaledOffer>,
     },
     /// A `respond` that changed state (decline, choose — successful or
     /// assignment-failed — or an on-the-spot expiry). `choice` is `None`
@@ -1168,6 +1178,84 @@ pub(crate) enum Op {
     },
     /// A `prune_resolved` that removed at least one session.
     PruneResolved,
+}
+
+/// The offer half of a [`Op::Submit`] record.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct JournaledOffer {
+    /// The request's direct distance: replay rebuilds the prospective
+    /// request from it without validating the request again.
+    pub(crate) direct_dist: f64,
+    /// The offered skyline, in offer order.
+    pub(crate) options: Vec<RideOption>,
+}
+
+/// Encoded size of a [`Stop`].
+const STOP_BYTES: usize = 17;
+/// Encoded size of a [`RideOption`] with an empty schedule.
+pub(crate) const OPTION_MIN_BYTES: usize = 48;
+
+pub(crate) fn encode_stop(e: &mut Enc, stop: &Stop) {
+    e.u64(stop.request.0);
+    e.u32(stop.location.0);
+    e.u8(match stop.kind {
+        StopKind::Pickup => 0,
+        StopKind::Dropoff => 1,
+    });
+    e.u32(stop.riders);
+}
+
+pub(crate) fn decode_stop(d: &mut Dec<'_>) -> Result<Stop, JournalError> {
+    let request = RequestId(d.u64()?);
+    let location = VertexId(d.u32()?);
+    let kind = match d.u8()? {
+        0 => StopKind::Pickup,
+        1 => StopKind::Dropoff,
+        _ => return Err(JournalError::Corrupt("unknown stop kind")),
+    };
+    let riders = d.u32()?;
+    Ok(Stop {
+        request,
+        location,
+        kind,
+        riders,
+    })
+}
+
+/// The one ride-option codec: submit records and snapshot sessions both
+/// write their options through it.
+pub(crate) fn encode_option(e: &mut Enc, option: &RideOption) {
+    e.u32(option.vehicle.0);
+    e.f64(option.pickup_dist);
+    e.f64(option.pickup_secs);
+    e.f64(option.price);
+    e.u32(option.schedule.len() as u32);
+    for stop in &option.schedule {
+        encode_stop(e, stop);
+    }
+    e.f64(option.new_total_dist);
+    e.f64(option.old_total_dist);
+}
+
+pub(crate) fn decode_option(d: &mut Dec<'_>) -> Result<RideOption, JournalError> {
+    let vehicle = VehicleId(d.u32()?);
+    let pickup_dist = d.f64()?;
+    let pickup_secs = d.f64()?;
+    let price = d.f64()?;
+    let num_stops = d.len(STOP_BYTES)?;
+    let mut schedule = Vec::with_capacity(num_stops);
+    for _ in 0..num_stops {
+        schedule.push(decode_stop(d)?);
+    }
+    Ok(RideOption {
+        vehicle,
+        pickup_dist,
+        pickup_secs,
+        price,
+        schedule,
+        new_total_dist: d.f64()?,
+        old_total_dist: d.f64()?,
+    })
 }
 
 fn encode_work(e: &mut Enc, w: &MatchWork) {
@@ -1208,8 +1296,13 @@ impl Op {
                 request,
                 match_secs_after,
                 work_after,
+                offer,
             } => {
-                e.u8(OP_SUBMIT);
+                e.u8(if offer.is_some() {
+                    OP_SUBMIT_OFFER
+                } else {
+                    OP_SUBMIT
+                });
                 e.u32(*origin);
                 e.u32(*destination);
                 e.u32(*riders);
@@ -1218,6 +1311,13 @@ impl Op {
                 e.u64(*request);
                 e.f64(*match_secs_after);
                 encode_work(&mut e, work_after);
+                if let Some(offer) = offer {
+                    e.f64(offer.direct_dist);
+                    e.u32(offer.options.len() as u32);
+                    for option in &offer.options {
+                        encode_option(&mut e, option);
+                    }
+                }
             }
             Op::Respond {
                 session,
@@ -1294,7 +1394,7 @@ impl Op {
                 location: d.u32()?,
                 capacity: d.u32()?,
             },
-            OP_SUBMIT => Op::Submit {
+            tag @ (OP_SUBMIT | OP_SUBMIT_OFFER) => Op::Submit {
                 origin: d.u32()?,
                 destination: d.u32()?,
                 riders: d.u32()?,
@@ -1303,6 +1403,20 @@ impl Op {
                 request: d.u64()?,
                 match_secs_after: d.f64()?,
                 work_after: decode_work(&mut d)?,
+                offer: if tag == OP_SUBMIT_OFFER {
+                    let direct_dist = d.f64()?;
+                    let n = d.len(OPTION_MIN_BYTES)?;
+                    let mut options = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        options.push(decode_option(&mut d)?);
+                    }
+                    Some(JournaledOffer {
+                        direct_dist,
+                        options,
+                    })
+                } else {
+                    None
+                },
             },
             OP_RESPOND => Op::Respond {
                 session: d.u64()?,
@@ -1365,6 +1479,26 @@ mod tests {
         dir
     }
 
+    fn sample_option(vehicle: u32, stops: &[(u64, u32, StopKind)]) -> RideOption {
+        RideOption {
+            vehicle: VehicleId(vehicle),
+            pickup_dist: 300.0 * f64::from(vehicle),
+            pickup_secs: 30.0 * f64::from(vehicle),
+            price: 12.25 + f64::from(vehicle),
+            schedule: stops
+                .iter()
+                .map(|&(request, location, kind)| Stop {
+                    request: RequestId(request),
+                    location: VertexId(location),
+                    kind,
+                    riders: 1,
+                })
+                .collect(),
+            new_total_dist: 5000.0,
+            old_total_dist: 1000.0 * f64::from(vehicle),
+        }
+    }
+
     fn sample_ops() -> Vec<Op> {
         vec![
             Op::AddVehicle {
@@ -1387,6 +1521,39 @@ mod tests {
                     exact_distance_computations: 3,
                     candidates_generated: 2,
                 },
+                offer: None,
+            },
+            Op::Submit {
+                origin: 9,
+                destination: 2,
+                riders: 1,
+                now: 1.75,
+                session: 1,
+                request: 1,
+                match_secs_after: 0.5,
+                work_after: MatchWork {
+                    vehicles_considered: 7,
+                    vehicles_verified: 4,
+                    vehicles_pruned: 3,
+                    cells_visited: 12,
+                    exact_distance_computations: 8,
+                    candidates_generated: 5,
+                },
+                offer: Some(JournaledOffer {
+                    direct_dist: 2400.5,
+                    options: vec![
+                        sample_option(3, &[(1, 9, StopKind::Pickup), (1, 2, StopKind::Dropoff)]),
+                        sample_option(
+                            5,
+                            &[
+                                (0, 6, StopKind::Pickup),
+                                (1, 9, StopKind::Pickup),
+                                (0, 8, StopKind::Dropoff),
+                                (1, 2, StopKind::Dropoff),
+                            ],
+                        ),
+                    ],
+                }),
             },
             Op::Respond {
                 session: 0,
@@ -1434,6 +1601,23 @@ mod tests {
             let bytes = op.encode();
             let back = Op::decode(&bytes).expect("decode");
             assert_eq!(op, back);
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_record_is_a_typed_error() {
+        let ops = sample_ops();
+        assert!(ops
+            .iter()
+            .any(|op| matches!(op, Op::Submit { offer: Some(o), .. } if o.options.len() >= 2)));
+        for op in ops {
+            let bytes = op.encode();
+            for cut in 0..bytes.len() {
+                assert!(
+                    Op::decode(&bytes[..cut]).is_err(),
+                    "a {cut}-byte prefix of {op:?} decoded"
+                );
+            }
         }
     }
 

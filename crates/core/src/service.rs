@@ -55,7 +55,10 @@ use crate::engine::{
     TrafficUpdateOutcome, World,
 };
 use crate::events::{EngineEvent, EventCursor, EventLog, StampedEvent};
-use crate::journal::{self, Dec, Enc, Journal, JournalConfig, JournalError, Op};
+use crate::journal::{
+    self, decode_option, decode_stop, encode_option, encode_stop, Dec, Enc, Journal, JournalConfig,
+    JournalError, JournaledOffer, Op, OPTION_MIN_BYTES,
+};
 use crate::matching::{MatchResult, Matcher, MatcherKind};
 use crate::options::RideOption;
 use crate::request::Request;
@@ -73,7 +76,7 @@ use ptrider_roadnet::{
 };
 use ptrider_vehicles::{
     AssignedRequest, KineticNode, KineticTree, ProspectiveRequest, RequestId, RequestProgress,
-    Stop, StopEvent, StopKind, Vehicle, VehicleId,
+    StopEvent, Vehicle, VehicleId,
 };
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -159,6 +162,16 @@ impl SessionStore {
         self.next_session += 1;
         id
     }
+}
+
+/// What journal replay hands [`RideService::finish_submit`] in place of a
+/// live match.
+struct Replay {
+    /// The original run's post-op `total_match_secs` and `match_work`.
+    accumulators: (f64, MatchWork),
+    /// The journaled skyline; `None` for a record written before offers
+    /// were journaled, which re-matches.
+    options: Option<Vec<RideOption>>,
 }
 
 /// The concurrent session front door over the PTRider engine.
@@ -696,18 +709,35 @@ impl RideService {
 
     /// Matches a registered pending session, journals the submit, applies
     /// the optional capacity hold and opens the offer. Shared by
-    /// [`Self::submit`] and journal replay (which forces the journaled
-    /// `total_match_secs` and `exact_distance_computations` so the
-    /// wall-clock and cache-warmth accumulators stay bit-identical).
+    /// [`Self::submit`] and journal replay, which hands in a [`Replay`]:
+    /// the journaled skyline in place of the matcher, and the journaled
+    /// `total_match_secs` and `match_work` so the wall-clock and
+    /// cache-warmth accumulators stay bit-identical.
     fn finish_submit(
         &self,
         session_id: SessionId,
         request: Request,
         prospective: ProspectiveRequest,
         now: f64,
-        forced_accumulators: Option<(f64, MatchWork)>,
+        replay: Option<Replay>,
         ctx: Option<TraceContext>,
     ) -> Result<Offer, ServiceError> {
+        let (forced_accumulators, journaled_options) = match replay {
+            Some(r) => (Some(r.accumulators), r.options),
+            None => (None, None),
+        };
+        let matched = |world: &World| match journaled_options {
+            Some(options) => (
+                MatchResult {
+                    options,
+                    stats: Default::default(),
+                },
+                0.0,
+            ),
+            None => {
+                engine::match_options_in(&self.shared, &*self.matcher, world, &prospective, ctx)
+            }
+        };
         // The ledger update and the journal append form one critical
         // section: journal order = ledger order, which is what lets replay
         // force the environmental accumulators — wall-clock
@@ -720,27 +750,32 @@ impl RideService {
                 ledger.stats.total_match_secs = total;
                 ledger.stats.match_work = work;
             }
-            self.journal_op_in(
-                &Op::Submit {
-                    origin: request.origin.0,
-                    destination: request.destination.0,
-                    riders: request.riders,
-                    now,
-                    session: session_id.0,
-                    request: request.id.0,
-                    match_secs_after: ledger.stats.total_match_secs,
-                    work_after: ledger.stats.match_work,
-                },
-                ctx,
-            );
+            if self.journal.is_some() {
+                self.journal_op_in(
+                    &Op::Submit {
+                        origin: request.origin.0,
+                        destination: request.destination.0,
+                        riders: request.riders,
+                        now,
+                        session: session_id.0,
+                        request: request.id.0,
+                        match_secs_after: ledger.stats.total_match_secs,
+                        work_after: ledger.stats.match_work,
+                        offer: Some(JournaledOffer {
+                            direct_dist: prospective.direct_dist,
+                            options: result.options.clone(),
+                        }),
+                    },
+                    ctx,
+                );
+            }
         };
 
         let (result, hold) = if self.service_config.hold_offers {
             // Hold mode runs on the write path: option 0 is tentatively
             // committed while the offer is open.
             let mut world = self.world_write()?;
-            let (result, elapsed) =
-                engine::match_options_in(&self.shared, &*self.matcher, &world, &prospective, ctx);
+            let (result, elapsed) = matched(&world);
             {
                 let mut ledger = self.ledger_lock()?;
                 journal_submit(&mut ledger, &result, elapsed);
@@ -757,8 +792,7 @@ impl RideService {
             (result, hold)
         } else {
             let world = self.world_read()?;
-            let (result, elapsed) =
-                engine::match_options_in(&self.shared, &*self.matcher, &world, &prospective, ctx);
+            let (result, elapsed) = matched(&world);
             let mut ledger = self.ledger_lock()?;
             journal_submit(&mut ledger, &result, elapsed);
             (result, None)
@@ -1840,6 +1874,14 @@ impl RideService {
     /// [`Self::fingerprint`]) to the crashed one at its last journaled
     /// operation.
     ///
+    /// Replay applies results rather than recomputing them: a submit
+    /// installs its journaled skyline without running the matcher, and
+    /// the vehicle index — which only the matcher reads — is rebuilt once
+    /// over the whole fleet instead of after every replayed move. The
+    /// only records that still match are bursts and submits written
+    /// before offers were journaled; the first of them rebuilds the index
+    /// and leaves it live for the rest of the replay.
+    ///
     /// `engine` must be a *fresh* engine over the same network and
     /// configuration the original service was built with (the journal
     /// records every mutation since the original service's birth);
@@ -1858,13 +1900,14 @@ impl RideService {
             ops.push((*seq, Op::decode(payload)?));
         }
         let watermark = recovered.snapshot.as_ref().map(|(w, _)| *w).unwrap_or(0);
+        svc.world_write_panicky().defer_index();
 
         if let Some((_, payload)) = &recovered.snapshot {
             // The snapshot prelude carries the oracle's traffic-metric
             // state (the pre-watermark `TrafficUpdate` records were pruned
-            // by the WAL rotation). Reinstate it *before* installing the
-            // body: the vehicle-index rebuild queries the oracle, so the
-            // metric must match the one the snapshot was taken under. The
+            // by the WAL rotation). Reinstate it *before* replaying the
+            // tail: replayed commits query the oracle, so the metric must
+            // match the one the snapshot was taken under. The
             // snapshot's stats already count those epochs, so the oracle is
             // driven directly (no ledger): (k-1) free-flow epochs advance
             // the epoch counter, then the last model restores the metric —
@@ -1898,6 +1941,7 @@ impl RideService {
             }
             svc.apply_op(op);
         }
+        svc.world_write_panicky().resume_index(&svc.shared);
 
         let mut svc = svc;
         journal.attach_telemetry(&svc.shared.telemetry);
@@ -1910,21 +1954,15 @@ impl RideService {
     fn install_snapshot(&self, payload: &[u8]) -> Result<(), JournalError> {
         let mut d = Dec::new(payload);
 
-        // World: vehicles in id order; the index is rebuilt as they land.
+        // World: vehicles in id order. The index stays deferred; recovery
+        // rebuilds it once, after the WAL tail.
         let next_vehicle = d.u32()?;
         let num_vehicles = d.len(17)?;
-        let mut world = World::new(self.shared.grid.num_cells());
+        let mut vehicles = HashMap::with_capacity(num_vehicles);
         for _ in 0..num_vehicles {
             let vehicle = decode_vehicle(&mut d)?;
-            world.index.update_from_vehicle(
-                &vehicle,
-                &self.shared.net,
-                &self.shared.grid,
-                &self.shared.oracle,
-            );
-            world.vehicles.insert(vehicle.id(), vehicle);
+            vehicles.insert(vehicle.id(), vehicle);
         }
-        world.set_next_vehicle_id(next_vehicle);
 
         let stats = decode_stats(&mut d)?;
         let next_request = d.u64()?;
@@ -1941,7 +1979,11 @@ impl RideService {
         let ev_dropped = d.u64()?;
         d.finish()?;
 
-        *self.world.write().unwrap_or_else(|p| p.into_inner()) = world;
+        {
+            let mut world = self.world_write_panicky();
+            world.vehicles = vehicles;
+            world.set_next_vehicle_id(next_vehicle);
+        }
         {
             let mut ledger = self.ledger_tolerant();
             ledger.stats = stats;
@@ -1975,17 +2017,28 @@ impl RideService {
                 request,
                 match_secs_after,
                 work_after,
+                offer,
             } => {
                 let origin = VertexId(origin);
                 let destination = VertexId(destination);
-                let direct = engine::validate_request(
-                    &self.shared.net,
-                    &self.shared.oracle,
-                    origin,
-                    destination,
-                    riders,
-                )
-                .expect("journaled submits were valid when journaled");
+                let (direct, options) = match offer {
+                    Some(offer) => (offer.direct_dist, Some(offer.options)),
+                    None => {
+                        // Written before offers were journaled: only the
+                        // matcher can reproduce this skyline, and it reads
+                        // the index.
+                        self.world_write_panicky().resume_index(&self.shared);
+                        let direct = engine::validate_request(
+                            &self.shared.net,
+                            &self.shared.oracle,
+                            origin,
+                            destination,
+                            riders,
+                        )
+                        .expect("journaled submits were valid when journaled");
+                        (direct, None)
+                    }
+                };
                 {
                     let mut ledger = self.ledger_tolerant();
                     let next = ledger.next_request_id().max(request + 1);
@@ -2015,7 +2068,10 @@ impl RideService {
                     request,
                     prospective,
                     now,
-                    Some((match_secs_after, work_after)),
+                    Some(Replay {
+                        accumulators: (match_secs_after, work_after),
+                        options,
+                    }),
                     None,
                 );
             }
@@ -2057,6 +2113,8 @@ impl RideService {
                 match_secs_after,
                 work_after,
             } => {
+                // A burst re-matches, so it needs a live index.
+                self.world_write_panicky().resume_index(&self.shared);
                 {
                     let mut ledger = self.ledger_tolerant();
                     let next = ledger.next_request_id().max(first_request);
@@ -2092,12 +2150,12 @@ fn release_hold(
     vehicle_id: VehicleId,
     request: RequestId,
 ) {
-    if let Some(vehicle) = world.vehicles.get_mut(&vehicle_id) {
-        if vehicle.unassign(&shared.oracle, request) {
-            world
-                .index
-                .update_from_vehicle(vehicle, &shared.net, &shared.grid, &shared.oracle);
-        }
+    let released = world
+        .vehicles
+        .get_mut(&vehicle_id)
+        .is_some_and(|vehicle| vehicle.unassign(&shared.oracle, request));
+    if released {
+        world.reindex(shared, vehicle_id);
     }
 }
 
@@ -2186,13 +2244,7 @@ fn encode_vehicle(e: &mut Enc, v: &Vehicle) {
 }
 
 fn encode_node(e: &mut Enc, node: &KineticNode) {
-    e.u64(node.stop.request.0);
-    e.u32(node.stop.location.0);
-    e.u8(match node.stop.kind {
-        StopKind::Pickup => 0,
-        StopKind::Dropoff => 1,
-    });
-    e.u32(node.stop.riders);
+    encode_stop(e, &node.stop);
     e.f64(node.leg_dist);
     e.f64(node.dist_tr);
     e.u32(node.occupancy);
@@ -2263,41 +2315,9 @@ fn encode_session(e: &mut Enc, s: &Session) {
     }
     e.u32(s.options.len() as u32);
     for option in &s.options {
-        e.u32(option.vehicle.0);
-        e.f64(option.pickup_dist);
-        e.f64(option.pickup_secs);
-        e.f64(option.price);
-        e.u32(option.schedule.len() as u32);
-        for stop in &option.schedule {
-            e.u64(stop.request.0);
-            e.u32(stop.location.0);
-            e.u8(match stop.kind {
-                StopKind::Pickup => 0,
-                StopKind::Dropoff => 1,
-            });
-            e.u32(stop.riders);
-        }
-        e.f64(option.new_total_dist);
-        e.f64(option.old_total_dist);
+        encode_option(e, option);
     }
     e.opt_u32(s.hold.map(|v| v.0));
-}
-
-fn decode_stop(d: &mut Dec<'_>) -> Result<Stop, JournalError> {
-    let request = RequestId(d.u64()?);
-    let location = VertexId(d.u32()?);
-    let kind = match d.u8()? {
-        0 => StopKind::Pickup,
-        1 => StopKind::Dropoff,
-        _ => return Err(JournalError::Corrupt("unknown stop kind")),
-    };
-    let riders = d.u32()?;
-    Ok(Stop {
-        request,
-        location,
-        kind,
-        riders,
-    })
 }
 
 fn decode_node(d: &mut Dec<'_>) -> Result<KineticNode, JournalError> {
@@ -2455,29 +2475,10 @@ fn decode_session(d: &mut Dec<'_>) -> Result<Session, JournalError> {
         }
         _ => return Err(JournalError::Corrupt("unknown prospective marker")),
     };
-    let num_options = d.len(41)?;
+    let num_options = d.len(OPTION_MIN_BYTES)?;
     let mut options = Vec::with_capacity(num_options);
     for _ in 0..num_options {
-        let vehicle = VehicleId(d.u32()?);
-        let pickup_dist = d.f64()?;
-        let pickup_secs = d.f64()?;
-        let price = d.f64()?;
-        let num_stops = d.len(17)?;
-        let mut schedule = Vec::with_capacity(num_stops);
-        for _ in 0..num_stops {
-            schedule.push(decode_stop(d)?);
-        }
-        let new_total_dist = d.f64()?;
-        let old_total_dist = d.f64()?;
-        options.push(RideOption {
-            vehicle,
-            pickup_dist,
-            pickup_secs,
-            price,
-            schedule,
-            new_total_dist,
-            old_total_dist,
-        });
+        options.push(decode_option(d)?);
     }
     let hold = d.opt_u32()?.map(VehicleId);
     Ok(Session {
@@ -2958,5 +2959,108 @@ mod tests {
         assert_eq!(recovered.fingerprint(), reference);
         assert_eq!(recovered.stats().offers_declined, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Moves every busy vehicle one vertex toward its next stop, or serves
+    /// the stop it stands on.
+    fn step_fleet(svc: &RideService) {
+        let num_vehicles = svc.num_vehicles() as u32;
+        for id in (0..num_vehicles).map(VehicleId) {
+            let (location, stop) = svc
+                .with_vehicle(id, |v| (v.location(), v.next_stop()))
+                .unwrap();
+            let Some(stop) = stop else { continue };
+            if location == stop.location {
+                svc.vehicle_arrived(id).unwrap();
+                continue;
+            }
+            let (_, path) =
+                ptrider_roadnet::astar::shortest_path(svc.network(), location, stop.location)
+                    .unwrap();
+            let travelled = svc.oracle().distance(location, path[1]);
+            svc.location_update(id, path[1], travelled).unwrap();
+        }
+    }
+
+    #[test]
+    fn replay_rebuilds_the_index_the_live_service_maintained() {
+        for hold in [false, true] {
+            let dir = temp_dir(&format!("index-{hold}"));
+            let journal =
+                Journal::create(&dir, JournalConfig::default().with_snapshot_every_ops(0)).unwrap();
+            let config = ServiceConfig::default()
+                .with_offer_ttl_secs(0.5)
+                .with_hold_offers(hold);
+            let engine = || {
+                PtRider::new(
+                    city(),
+                    GridConfig::with_dimensions(3, 3),
+                    EngineConfig::default(),
+                )
+            };
+            let svc = RideService::from_engine(engine())
+                .with_service_config(config)
+                .with_journal(journal);
+            for v in [0, 4, 12, 20, 24] {
+                svc.add_vehicle(VertexId(v));
+            }
+            let mut busy_at_a_move = 0;
+            for i in 0..60u32 {
+                let now = f64::from(i);
+                if i == 30 {
+                    svc.snapshot().expect("snapshot written");
+                }
+                let origin = (i * 7) % 25;
+                let destination = (origin + 1 + (i * 11) % 24) % 25;
+                let offer = svc
+                    .submit(VertexId(origin), VertexId(destination), 1, now)
+                    .unwrap();
+                // Choose, decline or walk away; the tick expires the rest
+                // before the fleet moves.
+                if i % 4 < 2 && !offer.options.is_empty() {
+                    let last = OptionId(offer.options.len() as u32 - 1);
+                    let _ = svc.respond(offer.session, Decision::Choose(last), now);
+                } else if i % 4 == 2 {
+                    svc.respond(offer.session, Decision::Decline, now).unwrap();
+                }
+                svc.tick(now + 0.75);
+                busy_at_a_move += svc.with_vehicles(|it| it.filter(|v| !v.is_empty()).count());
+                step_fleet(&svc);
+            }
+            assert!(busy_at_a_move > 60, "the fleet carried riders");
+
+            let copy = temp_dir(&format!("index-{hold}-copy"));
+            std::fs::create_dir_all(&copy).unwrap();
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+            }
+            let recovered =
+                RideService::recover(engine(), config, &copy, JournalConfig::default()).unwrap();
+            assert_eq!(recovered.fingerprint(), svc.fingerprint());
+            // The per-cell lists are the whole registration (a vehicle's
+            // cells and its empty flag follow from them); the leg memo is
+            // a cache and not compared.
+            let registrations = |svc: &RideService| {
+                let world = svc.world_read_tolerant();
+                let index = &world.index;
+                assert_eq!(index.num_vehicles(), 5);
+                (0..index.num_cells())
+                    .map(|cell| {
+                        let empty: Vec<VehicleId> = index.empty_in_cell(cell).collect();
+                        let busy: Vec<VehicleId> = index.non_empty_in_cell(cell).collect();
+                        (empty, busy)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                registrations(&recovered),
+                registrations(&svc),
+                "holds {hold}"
+            );
+            drop((svc, recovered));
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&copy);
+        }
     }
 }

@@ -80,7 +80,15 @@ fn read_frames(
 
 #[test]
 fn a_rider_stream_carries_its_lifecycle_in_order() {
-    let mut handle = start(common::service(), |c| c);
+    // The rider responds at now = 1.0, so the offer TTL is pinned: a zero
+    // TTL from the environment would expire the offer first.
+    let mut handle = start(
+        service_with(
+            ServiceConfig::default().with_offer_ttl_secs(300.0),
+            EngineConfig::default(),
+        ),
+        |c| c,
+    );
     let addr = handle.addr();
     let mut client = Client::connect(addr);
 

@@ -6,14 +6,23 @@
 
 mod common;
 
-use common::{json_u64, service, start, Client};
+use common::{json_u64, service, service_with, start, Client};
+use ptrider_core::{EngineConfig, ServiceConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 #[test]
 fn the_full_lifecycle_runs_over_the_wire() {
-    let mut handle = start(service(), |c| c);
+    // The rider responds at now = 1.0, so the offer TTL is pinned: a zero
+    // TTL from the environment would expire the offer first.
+    let mut handle = start(
+        service_with(
+            ServiceConfig::default().with_offer_ttl_secs(300.0),
+            EngineConfig::default(),
+        ),
+        |c| c,
+    );
     let mut client = Client::connect(handle.addr());
 
     // Submit: vertex 1 → 4 gets an offer from the vehicle at vertex 0.
@@ -285,8 +294,11 @@ fn connections_past_the_cap_are_shed_with_retry_after() {
 
 #[test]
 fn shutdown_drains_and_flushes_the_journal() {
-    use ptrider_core::{EngineConfig, Journal, JournalConfig, PtRider, RideService, ServiceConfig};
+    use ptrider_core::{Journal, JournalConfig, PtRider, RideService};
     use std::sync::Arc;
+    // The rider responds at now = 0.5; pin the TTL so a zero TTL from the
+    // environment cannot expire the offer first.
+    let service_config = ServiceConfig::default().with_offer_ttl_secs(300.0);
     let dir = std::env::temp_dir().join(format!("ptrider-wire-shutdown-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -298,7 +310,11 @@ fn shutdown_drains_and_flushes_the_journal() {
             common::line_grid(),
             EngineConfig::default(),
         );
-        let service = Arc::new(RideService::from_engine(engine).with_journal(journal));
+        let service = Arc::new(
+            RideService::from_engine(engine)
+                .with_service_config(service_config)
+                .with_journal(journal),
+        );
         let mut handle = start(Arc::clone(&service), |c| c);
         let mut client = Client::connect(handle.addr());
         // Everything — including the fleet — arrives over the wire, so
@@ -328,13 +344,8 @@ fn shutdown_drains_and_flushes_the_journal() {
         common::line_grid(),
         EngineConfig::default(),
     );
-    let recovered = RideService::recover(
-        engine,
-        ServiceConfig::default(),
-        &dir,
-        JournalConfig::default(),
-    )
-    .expect("recovery");
+    let recovered = RideService::recover(engine, service_config, &dir, JournalConfig::default())
+        .expect("recovery");
     assert_eq!(recovered.fingerprint(), fingerprint, "bit-identical state");
     assert_eq!(recovered.num_vehicles(), 1);
     let _ = std::fs::remove_dir_all(&dir);

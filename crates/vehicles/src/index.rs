@@ -244,14 +244,7 @@ impl VehicleIndex {
     /// legs leaving the vehicle's (transient) current location are
     /// path-searched fresh, which makes the high-frequency location-update
     /// path cheap for busy vehicles.
-    pub fn update_from_vehicle<D: Distances>(
-        &mut self,
-        vehicle: &Vehicle,
-        net: &RoadNetwork,
-        grid: &GridIndex,
-        dist: &D,
-    ) {
-        let _ = dist;
+    pub fn update_from_vehicle(&mut self, vehicle: &Vehicle, net: &RoadNetwork, grid: &GridIndex) {
         if vehicle.is_empty() {
             self.update_empty(vehicle.id(), grid.cell_of(vehicle.location()));
             return;
@@ -427,7 +420,7 @@ mod tests {
         let mut idx = VehicleIndex::new(grid.num_cells());
         for (i, loc) in [VertexId(0), VertexId(15)].into_iter().enumerate() {
             let v = Vehicle::new(VehicleId(i as u32), 4, loc);
-            idx.update_from_vehicle(&v, &net, &grid, &oracle);
+            idx.update_from_vehicle(&v, &net, &grid);
             vehicles.insert(v.id(), v);
         }
         // A wide radius admits the whole fleet, sorted by id.
@@ -478,7 +471,7 @@ mod tests {
                     let _ = v.assign(&oracle, &req, oracle.distance(loc, s), 1e9, 10.0, 0.0);
                 }
             }
-            idx.update_from_vehicle(&v, &net, &grid, &oracle);
+            idx.update_from_vehicle(&v, &net, &grid);
             vehicles.insert(v.id(), v);
         }
         for _ in 0..60 {
@@ -519,13 +512,13 @@ mod tests {
 
         // update_from_vehicle registers exactly those cells.
         let mut idx = VehicleIndex::new(grid.num_cells());
-        idx.update_from_vehicle(&v, &net, &grid, &oracle);
+        idx.update_from_vehicle(&v, &net, &grid);
         assert_eq!(idx.cells_of(VehicleId(1)), cells.as_slice());
         assert_eq!(idx.is_registered_empty(VehicleId(1)), Some(false));
 
         // An empty vehicle registers in its location cell only.
         let empty = Vehicle::new(VehicleId(2), 4, VertexId(20));
-        idx.update_from_vehicle(&empty, &net, &grid, &oracle);
+        idx.update_from_vehicle(&empty, &net, &grid);
         assert_eq!(idx.cells_of(VehicleId(2)), &[grid.cell_of(VertexId(20))]);
     }
 }

@@ -1,5 +1,4 @@
-//! Snapshots written before the contraction hierarchy was deleted still
-//! recover.
+//! Journal directories written by earlier builds still recover.
 //!
 //! `tests/data/parent_snapshot/{alt,ch}` are journal directories written by
 //! the last build that still had the CH backend: the same five-vehicle
@@ -7,10 +6,19 @@
 //! open offer, then a snapshot) once per backend. The stats block of each
 //! snapshot keeps the 8-byte slot that held the CH customization count: 0
 //! in the ALT snapshot, 1 in the CH one. The decoder reads and drops it.
+//!
+//! `tests/data/parent_wal/{holds_off,holds_on}` were written by the last
+//! build whose submit records did not carry their offer: six vehicles
+//! driven one vertex at a time along shortest paths, 40 submits (riders
+//! choose or decline, the fleet moves three steps after each), a snapshot
+//! after the twentieth, and the last offer left open. Their WAL tails are
+//! old-tag submits, which replay re-matches against the index it rebuilds
+//! on the first of them.
 
 use ptrider::datagen::{synthetic_city, CityConfig};
 use ptrider::{
-    EngineConfig, GridConfig, JournalConfig, PtRider, RideService, ServiceConfig, VertexId,
+    Decision, EngineConfig, GridConfig, JournalConfig, OptionId, PtRider, RideService,
+    ServiceConfig, SessionId, VertexId,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,15 +28,20 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// `RideService::fingerprint` of the ALT run, printed by the writer.
 const ALT_FINGERPRINT: u64 = 0x6b33_9791_a5a6_139f;
 
+/// `RideService::fingerprint` of the two `parent_wal` runs, printed by the
+/// writer.
+const WAL_HOLDS_OFF_FINGERPRINT: u64 = 0xbd3a_4896_7931_c953;
+const WAL_HOLDS_ON_FINGERPRINT: u64 = 0xfdfe_2b8d_bed9_5e14;
+
 /// Recovers a copy of one fixture directory (recovery re-opens the journal
 /// for appending, so the committed files are never touched).
-fn recover(name: &str) -> RideService {
+fn recover_fixture(fixture: &str, service_config: ServiceConfig) -> RideService {
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data/parent_snapshot")
-        .join(name);
+        .join("tests/data")
+        .join(fixture);
     let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
-        "ptrider-snapshot-compat-{}-{name}-{n}",
+        "ptrider-snapshot-compat-{}-{n}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -41,15 +54,50 @@ fn recover(name: &str) -> RideService {
         GridConfig::with_dimensions(4, 4),
         EngineConfig::paper_defaults(),
     );
-    let service = RideService::recover(
-        engine,
-        ServiceConfig::default().with_offer_ttl_secs(30.0),
-        &dir,
-        JournalConfig::default(),
-    )
-    .expect("a parent-format snapshot decodes");
+    let service = RideService::recover(engine, service_config, &dir, JournalConfig::default())
+        .expect("a parent-format journal decodes");
     let _ = std::fs::remove_dir_all(&dir);
     service
+}
+
+fn recover(name: &str) -> RideService {
+    recover_fixture(
+        &format!("parent_snapshot/{name}"),
+        ServiceConfig::default().with_offer_ttl_secs(30.0),
+    )
+}
+
+fn recover_parent_wal(hold: bool, fingerprint: u64) {
+    let name = if hold { "holds_on" } else { "holds_off" };
+    let service = recover_fixture(
+        &format!("parent_wal/{name}"),
+        ServiceConfig::default()
+            .with_offer_ttl_secs(30.0)
+            .with_hold_offers(hold),
+    );
+    assert_eq!(service.fingerprint(), fingerprint, "{name}");
+    let stats = service.stats();
+    assert_eq!(stats.requests_submitted, 40);
+    assert_eq!(stats.requests_chosen, 32);
+    assert_eq!(stats.location_updates, 243);
+    assert_eq!(service.open_offers(), 1);
+    // The offer open at the crash (the 40th session, submitted at t = 40)
+    // can still be confirmed.
+    let confirmation = service
+        .respond(SessionId(39), Decision::Choose(OptionId(0)), 41.0)
+        .expect("the open offer is respondable")
+        .expect("a choice confirms");
+    assert_eq!(confirmation.session, SessionId(39));
+}
+
+#[test]
+fn a_parent_wal_recovers_bit_identically() {
+    recover_parent_wal(false, WAL_HOLDS_OFF_FINGERPRINT);
+}
+
+#[test]
+fn a_parent_wal_with_holds_recovers_bit_identically() {
+    recover_parent_wal(true, WAL_HOLDS_ON_FINGERPRINT);
 }
 
 #[test]
