@@ -277,7 +277,7 @@ fn render_section(levels: &[Level]) -> String {
     out.push_str("  \"e17_wire\": {\n");
     out.push_str(&format!(
         "    \"cores\": {},\n",
-        ptrider_core::detected_parallelism()
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     out.push_str(&format!(
         "    \"threads\": 8, \"max_conns\": {MAX_CONNS}, \"sse_conns\": {SSE_CONNS},\n"

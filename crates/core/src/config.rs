@@ -38,12 +38,6 @@ pub struct EngineConfig {
     /// The exact shortest-path backend the engine's distance oracle uses
     /// on a cache miss. ALT A* ([`DistanceBackend::Alt`]) is the only one.
     pub distance_backend: DistanceBackend,
-    /// How many threads a burst's tentative matching fans out to
-    /// ([`crate::runtime::MatchRuntime`]), counting the caller's thread.
-    /// `0` (the default) means `std::thread::available_parallelism()`;
-    /// `1` keeps every burst on the caller's thread. Single requests are
-    /// always matched on the caller's thread.
-    pub pool_size: usize,
     /// Seed for the deterministic chaos harness: `Some(seed)` arms a
     /// transient-error [`ptrider_roadnet::fault::FaultPlan`] process-wide
     /// when the engine is built (injected journal-write failures, each
@@ -67,7 +61,6 @@ impl Default for EngineConfig {
             max_pickup_dist: speed.seconds_to_distance(900.0),
             num_landmarks: 8,
             distance_backend: DistanceBackend::Alt,
-            pool_size: 0,
             fault_seed: None,
             price: PriceModel::default(),
         }
@@ -118,12 +111,6 @@ impl EngineConfig {
     /// Selects the exact distance backend (see [`Self::distance_backend`]).
     pub fn with_distance_backend(mut self, backend: DistanceBackend) -> Self {
         self.distance_backend = backend;
-        self
-    }
-
-    /// Sets how wide a burst fans out (0 = auto; see [`Self::pool_size`]).
-    pub fn with_pool_size(mut self, pool_size: usize) -> Self {
-        self.pool_size = pool_size;
         self
     }
 
@@ -197,8 +184,10 @@ mod tests {
     #[test]
     fn runtime_knobs_default_and_override() {
         let c = EngineConfig::default();
-        assert_eq!(c.pool_size, 0, "default pool size is auto");
-        let c = c.with_pool_size(4);
-        assert_eq!(c.pool_size, 4);
+        assert_eq!(c.fault_seed, None, "chaos is off by default");
+        assert_eq!(c.num_landmarks, 8);
+        let c = c.with_fault_seed(7).with_num_landmarks(0);
+        assert_eq!(c.fault_seed, Some(7));
+        assert_eq!(c.num_landmarks, 0);
     }
 }

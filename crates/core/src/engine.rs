@@ -21,7 +21,7 @@
 //! service layer ([`crate::RideService`]) can run concurrent submits:
 //!
 //! * [`EngineShared`] — the immutable substrate (network, grid, distance
-//!   oracle, configuration, matching runtime). Shared freely across
+//!   oracle, configuration, telemetry). Shared freely across
 //!   threads; the oracle's memoisation is internally sharded.
 //! * [`World`] — the mutable vehicle world (fleet + vehicle index). The
 //!   **read path** (option generation) only needs `&World`; the **write
@@ -32,7 +32,7 @@
 //!
 //! The free functions of this module (`prepare_request`, `match_options`,
 //! `commit_choice`, `apply_location_update`, `apply_vehicle_arrived`,
-//! `run_batch_greedy`) operate on those parts and are the single
+//! `run_batch`) operate on those parts and are the single
 //! implementation both facades delegate to: [`PtRider`] (the original
 //! sequential `&mut self` facade, kept as a thin shim) and
 //! [`crate::RideService`] (the concurrent session front door, which puts
@@ -44,14 +44,13 @@ use crate::config::EngineConfig;
 use crate::matching::{MatchContext, MatchResult, Matcher, MatcherKind};
 use crate::options::RideOption;
 use crate::request::Request;
-use crate::runtime::MatchRuntime;
 use crate::stats::EngineStats;
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use ptrider_roadnet::{DistanceOracle, GridConfig, GridIndex, RoadNetwork, TrafficModel, VertexId};
 use ptrider_vehicles::{
     ProspectiveRequest, RequestId, StopEvent, Vehicle, VehicleId, VehicleIndex,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -96,16 +95,13 @@ pub(crate) struct PendingRequest {
 
 /// The immutable engine substrate, shared by the read and write paths:
 /// road network, grid index, distance oracle, configuration and the
-/// matching runtime. Everything here is safe to use from many
+/// telemetry hub. Everything here is safe to use from many
 /// threads at once (the oracle's memoisation is internally sharded).
 pub(crate) struct EngineShared {
     pub(crate) net: Arc<RoadNetwork>,
     pub(crate) grid: Arc<GridIndex>,
     pub(crate) oracle: DistanceOracle,
     pub(crate) config: EngineConfig,
-    /// The matching runtime: how wide a burst's tentative matching fans
-    /// out ([`EngineConfig::pool_size`]).
-    pub(crate) runtime: MatchRuntime,
     /// The engine's telemetry hub: per-stage latency histograms, the trace
     /// ring and the named counter/gauge registry. Every layer shares this
     /// one hub (level from `PTRIDER_TELEMETRY` unless overridden at
@@ -147,13 +143,11 @@ impl EngineShared {
             ptrider_roadnet::fault::arm(ptrider_roadnet::fault::FaultPlan::transient(seed));
         }
         let telemetry = Arc::new(Telemetry::new(telemetry_config));
-        let runtime = MatchRuntime::from_config(config.pool_size);
         let shared = EngineShared {
             net,
             grid,
             oracle,
             config,
-            runtime,
             telemetry,
         };
         let epochs = env_traffic_epochs();
@@ -327,9 +321,8 @@ impl Ledger {
 /// Validates a request spec and returns its direct shortest-path distance.
 ///
 /// The single source of truth for what counts as an admissible request:
-/// the sequential submit path, the service-layer submit and the parallel
-/// tentative-matching phase of conflict-graph batch admission all go
-/// through here, so no admission mode can diverge on validity.
+/// the engine's submit path and the service-layer submit both go through
+/// here, so they cannot diverge on validity.
 pub(crate) fn validate_request(
     net: &RoadNetwork,
     oracle: &DistanceOracle,
@@ -591,9 +584,11 @@ pub struct BatchOutcome {
     pub chosen: Option<usize>,
 }
 
-/// The paper's strictly sequential greedy admission loop — the reference
-/// behaviour [`run_batch_greedy`] is property-tested against.
-pub(crate) fn run_batch_sequential<F>(
+/// The paper's greedy batch admission (Section 2.5): match one request,
+/// commit the rider's choice, then match the next. The shared
+/// implementation behind [`PtRider::submit_batch_greedy`] and
+/// [`crate::RideService::submit_batch_greedy`].
+pub(crate) fn run_batch<F>(
     shared: &EngineShared,
     matcher: &dyn Matcher,
     world: &mut World,
@@ -626,233 +621,8 @@ where
             chosen: if assigned { chosen } else { None },
         });
     }
-    outcomes
-}
-
-/// Greedy batch admission over split engine state, run as conflict-graph
-/// parallel admission. The shared implementation behind
-/// [`PtRider::submit_batch_greedy`] and
-/// [`crate::RideService::submit_batch_greedy`].
-///
-/// Peak-load bursts are admitted in three phases:
-///
-/// 1. **Parallel tentative matching** (read-only): every request is
-///    matched against the pre-burst state, and its over-approximate
-///    candidate-vehicle set ([`VehicleIndex::pickup_candidates`]) is
-///    extracted — the vehicles whose state could possibly influence the
-///    request's skyline. The burst is split into contiguous chunks that
-///    run on scoped threads ([`MatchRuntime::fill_chunked`]).
-/// 2. **Conflict graph**: requests sharing a candidate vehicle are
-///    joined into one partition (union–find). Disjoint partitions touch
-///    disjoint vehicle sets, so their order of admission is irrelevant.
-/// 3. **Greedy-order commit**: requests are committed strictly in input
-///    order. A tentative skyline is reused verbatim unless an
-///    earlier-committed assignment modified one of the request's
-///    candidate vehicles — only then is the request re-matched against
-///    the updated state (counted in [`EngineStats::batch_rematches`]).
-///
-/// **Determinism.** The outcome equals the sequential loop's
-/// bit-for-bit: a request's skyline depends only on the states of its
-/// candidate vehicles (any other vehicle's insertions are filtered by
-/// the pickup radius that defines the candidate set), so a tentative
-/// result is only reused when every vehicle that could influence it is
-/// untouched since the burst began — in which case it *is* the result
-/// the sequential loop would compute. Conflicted requests fall back to
-/// literal sequential matching. Matcher **work counters** may differ
-/// slightly from the sequential loop's (a vehicle pruned early in one can
-/// be considered in the other); the option skylines do not.
-pub(crate) fn run_batch_greedy<F>(
-    shared: &EngineShared,
-    matcher: &dyn Matcher,
-    world: &mut World,
-    ledger: &mut Ledger,
-    specs: &[(VertexId, VertexId, u32)],
-    now: f64,
-    mut selector: F,
-) -> Vec<BatchOutcome>
-where
-    F: FnMut(&[RideOption]) -> Option<usize>,
-{
-    // Request ids are allocated upfront, in input order, exactly as the
-    // sequential loop would hand them out.
-    let ids: Vec<RequestId> = specs.iter().map(|_| ledger.allocate_request_id()).collect();
-
-    struct Tentative {
-        request: Request,
-        /// `None` marks an invalid request (empty options, no stats).
-        prospective: Option<ProspectiveRequest>,
-        /// Sorted candidate-vehicle ids (conflict edges).
-        candidates: Vec<VehicleId>,
-        result: MatchResult,
-        elapsed: f64,
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 1: parallel tentative matching against the pre-burst state.
-    // ------------------------------------------------------------------
-    let mut tentatives: Vec<Option<Tentative>> = Vec::with_capacity(specs.len());
-    tentatives.resize_with(specs.len(), || None);
-    {
-        let world_ref: &World = world;
-        let ids = &ids;
-        let compute = move |i: usize| -> Tentative {
-            let (origin, destination, riders) = specs[i];
-            let request = Request::new(ids[i], origin, destination, riders, now);
-            // The one shared validity definition (`validate_request`)
-            // keeps this phase and the sequential path in lockstep.
-            let Ok(direct) =
-                validate_request(&shared.net, &shared.oracle, origin, destination, riders)
-            else {
-                return Tentative {
-                    request,
-                    prospective: None,
-                    candidates: Vec::new(),
-                    result: MatchResult::default(),
-                    elapsed: 0.0,
-                };
-            };
-            let prospective = request.to_prospective(direct, &shared.config);
-            let started = Instant::now();
-            let candidates = world_ref.index.pickup_candidates(
-                &world_ref.vehicles,
-                &shared.net,
-                &shared.grid,
-                &shared.oracle,
-                prospective.pickup,
-                shared.config.max_pickup_dist,
-            );
-            let ctx = shared.match_context(world_ref);
-            let result = matcher.find_options(&ctx, &prospective);
-            Tentative {
-                request,
-                prospective: Some(prospective),
-                candidates,
-                result,
-                elapsed: started.elapsed().as_secs_f64(),
-            }
-        };
-
-        shared.runtime.fill_chunked(&mut tentatives, |i, slot| {
-            *slot = Some(compute(i));
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 2: conflict graph — union requests sharing a candidate.
-    // ------------------------------------------------------------------
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        let mut root = i;
-        while parent[root] != root {
-            root = parent[root];
-        }
-        let mut walk = i;
-        while parent[walk] != root {
-            let next = parent[walk];
-            parent[walk] = root;
-            walk = next;
-        }
-        root
-    }
-    let mut parent: Vec<usize> = (0..specs.len()).collect();
-    let mut owner: HashMap<VehicleId, usize> = HashMap::new();
-    for (i, tentative) in tentatives.iter().enumerate() {
-        let candidates = tentative
-            .as_ref()
-            .map(|t| t.candidates.as_slice())
-            .unwrap_or_default();
-        for &vehicle in candidates {
-            match owner.entry(vehicle) {
-                std::collections::hash_map::Entry::Occupied(entry) => {
-                    let a = find(&mut parent, *entry.get());
-                    let b = find(&mut parent, i);
-                    parent[a.max(b)] = a.min(b);
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(i);
-                }
-            }
-        }
-    }
-    let partitions = (0..specs.len())
-        .filter(|&i| find(&mut parent, i) == i)
-        .count();
-
-    // ------------------------------------------------------------------
-    // Phase 3: greedy-order commit with invalidation-driven re-match.
-    // ------------------------------------------------------------------
-    let mut modified: HashSet<VehicleId> = HashSet::new();
-    let mut rematches = 0u64;
-    let mut outcomes = Vec::with_capacity(specs.len());
-    for tentative in tentatives.into_iter() {
-        let Tentative {
-            request,
-            prospective,
-            candidates,
-            result,
-            elapsed,
-        } = tentative.expect("phase 1 fills every slot");
-        let id = request.id;
-        let Some(prospective) = prospective else {
-            // Invalid request: the sequential path returns an empty
-            // option slice and still consults the (stateful) selector.
-            let _ = selector(&[]);
-            outcomes.push(BatchOutcome {
-                request: id,
-                options: Vec::new(),
-                chosen: None,
-            });
-            continue;
-        };
-
-        let conflicted = candidates.iter().any(|v| modified.contains(v));
-        let (result, elapsed) = if conflicted {
-            // An earlier commit touched a shared candidate vehicle: the
-            // tentative skyline is stale. Re-match against the current
-            // state — this *is* the sequential behaviour for this
-            // request.
-            rematches += 1;
-            match_options(shared, matcher, world, &prospective)
-        } else {
-            (result, elapsed)
-        };
-
-        // Bookkeeping identical to `submit_request`.
-        ledger.record_match(&result, elapsed);
-        ledger.pending.insert(
-            id,
-            PendingRequest {
-                request,
-                prospective,
-            },
-        );
-
-        let options = result.options;
-        let chosen = selector(&options).filter(|&k| k < options.len());
-        let assigned = match chosen {
-            Some(k) => {
-                let option = options[k].clone();
-                let ok = choose(shared, world, ledger, id, &option, now).is_ok();
-                if ok {
-                    modified.insert(option.vehicle);
-                }
-                ok
-            }
-            None => {
-                let _ = decline(ledger, id);
-                false
-            }
-        };
-        outcomes.push(BatchOutcome {
-            request: id,
-            options,
-            chosen: if assigned { chosen } else { None },
-        });
-    }
-
     ledger.stats.batch_bursts += 1;
     ledger.stats.batch_requests += specs.len() as u64;
-    ledger.stats.batch_partitions += partitions as u64;
-    ledger.stats.batch_rematches += rematches;
     outcomes
 }
 
@@ -1028,12 +798,6 @@ impl PtRider {
         &self.shared.oracle
     }
 
-    /// The matching runtime: how wide [`Self::submit_batch_greedy`] fans
-    /// out.
-    pub fn runtime(&self) -> &MatchRuntime {
-        &self.shared.runtime
-    }
-
     /// Aggregated statistics.
     pub fn stats(&self) -> &EngineStats {
         &self.ledger.stats
@@ -1178,11 +942,9 @@ impl PtRider {
     /// `None` to decline) — is committed before the next request is matched,
     /// so later requests see the updated vehicle schedules.
     ///
-    /// Runs as conflict-graph parallel admission (see [`run_batch_greedy`]
-    /// for the three-phase algorithm and its determinism argument): the
-    /// outcomes are **byte-identical** to the strictly sequential loop's —
-    /// the selector is invoked in request order with bit-equal option
-    /// slices.
+    /// A request that fails validation is offered no options; the selector
+    /// still sees its empty slice, so it is consulted exactly once per
+    /// request, in input order.
     ///
     /// Returns one [`BatchOutcome`] per input, in order.
     pub fn submit_batch_greedy<F>(
@@ -1194,31 +956,7 @@ impl PtRider {
     where
         F: FnMut(&[RideOption]) -> Option<usize>,
     {
-        run_batch_greedy(
-            &self.shared,
-            &*self.matcher,
-            &mut self.world,
-            &mut self.ledger,
-            specs,
-            now,
-            selector,
-        )
-    }
-
-    /// The paper's strictly sequential greedy admission loop — the reference
-    /// [`Self::submit_batch_greedy`] is property-tested against
-    /// (`tests/batch_admission_equivalence.rs`).
-    #[doc(hidden)]
-    pub fn submit_batch_sequential<F>(
-        &mut self,
-        specs: &[(VertexId, VertexId, u32)],
-        now: f64,
-        selector: F,
-    ) -> Vec<BatchOutcome>
-    where
-        F: FnMut(&[RideOption]) -> Option<usize>,
-    {
-        run_batch_sequential(
+        run_batch(
             &self.shared,
             &*self.matcher,
             &mut self.world,
@@ -1551,75 +1289,21 @@ mod tests {
     }
 
     #[test]
-    fn conflict_graph_batch_is_bit_identical_to_sequential() {
-        // A burst with competing requests (both near the same taxi), an
-        // independent request (far corner vehicle), and an invalid one.
-        let specs = [
-            (VertexId(12), VertexId(14), 1u32),
-            (VertexId(13), VertexId(14), 1u32),
-            (VertexId(3), VertexId(3), 1u32), // invalid: origin == dest
-            (VertexId(20), VertexId(22), 2u32),
-        ];
-        let run = |sequential: bool, pool: usize| {
-            let mut e = PtRider::new(
-                city(),
-                GridConfig::with_dimensions(3, 3),
-                EngineConfig::default().with_pool_size(pool),
-            );
-            e.add_vehicle(VertexId(12));
-            e.add_vehicle(VertexId(24));
-            let mut calls = Vec::new();
-            let selector = |options: &[RideOption]| {
-                calls.push(options.len());
-                if options.is_empty() {
-                    None
-                } else {
-                    Some(0)
-                }
-            };
-            let outcomes = if sequential {
-                e.submit_batch_sequential(&specs, 0.0, selector)
-            } else {
-                e.submit_batch_greedy(&specs, 0.0, selector)
-            };
-            (outcomes, calls, e.stats().requests_chosen)
-        };
-        let (seq, seq_calls, seq_chosen) = run(true, 1);
-        for pool in [1usize, 2, 4] {
-            let (par, par_calls, par_chosen) = run(false, pool);
-            assert_eq!(seq_calls, par_calls, "selector call sequence (pool {pool})");
-            assert_eq!(seq_chosen, par_chosen);
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.request, b.request);
-                assert_eq!(a.chosen, b.chosen);
-                assert_eq!(a.options.len(), b.options.len());
-                for (x, y) in a.options.iter().zip(&b.options) {
-                    assert_eq!(x.vehicle, y.vehicle);
-                    assert_eq!(x.pickup_dist.to_bits(), y.pickup_dist.to_bits());
-                    assert_eq!(x.price.to_bits(), y.price.to_bits());
-                    assert_eq!(x.schedule, y.schedule);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn conflict_graph_batch_records_partition_stats() {
+    fn batch_records_burst_stats() {
         let mut e = engine();
         e.add_vehicle(VertexId(12));
         let specs = [
             (VertexId(12), VertexId(14), 1u32),
             (VertexId(13), VertexId(14), 1u32),
+            (VertexId(3), VertexId(3), 1u32), // invalid: origin == dest
         ];
         let _ = e.submit_batch_greedy(&specs, 0.0, |o| (!o.is_empty()).then_some(0));
         let s = e.stats();
         assert_eq!(s.batch_bursts, 1);
-        assert_eq!(s.batch_requests, 2);
-        // Both requests compete for the single taxi: one partition, and the
-        // second request must have been re-matched after the first commit.
-        assert_eq!(s.batch_partitions, 1);
-        assert_eq!(s.batch_rematches, 1);
+        // Every spec counts as a burst request, the invalid one included;
+        // only the valid ones were matched.
+        assert_eq!(s.batch_requests, 3);
+        assert_eq!(s.requests_submitted, 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! direction folds make every answer history-independent — so a submit
 //! against a given world state returns the same option skyline, bit for
 //! bit, whether it runs alone on `PtRider` or concurrently here. This is
-//! property-tested in `tests/service_equivalence.rs` across pool sizes.
+//! property-tested in `tests/service_equivalence.rs`.
 //!
 //! # Durability
 //!
@@ -480,9 +480,10 @@ impl RideService {
         &self.shared.oracle
     }
 
-    /// The matching runtime (how wide a burst fans out).
+    /// The matching runtime stand-in: every match runs on its caller's
+    /// thread, so its [`MatchRuntime::parallelism`] is always `1`.
     pub fn runtime(&self) -> &MatchRuntime {
-        &self.shared.runtime
+        &MatchRuntime
     }
 
     /// The active matching algorithm.
@@ -491,19 +492,12 @@ impl RideService {
     }
 
     /// A snapshot of the aggregated statistics.
-    ///
-    /// [`EngineStats::runtime_job_panics`] is stamped from the matching
-    /// runtime at read time (it never enters the ledger, so journal
-    /// replay — which absorbs no panics — reproduces the ledger image
-    /// exactly).
     pub fn stats(&self) -> EngineStats {
         // Read the seqlock mirror instead of the ledger mutex: lock-free,
         // and guaranteed un-torn (the old clone-under-mutex could observe a
         // writer's half-applied multi-field update through a poisoned
         // re-entry; the seqlock read retries instead).
-        let mut stats = EngineStats::from_words(&self.stats_mirror.read());
-        stats.runtime_job_panics = self.shared.runtime.job_panics();
-        stats
+        EngineStats::from_words(&self.stats_mirror.read())
     }
 
     /// The engine's telemetry hub (counters, per-stage histograms, trace
@@ -1207,7 +1201,7 @@ impl RideService {
     // ------------------------------------------------------------------
 
     /// Admits a burst of simultaneous requests through the engine's greedy
-    /// (conflict-graph) batch admission on the writer path. The riders'
+    /// batch admission on the writer path. The riders'
     /// choices are made synchronously by `selector` — this models the
     /// dispatch-window batching of peak periods, where no offer/respond
     /// round-trip happens per request. Outcomes are byte-identical to
@@ -1226,7 +1220,7 @@ impl RideService {
             let mut world = self.world_write_panicky();
             let mut ledger = self.ledger_panicky();
             let first_request = ledger.next_request_id();
-            let outcomes = engine::run_batch_greedy(
+            let outcomes = engine::run_batch(
                 &self.shared,
                 &*self.matcher,
                 &mut world,
@@ -1235,9 +1229,9 @@ impl RideService {
                 now,
                 |options| {
                     // Record the post-filter choice in selector call order:
-                    // both admission modes invoke the selector in a
-                    // deterministic sequence, so replay can feed the same
-                    // answers back positionally.
+                    // the loop invokes the selector once per request, in
+                    // input order, so replay can feed the same answers back
+                    // positionally.
                     let choice = selector(options).filter(|&i| i < options.len());
                     choices.push(choice.map(|i| i as u32));
                     choice
@@ -1347,7 +1341,7 @@ impl RideService {
     /// Renders a live metrics exposition in the Prometheus text format
     /// (version 0.0.4): the admission-ordered service counters (read
     /// through the seqlock stats mirror), derived gauges sampled from the
-    /// oracle / matching runtime / journal / event log at scrape time, any
+    /// oracle / journal / event log at scrape time, any
     /// counters and gauges registered on the [`Telemetry`] hub, and — at
     /// the `Spans` level — one latency histogram per pipeline [`Stage`]
     /// (values in seconds). Cheap enough to scrape continuously: no world
@@ -1490,13 +1484,6 @@ impl RideService {
             "ptrider_oracle_traffic_epoch",
             "Current traffic epoch (0 = free flow).",
             oracle.traffic_epoch() as f64,
-        );
-
-        // Matching runtime.
-        w.counter(
-            "ptrider_pool_job_panics_total",
-            "Burst chunks that panicked on a spawned thread (re-raised).",
-            self.shared.runtime.job_panics(),
         );
 
         // Journal (absent rows mean no journal is attached).
@@ -1644,7 +1631,7 @@ impl RideService {
     }
 
     /// The same live metrics as [`Self::metrics_text`], rendered as one
-    /// JSON object — `service` / `oracle` / `pool` / `journal` / `events`
+    /// JSON object — `service` / `oracle` / `journal` / `events`
     /// sections plus, at the `Spans` level, a `stages` map of per-stage
     /// latency summaries (`count`, `mean_ns`, `p50_ns`, `p90_ns`, `p99_ns`,
     /// `max_ns`).
@@ -1684,10 +1671,6 @@ impl RideService {
             oracle.cache_len(),
             oracle.traffic_epoch(),
             oracle.backend(),
-        ));
-        out.push_str(&format!(
-            "\"pool\":{{\"job_panics\":{}}},",
-            self.shared.runtime.job_panics(),
         ));
         match &self.journal {
             Some(journal) => {
@@ -2267,15 +2250,15 @@ fn encode_stats(e: &mut Enc, s: &EngineStats) {
     e.f64(s.total_match_secs);
     e.u64(s.batch_bursts);
     e.u64(s.batch_requests);
-    e.u64(s.batch_partitions);
-    e.u64(s.batch_rematches);
+    e.u64(0); // Reserved (was the conflict-graph partition count).
+    e.u64(0); // Reserved (was the conflict-graph re-match count).
     e.u64(s.offers_made);
     e.u64(s.offers_confirmed);
     e.u64(s.offers_declined);
     e.u64(s.offers_expired);
     e.u64(s.traffic_epochs);
     e.u64(0); // Reserved (was the CH customization count) until the next format bump.
-    e.u64(s.runtime_job_panics);
+    e.u64(0); // Reserved (was the burst thread-panic count).
     e.u64(s.match_work.vehicles_considered);
     e.u64(s.match_work.vehicles_verified);
     e.u64(s.match_work.vehicles_pruned);
@@ -2411,25 +2394,30 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<EngineStats, JournalError> {
         total_match_secs: d.f64()?,
         batch_bursts: d.u64()?,
         batch_requests: d.u64()?,
-        batch_partitions: d.u64()?,
-        batch_rematches: d.u64()?,
-        offers_made: d.u64()?,
+        offers_made: {
+            // The two reserved slots before it (see `encode_stats`) are
+            // dropped: a pre-upgrade snapshot's partition and re-match
+            // counts have no field left to land in.
+            d.u64()?;
+            d.u64()?;
+            d.u64()?
+        },
         offers_confirmed: d.u64()?,
         offers_declined: d.u64()?,
         offers_expired: d.u64()?,
         traffic_epochs: d.u64()?,
-        runtime_job_panics: {
-            // The reserved slot before it (see `encode_stats`) is dropped.
+        match_work: {
+            // Likewise the two reserved slots after `traffic_epochs`.
             d.u64()?;
-            d.u64()?
-        },
-        match_work: MatchWork {
-            vehicles_considered: d.u64()?,
-            vehicles_verified: d.u64()?,
-            vehicles_pruned: d.u64()?,
-            cells_visited: d.u64()?,
-            exact_distance_computations: d.u64()?,
-            candidates_generated: d.u64()?,
+            d.u64()?;
+            MatchWork {
+                vehicles_considered: d.u64()?,
+                vehicles_verified: d.u64()?,
+                vehicles_pruned: d.u64()?,
+                cells_visited: d.u64()?,
+                exact_distance_computations: d.u64()?,
+                candidates_generated: d.u64()?,
+            }
         },
     })
 }

@@ -26,18 +26,10 @@ pub struct EngineStats {
     pub location_updates: u64,
     /// Total wall-clock time spent matching, in seconds.
     pub total_match_secs: f64,
-    /// Bursts admitted through conflict-graph batch admission.
+    /// Bursts admitted through greedy batch admission.
     pub batch_bursts: u64,
-    /// Requests admitted through conflict-graph batch admission.
+    /// Requests admitted through greedy batch admission.
     pub batch_requests: u64,
-    /// Conflict-graph partitions across all admitted bursts (independent
-    /// partitions are matched concurrently; `batch_requests` partitions
-    /// would mean a fully conflict-free, maximally parallel burst).
-    pub batch_partitions: u64,
-    /// Requests whose tentative match was invalidated by an earlier commit
-    /// to a shared candidate vehicle and had to be re-matched in greedy
-    /// order.
-    pub batch_rematches: u64,
     /// Offers made by the service layer (sessions that reached `Offered`).
     pub offers_made: u64,
     /// Offers the rider confirmed (a chosen option was committed).
@@ -49,11 +41,6 @@ pub struct EngineStats {
     /// Traffic epochs applied through `apply_traffic_update` (each swaps
     /// the oracle's metric and lazily invalidates its cache).
     pub traffic_epochs: u64,
-    /// Worker-pool jobs that panicked and were re-raised by the matching
-    /// runtime (every panic is counted, not just the first per batch; see
-    /// `MatchRuntime::job_panics`). Non-zero only after a caller caught a
-    /// re-raised panic and kept the engine alive.
-    pub runtime_job_panics: u64,
     /// Sum of per-request matcher work counters.
     pub match_work: MatchWork,
 }
@@ -90,7 +77,7 @@ impl MatchWork {
 impl EngineStats {
     /// Number of `u64` words in the seqlock wire encoding used by the
     /// service's tearing-free stats mirror (see `core::telemetry::SeqSnapshot`).
-    pub const WORDS: usize = 25;
+    pub const WORDS: usize = 22;
 
     /// Encodes every field into a fixed word array (floats as IEEE bits).
     /// The order is a private wire format shared only with `from_words`.
@@ -107,14 +94,11 @@ impl EngineStats {
             self.total_match_secs.to_bits(),
             self.batch_bursts,
             self.batch_requests,
-            self.batch_partitions,
-            self.batch_rematches,
             self.offers_made,
             self.offers_confirmed,
             self.offers_declined,
             self.offers_expired,
             self.traffic_epochs,
-            self.runtime_job_panics,
             self.match_work.vehicles_considered,
             self.match_work.vehicles_verified,
             self.match_work.vehicles_pruned,
@@ -138,21 +122,18 @@ impl EngineStats {
             total_match_secs: f64::from_bits(w[8]),
             batch_bursts: w[9],
             batch_requests: w[10],
-            batch_partitions: w[11],
-            batch_rematches: w[12],
-            offers_made: w[13],
-            offers_confirmed: w[14],
-            offers_declined: w[15],
-            offers_expired: w[16],
-            traffic_epochs: w[17],
-            runtime_job_panics: w[18],
+            offers_made: w[11],
+            offers_confirmed: w[12],
+            offers_declined: w[13],
+            offers_expired: w[14],
+            traffic_epochs: w[15],
             match_work: MatchWork {
-                vehicles_considered: w[19],
-                vehicles_verified: w[20],
-                vehicles_pruned: w[21],
-                cells_visited: w[22],
-                exact_distance_computations: w[23],
-                candidates_generated: w[24],
+                vehicles_considered: w[16],
+                vehicles_verified: w[17],
+                vehicles_pruned: w[18],
+                cells_visited: w[19],
+                exact_distance_computations: w[20],
+                candidates_generated: w[21],
             },
         }
     }
@@ -229,7 +210,7 @@ mod tests {
             requests_submitted: 7,
             total_match_secs: 1.25,
             offers_expired: 3,
-            runtime_job_panics: 2,
+            batch_requests: 2,
             ..Default::default()
         };
         s.match_work.candidates_generated = 99;

@@ -82,7 +82,7 @@ impl TripConfig {
 /// `burst_size` *simultaneous* trips each, spaced `period_secs` apart
 /// starting at `start_secs`. Models the arrival shape of peak travel
 /// periods (every request in a burst carries the same submission
-/// timestamp), which is what conflict-graph batch admission is built for.
+/// timestamp), which is what greedy batch admission is built for.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BurstConfig {
     /// Number of bursts.

@@ -4,7 +4,7 @@
 //! failures at **named sites** threaded through the whole workspace:
 //! the error-class site ([`JOURNAL_WRITE`]) simulates transient failures
 //! that the call site is expected to absorb with a single retry, while
-//! panic-class sites ([`POOL_JOB`], [`MID_COMMIT`], [`POST_APPEND`]) abort
+//! panic-class sites ([`MID_COMMIT`], [`POST_APPEND`]) abort
 //! the operation mid-flight so crash-recovery tests can kill a service at
 //! an exact, reproducible point.
 //!
@@ -34,9 +34,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// Panic site: inside a spawned chunk of a burst's tentative matching,
-/// before the chunk's own work runs.
-pub const POOL_JOB: &str = "pool-job";
 /// Panic site: inside `commit_choice`, after the vehicle accepted the
 /// insertion but before the spatial index was updated — the world is
 /// mid-mutation and the write guard poisons on unwind.
@@ -50,7 +47,7 @@ pub const JOURNAL_WRITE: &str = "journal-write";
 /// All error-class sites (fire under [`FaultPlan::transient`] plans).
 pub const ERROR_SITES: &[&str] = &[JOURNAL_WRITE];
 /// All panic-class sites (fire only under [`FaultPlan::panic_once`] plans).
-pub const PANIC_SITES: &[&str] = &[POOL_JOB, MID_COMMIT, POST_APPEND];
+pub const PANIC_SITES: &[&str] = &[MID_COMMIT, POST_APPEND];
 
 /// FNV-1a over a byte string; the site-name half of the schedule hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -134,6 +131,14 @@ impl FaultPlan {
     /// Total faults (errors plus panics) injected by this plan so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
+    }
+
+    /// Hits of `site` this plan has counted so far. A panic-once plan
+    /// counts every panic-class site, so arming one whose hit never comes
+    /// (`at = u64::MAX`) measures how often a run reaches each site.
+    pub fn hits(&self, site: &str) -> u64 {
+        let hits = self.hits.lock().unwrap_or_else(|p| p.into_inner());
+        hits.get(site).copied().unwrap_or(0)
     }
 
     /// Next 0-based hit index for `site` (and advances the counter).
@@ -224,17 +229,16 @@ pub fn fail_point(site: &'static str) -> bool {
 
 /// Panic-class fault query: panics when the programmatically armed plan
 /// scheduled this exact hit of `site`; otherwise a cheap no-op. Transient
-/// (environment) plans never panic.
+/// (environment) plans never panic. A panic-once plan counts the hits of
+/// every panic site, not only its own (see [`FaultPlan::hits`]).
 pub fn panic_point(site: &'static str) {
     debug_assert!(PANIC_SITES.contains(&site), "not a panic site: {site}");
     let Some(plan) = current() else { return };
     if let Mode::PanicOnce { site: s, at } = plan.mode {
-        if s == site {
-            let hit = plan.take_hit(site);
-            if hit == at {
-                plan.injected.fetch_add(1, Ordering::Relaxed);
-                panic!("injected fault: {site} (hit {hit})");
-            }
+        let hit = plan.take_hit(site);
+        if s == site && hit == at {
+            plan.injected.fetch_add(1, Ordering::Relaxed);
+            panic!("injected fault: {site} (hit {hit})");
         }
     }
 }
@@ -282,10 +286,15 @@ mod tests {
         // Error sites never fire under panic-once plans.
         assert!(!plan.error_fires(JOURNAL_WRITE, 0));
         arm(plan);
+        let armed = current().expect("a plan is armed");
         panic_point(MID_COMMIT); // hit 0
+        panic_point(POST_APPEND); // counted, never fires
         panic_point(MID_COMMIT); // hit 1
         let r = std::panic::catch_unwind(|| panic_point(MID_COMMIT)); // hit 2
         disarm();
         assert!(r.is_err(), "hit 2 must panic");
+        assert_eq!(armed.hits(MID_COMMIT), 3);
+        assert_eq!(armed.hits(POST_APPEND), 1);
+        assert_eq!(armed.injected(), 1);
     }
 }

@@ -343,45 +343,6 @@ impl GridIndex {
         }
     }
 
-    /// Every cell whose rectangle intersects the closed disk of straight-
-    /// line radius `radius` around `p`, in row-major order.
-    ///
-    /// This is the geometric substrate of the sublinear pickup-candidate
-    /// walk: a vertex within planar distance `radius` of `p` lies in one of
-    /// the returned cells (its cell rectangle contains it, so the
-    /// rectangle's minimum distance to `p` cannot exceed the vertex's). The
-    /// number of cells visited is bounded by the disk area over the cell
-    /// area — independent of how many vertices or vehicles the grid holds.
-    ///
-    /// A non-finite `radius` returns every cell.
-    pub fn cells_within_euclidean(&self, p: Point, radius: f64) -> Vec<CellId> {
-        if !radius.is_finite() {
-            return (0..self.num_cells()).collect();
-        }
-        let r = radius.max(0.0);
-        let clamp_x =
-            |coord: f64| (((coord / self.cell_w).floor()).max(0.0) as usize).min(self.nx - 1);
-        let clamp_y =
-            |coord: f64| (((coord / self.cell_h).floor()).max(0.0) as usize).min(self.ny - 1);
-        let x0 = clamp_x(p.x - r - self.origin.x);
-        let x1 = clamp_x(p.x + r - self.origin.x);
-        let y0 = clamp_y(p.y - r - self.origin.y);
-        let y1 = clamp_y(p.y + r - self.origin.y);
-        let mut out = Vec::with_capacity((x1 - x0 + 1) * (y1 - y0 + 1));
-        for cy in y0..=y1 {
-            let ry0 = self.origin.y + cy as f64 * self.cell_h;
-            let dy = (ry0 - p.y).max(p.y - (ry0 + self.cell_h)).max(0.0);
-            for cx in x0..=x1 {
-                let rx0 = self.origin.x + cx as f64 * self.cell_w;
-                let dx = (rx0 - p.x).max(p.x - (rx0 + self.cell_w)).max(0.0);
-                if dx * dx + dy * dy <= r * r {
-                    out.push(cy * self.nx + cx);
-                }
-            }
-        }
-        out
-    }
-
     /// Approximate memory footprint of the index in bytes (used by the
     /// grid-granularity ablation experiment E10).
     pub fn approximate_bytes(&self) -> usize {
@@ -555,33 +516,6 @@ mod tests {
         assert_eq!(grid.cell_of_point(Point::new(-1000.0, -1000.0)), 0);
         let far = grid.cell_of_point(Point::new(1e9, 1e9));
         assert_eq!(far, grid.num_cells() - 1);
-    }
-
-    #[test]
-    fn cells_within_euclidean_cover_all_near_vertices() {
-        let net = lattice(6, 500.0);
-        let grid = GridIndex::build(&net, GridConfig::with_dimensions(3, 3));
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        for _ in 0..100 {
-            let u = VertexId(rng.gen_range(0..net.num_vertices() as u32));
-            let radius = rng.gen_range(0.0..3000.0);
-            let cells = grid.cells_within_euclidean(net.coord(u), radius);
-            // Every vertex inside the disk lives in a returned cell.
-            for v in net.vertices() {
-                if net.euclidean(u, v) <= radius {
-                    assert!(
-                        cells.contains(&grid.cell_of(v)),
-                        "vertex {v} within {radius} of {u} but its cell is missing"
-                    );
-                }
-            }
-        }
-        // An infinite radius returns the whole grid.
-        let all = grid.cells_within_euclidean(net.coord(VertexId(0)), f64::INFINITY);
-        assert_eq!(all.len(), grid.num_cells());
-        // A zero radius returns at least the point's own cell.
-        let own = grid.cells_within_euclidean(net.coord(VertexId(0)), 0.0);
-        assert!(own.contains(&grid.cell_of(VertexId(0))));
     }
 
     #[test]

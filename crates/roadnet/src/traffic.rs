@@ -12,12 +12,7 @@
 //!   distance (every edge of every path only got heavier);
 //! * the grid-index border tables and the landmark tables, both built on
 //!   the base metric, lower-bound base distances and hence traffic
-//!   distances for the same reason;
-//! * the candidate-disk radii of the vehicle index
-//!   (`max_pickup_dist / min_weight_ratio` on the base network) can only
-//!   *over*-approximate under traffic — the set of vehicles within a given
-//!   traffic road distance shrinks as factors grow, so the base-metric disk
-//!   still contains every candidate.
+//!   distances for the same reason.
 //!
 //! See DESIGN.md "Traffic model" for the full soundness argument. Factors
 //! are **absolute** multipliers over free-flow, not compounding deltas:

@@ -44,7 +44,7 @@ impl ChoicePolicy {
     }
 
     /// Like [`Self::choose`] but returning the option's *index* — the
-    /// selector form [`ptrider_core::PtRider::submit_batch_greedy`]
+    /// selector form [`ptrider_core::RideService::submit_batch_greedy`]
     /// consumes, so the simulator's burst arrival mode can hand the policy
     /// straight to batch admission.
     pub fn choose_index<R: Rng>(&self, options: &[RideOption], rng: &mut R) -> Option<usize> {

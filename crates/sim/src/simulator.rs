@@ -77,10 +77,11 @@ pub struct SimConfig {
     /// disagree. Expensive; intended for validation runs and tests.
     pub cross_check: bool,
     /// Burst arrival mode: all trips due within one step are submitted as
-    /// **one batch** through [`PtRider::submit_batch_greedy`] — the
-    /// engine's conflict-graph admission — instead of one engine call per
-    /// trip. Models dispatch-window batching in peak periods; the
-    /// batch is stamped with the step's clock.
+    /// **one batch** through [`RideService::submit_batch_greedy`] — the
+    /// paper's greedy loop, each choice committed before the next match —
+    /// instead of one engine call per trip. Models dispatch-window
+    /// batching in peak periods; the batch is stamped with the step's
+    /// clock.
     pub burst_admission: bool,
     /// Congestion mode: when set, a rush-hour profile applies a traffic
     /// epoch every `period_secs` of simulated time, so every scenario the
@@ -797,7 +798,6 @@ mod tests {
         let stats = sim.service().stats();
         assert!(stats.batch_bursts > 0);
         assert_eq!(stats.batch_requests, 60);
-        assert!(stats.batch_partitions >= stats.batch_bursts);
     }
 
     #[test]

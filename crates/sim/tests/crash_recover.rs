@@ -5,10 +5,9 @@
 //! placement, submits, responds, location updates, stop arrivals, offer
 //! ticks, session pruning and traffic epochs — so replaying its log is the
 //! strongest end-to-end exercise of `RideService::recover` short of the
-//! chaos proptest. Fingerprints (not raw stats) are compared: the
-//! fingerprint hashes the full world + ledger + sessions + event-log
-//! state, while `runtime_job_panics` is a process-local counter that
-//! legitimately differs across instances.
+//! chaos proptest. Fingerprints are compared: the fingerprint hashes the
+//! full world + ledger + sessions + event-log state, so one equality
+//! covers every stat and every schedule.
 
 use ptrider_core::{EngineConfig, GridConfig, JournalConfig, PtRider, RideService, ServiceConfig};
 use ptrider_datagen::{CityConfig, TripConfig, Workload, WorkloadConfig};

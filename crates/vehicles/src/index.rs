@@ -10,7 +10,6 @@
 //!   computed (see [`schedule_cells`] for the faithful path-based helper),
 //!   which keeps the index independent of path computation policy.
 
-use crate::distances::Distances;
 use crate::types::VehicleId;
 use crate::vehicle::Vehicle;
 use ptrider_roadnet::{astar, CellId, GridIndex, RoadNetwork, VertexId};
@@ -142,98 +141,6 @@ impl VehicleIndex {
     /// `true` when the vehicle is registered as empty.
     pub fn is_registered_empty(&self, vehicle: VehicleId) -> Option<bool> {
         self.registration.get(&vehicle).map(|(e, _)| *e)
-    }
-
-    /// Over-approximate candidate-vehicle set for a pickup at `pickup`:
-    /// every registered vehicle whose **location-based admissible lower
-    /// bound** on the pickup distance is within `max_pickup_dist`.
-    ///
-    /// A vehicle outside this set can never serve the request, under *any*
-    /// schedule it might acquire while its location stays put: the planned
-    /// pickup leg starts at the current location, so
-    /// `lb(location, pickup) > max_pickup_dist` implies the exact pickup
-    /// distance exceeds the radius no matter what is inserted into the
-    /// kinetic tree. That makes the set a sound conflict edge source for
-    /// batch admission — two simultaneous requests can only influence each
-    /// other's skylines through a shared candidate vehicle.
-    ///
-    /// **Sublinear extraction.** Instead of scanning the whole fleet, the
-    /// walk enumerates only the grid cells intersecting the planar disk of
-    /// radius `max_pickup_dist / net.min_weight_ratio()` around the pickup
-    /// ([`GridIndex::cells_within_euclidean`]) and tests the vehicles
-    /// registered there. This returns **exactly** the scan's set
-    /// ([`Self::pickup_candidates_scan`], property-tested): any vehicle the
-    /// scan admits has `lb(location, pickup) ≤ max_pickup_dist`, the lower
-    /// bound never undercuts the network's Euclidean bound, and every
-    /// vehicle is registered in (at least) the cell containing its
-    /// location — so its cell intersects the disk and is visited. Two
-    /// preconditions, both satisfied by engine-managed state: `D`'s
-    /// `lower_bound` dominates [`RoadNetwork::euclidean_lower_bound`] (true
-    /// for the distance oracle, whose bound is a max over the Euclidean
-    /// bound and tighter ones), and vehicles are registered via
-    /// [`Self::update_from_vehicle`] (which always includes the location
-    /// cell). Degenerate networks with a zero Euclidean weight ratio fall
-    /// back to the scan.
-    ///
-    /// Returned sorted by vehicle id (deterministic conflict graphs).
-    pub fn pickup_candidates<D: Distances>(
-        &self,
-        vehicles: &HashMap<VehicleId, Vehicle>,
-        net: &RoadNetwork,
-        grid: &GridIndex,
-        dist: &D,
-        pickup: VertexId,
-        max_pickup_dist: f64,
-    ) -> Vec<VehicleId> {
-        let ratio = net.min_weight_ratio();
-        let ratio_usable = ratio.is_finite() && ratio > 0.0;
-        if !ratio_usable || !max_pickup_dist.is_finite() {
-            // No usable Euclidean bound (zero/NaN weight ratio) or an
-            // unbounded radius: the disk degenerates to the whole plane.
-            return self.pickup_candidates_scan(vehicles, dist, pickup, max_pickup_dist);
-        }
-        let planar_radius = max_pickup_dist / ratio;
-        let mut out: Vec<VehicleId> = Vec::new();
-        let mut seen: HashSet<VehicleId> = HashSet::new();
-        for cell in grid.cells_within_euclidean(net.coord(pickup), planar_radius) {
-            for &id in self.empty[cell].iter().chain(self.non_empty[cell].iter()) {
-                if seen.insert(id)
-                    && vehicles
-                        .get(&id)
-                        .is_some_and(|v| dist.lower_bound(v.location(), pickup) <= max_pickup_dist)
-                {
-                    out.push(id);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The `O(fleet)` reference implementation of
-    /// [`Self::pickup_candidates`]: scans every registered vehicle and
-    /// applies the location-lower-bound test. Kept as the equivalence
-    /// oracle for the grid-cell walk (and as the fallback on networks
-    /// without a usable Euclidean bound).
-    pub fn pickup_candidates_scan<D: Distances>(
-        &self,
-        vehicles: &HashMap<VehicleId, Vehicle>,
-        dist: &D,
-        pickup: VertexId,
-        max_pickup_dist: f64,
-    ) -> Vec<VehicleId> {
-        let mut out: Vec<VehicleId> = self
-            .registration
-            .keys()
-            .filter(|id| {
-                vehicles
-                    .get(id)
-                    .is_some_and(|v| dist.lower_bound(v.location(), pickup) <= max_pickup_dist)
-            })
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// Registers a vehicle from its current state: empty vehicles go into
@@ -409,80 +316,6 @@ mod tests {
     fn out_of_range_cell_panics() {
         let mut idx = VehicleIndex::new(2);
         idx.update_empty(VehicleId(1), 5);
-    }
-
-    #[test]
-    fn pickup_candidates_filter_by_location_bound() {
-        let net = Arc::new(lattice(4, 1000.0));
-        let grid = GridIndex::build(&net, GridConfig::with_dimensions(2, 2));
-        let oracle = ptrider_roadnet::DistanceOracle::new(Arc::clone(&net), Arc::new(grid.clone()));
-        let mut vehicles = HashMap::new();
-        let mut idx = VehicleIndex::new(grid.num_cells());
-        for (i, loc) in [VertexId(0), VertexId(15)].into_iter().enumerate() {
-            let v = Vehicle::new(VehicleId(i as u32), 4, loc);
-            idx.update_from_vehicle(&v, &net, &grid);
-            vehicles.insert(v.id(), v);
-        }
-        // A wide radius admits the whole fleet, sorted by id.
-        let all = idx.pickup_candidates(&vehicles, &net, &grid, &oracle, VertexId(1), 1e9);
-        assert_eq!(all, vec![VehicleId(0), VehicleId(1)]);
-        // A 1.5 km radius keeps the adjacent vehicle (exact pickup 1 km)
-        // and provably excludes the far corner (Euclidean bound > 3.6 km).
-        let near = idx.pickup_candidates(&vehicles, &net, &grid, &oracle, VertexId(1), 1500.0);
-        assert_eq!(near, vec![VehicleId(0)]);
-        // The grid-cell walk agrees with the reference scan everywhere.
-        for radius in [0.0, 800.0, 1500.0, 4000.0, 1e9] {
-            for pickup in [VertexId(0), VertexId(5), VertexId(10), VertexId(15)] {
-                assert_eq!(
-                    idx.pickup_candidates(&vehicles, &net, &grid, &oracle, pickup, radius),
-                    idx.pickup_candidates_scan(&vehicles, &oracle, pickup, radius),
-                    "walk/scan divergence at pickup {pickup}, radius {radius}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pickup_candidate_walk_matches_scan_with_busy_fleet() {
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
-
-        // A larger lattice with a mixed fleet: empty vehicles everywhere,
-        // and a share of busy vehicles whose schedules register them in
-        // many cells — the case where a naive walk could double-count or
-        // miss the location cell.
-        let net = Arc::new(lattice(10, 400.0));
-        let grid = GridIndex::build(&net, GridConfig::with_dimensions(5, 5));
-        let oracle = ptrider_roadnet::DistanceOracle::new(Arc::clone(&net), Arc::new(grid.clone()));
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let n = net.num_vertices() as u32;
-        let mut vehicles = HashMap::new();
-        let mut idx = VehicleIndex::new(grid.num_cells());
-        for i in 0..40u32 {
-            let loc = VertexId(rng.gen_range(0..n));
-            let mut v = Vehicle::new(VehicleId(i), 4, loc);
-            if i % 3 == 0 {
-                // Make every third vehicle busy with a random trip.
-                let s = VertexId(rng.gen_range(0..n));
-                let d = VertexId(rng.gen_range(0..n));
-                if s != d {
-                    let direct = oracle.distance(s, d);
-                    let req = ProspectiveRequest::new(RequestId(i as u64), s, d, 1, direct, 0.5);
-                    let _ = v.assign(&oracle, &req, oracle.distance(loc, s), 1e9, 10.0, 0.0);
-                }
-            }
-            idx.update_from_vehicle(&v, &net, &grid);
-            vehicles.insert(v.id(), v);
-        }
-        for _ in 0..60 {
-            let pickup = VertexId(rng.gen_range(0..n));
-            let radius = rng.gen_range(0.0..5000.0);
-            assert_eq!(
-                idx.pickup_candidates(&vehicles, &net, &grid, &oracle, pickup, radius),
-                idx.pickup_candidates_scan(&vehicles, &oracle, pickup, radius),
-                "walk/scan divergence at pickup {pickup}, radius {radius}"
-            );
-        }
     }
 
     #[test]

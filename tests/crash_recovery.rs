@@ -9,27 +9,32 @@
 //! reference — including the environmental accumulators (wall-clock match
 //! seconds, oracle cache misses) that no separate run could reproduce.
 //!
+//! The hit is drawn from the hits the script actually reaches: each case
+//! first runs its script under a plan that counts every panic site
+//! without firing ([`fault::FaultPlan::hits`]), then draws the hit below
+//! that count — so every case really kills the service, and the test
+//! asserts it.
+//!
 //! After the crash the torn service is dropped and recovered twice over
 //! fresh engines:
 //!
 //! * both recoveries must agree bit for bit (replay is deterministic);
 //! * if the killed operation died *before* its journal append
-//!   ([`fault::MID_COMMIT`], or [`fault::POOL_JOB`] inside a burst's
-//!   tentative matching) — or the scheduled hit was never reached — the
-//!   recovered `journal_next_seq()` indexes a recorded fingerprint, which
-//!   must match exactly: the torn in-memory op simply never happened;
+//!   ([`fault::MID_COMMIT`]) the recovered `journal_next_seq()` indexes a
+//!   recorded fingerprint, which must match exactly: the torn in-memory op
+//!   simply never happened;
 //! * if it died *after* the append ([`fault::POST_APPEND`]) the journal
 //!   holds one record nobody observed live; the recovered seq is then
 //!   exactly one past the recorded trail, and determinism plus continued
 //!   service (a fresh submit/confirm round-trip) stand in for the missing
 //!   observation.
 //!
-//! Covered across runtime pools {1, 4}, with
-//! capacity holds on and off and frequent automatic snapshots so the
-//! snapshot + tail path is exercised, not just from-genesis replay. The
-//! scripts include bursts (`submit_batch_greedy`), whose tentative
-//! matching fans out to scoped threads at pool 4 — the only place the
-//! `pool-job` site is hit; a deterministic case pins that path down.
+//! Covered with capacity holds on and off and frequent automatic
+//! snapshots so the snapshot + tail path is exercised, not just
+//! from-genesis replay. The scripts include bursts
+//! (`submit_batch_greedy`), which commit each choice before matching the
+//! next request; a deterministic case kills a burst between two of its
+//! commits.
 //!
 //! The fault plan is process-global, so every test here holds
 //! [`FAULT_PLAN`] while it runs.
@@ -44,7 +49,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Serialises the tests of this binary over the process-global fault plan.
 static FAULT_PLAN: Mutex<()> = Mutex::new(());
@@ -273,27 +278,53 @@ fn recover_once(
     .expect("recovery succeeds")
 }
 
+fn service_config(hold_offers: bool) -> ServiceConfig {
+    ServiceConfig::default()
+        .with_offer_ttl_secs(8.0)
+        .with_hold_offers(hold_offers)
+}
+
+/// Runs `ops` fault-free and returns the plan that counted its hits of
+/// every panic site ([`fault::FaultPlan::hits`]). The chaos run is
+/// byte-identical to this one up to its scheduled panic, so it reaches
+/// the same hits.
+fn count_hits(ops: &[ScriptOp], hold_offers: bool) -> Arc<fault::FaultPlan> {
+    let dir = temp_dir();
+    let svc = build_service(EngineConfig::default(), service_config(hold_offers), &dir);
+    for at in VEHICLES {
+        svc.add_vehicle(VertexId(at));
+    }
+    // A panic-once plan whose hit never comes counts every panic site.
+    fault::arm(fault::FaultPlan::panic_once(fault::MID_COMMIT, u64::MAX));
+    let plan = fault::current().expect("a plan is armed");
+    let died_at = run_script(&svc, ops, |_| {});
+    fault::disarm();
+    assert_eq!(died_at, None, "the counting run never fires");
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+    plan
+}
+
 /// What one chaos case observed.
 struct CaseOutcome {
     /// Index of the script operation the injected panic killed.
     died_at: Option<usize>,
-    /// `runtime_job_panics` of the torn service.
-    job_panics: u64,
     /// Recovery landed on a fingerprint the live run recorded.
     on_trail: bool,
+    /// The journal position recovery landed on.
+    recovered_seq: u64,
+    /// The journal position of the last state the live run observed.
+    last_observed_seq: u64,
 }
 
 fn run_case(
     ops: &[ScriptOp],
     site: &'static str,
     panic_at: u64,
-    pool_size: usize,
     hold_offers: bool,
 ) -> Result<CaseOutcome, TestCaseError> {
-    let engine_config = EngineConfig::default().with_pool_size(pool_size);
-    let service_config = ServiceConfig::default()
-        .with_offer_ttl_secs(8.0)
-        .with_hold_offers(hold_offers);
+    let engine_config = EngineConfig::default();
+    let service_config = service_config(hold_offers);
     let dir = temp_dir();
 
     // Chaos run, recording its own reference trail: every fingerprint is
@@ -301,7 +332,7 @@ fn run_case(
     // byte-identical to a fault-free one.
     let mut fingerprints: HashMap<u64, u64> = HashMap::new();
     let mut max_seq = 0u64;
-    let (died_at, job_panics) = {
+    let died_at = {
         let svc = build_service(engine_config, service_config, &dir);
         for at in VEHICLES {
             svc.add_vehicle(VertexId(at));
@@ -319,7 +350,7 @@ fn run_case(
         fault::arm(fault::FaultPlan::panic_once(site, panic_at));
         let died_at = run_script(&svc, ops, &mut record);
         fault::disarm();
-        (died_at, svc.stats().runtime_job_panics)
+        died_at
     };
     // Recover twice over fresh engines; wherever the crash landed, replay
     // must be deterministic.
@@ -334,25 +365,23 @@ fn run_case(
     prop_assert_eq!(
         recovered.fingerprint(),
         again.fingerprint(),
-        "replay is deterministic ({} hit {}, pool {}, holds {})",
+        "replay is deterministic ({} hit {}, holds {})",
         site,
         panic_at,
-        pool_size,
         hold_offers
     );
 
     let on_trail = fingerprints.contains_key(&seq);
     match fingerprints.get(&seq).copied() {
-        // The crash predates the killed op's append (or never fired): the
-        // recovered state is one the live run observed, bit for bit.
+        // The crash predates the killed op's append: the recovered state
+        // is one the live run observed, bit for bit.
         Some(expected) => prop_assert_eq!(
             recovered.fingerprint(),
             expected,
-            "recovery diverged at seq {} ({} hit {}, pool {}, holds {})",
+            "recovery diverged at seq {} ({} hit {}, holds {})",
             seq,
             site,
             panic_at,
-            pool_size,
             hold_offers
         ),
         // The op was journaled and *then* killed: its post-state was never
@@ -386,8 +415,9 @@ fn run_case(
     let _ = std::fs::remove_dir_all(&dir);
     Ok(CaseOutcome {
         died_at,
-        job_panics,
         on_trail,
+        recovered_seq: seq,
+        last_observed_seq: max_seq,
     })
 }
 
@@ -397,24 +427,40 @@ proptest! {
     #[test]
     fn crashed_service_recovers_to_an_observed_state(
         seed in 0u64..1_000_000,
-        site_index in 0usize..3,
-        panic_at in 0u64..12,
+        site_index in 0usize..2,
+        pick in 0u64..1_000_000,
     ) {
         let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
         let hold_offers = seed % 2 == 0;
         let ops = script(seed, 28);
-        let site = fault::PANIC_SITES[site_index % fault::PANIC_SITES.len()];
-        for pool_size in [1usize, 4] {
-            run_case(&ops, site, panic_at, pool_size, hold_offers)?;
+        let counted = count_hits(&ops, hold_offers);
+        // Only sites the script reaches can kill it.
+        let reached: Vec<&'static str> = fault::PANIC_SITES
+            .iter()
+            .copied()
+            .filter(|&site| counted.hits(site) > 0)
+            .collect();
+        if let Some(&site) = reached.get(site_index % reached.len().max(1)) {
+            let hits = counted.hits(site);
+            let panic_at = pick % hits;
+            let outcome = run_case(&ops, site, panic_at, hold_offers)?;
+            prop_assert!(
+                outcome.died_at.is_some(),
+                "{} hit {} of {} never fired (seed {})",
+                site,
+                panic_at,
+                hits,
+                seed
+            );
         }
     }
 }
 
-/// The scoped-thread panic path: the first spawned chunk of a burst's
-/// tentative matching panics, the burst dies before its journal append,
-/// the panic is counted, and recovery lands on the pre-burst state.
+/// A burst dies between two of its commits: the second commit panics
+/// after the first has already changed the world. `Op::Batch` is appended
+/// only after the whole burst, so recovery lands on the pre-burst state.
 #[test]
-fn a_panicking_burst_chunk_recovers_to_the_pre_burst_state() -> Result<(), TestCaseError> {
+fn a_burst_killed_mid_commit_recovers_to_the_pre_burst_state() -> Result<(), TestCaseError> {
     let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
     let ops = [
         ScriptOp::Submit {
@@ -441,10 +487,21 @@ fn a_panicking_burst_chunk_recovers_to_the_pre_burst_state() -> Result<(), TestC
         },
     ];
     for hold_offers in [false, true] {
-        let outcome = run_case(&ops, fault::POOL_JOB, 0, 4, hold_offers)?;
+        let before_burst = count_hits(&ops[..2], hold_offers).hits(fault::MID_COMMIT);
+        let through_burst = count_hits(&ops[..3], hold_offers).hits(fault::MID_COMMIT);
+        prop_assert!(
+            through_burst >= before_burst + 2,
+            "the burst commits at least twice (holds {})",
+            hold_offers
+        );
+        let outcome = run_case(&ops, fault::MID_COMMIT, before_burst + 1, hold_offers)?;
         prop_assert_eq!(outcome.died_at, Some(2), "the burst dies");
-        prop_assert_eq!(outcome.job_panics, 1, "the chunk panic is counted");
         prop_assert!(outcome.on_trail, "recovery lands on a recorded state");
+        prop_assert_eq!(
+            outcome.recovered_seq,
+            outcome.last_observed_seq,
+            "recovery lands on the pre-burst state"
+        );
     }
     Ok(())
 }

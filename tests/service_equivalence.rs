@@ -4,11 +4,10 @@
 //! facade.** N submitter threads hammer one `RideService` over a fixed
 //! world while a `PtRider` built identically answers the same requests one
 //! by one — the per-request option skylines must agree bit for bit
-//! (vehicle ids, pickup-distance and price bit patterns, full schedules),
-//! across runtime pool sizes {1, 4}. The two
-//! sides' oracle *cache histories* diverge wildly (the service's cache is
-//! raced by every submitter), which is exactly what the canonical-
-//! direction folds of `ptrider_roadnet::oracle` make irrelevant.
+//! (vehicle ids, pickup-distance and price bit patterns, full schedules).
+//! The two sides' oracle *cache histories* diverge wildly (the service's
+//! cache is raced by every submitter), which is exactly what the
+//! canonical-direction folds of `ptrider_roadnet::oracle` make irrelevant.
 //!
 //! On top of the equivalence property, the integration tests drive the
 //! full session lifecycle concurrently and check the conservation
@@ -145,59 +144,51 @@ fn run_scenario(
         .map(|&(o, d, riders)| reference.submit(o, d, riders, 1_000.0))
         .collect();
 
-    for pool_size in [1usize, 4] {
-        let service = RideService::from_engine(build_engine(
-            seed,
-            num_vehicles,
-            warm_requests,
-            base.with_pool_size(pool_size),
-            matcher,
-        ));
-        // Concurrent submitters: every probe is submitted from one of 4
-        // threads, racing on the shared `&self` service (and, transitively,
-        // on the oracle's sharded cache and the worker pool).
-        let submitters = 4usize;
-        let mut results: Vec<(usize, ptrider::RequestId, Vec<RideOption>)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..submitters {
-                let service = &service;
-                let probes = &probes;
-                handles.push(scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    for (i, &(o, d, riders)) in probes.iter().enumerate() {
-                        if i % submitters == t {
-                            let offer = service
-                                .submit(o, d, riders, 1_000.0)
-                                .expect("probe requests are valid");
-                            mine.push((i, offer.request, offer.options));
-                        }
+    let service = RideService::from_engine(build_engine(
+        seed,
+        num_vehicles,
+        warm_requests,
+        base,
+        matcher,
+    ));
+    // Concurrent submitters: every probe is submitted from one of 4
+    // threads, racing on the shared `&self` service (and, transitively,
+    // on the oracle's sharded cache).
+    let submitters = 4usize;
+    let mut results: Vec<(usize, ptrider::RequestId, Vec<RideOption>)> = Vec::new();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for t in 0..submitters {
+            let service = &service;
+            let probes = &probes;
+            handles.push(scope.spawn(move || {
+                let mut mine = Vec::new();
+                for (i, &(o, d, riders)) in probes.iter().enumerate() {
+                    if i % submitters == t {
+                        let offer = service
+                            .submit(o, d, riders, 1_000.0)
+                            .expect("probe requests are valid");
+                        mine.push((i, offer.request, offer.options));
                     }
-                    mine
-                }));
-            }
-            for handle in handles {
-                results.extend(handle.join().expect("submitter thread"));
-            }
-        });
-        prop_assert_eq!(results.len(), probes.len());
-        for (i, request, options) in results {
-            let label = format!("pool {pool_size} matcher {matcher} probe {i}");
-            let (expected_id, expected_options) = &expected[i];
-            assert_options_bit_identical(
-                expected_options,
-                *expected_id,
-                &options,
-                request,
-                &label,
-            )?;
+                }
+                mine
+            }));
         }
-        prop_assert_eq!(
-            service.open_offers(),
-            probes.len(),
-            "every probe left an open offer"
-        );
+        for handle in handles {
+            results.extend(handle.join().expect("submitter thread"));
+        }
+    });
+    prop_assert_eq!(results.len(), probes.len());
+    for (i, request, options) in results {
+        let label = format!("matcher {matcher} probe {i}");
+        let (expected_id, expected_options) = &expected[i];
+        assert_options_bit_identical(expected_options, *expected_id, &options, request, &label)?;
     }
+    prop_assert_eq!(
+        service.open_offers(),
+        probes.len(),
+        "every probe left an open offer"
+    );
     Ok(())
 }
 

@@ -83,9 +83,8 @@ fn metrics_text_covers_every_subsystem() {
         "ptrider_match_vehicles_verified_total",   // matcher
         "ptrider_oracle_exact_computations_total", // oracle
         "ptrider_oracle_traffic_epoch",
-        "ptrider_pool_job_panics_total 0", // matching runtime
-        "ptrider_journal_fsync_failed 0",  // journal, healthy
-        "ptrider_events_published_total",  // event log
+        "ptrider_journal_fsync_failed 0", // journal, healthy
+        "ptrider_events_published_total", // event log
         "ptrider_events_cursor_missed_total{cursor=", // per-cursor lag
         "ptrider_telemetry_uptime_seconds",
     ] {
@@ -110,7 +109,6 @@ fn metrics_text_covers_every_subsystem() {
     for key in [
         "\"service\"",
         "\"oracle\"",
-        "\"pool\"",
         "\"journal\"",
         "\"events\"",
         "\"stages\"",
@@ -119,7 +117,6 @@ fn metrics_text_covers_every_subsystem() {
         assert!(json.contains(key), "missing {key} in:\n{json}");
     }
     assert!(json.contains("\"fsync_failed\":false"));
-    assert!(json.contains("\"pool\":{\"job_panics\":0}"));
     // Crude structural validity: balanced braces outside strings (the
     // exposition never emits braces inside string values).
     let opens = json.matches('{').count();
