@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ptrider_core::{EngineConfig, MatcherKind, PtRider, Request, RequestId};
+use ptrider_core::{EngineConfig, MatcherKind, PtRider, Request, RequestId, RideService};
 use ptrider_datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
 use ptrider_roadnet::{dijkstra, GridConfig, GridIndex, VertexId};
 use rand::{Rng, SeedableRng};
@@ -77,6 +77,7 @@ fn bench(c: &mut Criterion) {
         for &loc in &fleet {
             engine.add_vehicle(loc);
         }
+        let service = RideService::from_engine(engine);
         let mut idx = 0usize;
         group.bench_with_input(BenchmarkId::new("dual-side-match", side), &side, |b, _| {
             b.iter(|| {
@@ -89,7 +90,7 @@ fn bench(c: &mut Criterion) {
                     trip.riders,
                     trip.time_secs,
                 );
-                engine
+                service
                     .match_request_with(MatcherKind::DualSide, &request)
                     .unwrap()
             })

@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
         let world = build_world(params, EngineConfig::paper_defaults(), 64);
 
         for kind in MatcherKind::all() {
-            let summary = summarise(&world.engine, kind, &world.probes);
+            let summary = summarise(&world.service, kind, &world.probes);
             print_row("E2", &format!("fleet={fleet} matcher={kind}"), &summary);
 
             let mut idx = 0usize;
@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let trip = &world.probes[idx % world.probes.len()];
                     idx += 1;
-                    match_probe(&world.engine, kind, trip, idx as u64)
+                    match_probe(&world.service, kind, trip, idx as u64)
                 })
             });
         }

@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
         let config = EngineConfig::paper_defaults().with_max_wait_secs(wait_mins * 60.0);
         let world = build_world(WorldParams::default(), config, 64);
 
-        let summary = summarise(&world.engine, MatcherKind::DualSide, &world.probes);
+        let summary = summarise(&world.service, MatcherKind::DualSide, &world.probes);
         print_row("E3", &format!("w={wait_mins}min"), &summary);
 
         let mut idx = 0usize;
@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let trip = &world.probes[idx % world.probes.len()];
                     idx += 1;
-                    match_probe(&world.engine, MatcherKind::DualSide, trip, idx as u64)
+                    match_probe(&world.service, MatcherKind::DualSide, trip, idx as u64)
                 })
             },
         );

@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
         .iter()
         .enumerate()
         .map(|(i, trip)| {
-            match_probe(&world.engine, MatcherKind::DualSide, trip, i as u64)
+            match_probe(&world.service, MatcherKind::DualSide, trip, i as u64)
                 .options
                 .len()
         })
@@ -52,7 +52,7 @@ fn bench(c: &mut Criterion) {
         "[E6] requests with >= 2 non-dominated options: {:.1}%",
         multi as f64 / n as f64 * 100.0
     );
-    let summary = summarise(&world.engine, MatcherKind::DualSide, &world.probes);
+    let summary = summarise(&world.service, MatcherKind::DualSide, &world.probes);
     print_row("E6", "default parameters", &summary);
 
     let mut idx = 0usize;
@@ -60,7 +60,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let trip = &world.probes[idx % world.probes.len()];
             idx += 1;
-            match_probe(&world.engine, MatcherKind::DualSide, trip, idx as u64)
+            match_probe(&world.service, MatcherKind::DualSide, trip, idx as u64)
         })
     });
     group.finish();

@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
     );
 
     // Split probes by direct trip length (median split).
-    let oracle = world.engine.oracle();
+    let oracle = world.service.oracle();
     let mut lengths: Vec<f64> = world
         .probes
         .iter()
@@ -52,15 +52,15 @@ fn bench(c: &mut Criterion) {
         .collect();
 
     for kind in MatcherKind::all() {
-        let all = summarise(&world.engine, kind, &world.probes);
+        let all = summarise(&world.service, kind, &world.probes);
         print_row("E8", &format!("{kind} / all trips"), &all);
-        let s = summarise(&world.engine, kind, &short);
+        let s = summarise(&world.service, kind, &short);
         print_row(
             "E8",
             &format!("{kind} / short trips (<= {median:.0} m)"),
             &s,
         );
-        let l = summarise(&world.engine, kind, &long);
+        let l = summarise(&world.service, kind, &long);
         print_row("E8", &format!("{kind} / long trips (> {median:.0} m)"), &l);
 
         let mut idx = 0usize;
@@ -71,7 +71,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let trip = &world.probes[idx % world.probes.len()];
                     idx += 1;
-                    match_probe(&world.engine, kind, trip, idx as u64)
+                    match_probe(&world.service, kind, trip, idx as u64)
                 })
             },
         );

@@ -11,14 +11,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptrider_bench::{build_world, WorldParams};
-use ptrider_core::{EngineConfig, MatcherKind, PtRider};
+use ptrider_core::{Decision, EngineConfig, OptionId, RideService};
 use ptrider_roadnet::VertexId;
 use ptrider_vehicles::VehicleId;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn neighbour_of(engine: &PtRider, v: VertexId, rng: &mut ChaCha8Rng) -> (VertexId, f64) {
-    let neighbours: Vec<(VertexId, f64)> = engine.network().neighbors(v).collect();
+fn neighbour_of(service: &RideService, v: VertexId, rng: &mut ChaCha8Rng) -> (VertexId, f64) {
+    let neighbours: Vec<(VertexId, f64)> = service.network().neighbors(v).collect();
     neighbours[rng.gen_range(0..neighbours.len())]
 }
 
@@ -37,20 +37,13 @@ fn bench(c: &mut Criterion) {
         EngineConfig::paper_defaults(),
         64,
     );
-    let mut engine = world.engine;
-    engine.set_matcher(MatcherKind::DualSide);
+    let service = &world.service;
     let mut rng = ChaCha8Rng::seed_from_u64(99);
 
-    let empty_ids: Vec<VehicleId> = engine
-        .vehicles()
-        .filter(|v| v.is_empty())
-        .map(|v| v.id())
-        .collect();
-    let busy_ids: Vec<VehicleId> = engine
-        .vehicles()
-        .filter(|v| !v.is_empty())
-        .map(|v| v.id())
-        .collect();
+    let empty_ids: Vec<VehicleId> = service
+        .with_vehicles(|vehicles| vehicles.filter(|v| v.is_empty()).map(|v| v.id()).collect());
+    let busy_ids: Vec<VehicleId> = service
+        .with_vehicles(|vehicles| vehicles.filter(|v| !v.is_empty()).map(|v| v.id()).collect());
     println!(
         "[E9] fleet: {} empty vehicles, {} non-empty vehicles",
         empty_ids.len(),
@@ -62,9 +55,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let id = empty_ids[i % empty_ids.len()];
             i += 1;
-            let loc = engine.vehicle(id).unwrap().location();
-            let (next, dist) = neighbour_of(&engine, loc, &mut rng);
-            engine.location_update(id, next, dist).unwrap();
+            let loc = service.with_vehicle(id, |v| v.location()).unwrap();
+            let (next, dist) = neighbour_of(service, loc, &mut rng);
+            service.location_update(id, next, dist).unwrap();
         })
     });
 
@@ -74,9 +67,9 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let id = busy_ids[j % busy_ids.len()];
                 j += 1;
-                let loc = engine.vehicle(id).unwrap().location();
-                let (next, dist) = neighbour_of(&engine, loc, &mut rng);
-                engine.location_update(id, next, dist).unwrap();
+                let loc = service.with_vehicle(id, |v| v.location()).unwrap();
+                let (next, dist) = neighbour_of(service, loc, &mut rng);
+                service.location_update(id, next, dist).unwrap();
             })
         });
     }
@@ -86,16 +79,18 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let trip = &world.probes[k % world.probes.len()];
             k += 1;
-            let (id, options) = engine.submit(trip.origin, trip.destination, trip.riders, k as f64);
-            if let Some(option) = options.first() {
-                // Choose and immediately complete nothing: the assignment
-                // itself is the measured cost; declining keeps state bounded.
-                if engine.choose(id, option, k as f64).is_err() {
-                    let _ = engine.decline(id);
-                }
+            let now = k as f64;
+            let offer = service
+                .submit(trip.origin, trip.destination, trip.riders, now)
+                .expect("probe trips are valid requests");
+            // Choose and immediately complete nothing: the assignment
+            // itself is the measured cost.
+            let decision = if offer.options.is_empty() {
+                Decision::Decline
             } else {
-                let _ = engine.decline(id);
-            }
+                Decision::Choose(OptionId(0))
+            };
+            let _ = service.respond(offer.session, decision, now);
         })
     });
 

@@ -20,7 +20,7 @@
 
 use ptrider_bench::wire::{json_u64, open_sse, read_sse_frames, WireClient};
 use ptrider_bench::{build_world, WorldParams};
-use ptrider_core::{EngineConfig, MatcherKind, RideService, ServiceConfig, VertexId};
+use ptrider_core::{EngineConfig, RideService, ServiceConfig, VertexId};
 use ptrider_datagen::{TripConfig, TripGenerator};
 use ptrider_server::{Server, ServerConfig};
 use std::net::SocketAddr;
@@ -324,10 +324,9 @@ fn main() {
         "[e17] world: {}x{} city, {} vehicles; watermark {MAX_CONNS} conns, {budget} sessions/level",
         params.city_side, params.city_side, params.vehicles
     );
-    let mut world = build_world(params, EngineConfig::paper_defaults(), 0);
-    world.engine.set_matcher(MatcherKind::DualSide);
+    let world = build_world(params, EngineConfig::paper_defaults(), 0);
     let probes: Vec<(VertexId, VertexId, u32)> = TripGenerator::new(
-        world.engine.network(),
+        world.service.network(),
         TripConfig {
             num_trips: 256,
             seed: params.seed ^ 0xe17,
@@ -340,7 +339,8 @@ fn main() {
     .filter(|(o, d, _)| o != d)
     .collect();
     let service = std::sync::Arc::new(
-        RideService::from_engine(world.engine)
+        world
+            .service
             .with_service_config(ServiceConfig::default().with_offer_ttl_secs(1e12)),
     );
 

@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use ptrider_bench::{build_world, WorldParams};
-use ptrider_core::{Decision, EngineConfig, MatcherKind, RideService, ServiceConfig, VertexId};
+use ptrider_core::{Decision, EngineConfig, ServiceConfig, VertexId};
 use ptrider_datagen::{TripConfig, TripGenerator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -34,10 +34,9 @@ const AB_ROUNDS: usize = 3;
 /// One session storm at the telemetry level currently in the environment;
 /// returns declined-sessions per second.
 fn storm(params: WorldParams) -> f64 {
-    let mut world = build_world(params, EngineConfig::paper_defaults(), 0);
-    world.engine.set_matcher(MatcherKind::DualSide);
+    let world = build_world(params, EngineConfig::paper_defaults(), 0);
     let probes: Vec<(VertexId, VertexId, u32)> = TripGenerator::new(
-        world.engine.network(),
+        world.service.network(),
         TripConfig {
             num_trips: 128,
             seed: params.seed ^ 0xe15,
@@ -50,7 +49,8 @@ fn storm(params: WorldParams) -> f64 {
     .filter(|(o, d, _)| o != d)
     .collect();
 
-    let service = RideService::from_engine(world.engine)
+    let service = world
+        .service
         .with_service_config(ServiceConfig::default().with_offer_ttl_secs(1e12));
     let served = AtomicUsize::new(0);
     let start = Instant::now();

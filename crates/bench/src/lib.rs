@@ -5,7 +5,7 @@
 //! are consistent across experiments: a synthetic city, a fleet placed
 //! uniformly at random, a warm-up phase that assigns some trips so a
 //! realistic share of vehicles is non-empty, and a stream of probe requests
-//! matched read-only via [`PtRider::match_request_with`].
+//! matched read-only via [`RideService::match_request_with`].
 //!
 //! Besides the wall-clock numbers Criterion reports, each bench prints a
 //! small table (prefixed with `[exp]`) with the derived quantities the paper
@@ -16,7 +16,9 @@
 
 pub mod wire;
 
-use ptrider_core::{EngineConfig, MatchResult, MatcherKind, PtRider, Request};
+use ptrider_core::{
+    Decision, EngineConfig, MatchResult, MatcherKind, OptionId, PtRider, Request, RideService,
+};
 use ptrider_datagen::{synthetic_city, CityConfig, TimedTrip, TripConfig, TripGenerator};
 use ptrider_roadnet::{GridConfig, VertexId};
 use rand::{Rng, SeedableRng};
@@ -51,17 +53,18 @@ impl Default for WorldParams {
 
 /// A ready-to-probe benchmark world.
 pub struct BenchWorld {
-    /// The engine with its fleet registered and warmed up.
-    pub engine: PtRider,
+    /// The service with its fleet registered and warmed up.
+    pub service: RideService,
     /// Probe trips (not yet submitted).
     pub probes: Vec<TimedTrip>,
 }
 
-/// Builds a city, an engine with the given configuration, a fleet and a set
-/// of probe trips; then warms the engine up by assigning `warm_assignments`
-/// trips (each rider takes the earliest-pickup option).
+/// Builds a city, a dual-side service with the given configuration, a fleet
+/// and a set of probe trips; then warms the service up by assigning
+/// `warm_assignments` trips (each rider takes the earliest-pickup option,
+/// answering at the submit's timestamp) and resets the oracle's counters.
 ///
-/// The engine honours every knob of `config`.
+/// The service honours every knob of `config`.
 pub fn build_world(params: WorldParams, config: EngineConfig, probes: usize) -> BenchWorld {
     let city = synthetic_city(&CityConfig {
         cols: params.city_side,
@@ -81,9 +84,10 @@ pub fn build_world(params: WorldParams, config: EngineConfig, probes: usize) -> 
     for _ in 0..params.vehicles {
         engine.add_vehicle(VertexId(rng.gen_range(0..num_vertices)));
     }
+    let service = RideService::from_engine(engine);
 
     let trips = TripGenerator::new(
-        engine.network(),
+        service.network(),
         TripConfig {
             num_trips: params.warm_assignments + probes,
             seed: params.seed ^ 0x7415,
@@ -94,26 +98,31 @@ pub fn build_world(params: WorldParams, config: EngineConfig, probes: usize) -> 
 
     let (warm, probe_slice) = trips.split_at(params.warm_assignments.min(trips.len()));
     for (i, trip) in warm.iter().enumerate() {
-        let id = engine.allocate_request_id();
-        let request = Request::new(id, trip.origin, trip.destination, trip.riders, i as f64);
-        if let Ok(result) = engine.submit_request(request) {
-            if let Some(option) = result.options.first() {
-                let _ = engine.choose(id, option, i as f64);
+        let now = i as f64;
+        if let Ok(offer) = service.submit(trip.origin, trip.destination, trip.riders, now) {
+            let decision = if offer.options.is_empty() {
+                Decision::Decline
             } else {
-                let _ = engine.decline(id);
-            }
+                Decision::Choose(OptionId(0))
+            };
+            let _ = service.respond(offer.session, decision, now);
         }
     }
-    engine.reset_stats();
+    service.oracle().reset_counters();
 
     BenchWorld {
-        engine,
+        service,
         probes: probe_slice.to_vec(),
     }
 }
 
 /// Matches one probe trip read-only and returns the result.
-pub fn match_probe(engine: &PtRider, kind: MatcherKind, trip: &TimedTrip, id: u64) -> MatchResult {
+pub fn match_probe(
+    service: &RideService,
+    kind: MatcherKind,
+    trip: &TimedTrip,
+    id: u64,
+) -> MatchResult {
     let request = Request::new(
         ptrider_core::RequestId(id),
         trip.origin,
@@ -121,7 +130,7 @@ pub fn match_probe(engine: &PtRider, kind: MatcherKind, trip: &TimedTrip, id: u6
         trip.riders,
         trip.time_secs,
     );
-    engine
+    service
         .match_request_with(kind, &request)
         .expect("probe trips are valid requests")
 }
@@ -144,14 +153,14 @@ pub struct ProbeSummary {
 }
 
 /// Matches every probe once with the given matcher and summarises the work.
-pub fn summarise(engine: &PtRider, kind: MatcherKind, probes: &[TimedTrip]) -> ProbeSummary {
+pub fn summarise(service: &RideService, kind: MatcherKind, probes: &[TimedTrip]) -> ProbeSummary {
     let mut total_options = 0usize;
     let mut answered = 0usize;
     let mut verified = 0usize;
     let mut pruned = 0usize;
     let mut exact = 0u64;
     for (i, trip) in probes.iter().enumerate() {
-        let result = match_probe(engine, kind, trip, i as u64);
+        let result = match_probe(service, kind, trip, i as u64);
         total_options += result.options.len();
         if !result.options.is_empty() {
             answered += 1;

@@ -1,24 +1,19 @@
 //! The PTRider engine: the framework of Fig. 2.
 //!
 //! The engine owns the road-network index modules, the vehicle index and the
-//! matching-algorithm module, and exposes the three-step request flow the
-//! paper describes:
-//!
-//! 1. a rider **submits** a request (start, destination, group size) —
-//!    [`PtRider::submit`] / [`PtRider::submit_request`];
-//! 2. the matching module finds all qualified, non-dominated options and
-//!    returns them;
-//! 3. the rider **chooses** one option — [`PtRider::choose`] — and the
-//!    vehicle and index modules are updated accordingly.
-//!
-//! Vehicles report **location updates** ([`PtRider::location_update`]) and
-//! **pickup / drop-off updates** ([`PtRider::vehicle_arrived`]), which keep
-//! the indexes current, exactly as the system-control arrows of Fig. 2.
+//! matching-algorithm module. Its request flow — a rider **submits** a
+//! request, the matching module returns every qualified, non-dominated
+//! option, the rider **chooses** one — plus the vehicles' **location** and
+//! **pickup / drop-off updates** runs through one front door,
+//! [`crate::RideService`]. [`PtRider`] is the builder a service is made
+//! from: it holds the network, grid, oracle and configuration, picks the
+//! matcher and registers the initial fleet, then hands everything to
+//! [`crate::RideService::from_engine`] (or [`crate::RideService::recover`]).
 //!
 //! # Engine split: read path vs. write path
 //!
 //! Internally the engine state is decomposed into three parts so the
-//! service layer ([`crate::RideService`]) can run concurrent submits:
+//! service can run concurrent submits:
 //!
 //! * [`EngineShared`] — the immutable substrate (network, grid, distance
 //!   oracle, configuration, telemetry). Shared freely across
@@ -27,18 +22,12 @@
 //!   **read path** (option generation) only needs `&World`; the **write
 //!   path** (choice commits, location / stop updates, batch admission)
 //!   needs `&mut World`.
-//! * [`Ledger`] — request bookkeeping: pending requests awaiting a choice,
-//!   engine statistics and the request-id counter.
+//! * [`Ledger`] — engine statistics and the request-id counter.
 //!
 //! The free functions of this module (`prepare_request`, `match_options`,
 //! `commit_choice`, `apply_location_update`, `apply_vehicle_arrived`,
-//! `run_batch`) operate on those parts and are the single
-//! implementation both facades delegate to: [`PtRider`] (the original
-//! sequential `&mut self` facade, kept as a thin shim) and
-//! [`crate::RideService`] (the concurrent session front door, which puts
-//! `World` behind an `RwLock` and the `Ledger` behind a `Mutex`). Outcomes
-//! are therefore bit-identical between the two facades — property-tested in
-//! `tests/service_equivalence.rs`.
+//! `apply_traffic`, `run_batch`) operate on those parts; the service puts
+//! `World` behind an `RwLock` and the `Ledger` behind a `Mutex`.
 
 use crate::config::EngineConfig;
 use crate::matching::{MatchContext, MatchResult, Matcher, MatcherKind};
@@ -58,9 +47,6 @@ use std::time::Instant;
 /// Errors returned by engine operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// The request id is not pending (never submitted, already chosen, or
-    /// declined).
-    UnknownRequest(RequestId),
     /// The vehicle id does not exist.
     UnknownVehicle(VehicleId),
     /// The chosen option can no longer be honoured because the vehicle's
@@ -74,7 +60,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::UnknownRequest(r) => write!(f, "request {r} is not pending"),
             EngineError::UnknownVehicle(v) => write!(f, "vehicle {v} does not exist"),
             EngineError::AssignmentFailed(r, v) => {
                 write!(f, "vehicle {v} can no longer serve request {r}")
@@ -85,13 +70,6 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-/// A submitted request waiting for the rider's choice.
-#[derive(Clone, Debug)]
-pub(crate) struct PendingRequest {
-    pub(crate) request: Request,
-    pub(crate) prospective: ProspectiveRequest,
-}
 
 /// The immutable engine substrate, shared by the read and write paths:
 /// road network, grid index, distance oracle, configuration and the
@@ -273,9 +251,8 @@ impl World {
     }
 }
 
-/// Request bookkeeping: pending requests, statistics, request-id counter.
+/// Request bookkeeping: statistics and the request-id counter.
 pub(crate) struct Ledger {
-    pub(crate) pending: HashMap<RequestId, PendingRequest>,
     pub(crate) stats: EngineStats,
     next_request: u64,
 }
@@ -283,7 +260,6 @@ pub(crate) struct Ledger {
 impl Ledger {
     pub(crate) fn new() -> Self {
         Ledger {
-            pending: HashMap::new(),
             stats: EngineStats::default(),
             next_request: 0,
         }
@@ -321,8 +297,9 @@ impl Ledger {
 /// Validates a request spec and returns its direct shortest-path distance.
 ///
 /// The single source of truth for what counts as an admissible request:
-/// the engine's submit path and the service-layer submit both go through
-/// here, so they cannot diverge on validity.
+/// the service-layer submit, batch admission and the read-only
+/// [`match_request_with_oracle`] all go through here, so they cannot
+/// diverge on validity.
 pub(crate) fn validate_request(
     net: &RoadNetwork,
     oracle: &DistanceOracle,
@@ -398,12 +375,13 @@ pub(crate) fn match_options_in(
 
 /// Commits a rider's choice into the world — the **write path**. Assigns
 /// the request to the option's vehicle and refreshes the vehicle index.
-/// Does not touch the ledger; callers decide how the pending entry and the
-/// statistics are updated.
+/// Does not touch the ledger; callers decide how the statistics are
+/// updated.
 pub(crate) fn commit_choice(
     shared: &EngineShared,
     world: &mut World,
-    pending: &PendingRequest,
+    request: &Request,
+    prospective: &ProspectiveRequest,
     option: &RideOption,
     now: f64,
 ) -> Result<(), EngineError> {
@@ -414,20 +392,17 @@ pub(crate) fn commit_choice(
     let max_wait_dist = shared
         .config
         .speed
-        .seconds_to_distance(pending.request.effective_max_wait_secs(&shared.config));
+        .seconds_to_distance(request.effective_max_wait_secs(&shared.config));
     let assigned = vehicle.assign(
         &shared.oracle,
-        &pending.prospective,
+        prospective,
         option.pickup_dist,
         max_wait_dist,
         option.price,
         now,
     );
     if assigned.is_none() {
-        return Err(EngineError::AssignmentFailed(
-            pending.request.id,
-            option.vehicle,
-        ));
+        return Err(EngineError::AssignmentFailed(request.id, option.vehicle));
     }
     // Chaos site: a panic here tears the commit (vehicle assigned, index
     // stale) while the caller holds the world write lock — the worst-case
@@ -476,66 +451,6 @@ pub(crate) fn apply_vehicle_arrived(
     Ok(event)
 }
 
-/// Submits one request: validate, match, record. The shared implementation
-/// behind [`PtRider::submit_request`] and the batch loops.
-pub(crate) fn submit_request(
-    shared: &EngineShared,
-    matcher: &dyn Matcher,
-    world: &World,
-    ledger: &mut Ledger,
-    request: Request,
-) -> Result<MatchResult, EngineError> {
-    let prospective = prepare_request(shared, &request)?;
-    let (result, elapsed) = match_options(shared, matcher, world, &prospective);
-    ledger.record_match(&result, elapsed);
-    ledger.pending.insert(
-        request.id,
-        PendingRequest {
-            request,
-            prospective,
-        },
-    );
-    Ok(result)
-}
-
-/// The rider chooses a previously offered option: commit and settle the
-/// pending entry. Shared by [`PtRider::choose`] and the batch loops.
-pub(crate) fn choose(
-    shared: &EngineShared,
-    world: &mut World,
-    ledger: &mut Ledger,
-    request_id: RequestId,
-    option: &RideOption,
-    now: f64,
-) -> Result<(), EngineError> {
-    let pending = ledger
-        .pending
-        .get(&request_id)
-        .ok_or(EngineError::UnknownRequest(request_id))?;
-    match commit_choice(shared, world, pending, option, now) {
-        Ok(()) => {
-            ledger.pending.remove(&request_id);
-            ledger.stats.requests_chosen += 1;
-            Ok(())
-        }
-        Err(e) => {
-            if matches!(e, EngineError::AssignmentFailed(..)) {
-                ledger.stats.assignments_failed += 1;
-            }
-            Err(e)
-        }
-    }
-}
-
-/// Discards a pending request (the rider declined all options).
-pub(crate) fn decline(ledger: &mut Ledger, request_id: RequestId) -> Result<(), EngineError> {
-    ledger
-        .pending
-        .remove(&request_id)
-        .map(|_| ())
-        .ok_or(EngineError::UnknownRequest(request_id))
-}
-
 /// What an engine-level traffic update did (the engine-facing mirror of
 /// [`ptrider_roadnet::TrafficApplied`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -550,9 +465,8 @@ pub struct TrafficUpdateOutcome {
 
 /// Applies a traffic epoch — the **write path**. Swaps the oracle's metric
 /// (scaled by the model's ≥ 1.0 factors), lazily invalidates the
-/// epoch-stamped distance cache, and records the statistics. Shared by
-/// [`PtRider::apply_traffic_update`] and
-/// [`crate::RideService::apply_traffic_update`].
+/// epoch-stamped distance cache, and records the statistics. Called by
+/// [`crate::RideService::apply_traffic_update`] and journal replay.
 ///
 /// Existing vehicle schedules keep the leg distances they were planned
 /// with (re-planning in-flight trips is a policy decision, not a metric
@@ -572,7 +486,7 @@ pub(crate) fn apply_traffic(
     }
 }
 
-/// Result of one request inside [`PtRider::submit_batch_greedy`].
+/// Result of one request inside [`crate::RideService::submit_batch_greedy`].
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
     /// The request id the engine allocated.
@@ -585,9 +499,12 @@ pub struct BatchOutcome {
 }
 
 /// The paper's greedy batch admission (Section 2.5): match one request,
-/// commit the rider's choice, then match the next. The shared
-/// implementation behind [`PtRider::submit_batch_greedy`] and
-/// [`crate::RideService::submit_batch_greedy`].
+/// commit the rider's choice, then match the next. The implementation
+/// behind [`crate::RideService::submit_batch_greedy`] and its journal
+/// replay.
+///
+/// Every spec gets a request id, an invalid one included; an invalid spec
+/// is offered no options, so the selector sees an empty slice.
 pub(crate) fn run_batch<F>(
     shared: &EngineShared,
     matcher: &dyn Matcher,
@@ -604,16 +521,32 @@ where
     for &(origin, destination, riders) in specs {
         let id = ledger.allocate_request_id();
         let request = Request::new(id, origin, destination, riders, now);
-        let options = submit_request(shared, matcher, world, ledger, request)
-            .map(|r| r.options)
-            .unwrap_or_default();
-        let chosen = selector(&options).filter(|&i| i < options.len());
-        let assigned = match chosen {
-            Some(i) => choose(shared, world, ledger, id, &options[i], now).is_ok(),
-            None => {
-                let _ = decline(ledger, id);
-                false
+        let prospective = prepare_request(shared, &request).ok();
+        let options = match &prospective {
+            Some(prospective) => {
+                let (result, elapsed) = match_options(shared, matcher, world, prospective);
+                ledger.record_match(&result, elapsed);
+                result.options
             }
+            None => Vec::new(),
+        };
+        let chosen = selector(&options).filter(|&i| i < options.len());
+        let assigned = match (chosen, &prospective) {
+            (Some(i), Some(prospective)) => {
+                match commit_choice(shared, world, &request, prospective, &options[i], now) {
+                    Ok(()) => {
+                        ledger.stats.requests_chosen += 1;
+                        true
+                    }
+                    Err(e) => {
+                        if matches!(e, EngineError::AssignmentFailed(..)) {
+                            ledger.stats.assignments_failed += 1;
+                        }
+                        false
+                    }
+                }
+            }
+            _ => false,
         };
         outcomes.push(BatchOutcome {
             request: id,
@@ -627,8 +560,9 @@ where
 }
 
 /// Matches a request with an arbitrary matcher and oracle against a world,
-/// recording nothing. Shared by [`PtRider::match_request_with_oracle`] and
-/// [`crate::RideService::match_request_with`].
+/// recording nothing — the implementation behind
+/// [`crate::RideService::match_request_with_oracle`]. The request is
+/// validated exactly as a submit is, through the supplied oracle.
 pub(crate) fn match_request_with_oracle(
     shared: &EngineShared,
     world: &World,
@@ -636,17 +570,13 @@ pub(crate) fn match_request_with_oracle(
     request: &Request,
     oracle: &DistanceOracle,
 ) -> Result<MatchResult, EngineError> {
-    if !shared.net.contains(request.origin) || !shared.net.contains(request.destination) {
-        return Err(EngineError::InvalidRequest(
-            "origin or destination is not a vertex of the road network",
-        ));
-    }
-    let direct = oracle.distance(request.origin, request.destination);
-    if !direct.is_finite() {
-        return Err(EngineError::InvalidRequest(
-            "destination unreachable from origin",
-        ));
-    }
+    let direct = validate_request(
+        &shared.net,
+        oracle,
+        request.origin,
+        request.destination,
+        request.riders,
+    )?;
     let prospective = request.to_prospective(direct, &shared.config);
     let matcher = kind.build();
     let ctx = MatchContext {
@@ -661,20 +591,17 @@ pub(crate) fn match_request_with_oracle(
     Ok(matcher.find_options(&ctx, &prospective))
 }
 
-/// The price-and-time-aware ridesharing engine — the original sequential
-/// `&mut self` facade.
+/// The builder a [`crate::RideService`] is made from: the engine substrate
+/// (network, grid, distance oracle, configuration, telemetry), the chosen
+/// matching algorithm and the initial fleet.
 ///
-/// New code that needs concurrency or the offer/respond session lifecycle
-/// should prefer [`crate::RideService`], which wraps the same split engine
-/// internals behind interior locks; `PtRider` remains the zero-overhead
-/// single-threaded shim over those internals (and the reference behaviour
-/// the service is property-tested against).
+/// Construct one, pick the matcher, register vehicles, then hand it to
+/// [`crate::RideService::from_engine`] or [`crate::RideService::recover`];
+/// every request, choice and update runs on the service.
 pub struct PtRider {
     shared: EngineShared,
     matcher_kind: MatcherKind,
-    matcher: Box<dyn Matcher>,
     world: World,
-    ledger: Ledger,
 }
 
 impl PtRider {
@@ -697,7 +624,13 @@ impl PtRider {
     pub fn with_shared(net: Arc<RoadNetwork>, grid: Arc<GridIndex>, config: EngineConfig) -> Self {
         if config.num_landmarks == 0 {
             let oracle = DistanceOracle::new(Arc::clone(&net), Arc::clone(&grid));
-            return Self::with_oracle(net, grid, oracle, config);
+            return Self::with_oracle_and_telemetry(
+                net,
+                grid,
+                oracle,
+                config,
+                TelemetryConfig::from_env(),
+            );
         }
         let landmarks = ptrider_roadnet::LandmarkIndex::build_auto(&net, config.num_landmarks);
         Self::with_shared_landmarks(net, grid, Arc::new(landmarks), config)
@@ -717,24 +650,13 @@ impl PtRider {
         config: EngineConfig,
     ) -> Self {
         let oracle = DistanceOracle::with_landmarks(Arc::clone(&net), Arc::clone(&grid), landmarks);
-        Self::with_oracle(net, grid, oracle, config)
-    }
-
-    /// Builds an engine over a caller-constructed distance oracle (used by
-    /// benchmarks to compare oracle configurations on identical worlds).
-    pub fn with_oracle(
-        net: Arc<RoadNetwork>,
-        grid: Arc<GridIndex>,
-        oracle: DistanceOracle,
-        config: EngineConfig,
-    ) -> Self {
         Self::with_oracle_and_telemetry(net, grid, oracle, config, TelemetryConfig::from_env())
     }
 
-    /// [`Self::with_oracle`] with an explicit telemetry configuration
-    /// instead of the `PTRIDER_TELEMETRY` environment default (used by
-    /// tests and by the overhead-gate harness, which A/B-compares levels
-    /// in one process).
+    /// Builds an engine over a caller-constructed distance oracle and an
+    /// explicit telemetry configuration (the other constructors read the
+    /// level from `PTRIDER_TELEMETRY`; the overhead gate A/B-compares
+    /// levels in one process).
     pub fn with_oracle_and_telemetry(
         net: Arc<RoadNetwork>,
         grid: Arc<GridIndex>,
@@ -744,38 +666,24 @@ impl PtRider {
     ) -> Self {
         let shared = EngineShared::new(net, grid, oracle, config, telemetry);
         let world = World::new(shared.grid.num_cells());
-        let matcher_kind = MatcherKind::DualSide;
         PtRider {
             shared,
-            matcher_kind,
-            matcher: matcher_kind.build(),
+            matcher_kind: MatcherKind::DualSide,
             world,
-            ledger: Ledger::new(),
         }
     }
 
     /// Decomposes the engine into its split internals (service-layer
     /// construction path).
-    pub(crate) fn into_parts(self) -> (EngineShared, MatcherKind, Box<dyn Matcher>, World, Ledger) {
-        (
-            self.shared,
-            self.matcher_kind,
-            self.matcher,
-            self.world,
-            self.ledger,
-        )
+    pub(crate) fn into_parts(self) -> (EngineShared, MatcherKind, World) {
+        (self.shared, self.matcher_kind, self.world)
     }
 
-    /// Selects the active matching algorithm (the demo's admin panel allows
-    /// switching between the single-side and dual-side searches).
+    /// Selects the matching algorithm the service will run (the demo's
+    /// admin panel allows switching between the single-side and dual-side
+    /// searches). Defaults to [`MatcherKind::DualSide`].
     pub fn set_matcher(&mut self, kind: MatcherKind) {
         self.matcher_kind = kind;
-        self.matcher = kind.build();
-    }
-
-    /// The active matching algorithm.
-    pub fn matcher_kind(&self) -> MatcherKind {
-        self.matcher_kind
     }
 
     /// The engine configuration.
@@ -788,36 +696,10 @@ impl PtRider {
         &self.shared.net
     }
 
-    /// The road-network grid index.
-    pub fn grid(&self) -> &GridIndex {
-        &self.shared.grid
-    }
-
     /// The memoising distance oracle (exposes exact-computation counters).
     pub fn oracle(&self) -> &DistanceOracle {
         &self.shared.oracle
     }
-
-    /// Aggregated statistics.
-    pub fn stats(&self) -> &EngineStats {
-        &self.ledger.stats
-    }
-
-    /// The engine's telemetry hub (stage histograms, trace ring, named
-    /// counters/gauges).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.shared.telemetry
-    }
-
-    /// Resets the aggregated statistics (used between benchmark phases).
-    pub fn reset_stats(&mut self) {
-        self.ledger.stats = EngineStats::default();
-        self.shared.oracle.reset_counters();
-    }
-
-    // ------------------------------------------------------------------
-    // Vehicles
-    // ------------------------------------------------------------------
 
     /// Adds a vehicle at `location` with the global capacity.
     pub fn add_vehicle(&mut self, location: VertexId) -> VehicleId {
@@ -828,202 +710,6 @@ impl PtRider {
     pub fn add_vehicle_with_capacity(&mut self, location: VertexId, capacity: u32) -> VehicleId {
         self.world.add_vehicle(&self.shared, location, capacity)
     }
-
-    /// Number of vehicles registered.
-    pub fn num_vehicles(&self) -> usize {
-        self.world.vehicles.len()
-    }
-
-    /// Looks up a vehicle.
-    pub fn vehicle(&self, id: VehicleId) -> Option<&Vehicle> {
-        self.world.vehicles.get(&id)
-    }
-
-    /// Iterates over all vehicles.
-    pub fn vehicles(&self) -> impl Iterator<Item = &Vehicle> {
-        self.world.vehicles.values()
-    }
-
-    /// The vehicle grid index (empty / non-empty lists per cell).
-    pub fn vehicle_index(&self) -> &VehicleIndex {
-        &self.world.index
-    }
-
-    // ------------------------------------------------------------------
-    // Requests
-    // ------------------------------------------------------------------
-
-    /// Convenience wrapper around [`Self::submit_request`] that allocates the
-    /// request id and uses the global `w` and `δ`.
-    pub fn submit(
-        &mut self,
-        origin: VertexId,
-        destination: VertexId,
-        riders: u32,
-        now: f64,
-    ) -> (RequestId, Vec<RideOption>) {
-        let id = self.allocate_request_id();
-        let request = Request::new(id, origin, destination, riders, now);
-        let options = self
-            .submit_request(request)
-            .map(|r| r.options)
-            .unwrap_or_default();
-        (id, options)
-    }
-
-    /// Allocates a fresh request id (callers that build [`Request`] values
-    /// themselves must use engine-issued ids).
-    pub fn allocate_request_id(&mut self) -> RequestId {
-        self.ledger.allocate_request_id()
-    }
-
-    /// Submits a request and returns the full matching result (options plus
-    /// work counters). The options are remembered so the rider can
-    /// subsequently [`Self::choose`] one.
-    pub fn submit_request(&mut self, request: Request) -> Result<MatchResult, EngineError> {
-        submit_request(
-            &self.shared,
-            &*self.matcher,
-            &self.world,
-            &mut self.ledger,
-            request,
-        )
-    }
-
-    /// Matches a request against the *current* state with an arbitrary
-    /// matching algorithm, without recording anything (no pending request,
-    /// no statistics). Used by the benchmark harness to compare algorithms
-    /// on identical worlds and by the simulator's cross-check mode.
-    pub fn match_request_with(
-        &self,
-        kind: MatcherKind,
-        request: &Request,
-    ) -> Result<MatchResult, EngineError> {
-        self.match_request_with_oracle(kind, request, &self.shared.oracle)
-    }
-
-    /// Like [`Self::match_request_with`] but matching through a
-    /// caller-supplied distance oracle instead of the engine's own — the
-    /// entry point for comparing oracle configurations (e.g. cold vs warm
-    /// caches) on one identical world. The oracle must be built over
-    /// the same road network.
-    pub fn match_request_with_oracle(
-        &self,
-        kind: MatcherKind,
-        request: &Request,
-        oracle: &DistanceOracle,
-    ) -> Result<MatchResult, EngineError> {
-        match_request_with_oracle(&self.shared, &self.world, kind, request, oracle)
-    }
-
-    /// The rider chooses one of the options previously returned for
-    /// `request_id`. The option's vehicle is assigned the request, and the
-    /// vehicle index is updated.
-    pub fn choose(
-        &mut self,
-        request_id: RequestId,
-        option: &RideOption,
-        now: f64,
-    ) -> Result<(), EngineError> {
-        choose(
-            &self.shared,
-            &mut self.world,
-            &mut self.ledger,
-            request_id,
-            option,
-            now,
-        )
-    }
-
-    /// Processes a batch of *simultaneous* requests with the greedy strategy
-    /// the paper describes (Section 2.5): requests are matched one by one in
-    /// the given order, and each rider's choice — made by `selector`, which
-    /// receives the skyline and returns the index of the chosen option (or
-    /// `None` to decline) — is committed before the next request is matched,
-    /// so later requests see the updated vehicle schedules.
-    ///
-    /// A request that fails validation is offered no options; the selector
-    /// still sees its empty slice, so it is consulted exactly once per
-    /// request, in input order.
-    ///
-    /// Returns one [`BatchOutcome`] per input, in order.
-    pub fn submit_batch_greedy<F>(
-        &mut self,
-        specs: &[(VertexId, VertexId, u32)],
-        now: f64,
-        selector: F,
-    ) -> Vec<BatchOutcome>
-    where
-        F: FnMut(&[RideOption]) -> Option<usize>,
-    {
-        run_batch(
-            &self.shared,
-            &*self.matcher,
-            &mut self.world,
-            &mut self.ledger,
-            specs,
-            now,
-            selector,
-        )
-    }
-
-    /// Discards a pending request (the rider declined all options).
-    pub fn decline(&mut self, request_id: RequestId) -> Result<(), EngineError> {
-        decline(&mut self.ledger, request_id)
-    }
-
-    /// Number of requests awaiting a choice.
-    pub fn pending_requests(&self) -> usize {
-        self.ledger.pending.len()
-    }
-
-    // ------------------------------------------------------------------
-    // Vehicle updates (location / pickup / drop-off, Fig. 2)
-    // ------------------------------------------------------------------
-
-    /// Applies a periodic location update: the vehicle has driven
-    /// `travelled` metres and is now at `location`.
-    pub fn location_update(
-        &mut self,
-        vehicle_id: VehicleId,
-        location: VertexId,
-        travelled: f64,
-    ) -> Result<(), EngineError> {
-        apply_location_update(
-            &self.shared,
-            &mut self.world,
-            vehicle_id,
-            location,
-            travelled,
-        )?;
-        self.ledger.stats.location_updates += 1;
-        Ok(())
-    }
-
-    /// Applies a live-traffic epoch: the distance oracle's metric is
-    /// scaled by the model's factors (≥ 1.0 over free flow) and the
-    /// epoch-stamped distance cache invalidates lazily.
-    /// The model must be built over this engine's road network
-    /// ([`Self::network`]).
-    pub fn apply_traffic_update(&mut self, model: &TrafficModel) -> TrafficUpdateOutcome {
-        apply_traffic(&self.shared, &mut self.ledger, model)
-    }
-
-    /// Notifies the engine that a vehicle has arrived at the next stop of
-    /// its schedule; serves the stop (pickup or drop-off update) and
-    /// refreshes the vehicle index.
-    pub fn vehicle_arrived(
-        &mut self,
-        vehicle_id: VehicleId,
-    ) -> Result<Option<StopEvent>, EngineError> {
-        let event = apply_vehicle_arrived(&self.shared, &mut self.world, vehicle_id)?;
-        match &event {
-            Some(StopEvent::PickedUp { .. }) => self.ledger.stats.pickups += 1,
-            Some(StopEvent::DroppedOff { .. }) => self.ledger.stats.dropoffs += 1,
-            None => {}
-        }
-        Ok(event)
-    }
 }
 
 impl fmt::Debug for PtRider {
@@ -1033,67 +719,55 @@ impl fmt::Debug for PtRider {
             .field("cells", &self.shared.grid.num_cells())
             .field("vehicles", &self.world.vehicles.len())
             .field("matcher", &self.matcher_kind)
-            .field("pending", &self.ledger.pending.len())
             .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The engine's free functions, driven through the one front door.
+
     use super::*;
+    use crate::service::tests::city;
+    use crate::service::{RideService, ServiceConfig};
+    use crate::session::{Decision, OptionId, ServiceError};
     use ptrider_roadnet::RoadNetworkBuilder;
 
-    /// A 5x5 lattice with 1 km edges.
-    fn city() -> RoadNetwork {
-        let side = 5usize;
-        let mut b = RoadNetworkBuilder::new();
-        let mut ids = Vec::new();
-        for y in 0..side {
-            for x in 0..side {
-                ids.push(b.add_vertex(x as f64 * 1000.0, y as f64 * 1000.0));
-            }
-        }
-        for y in 0..side {
-            for x in 0..side {
-                let u = ids[y * side + x];
-                if x + 1 < side {
-                    b.add_bidirectional_edge(u, ids[y * side + x + 1], 1000.0);
-                }
-                if y + 1 < side {
-                    b.add_bidirectional_edge(u, ids[(y + 1) * side + x], 1000.0);
-                }
-            }
-        }
-        b.build().unwrap()
-    }
-
-    fn engine() -> PtRider {
-        PtRider::new(
+    /// A service over [`city`] with the given matcher and a fixed 60 s offer
+    /// TTL (independent of `PTRIDER_OFFER_TTL_SECS`).
+    fn service(matcher: MatcherKind) -> RideService {
+        RideService::new(
             city(),
             GridConfig::with_dimensions(3, 3),
             EngineConfig::default(),
         )
+        .with_matcher(matcher)
+        .with_service_config(ServiceConfig::default().with_offer_ttl_secs(60.0))
+    }
+
+    fn choose_first(svc: &RideService, offer: &crate::Offer, now: f64) {
+        svc.respond(offer.session, Decision::Choose(OptionId(0)), now)
+            .unwrap()
+            .expect("a choice confirms");
     }
 
     #[test]
     fn full_request_lifecycle() {
-        let mut e = engine();
-        e.set_matcher(MatcherKind::SingleSide);
+        let e = service(MatcherKind::SingleSide);
         let taxi = e.add_vehicle(VertexId(0));
         assert_eq!(e.num_vehicles(), 1);
 
-        let (req, options) = e.submit(VertexId(6), VertexId(8), 2, 0.0);
-        assert_eq!(options.len(), 1);
-        assert_eq!(e.pending_requests(), 1);
-        let opt = &options[0];
+        let offer = e.submit(VertexId(6), VertexId(8), 2, 0.0).unwrap();
+        assert_eq!(offer.options.len(), 1);
+        let opt = &offer.options[0];
         assert_eq!(opt.vehicle, taxi);
         assert_eq!(opt.pickup_dist, 2000.0);
         // Empty vehicle price: f_2 * (2000 + 2 * 2000) = 0.4 * 6000.
         assert!((opt.price - 2400.0).abs() < 1e-6);
 
-        e.choose(req, opt, 0.0).unwrap();
-        assert_eq!(e.pending_requests(), 0);
-        assert!(!e.vehicle(taxi).unwrap().is_empty());
+        choose_first(&e, &offer, 0.0);
+        assert_eq!(e.open_offers(), 0);
+        assert!(!e.with_vehicle(taxi, |v| v.is_empty()).unwrap());
         assert_eq!(e.stats().requests_chosen, 1);
 
         // Drive to the pickup and serve it.
@@ -1104,7 +778,7 @@ mod tests {
         e.location_update(taxi, VertexId(8), 2000.0).unwrap();
         let ev = e.vehicle_arrived(taxi).unwrap().unwrap();
         assert!(matches!(ev, StopEvent::DroppedOff { .. }));
-        assert!(e.vehicle(taxi).unwrap().is_empty());
+        assert!(e.with_vehicle(taxi, |v| v.is_empty()).unwrap());
         assert_eq!(e.stats().pickups, 1);
         assert_eq!(e.stats().dropoffs, 1);
     }
@@ -1142,100 +816,63 @@ mod tests {
 
     #[test]
     fn submit_validates_inputs() {
-        let mut e = engine();
+        let e = service(MatcherKind::DualSide);
         e.add_vehicle(VertexId(0));
-        let id = e.allocate_request_id();
-        let bad = Request::new(id, VertexId(3), VertexId(3), 1, 0.0);
-        assert!(matches!(
-            e.submit_request(bad),
-            Err(EngineError::InvalidRequest(_))
-        ));
-        let id = e.allocate_request_id();
-        let bad = Request::new(id, VertexId(3), VertexId(999), 1, 0.0);
-        assert!(matches!(
-            e.submit_request(bad),
-            Err(EngineError::InvalidRequest(_))
-        ));
-        let id = e.allocate_request_id();
-        let bad = Request::new(id, VertexId(3), VertexId(4), 0, 0.0);
-        assert!(matches!(
-            e.submit_request(bad),
-            Err(EngineError::InvalidRequest(_))
-        ));
-    }
-
-    #[test]
-    fn choose_unknown_request_fails() {
-        let mut e = engine();
-        let taxi = e.add_vehicle(VertexId(0));
-        let opt = RideOption {
-            vehicle: taxi,
-            pickup_dist: 0.0,
-            pickup_secs: 0.0,
-            price: 0.0,
-            schedule: Vec::new(),
-            new_total_dist: 0.0,
-            old_total_dist: 0.0,
-        };
-        assert!(matches!(
-            e.choose(RequestId(99), &opt, 0.0),
-            Err(EngineError::UnknownRequest(_))
-        ));
-    }
-
-    #[test]
-    fn decline_removes_pending_request() {
-        let mut e = engine();
-        e.add_vehicle(VertexId(0));
-        let (req, _) = e.submit(VertexId(6), VertexId(8), 1, 0.0);
-        assert_eq!(e.pending_requests(), 1);
-        e.decline(req).unwrap();
-        assert_eq!(e.pending_requests(), 0);
-        assert!(e.decline(req).is_err());
+        for (origin, destination, riders) in [(3, 3, 1), (3, 999, 1), (3, 4, 0)] {
+            assert!(matches!(
+                e.submit(VertexId(origin), VertexId(destination), riders, 0.0),
+                Err(ServiceError::Engine(EngineError::InvalidRequest(_)))
+            ));
+        }
+        assert_eq!(e.num_sessions(), 0);
+        assert_eq!(e.stats().requests_submitted, 0);
     }
 
     #[test]
     fn declined_then_resubmitted_rider_gets_fresh_state() {
-        // Regression: a decline must fully release the request's pending
-        // bookkeeping — the same rider resubmitting gets a *new* request id
-        // and the old id stays unknown to `choose`/`decline` forever.
-        let mut e = engine();
-        e.add_vehicle(VertexId(0));
-        let (first, options) = e.submit(VertexId(6), VertexId(8), 1, 0.0);
-        assert!(!options.is_empty());
-        e.decline(first).unwrap();
-        assert_eq!(e.pending_requests(), 0);
+        // A decline commits nothing: the vehicle stays empty, and the same
+        // rider resubmitting gets a fresh request id and the same skyline.
+        let e = service(MatcherKind::DualSide);
+        let taxi = e.add_vehicle(VertexId(0));
+        let first = e.submit(VertexId(6), VertexId(8), 1, 0.0).unwrap();
+        assert!(!first.options.is_empty());
+        e.respond(first.session, Decision::Decline, 0.0).unwrap();
+        assert!(e.with_vehicle(taxi, |v| v.is_empty()).unwrap());
 
-        let (second, options2) = e.submit(VertexId(6), VertexId(8), 1, 1.0);
-        assert_ne!(first, second, "resubmission must allocate a fresh id");
-        assert_eq!(e.pending_requests(), 1);
-        // The stale id is gone: neither choosable nor declinable.
-        assert!(matches!(
-            e.choose(first, &options2[0], 1.0),
-            Err(EngineError::UnknownRequest(_))
-        ));
-        assert!(e.decline(first).is_err());
-        // The fresh id works normally.
-        e.choose(second, &options2[0], 1.0).unwrap();
-        assert_eq!(e.pending_requests(), 0);
+        let second = e.submit(VertexId(6), VertexId(8), 1, 1.0).unwrap();
+        assert_ne!(
+            first.request, second.request,
+            "resubmission must allocate a fresh id"
+        );
+        assert_eq!(first.options.len(), second.options.len());
+        for (a, b) in first.options.iter().zip(&second.options) {
+            assert_eq!(a.price.to_bits(), b.price.to_bits());
+        }
+        choose_first(&e, &second, 1.0);
+        assert_eq!(e.with_vehicle(taxi, |v| v.num_requests()), Some(1));
+        assert_eq!(e.stats().requests_chosen, 1);
     }
 
     #[test]
     fn multiple_vehicles_yield_price_time_tradeoff() {
-        let mut e = engine();
-        e.set_matcher(MatcherKind::DualSide);
+        let e = service(MatcherKind::DualSide);
         // A nearby vehicle that is already busy (will have a detour-dependent
         // price) and a distant empty vehicle.
         let busy = e.add_vehicle(VertexId(5));
         let far = e.add_vehicle(VertexId(24));
 
         // Assign a long trip to the nearby vehicle so it is non-empty.
-        let (r1, opts1) = e.submit(VertexId(5), VertexId(9), 1, 0.0);
-        let pick = opts1.iter().find(|o| o.vehicle == busy).unwrap().clone();
-        e.choose(r1, &pick, 0.0).unwrap();
+        let first = e.submit(VertexId(5), VertexId(9), 1, 0.0).unwrap();
+        let pick = first
+            .iter_ids()
+            .find(|(_, o)| o.vehicle == busy)
+            .map(|(id, _)| id)
+            .unwrap();
+        e.respond(first.session, Decision::Choose(pick), 0.0)
+            .unwrap();
 
         // A new request starting next to the busy vehicle's route.
-        let (_r2, opts2) = e.submit(VertexId(7), VertexId(9), 1, 1.0);
+        let opts2 = e.submit(VertexId(7), VertexId(9), 1, 1.0).unwrap().options;
         assert!(!opts2.is_empty());
         // All returned options are mutually non-dominated.
         for a in &opts2 {
@@ -1253,8 +890,7 @@ mod tests {
 
     #[test]
     fn greedy_batch_commits_each_choice_before_the_next_match() {
-        let mut e = engine();
-        e.set_matcher(MatcherKind::DualSide);
+        let e = service(MatcherKind::DualSide);
         let taxi = e.add_vehicle(VertexId(12));
 
         // Two simultaneous requests competing for the single taxi: the greedy
@@ -1264,18 +900,7 @@ mod tests {
             (VertexId(12), VertexId(14), 1u32),
             (VertexId(13), VertexId(14), 1u32),
         ];
-        let outcomes =
-            e.submit_batch_greedy(
-                &specs,
-                0.0,
-                |options| {
-                    if options.is_empty() {
-                        None
-                    } else {
-                        Some(0)
-                    }
-                },
-            );
+        let outcomes = e.submit_batch_greedy(&specs, 0.0, |o| (!o.is_empty()).then_some(0));
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].chosen, Some(0));
         assert!(!outcomes[0].options.is_empty());
@@ -1283,21 +908,23 @@ mod tests {
         // its option (if any) prices the shared schedule, and the vehicle now
         // carries as many requests as were successfully assigned.
         let assigned = outcomes.iter().filter(|o| o.chosen.is_some()).count();
-        assert_eq!(e.vehicle(taxi).unwrap().num_requests(), assigned);
+        assert_eq!(e.with_vehicle(taxi, |v| v.num_requests()), Some(assigned));
         assert_eq!(e.stats().requests_chosen, assigned as u64);
-        assert_eq!(e.pending_requests(), 0);
     }
 
     #[test]
     fn batch_records_burst_stats() {
-        let mut e = engine();
+        let e = service(MatcherKind::DualSide);
         e.add_vehicle(VertexId(12));
         let specs = [
             (VertexId(12), VertexId(14), 1u32),
             (VertexId(13), VertexId(14), 1u32),
             (VertexId(3), VertexId(3), 1u32), // invalid: origin == dest
         ];
-        let _ = e.submit_batch_greedy(&specs, 0.0, |o| (!o.is_empty()).then_some(0));
+        let outcomes = e.submit_batch_greedy(&specs, 0.0, |o| (!o.is_empty()).then_some(0));
+        // The invalid spec still gets a request id and an empty skyline.
+        assert_eq!(outcomes[2].request, RequestId(2));
+        assert!(outcomes[2].options.is_empty());
         let s = e.stats();
         assert_eq!(s.batch_bursts, 1);
         // Every spec counts as a burst request, the invalid one included;
@@ -1308,62 +935,110 @@ mod tests {
 
     #[test]
     fn greedy_batch_decline_leaves_no_pending_state() {
-        let mut e = engine();
-        e.add_vehicle(VertexId(0));
+        let e = service(MatcherKind::DualSide);
+        let taxi = e.add_vehicle(VertexId(0));
         let specs = [(VertexId(6), VertexId(8), 1u32)];
         let outcomes = e.submit_batch_greedy(&specs, 0.0, |_| None);
         assert_eq!(outcomes[0].chosen, None);
-        assert_eq!(e.pending_requests(), 0);
+        assert!(e.with_vehicle(taxi, |v| v.is_empty()).unwrap());
         assert_eq!(e.stats().requests_chosen, 0);
+        assert_eq!(e.num_sessions(), 0, "a burst opens no sessions");
     }
 
     #[test]
     fn traffic_update_changes_prices_and_reset_restores_them() {
         use ptrider_roadnet::TrafficModel;
-        let mut e = engine();
-        e.set_matcher(MatcherKind::SingleSide);
+        let e = service(MatcherKind::SingleSide);
         e.add_vehicle(VertexId(0));
         // Relative to the construction epoch: `PTRIDER_TRAFFIC_EPOCHS`
         // pre-applies synthetic epochs before the engine serves.
         let epoch0 = e.oracle().traffic_epoch();
-        let (req, base_options) = e.submit(VertexId(6), VertexId(8), 2, 0.0);
+        let base_options = e.submit(VertexId(6), VertexId(8), 2, 0.0).unwrap().options;
         assert_eq!(base_options.len(), 1);
-        e.decline(req).unwrap();
         let base_price = base_options[0].price;
         let base_pickup = base_options[0].pickup_dist;
 
         // Congest the whole city 2x: pickup distances and prices scale.
         let model = TrafficModel::uniform(e.network(), 2.0);
-        let outcome = e.apply_traffic_update(&model);
+        let outcome = e.apply_traffic_update(&model, 1.0);
         assert_eq!(outcome.epoch, epoch0 + 1);
         assert_eq!(e.stats().traffic_epochs, 1);
-        let (req, congested) = e.submit(VertexId(6), VertexId(8), 2, 1.0);
+        let congested = e.submit(VertexId(6), VertexId(8), 2, 1.0).unwrap().options;
         assert_eq!(congested.len(), 1);
         assert!((congested[0].pickup_dist - 2.0 * base_pickup).abs() < 1e-6);
         assert!((congested[0].price - 2.0 * base_price).abs() < 1e-6);
-        e.decline(req).unwrap();
 
         // Free flow again: options return to the base bits.
-        let outcome = e.apply_traffic_update(&TrafficModel::free_flow(e.network()));
+        let outcome = e.apply_traffic_update(&TrafficModel::free_flow(e.network()), 2.0);
         assert_eq!(outcome.epoch, epoch0 + 2);
-        let (_, restored) = e.submit(VertexId(6), VertexId(8), 2, 2.0);
+        let restored = e.submit(VertexId(6), VertexId(8), 2, 2.0).unwrap().options;
         assert_eq!(restored[0].price.to_bits(), base_price.to_bits());
         assert_eq!(restored[0].pickup_dist.to_bits(), base_pickup.to_bits());
     }
 
     #[test]
     fn stats_accumulate_over_requests() {
-        let mut e = engine();
+        let e = service(MatcherKind::DualSide);
         e.add_vehicle(VertexId(0));
         for i in 0..5u32 {
             let origin = VertexId(6 + (i % 3));
             let dest = VertexId(20 + (i % 4));
-            let _ = e.submit(origin, dest, 1, i as f64);
+            e.submit(origin, dest, 1, i as f64).unwrap();
         }
         let s = e.stats();
         assert_eq!(s.requests_submitted, 5);
         assert!(s.avg_response_secs() >= 0.0);
         assert!(s.avg_options_per_request() > 0.0);
         assert!(s.match_work.vehicles_verified >= 1);
+    }
+
+    /// A service over the 4-vertex line `0 - 1 - 2 - 3` with one taxi at 0.
+    fn line_service() -> RideService {
+        let mut b = RoadNetworkBuilder::new();
+        let ids: Vec<VertexId> = (0..4)
+            .map(|i| b.add_vertex(i as f64 * 1000.0, 0.0))
+            .collect();
+        for pair in ids.windows(2) {
+            b.add_bidirectional_edge(pair[0], pair[1], 1000.0);
+        }
+        let e = RideService::new(
+            b.build().unwrap(),
+            GridConfig::with_dimensions(2, 1),
+            EngineConfig::default(),
+        );
+        e.add_vehicle(VertexId(0));
+        e
+    }
+
+    /// `match_request_with` rejects `spec` as invalid under every matcher,
+    /// exactly as `submit` does, and still answers a valid request.
+    fn assert_probe_rejected(spec: (u32, u32, u32)) {
+        let e = line_service();
+        let (origin, destination, riders) = spec;
+        let (origin, destination) = (VertexId(origin), VertexId(destination));
+        assert!(matches!(
+            e.submit(origin, destination, riders, 0.0),
+            Err(ServiceError::Engine(EngineError::InvalidRequest(_)))
+        ));
+        let request = Request::new(RequestId(0), origin, destination, riders, 0.0);
+        for kind in MatcherKind::all() {
+            assert!(matches!(
+                e.match_request_with(kind, &request),
+                Err(EngineError::InvalidRequest(_))
+            ));
+        }
+        let valid = Request::new(RequestId(0), VertexId(1), VertexId(3), 1, 0.0);
+        let result = e.match_request_with(MatcherKind::DualSide, &valid).unwrap();
+        assert_eq!(result.options.len(), 1);
+    }
+
+    #[test]
+    fn match_request_with_rejects_coinciding_endpoints() {
+        assert_probe_rejected((2, 2, 1));
+    }
+
+    #[test]
+    fn match_request_with_rejects_zero_riders() {
+        assert_probe_rejected((1, 3, 0));
     }
 }

@@ -11,18 +11,15 @@
 //! * the **PTRider engine** of Fig. 2, tying the road-network grid index,
 //!   the vehicle index and a matcher into the request → options → choice →
 //!   update loop;
-//! * the **service layer** ([`RideService`]) — the concurrent session
-//!   front door exposing the paper's two-phase offer/respond interaction
-//!   as a typed lifecycle (`Pending → Offered → Confirmed / Declined /
-//!   Expired`) with clock-driven offer expiry and a subscriber-visible
-//!   event log.
-//!
-//! The example below drives the sequential [`PtRider`] facade directly;
-//! concurrent callers should prefer [`RideService`] (see the `ptrider`
-//! facade crate's quickstart).
+//! * the **service layer** ([`RideService`]) — the one front door to that
+//!   loop: a concurrent session facade exposing the paper's two-phase
+//!   offer/respond interaction as a typed lifecycle (`Pending → Offered →
+//!   Confirmed / Declined / Expired`) with clock-driven offer expiry and a
+//!   subscriber-visible event log. A [`PtRider`] is the builder a service
+//!   is made from (substrate, matcher choice, initial fleet).
 //!
 //! ```
-//! use ptrider_core::{EngineConfig, MatcherKind, PtRider};
+//! use ptrider_core::{Decision, EngineConfig, MatcherKind, OptionId, PtRider, RideService};
 //! use ptrider_roadnet::{GridConfig, RoadNetworkBuilder, VertexId};
 //!
 //! // A tiny two-street network.
@@ -37,10 +34,11 @@
 //! let mut engine = PtRider::new(net, GridConfig::with_dimensions(2, 1), EngineConfig::default());
 //! engine.set_matcher(MatcherKind::SingleSide);
 //! let taxi = engine.add_vehicle(a);
-//! let (req, options) = engine.submit(m, z, 1, 0.0);
-//! assert_eq!(options.len(), 1);
-//! engine.choose(req, &options[0], 0.0).unwrap();
-//! assert!(!engine.vehicle(taxi).unwrap().is_empty());
+//! let service = RideService::from_engine(engine);
+//! let offer = service.submit(m, z, 1, 0.0).unwrap();
+//! assert_eq!(offer.options.len(), 1);
+//! service.respond(offer.session, Decision::Choose(OptionId(0)), 0.0).unwrap();
+//! assert!(!service.with_vehicle(taxi, |v| v.is_empty()).unwrap());
 //! ```
 
 #![forbid(unsafe_code)]

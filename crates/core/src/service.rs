@@ -17,13 +17,16 @@
 //! * every transition publishes a typed [`EngineEvent`] into the
 //!   subscriber-visible [`EventLog`].
 //!
-//! **Bit-identity.** The service shares its entire matching and commit
-//! implementation with the sequential [`PtRider`] facade (the free
-//! functions of `crate::engine`), and the distance oracle's canonical-
-//! direction folds make every answer history-independent — so a submit
-//! against a given world state returns the same option skyline, bit for
-//! bit, whether it runs alone on `PtRider` or concurrently here. This is
-//! property-tested in `tests/service_equivalence.rs`.
+//! **Bit-identity.** The distance oracle's canonical-direction folds make
+//! every answer history-independent, so a submit against a given world
+//! state returns the same option skyline, bit for bit, whether it runs
+//! alone or races other submits. This is property-tested in
+//! `tests/service_equivalence.rs`, where a second, identically built
+//! service answers the same probes one by one.
+//!
+//! A service is made from a [`PtRider`] builder
+//! ([`RideService::from_engine`]), which holds the substrate, the matcher
+//! choice and the initial fleet; [`RideService::new`] does both steps.
 //!
 //! # Durability
 //!
@@ -51,8 +54,7 @@
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    self, BatchOutcome, EngineError, EngineShared, Ledger, PendingRequest, PtRider,
-    TrafficUpdateOutcome, World,
+    self, BatchOutcome, EngineError, EngineShared, Ledger, PtRider, TrafficUpdateOutcome, World,
 };
 use crate::events::{EngineEvent, EventCursor, EventLog, StampedEvent};
 use crate::journal::{
@@ -71,12 +73,10 @@ use crate::telemetry::{
     ProfiledMutex, ProfiledMutexGuard, ProfiledReadGuard, ProfiledRwLock, ProfiledWriteGuard,
     PromWriter, SeqSnapshot, Stage, Telemetry, TraceContext,
 };
-use ptrider_roadnet::{
-    fault, DistanceOracle, GridConfig, GridIndex, RoadNetwork, TrafficModel, VertexId,
-};
+use ptrider_roadnet::{fault, DistanceOracle, GridConfig, RoadNetwork, TrafficModel, VertexId};
 use ptrider_vehicles::{
     AssignedRequest, KineticNode, KineticTree, ProspectiveRequest, RequestId, RequestProgress,
-    StopEvent, Vehicle, VehicleId,
+    StopEvent, Vehicle, VehicleId, VehicleIndex,
 };
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -251,32 +251,18 @@ impl RideService {
         Self::from_engine(PtRider::new(net, grid_config, config))
     }
 
-    /// Builds a service over pre-built shared network and grid handles
-    /// (see [`PtRider::with_shared`]).
-    pub fn with_shared(
-        net: std::sync::Arc<RoadNetwork>,
-        grid: std::sync::Arc<GridIndex>,
-        config: EngineConfig,
-    ) -> Self {
-        Self::from_engine(PtRider::with_shared(net, grid, config))
-    }
-
-    /// Wraps an existing engine — fleet, pending bookkeeping, statistics
-    /// and the selected matcher all carry over. This is the migration path
-    /// from the sequential facade: build and populate a [`PtRider`], then
-    /// hand it to the service for concurrent operation.
+    /// Builds a service from an engine builder: its substrate, its fleet
+    /// and its selected matcher carry over; statistics, request ids and
+    /// sessions start fresh.
     pub fn from_engine(engine: PtRider) -> Self {
-        let (shared, matcher_kind, matcher, world, ledger) = engine.into_parts();
+        let (shared, matcher_kind, world) = engine.into_parts();
         let service_config = ServiceConfig::default();
-        let stats_mirror = SeqSnapshot::new();
-        // Seed the mirror: a wrapped engine may carry non-zero stats.
-        stats_mirror.publish(&ledger.stats.to_words());
         // Lock sites resolve to `None` below the `Spans` telemetry level,
         // leaving each lock a plain `std::sync` lock behind one branch.
         let t = &shared.telemetry;
         let world =
             ProfiledRwLock::new(world, t.lock_site("world.read"), t.lock_site("world.write"));
-        let ledger = ProfiledMutex::new(ledger, t.lock_site("ledger"));
+        let ledger = ProfiledMutex::new(Ledger::new(), t.lock_site("ledger"));
         let sessions = ProfiledMutex::new(
             SessionStore {
                 sessions: HashMap::new(),
@@ -287,7 +273,7 @@ impl RideService {
         RideService {
             shared,
             matcher_kind,
-            matcher,
+            matcher: matcher_kind.build(),
             events: EventLog::new(service_config.event_capacity),
             service_config,
             world,
@@ -295,7 +281,7 @@ impl RideService {
             sessions,
             journal: None,
             last_traffic: Mutex::new(None),
-            stats_mirror,
+            stats_mirror: SeqSnapshot::new(),
         }
     }
 
@@ -550,6 +536,11 @@ impl RideService {
         f(&mut iter)
     }
 
+    /// Runs `f` over the per-cell vehicle index under the world read lock.
+    pub fn with_vehicle_index<R>(&self, f: impl FnOnce(&VehicleIndex) -> R) -> R {
+        f(&self.world_read_tolerant().index)
+    }
+
     /// Applies a periodic location update — write path.
     pub fn location_update(
         &self,
@@ -775,13 +766,16 @@ impl RideService {
                 journal_submit(&mut ledger, &result, elapsed);
             }
             let hold = result.options.first().and_then(|option| {
-                let pending = PendingRequest {
-                    request,
-                    prospective,
-                };
-                engine::commit_choice(&self.shared, &mut world, &pending, option, now)
-                    .ok()
-                    .map(|()| option.vehicle)
+                engine::commit_choice(
+                    &self.shared,
+                    &mut world,
+                    &request,
+                    &prospective,
+                    option,
+                    now,
+                )
+                .ok()
+                .map(|()| option.vehicle)
             });
             (result, hold)
         } else {
@@ -1002,12 +996,10 @@ impl RideService {
                     }));
                 }
 
-                let pending = PendingRequest {
-                    request: session.request,
-                    prospective: session
-                        .prospective
-                        .expect("an offered session holds its prospective"),
-                };
+                let request = session.request;
+                let prospective = session
+                    .prospective
+                    .expect("an offered session holds its prospective");
                 let hold = session.hold.take();
                 // Single admission writer: the commit happens under the
                 // world write lock, serialised with every other commit.
@@ -1017,8 +1009,14 @@ impl RideService {
                     if let Some(vehicle) = hold {
                         release_hold(&self.shared, &mut world, vehicle, request_id);
                     }
-                    let committed =
-                        engine::commit_choice(&self.shared, &mut world, &pending, &option, now);
+                    let committed = engine::commit_choice(
+                        &self.shared,
+                        &mut world,
+                        &request,
+                        &prospective,
+                        &option,
+                        now,
+                    );
                     if committed.is_err() && hold.is_some() {
                         // Best-effort: re-place the hold on option 0 so the
                         // still-open offer keeps its guarantee.
@@ -1026,7 +1024,8 @@ impl RideService {
                             engine::commit_choice(
                                 &self.shared,
                                 &mut world,
-                                &pending,
+                                &request,
+                                &prospective,
                                 &previous,
                                 now,
                             )
@@ -1187,25 +1186,23 @@ impl RideService {
         removed
     }
 
-    /// Requests parked in the engine-level pending table. The session
-    /// lifecycle never leaves entries here (sessions carry their own
-    /// bookkeeping and release it on resolution); only a batch admission in
-    /// flight uses it transiently, so outside engine internals this is
-    /// `0` — asserted by the request-state-leak regression tests.
-    pub fn ledger_pending_requests(&self) -> usize {
-        self.ledger_tolerant().pending.len()
-    }
-
     // ------------------------------------------------------------------
     // Batch admission (write path)
     // ------------------------------------------------------------------
 
-    /// Admits a burst of simultaneous requests through the engine's greedy
-    /// batch admission on the writer path. The riders'
-    /// choices are made synchronously by `selector` — this models the
+    /// Admits a burst of simultaneous requests on the writer path — the
     /// dispatch-window batching of peak periods, where no offer/respond
-    /// round-trip happens per request. Outcomes are byte-identical to
-    /// [`PtRider::submit_batch_greedy`] on the same state.
+    /// round-trip happens per request.
+    ///
+    /// Requests are matched one by one in the given order, and each
+    /// rider's choice — made by `selector`, which receives the skyline and
+    /// returns the index of the chosen option (or `None` to decline) — is
+    /// committed before the next request is matched, so later requests see
+    /// the updated vehicle schedules (the paper's greedy strategy, Section
+    /// 2.5). A request that fails validation is offered no options; the
+    /// selector still sees its empty slice, so it is consulted exactly once
+    /// per request, in input order. Returns one [`BatchOutcome`] per input,
+    /// in order.
     pub fn submit_batch_greedy<F>(
         &self,
         specs: &[(VertexId, VertexId, u32)],
@@ -1297,14 +1294,27 @@ impl RideService {
 
     /// Matches a request against the current world with an arbitrary
     /// matcher, recording nothing (cross-check / benchmarking entry point;
-    /// read path).
+    /// read path). Validates the request exactly as [`Self::submit`] does.
     pub fn match_request_with(
         &self,
         kind: MatcherKind,
         request: &Request,
     ) -> Result<MatchResult, EngineError> {
+        self.match_request_with_oracle(kind, request, &self.shared.oracle)
+    }
+
+    /// [`Self::match_request_with`] through a caller-supplied distance
+    /// oracle instead of the service's own — the entry point for comparing
+    /// oracle configurations (e.g. cold vs warm caches) on one identical
+    /// world. The oracle must be built over the same road network.
+    pub fn match_request_with_oracle(
+        &self,
+        kind: MatcherKind,
+        request: &Request,
+        oracle: &DistanceOracle,
+    ) -> Result<MatchResult, EngineError> {
         let world = self.world.read().unwrap();
-        engine::match_request_with_oracle(&self.shared, &world, kind, request, &self.shared.oracle)
+        engine::match_request_with_oracle(&self.shared, &world, kind, request, oracle)
     }
 
     // ------------------------------------------------------------------
@@ -1970,7 +1980,6 @@ impl RideService {
         {
             let mut ledger = self.ledger_tolerant();
             ledger.stats = stats;
-            ledger.pending.clear();
             ledger.set_next_request_id(next_request);
         }
         {
@@ -2170,10 +2179,6 @@ fn encode_snapshot(
     // --- ledger ---
     encode_stats(&mut e, &ledger.stats);
     e.u64(ledger.next_request_id());
-    debug_assert!(
-        ledger.pending.is_empty(),
-        "no snapshot path runs mid-batch (the only transient user of the pending table)"
-    );
 
     // --- sessions ---
     e.u64(store.next_session);
@@ -2481,14 +2486,14 @@ fn decode_session(d: &mut Dec<'_>) -> Result<Session, JournalError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::session::OptionId;
     use ptrider_roadnet::RoadNetworkBuilder;
     use std::path::PathBuf;
 
     /// A 5x5 lattice with 1 km edges.
-    fn city() -> RoadNetwork {
+    pub(crate) fn city() -> RoadNetwork {
         let side = 5usize;
         let mut b = RoadNetworkBuilder::new();
         let mut ids = Vec::new();
@@ -2636,7 +2641,6 @@ mod tests {
             Some(SessionState::Expired)
         );
         assert_eq!(svc.stats().offers_expired, 1);
-        assert_eq!(svc.ledger_pending_requests(), 0, "no leaked pending state");
 
         let err = svc
             .respond(offer.session, Decision::Choose(OptionId(0)), 31.0)
@@ -2694,7 +2698,6 @@ mod tests {
             Some(SessionState::Declined)
         );
         assert_eq!(svc.open_offers(), 0);
-        assert_eq!(svc.ledger_pending_requests(), 0);
 
         let second = svc.submit(VertexId(6), VertexId(8), 1, 1.0).unwrap();
         assert_ne!(first.session, second.session);
@@ -2739,7 +2742,6 @@ mod tests {
         let outcomes = svc.submit_batch_greedy(&specs, 0.0, |o| (!o.is_empty()).then_some(0));
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].chosen, Some(0));
-        assert_eq!(svc.ledger_pending_requests(), 0);
         let stats = svc.stats();
         assert_eq!(stats.batch_requests, 2);
         let mut cursor = svc.subscribe();
@@ -2795,7 +2797,7 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_carries_fleet_and_stats_over() {
+    fn from_engine_carries_fleet_and_matcher_over() {
         let mut engine = PtRider::new(
             city(),
             GridConfig::with_dimensions(3, 3),
@@ -2803,17 +2805,23 @@ mod tests {
         );
         engine.set_matcher(MatcherKind::SingleSide);
         let taxi = engine.add_vehicle(VertexId(0));
-        let (req, options) = engine.submit(VertexId(6), VertexId(8), 1, 0.0);
-        engine.choose(req, &options[0], 0.0).unwrap();
+        let van = engine.add_vehicle_with_capacity(VertexId(24), 6);
 
         let svc = RideService::from_engine(engine);
         assert_eq!(svc.matcher_kind(), MatcherKind::SingleSide);
-        assert_eq!(svc.num_vehicles(), 1);
-        assert!(svc.with_vehicle(taxi, |v| !v.is_empty()).unwrap());
-        assert_eq!(svc.stats().requests_chosen, 1);
-        // Request ids continue where the engine left off.
+        assert_eq!(svc.num_vehicles(), 2);
+        assert_eq!(svc.with_vehicle(van, |v| v.capacity()), Some(6));
+        assert_eq!(
+            svc.with_vehicle_index(|index| index.is_registered_empty(taxi)),
+            Some(true)
+        );
+        // Vehicle ids continue where the builder left off; statistics and
+        // request ids start fresh.
+        assert_eq!(svc.add_vehicle(VertexId(12)).0, van.0 + 1);
+        assert_eq!(svc.stats().requests_submitted, 0);
         let offer = svc.submit(VertexId(6), VertexId(8), 1, 1.0).unwrap();
-        assert!(offer.request.0 > req.0);
+        assert_eq!(offer.request.0, 0);
+        assert!(!offer.options.is_empty());
     }
 
     #[test]
@@ -2855,7 +2863,6 @@ mod tests {
             Some(SessionState::Expired)
         );
         assert!(svc.with_vehicle(taxi, |v| v.num_requests() == 1).unwrap());
-        assert_eq!(svc.ledger_pending_requests(), 0);
     }
 
     #[test]

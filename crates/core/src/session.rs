@@ -202,9 +202,8 @@ pub(crate) struct Session {
     pub(crate) request: Request,
     pub(crate) state: SessionState,
     pub(crate) expires_at: f64,
-    /// The validated, matcher-facing request — the per-request hold that
-    /// must be released when the session resolves (the request-state leak
-    /// the pre-service facade could accumulate).
+    /// The validated, matcher-facing request — the per-request state that
+    /// is released when the session resolves.
     pub(crate) prospective: Option<ProspectiveRequest>,
     pub(crate) options: Vec<RideOption>,
     /// Vehicle tentatively holding capacity for this offer (only with

@@ -5,7 +5,7 @@
 use crate::matching::MatchStats;
 use serde::{Deserialize, Serialize};
 
-/// Aggregated statistics of a running [`crate::PtRider`] engine.
+/// Aggregated statistics of a running [`crate::RideService`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Requests submitted so far.

@@ -262,7 +262,6 @@ fn service_error(e: &ServiceError) -> Response {
         ServiceError::OfferExpired(_) => 410,
         ServiceError::UnknownOption(_, _) => 404,
         ServiceError::Engine(EngineError::UnknownVehicle(_)) => 404,
-        ServiceError::Engine(EngineError::UnknownRequest(_)) => 404,
         ServiceError::Engine(EngineError::AssignmentFailed(_, _)) => 409,
         ServiceError::Engine(EngineError::InvalidRequest(_)) => 400,
         ServiceError::Unavailable(_) => 503,

@@ -9,7 +9,7 @@
 //!
 //! This crate reproduces that harness as a library:
 //!
-//! * [`Simulator`] — steps a [`ptrider_core::PtRider`] engine through a
+//! * [`Simulator`] — steps a [`ptrider_core::RideService`] through a
 //!   [`ptrider_datagen::Workload`]: request submission, rider choice,
 //!   vehicle movement, pickup/drop-off updates;
 //! * [`ChoicePolicy`] — how the simulated rider picks among the returned

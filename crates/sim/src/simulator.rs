@@ -141,8 +141,8 @@ impl Simulator {
             trips,
             ..
         } = workload;
-        // Build and populate the sequential engine, then hand it to the
-        // session front door (the supported migration path).
+        // Build the engine, register the fleet, then hand it to the
+        // session front door.
         let mut engine = PtRider::new(network, config.grid, engine_config);
         engine.set_matcher(config.matcher);
         let net = engine.oracle().network_arc();
@@ -433,10 +433,8 @@ impl Simulator {
                 Ok(offer) => offer,
                 // Invalid trip (e.g. unreachable destination on a degenerate
                 // network): no session exists, but the trip still counts in
-                // the report with zero options — matching both the
-                // pre-service facade (which allocated an id and returned no
-                // options) and the burst arrival mode (whose batch admission
-                // records every spec). Reserved ids from the top of the
+                // the report with zero options — matching the burst
+                // arrival mode (whose batch admission records every spec). Reserved ids from the top of the
                 // space keep these synthetic outcomes clear of engine-issued
                 // request ids.
                 Err(_) => {

@@ -6,7 +6,7 @@
 //! (defaults: 600 vehicles, 150 requests).
 
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
-use ptrider::{EngineConfig, GridConfig, MatcherKind, PtRider, Request, VertexId};
+use ptrider::{Decision, EngineConfig, GridConfig, MatcherKind, RideService, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
@@ -45,12 +45,12 @@ fn main() {
 
     let mut option_sets: Vec<Vec<(u32, f64, f64)>> = Vec::new();
     for kind in MatcherKind::all() {
-        let mut engine = PtRider::new(
+        let engine = RideService::new(
             city.clone(),
             GridConfig::with_dimensions(12, 12),
             EngineConfig::paper_defaults(),
-        );
-        engine.set_matcher(kind);
+        )
+        .with_matcher(kind);
         for &loc in &vehicle_locations {
             engine.add_vehicle(loc);
         }
@@ -58,26 +58,21 @@ fn main() {
         let started = Instant::now();
         let mut all_options = Vec::new();
         for trip in &trips {
-            let id = engine.allocate_request_id();
-            let request = Request::new(
-                id,
-                trip.origin,
-                trip.destination,
-                trip.riders,
-                trip.time_secs,
-            );
-            let Ok(result) = engine.submit_request(request) else {
+            let now = trip.time_secs;
+            let Ok(offer) = engine.submit(trip.origin, trip.destination, trip.riders, now) else {
                 all_options.push(Vec::new());
                 continue;
             };
             all_options.push(
-                result
+                offer
                     .options
                     .iter()
                     .map(|o| (o.vehicle.0, o.pickup_dist, o.price))
                     .collect(),
             );
-            engine.decline(id).unwrap();
+            engine
+                .respond(offer.session, Decision::Decline, now)
+                .unwrap();
         }
         let elapsed = started.elapsed().as_secs_f64() * 1000.0;
         let stats = engine.stats();

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example fig1_walkthrough`.
 
 use ptrider::datagen::Fig1Scenario;
-use ptrider::{GridConfig, MatcherKind, PtRider};
+use ptrider::{Decision, GridConfig, MatcherKind, OptionId, RideService};
 
 fn main() {
     let scenario = Fig1Scenario::new();
@@ -19,12 +19,12 @@ fn main() {
         MatcherKind::DualSide,
     ] {
         println!("\n== matching algorithm: {kind} ==");
-        let mut engine = PtRider::new(
+        let engine = RideService::new(
             scenario.network.clone(),
             GridConfig::with_dimensions(4, 4),
             scenario.config,
-        );
-        engine.set_matcher(kind);
+        )
+        .with_matcher(kind);
 
         // Two taxis: c1 at v1, c2 at v13.
         let c1 = engine.add_vehicle(scenario.c1_start);
@@ -37,27 +37,32 @@ fn main() {
         // Step 1: R1 = <v2, v16, 2, 5, 0.2> is assigned to c1 (its only
         // non-dominated option), reproducing the paper's starting state with
         // trip schedule <v1, v2, v16>.
-        let (r1, options) = engine.submit(scenario.r1.0, scenario.r1.1, scenario.r1.2, 0.0);
-        println!("R1 receives {} option(s):", options.len());
-        for o in &options {
+        let r1 = engine
+            .submit(scenario.r1.0, scenario.r1.1, scenario.r1.2, 0.0)
+            .unwrap();
+        println!("R1 receives {} option(s):", r1.options.len());
+        for o in &r1.options {
             println!("  {} pickup={} price={}", o.vehicle, o.pickup_dist, o.price);
         }
-        let chosen = &options[0];
-        assert_eq!(chosen.vehicle, c1);
-        engine.choose(r1, chosen, 0.0).unwrap();
-        println!(
-            "c1 schedule: {:?}",
-            engine
-                .vehicle(c1)
-                .unwrap()
-                .current_schedule()
-                .iter()
-                .map(|s| s.location.to_string())
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(r1.options[0].vehicle, c1);
+        engine
+            .respond(r1.session, Decision::Choose(OptionId(0)), 0.0)
+            .unwrap();
+        let schedule = engine
+            .with_vehicle(c1, |v| {
+                v.current_schedule()
+                    .iter()
+                    .map(|s| s.location.to_string())
+                    .collect::<Vec<_>>()
+            })
+            .unwrap();
+        println!("c1 schedule: {schedule:?}");
 
         // Step 2: R2 = <v12, v17, 2, 5, 0.2>.
-        let (_r2, options) = engine.submit(scenario.r2.0, scenario.r2.1, scenario.r2.2, 0.0);
+        let options = engine
+            .submit(scenario.r2.0, scenario.r2.1, scenario.r2.2, 0.0)
+            .unwrap()
+            .options;
         println!("R2 receives {} option(s):", options.len());
         for o in &options {
             println!(

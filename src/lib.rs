@@ -51,10 +51,9 @@
 //! assert!(service.respond(offer.session, Decision::Choose(OptionId(0)), 0.0).is_err());
 //! ```
 //!
-//! The original sequential facade ([`PtRider`], `&mut self`,
-//! `submit`/`choose`) remains available as a thin shim over the same
-//! engine internals — the service is property-tested to produce bit-
-//! identical option skylines.
+//! A [`PtRider`] is the builder a service is made from
+//! ([`RideService::from_engine`]): it holds the network, grid, oracle and
+//! configuration, picks the matcher and registers an initial fleet.
 //!
 //! For remote clients the [`server`] module (re-export of
 //! `ptrider-server`) puts the same lifecycle behind a zero-dependency

@@ -5,7 +5,9 @@
 //! pruning to direction-safe bounds rather than silently dropping options.
 
 use proptest::prelude::*;
-use ptrider::{EngineConfig, GridConfig, MatcherKind, PtRider, Request, RideOption, VertexId};
+use ptrider::{
+    Decision, EngineConfig, GridConfig, MatcherKind, OptionId, RideOption, RideService, VertexId,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -88,11 +90,11 @@ fn run_scenario(
         })
         .collect();
 
-    let mut engines: Vec<PtRider> = MatcherKind::all()
+    let engines: Vec<RideService> = MatcherKind::all()
         .iter()
         .map(|kind| {
-            let mut e = PtRider::new(city.clone(), GridConfig::with_dimensions(3, 3), config);
-            e.set_matcher(*kind);
+            let e = RideService::new(city.clone(), GridConfig::with_dimensions(3, 3), config)
+                .with_matcher(*kind);
             for &loc in &vehicle_locations {
                 e.add_vehicle(loc);
             }
@@ -101,14 +103,16 @@ fn run_scenario(
         .collect();
 
     for (i, &(origin, destination)) in requests.iter().enumerate() {
-        let mut all_options = Vec::new();
-        for engine in engines.iter_mut() {
-            let id = ptrider::RequestId(i as u64);
-            let request = Request::new(id, origin, destination, 1, i as f64);
-            let result = engine.submit_request(request).expect("valid request");
-            all_options.push(result.options);
-        }
-        let reference = canonical(&all_options[0]);
+        let now = i as f64;
+        let offers: Vec<_> = engines
+            .iter()
+            .map(|e| {
+                e.submit(origin, destination, 1, now)
+                    .expect("valid request")
+            })
+            .collect();
+        let all_options: Vec<&[RideOption]> = offers.iter().map(|o| &o.options[..]).collect();
+        let reference = canonical(all_options[0]);
         for (engine_idx, options) in all_options.iter().enumerate().skip(1) {
             prop_assert_eq!(
                 &reference,
@@ -120,16 +124,15 @@ fn run_scenario(
                 destination
             );
         }
-        if !all_options[0].is_empty() {
-            for (engine, options) in engines.iter_mut().zip(&all_options) {
-                engine
-                    .choose(ptrider::RequestId(i as u64), &options[0], i as f64)
-                    .expect("chosen option must be assignable");
-            }
+        let decision = if all_options[0].is_empty() {
+            Decision::Decline
         } else {
-            for engine in engines.iter_mut() {
-                let _ = engine.decline(ptrider::RequestId(i as u64));
-            }
+            Decision::Choose(OptionId(0))
+        };
+        for (engine, offer) in engines.iter().zip(&offers) {
+            engine
+                .respond(offer.session, decision, now)
+                .expect("chosen option must be assignable");
         }
     }
     Ok(())
@@ -194,11 +197,11 @@ fn one_way_shortcut_vehicle_is_not_lost_to_cell_pruning() {
     let config = EngineConfig::paper_defaults().with_max_pickup_dist(2_000.0);
     let mut per_matcher = Vec::new();
     for kind in MatcherKind::all() {
-        let mut e = PtRider::new(city.clone(), GridConfig::with_dimensions(3, 3), config);
-        e.set_matcher(kind);
+        let e = RideService::new(city.clone(), GridConfig::with_dimensions(3, 3), config)
+            .with_matcher(kind);
         e.add_vehicle(far);
-        let (_, options) = e.submit(pickup, dropoff, 1, 0.0);
-        per_matcher.push((kind, canonical(&options)));
+        let offer = e.submit(pickup, dropoff, 1, 0.0).unwrap();
+        per_matcher.push((kind, canonical(&offer.options)));
     }
     let (_, reference) = &per_matcher[0];
     assert!(

@@ -5,28 +5,59 @@
 use ptrider::datagen::{synthetic_city, CityConfig};
 use ptrider::roadnet::dijkstra;
 use ptrider::vehicles::StopEvent;
-use ptrider::{EngineConfig, GridConfig, MatcherKind, PtRider, VertexId};
+use ptrider::{
+    Decision, EngineConfig, GridConfig, MatcherKind, Offer, OptionId, RideService, VertexId,
+};
 
-fn small_city_engine(matcher: MatcherKind) -> PtRider {
-    let city = synthetic_city(&CityConfig::tiny(5));
-    let mut engine = PtRider::new(
-        city,
+fn service(config: EngineConfig, matcher: MatcherKind) -> RideService {
+    RideService::new(
+        synthetic_city(&CityConfig::tiny(5)),
         GridConfig::with_dimensions(4, 4),
+        config,
+    )
+    .with_matcher(matcher)
+}
+
+fn small_city_engine(matcher: MatcherKind) -> RideService {
+    service(
         EngineConfig::paper_defaults().with_detour_factor(0.5),
-    );
-    engine.set_matcher(matcher);
+        matcher,
+    )
+}
+
+/// Submits a valid request and returns its offer.
+fn submit(engine: &RideService, origin: u32, destination: u32, riders: u32, now: f64) -> Offer {
     engine
+        .submit(VertexId(origin), VertexId(destination), riders, now)
+        .expect("a valid request")
+}
+
+/// Confirms option `index` of `offer`, answering at the submit's timestamp.
+fn choose(engine: &RideService, offer: &Offer, index: usize, now: f64) {
+    let option = OptionId(index as u32);
+    engine
+        .respond(offer.session, Decision::Choose(option), now)
+        .unwrap()
+        .expect("a choice confirms");
+}
+
+fn decline(engine: &RideService, offer: &Offer, now: f64) {
+    engine
+        .respond(offer.session, Decision::Decline, now)
+        .unwrap();
 }
 
 /// Drives a vehicle along shortest paths, serving stops until it is empty.
-fn drive_until_idle(engine: &mut PtRider, vehicle: ptrider::VehicleId) -> Vec<StopEvent> {
+fn drive_until_idle(engine: &RideService, vehicle: ptrider::VehicleId) -> Vec<StopEvent> {
     let mut events = Vec::new();
     let net = engine.oracle().network_arc();
     for _ in 0..64 {
-        let Some(stop) = engine.vehicle(vehicle).unwrap().next_stop() else {
+        let Some((stop, loc)) = engine
+            .with_vehicle(vehicle, |v| v.next_stop().map(|stop| (stop, v.location())))
+            .unwrap()
+        else {
             break;
         };
-        let loc = engine.vehicle(vehicle).unwrap().location();
         if loc != stop.location {
             let (dist, path) = dijkstra::shortest_path(&net, loc, stop.location).unwrap();
             // Jump vertex by vertex so location updates stay incremental.
@@ -47,22 +78,22 @@ fn drive_until_idle(engine: &mut PtRider, vehicle: ptrider::VehicleId) -> Vec<St
 
 #[test]
 fn shared_ride_of_two_requests_completes_in_order() {
-    let mut engine = small_city_engine(MatcherKind::DualSide);
+    let engine = small_city_engine(MatcherKind::DualSide);
     let taxi = engine.add_vehicle(VertexId(0));
 
     // Two overlapping trips along the same corridor.
-    let (r1, opts1) = engine.submit(VertexId(2), VertexId(8), 1, 0.0);
-    engine.choose(r1, &opts1[0], 0.0).unwrap();
-    let (r2, opts2) = engine.submit(VertexId(3), VertexId(9), 2, 10.0);
+    let r1 = submit(&engine, 2, 8, 1, 0.0);
+    choose(&engine, &r1, 0, 0.0);
+    let r2 = submit(&engine, 3, 9, 2, 10.0);
     assert!(
-        !opts2.is_empty(),
+        !r2.options.is_empty(),
         "the busy taxi must still offer an option"
     );
-    let own = opts2.iter().find(|o| o.vehicle == taxi).unwrap();
-    engine.choose(r2, own, 10.0).unwrap();
+    let own = r2.options.iter().position(|o| o.vehicle == taxi).unwrap();
+    choose(&engine, &r2, own, 10.0);
 
-    assert_eq!(engine.vehicle(taxi).unwrap().num_requests(), 2);
-    let events = drive_until_idle(&mut engine, taxi);
+    assert_eq!(engine.with_vehicle(taxi, |v| v.num_requests()), Some(2));
+    let events = drive_until_idle(&engine, taxi);
     // Two pickups and two drop-offs, each pickup before its drop-off.
     assert_eq!(events.len(), 4);
     let pickups = events
@@ -70,7 +101,7 @@ fn shared_ride_of_two_requests_completes_in_order() {
         .filter(|e| matches!(e, StopEvent::PickedUp { .. }))
         .count();
     assert_eq!(pickups, 2);
-    assert!(engine.vehicle(taxi).unwrap().is_empty());
+    assert!(engine.with_vehicle(taxi, |v| v.is_empty()).unwrap());
     assert_eq!(engine.stats().pickups, 2);
     assert_eq!(engine.stats().dropoffs, 2);
     // At some point both parties were on board together (the corridor
@@ -94,64 +125,60 @@ fn shared_ride_of_two_requests_completes_in_order() {
 
 #[test]
 fn capacity_limits_how_many_requests_a_vehicle_accepts() {
-    let city = synthetic_city(&CityConfig::tiny(5));
-    let mut engine = PtRider::new(
-        city,
-        GridConfig::with_dimensions(4, 4),
+    let engine = service(
         EngineConfig::paper_defaults()
             .with_capacity(2)
             .with_detour_factor(1.0),
+        MatcherKind::DualSide,
     );
     let taxi = engine.add_vehicle(VertexId(0));
 
     // First group of 2 fills the taxi for the overlapping segment.
-    let (r1, opts) = engine.submit(VertexId(1), VertexId(9), 2, 0.0);
-    engine.choose(r1, &opts[0], 0.0).unwrap();
+    let r1 = submit(&engine, 1, 9, 2, 0.0);
+    choose(&engine, &r1, 0, 0.0);
 
     // A second group of 2 on the same corridor: the only way to serve it is
     // strictly after the first group is dropped off (no seat overlap), which
     // the waiting-time constraint may or may not allow — but a group of 3 can
     // never be served at all.
-    let (_r3, opts3) = engine.submit(VertexId(2), VertexId(8), 3, 5.0);
+    let opts3 = submit(&engine, 2, 8, 3, 5.0).options;
     assert!(
         opts3.is_empty(),
         "a 3-rider group cannot fit a capacity-2 taxi: {opts3:?}"
     );
-    assert_eq!(engine.vehicle(taxi).unwrap().num_requests(), 1);
+    assert_eq!(engine.with_vehicle(taxi, |v| v.num_requests()), Some(1));
 }
 
 #[test]
 fn vehicle_index_tracks_empty_and_non_empty_transitions() {
-    let mut engine = small_city_engine(MatcherKind::SingleSide);
+    let engine = small_city_engine(MatcherKind::SingleSide);
     let taxi = engine.add_vehicle(VertexId(0));
-    assert_eq!(engine.vehicle_index().is_registered_empty(taxi), Some(true));
+    let registered_empty = || engine.with_vehicle_index(|index| index.is_registered_empty(taxi));
+    let num_cells = || engine.with_vehicle_index(|index| index.cells_of(taxi).len());
+    assert_eq!(registered_empty(), Some(true));
 
-    let (r1, opts) = engine.submit(VertexId(4), VertexId(9), 1, 0.0);
-    engine.choose(r1, &opts[0], 0.0).unwrap();
-    assert_eq!(
-        engine.vehicle_index().is_registered_empty(taxi),
-        Some(false)
-    );
+    let r1 = submit(&engine, 4, 9, 1, 0.0);
+    choose(&engine, &r1, 0, 0.0);
+    assert_eq!(registered_empty(), Some(false));
     // A non-empty vehicle is registered in at least the cells of its stops.
-    let cells = engine.vehicle_index().cells_of(taxi);
-    assert!(!cells.is_empty());
+    assert!(num_cells() > 0);
 
     // Complete the trip: the vehicle becomes empty again and is re-registered
     // in exactly one cell.
-    let events = drive_until_idle(&mut engine, taxi);
+    let events = drive_until_idle(&engine, taxi);
     assert_eq!(events.len(), 2);
-    assert_eq!(engine.vehicle_index().is_registered_empty(taxi), Some(true));
-    assert_eq!(engine.vehicle_index().cells_of(taxi).len(), 1);
+    assert_eq!(registered_empty(), Some(true));
+    assert_eq!(num_cells(), 1);
 }
 
 #[test]
 fn location_updates_keep_matching_consistent() {
-    let mut engine = small_city_engine(MatcherKind::DualSide);
+    let engine = small_city_engine(MatcherKind::DualSide);
     let taxi = engine.add_vehicle(VertexId(0));
 
     // Before moving, a request near vertex 90 is expensive/far for the taxi.
-    let (probe1, far_options) = engine.submit(VertexId(90), VertexId(95), 1, 0.0);
-    engine.decline(probe1).unwrap();
+    let probe1 = submit(&engine, 90, 95, 1, 0.0);
+    decline(&engine, &probe1, 0.0);
 
     // Drive the empty taxi across the city with location updates.
     let net = engine.oracle().network_arc();
@@ -162,16 +189,20 @@ fn location_updates_keep_matching_consistent() {
         engine.location_update(taxi, v, leg).unwrap();
         prev = v;
     }
-    assert_eq!(engine.vehicle(taxi).unwrap().location(), VertexId(90));
+    assert_eq!(
+        engine.with_vehicle(taxi, |v| v.location()),
+        Some(VertexId(90))
+    );
 
     // The same request is now much closer.
-    let (probe2, near_options) = engine.submit(VertexId(90), VertexId(95), 1, 60.0);
-    engine.decline(probe2).unwrap();
-    let far_pickup = far_options
+    let probe2 = submit(&engine, 90, 95, 1, 60.0);
+    decline(&engine, &probe2, 60.0);
+    let far_pickup = probe1
+        .options
         .first()
         .map(|o| o.pickup_dist)
         .unwrap_or(f64::MAX);
-    let near_pickup = near_options.first().map(|o| o.pickup_dist).unwrap();
+    let near_pickup = probe2.options.first().map(|o| o.pickup_dist).unwrap();
     assert!(near_pickup < far_pickup);
     assert_eq!(near_pickup, 0.0, "the taxi is standing at the origin");
     // One location update per vertex crossed on the way to v90.
@@ -180,29 +211,27 @@ fn location_updates_keep_matching_consistent() {
 
 #[test]
 fn rejected_and_declined_requests_leave_no_state_behind() {
-    let mut engine = small_city_engine(MatcherKind::Naive);
+    let engine = small_city_engine(MatcherKind::Naive);
     let taxi = engine.add_vehicle(VertexId(50));
 
     // A request no vehicle can reach within the pickup radius.
-    let city = synthetic_city(&CityConfig::tiny(5));
-    drop(city);
-    let tight = EngineConfig::paper_defaults().with_max_pickup_dist(100.0);
-    let mut tight_engine = PtRider::new(
-        synthetic_city(&CityConfig::tiny(5)),
-        GridConfig::with_dimensions(4, 4),
-        tight,
+    let tight_engine = service(
+        EngineConfig::paper_defaults().with_max_pickup_dist(100.0),
+        MatcherKind::DualSide,
     );
     let far_taxi = tight_engine.add_vehicle(VertexId(0));
-    let (req, options) = tight_engine.submit(VertexId(99), VertexId(90), 1, 0.0);
-    assert!(options.is_empty());
-    tight_engine.decline(req).unwrap();
-    assert!(tight_engine.vehicle(far_taxi).unwrap().is_empty());
-    assert_eq!(tight_engine.pending_requests(), 0);
+    let req = submit(&tight_engine, 99, 90, 1, 0.0);
+    assert!(req.options.is_empty());
+    decline(&tight_engine, &req, 0.0);
+    assert!(tight_engine
+        .with_vehicle(far_taxi, |v| v.is_empty())
+        .unwrap());
+    assert_eq!(tight_engine.open_offers(), 0);
 
     // Declining after options keeps the vehicle untouched.
-    let (req, options) = engine.submit(VertexId(52), VertexId(58), 1, 0.0);
-    assert!(!options.is_empty());
-    engine.decline(req).unwrap();
-    assert!(engine.vehicle(taxi).unwrap().is_empty());
+    let req = submit(&engine, 52, 58, 1, 0.0);
+    assert!(!req.options.is_empty());
+    decline(&engine, &req, 0.0);
+    assert!(engine.with_vehicle(taxi, |v| v.is_empty()).unwrap());
     assert_eq!(engine.stats().requests_chosen, 0);
 }

@@ -11,7 +11,9 @@
 
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
-use ptrider::{EngineConfig, GridConfig, MatcherKind, PtRider, Request, VertexId};
+use ptrider::{
+    Decision, EngineConfig, GridConfig, MatcherKind, OptionId, RideOption, RideService, VertexId,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -59,11 +61,11 @@ fn run_scenario(
     .generate();
 
     // One engine per matcher, fed identical inputs.
-    let mut engines: Vec<PtRider> = MatcherKind::all()
+    let engines: Vec<RideService> = MatcherKind::all()
         .iter()
         .map(|kind| {
-            let mut e = PtRider::new(city.clone(), GridConfig::with_dimensions(4, 4), config);
-            e.set_matcher(*kind);
+            let e = RideService::new(city.clone(), GridConfig::with_dimensions(4, 4), config)
+                .with_matcher(*kind);
             for &loc in &vehicle_locations {
                 e.add_vehicle(loc);
             }
@@ -72,20 +74,16 @@ fn run_scenario(
         .collect();
 
     for (i, trip) in trips.iter().enumerate() {
-        let mut all_options = Vec::new();
-        for engine in engines.iter_mut() {
-            let id = ptrider::RequestId(i as u64);
-            let request = Request::new(
-                id,
-                trip.origin,
-                trip.destination,
-                trip.riders,
-                trip.time_secs,
-            );
-            let result = engine.submit_request(request).expect("valid request");
-            all_options.push(result.options);
-        }
-        let reference = canonical(&all_options[0]);
+        let now = trip.time_secs;
+        let offers: Vec<_> = engines
+            .iter()
+            .map(|e| {
+                e.submit(trip.origin, trip.destination, trip.riders, now)
+                    .expect("valid request")
+            })
+            .collect();
+        let all_options: Vec<&[RideOption]> = offers.iter().map(|o| &o.options[..]).collect();
+        let reference = canonical(all_options[0]);
         for (engine_idx, options) in all_options.iter().enumerate().skip(1) {
             prop_assert_eq!(
                 &reference,
@@ -109,19 +107,17 @@ fn run_scenario(
         }
 
         // The rider deterministically takes the first (earliest-pickup)
-        // option so all engines evolve identically.
-        if !all_options[0].is_empty() {
-            let choice_idx = 0usize;
-            for (engine, options) in engines.iter_mut().zip(&all_options) {
-                let id = ptrider::RequestId(i as u64);
-                engine
-                    .choose(id, &options[choice_idx], trip.time_secs)
-                    .expect("chosen option must be assignable");
-            }
+        // option so all engines evolve identically; every response lands at
+        // the submit's timestamp, so no offer TTL can expire it.
+        let decision = if all_options[0].is_empty() {
+            Decision::Decline
         } else {
-            for engine in engines.iter_mut() {
-                let _ = engine.decline(ptrider::RequestId(i as u64));
-            }
+            Decision::Choose(OptionId(0))
+        };
+        for (engine, offer) in engines.iter().zip(&offers) {
+            engine
+                .respond(offer.session, decision, now)
+                .expect("chosen option must be assignable");
         }
     }
 

@@ -1,46 +1,55 @@
 //! Property tests for the service-layer front door.
 //!
-//! **Concurrent `&self` submits are bit-identical to the sequential
-//! facade.** N submitter threads hammer one `RideService` over a fixed
-//! world while a `PtRider` built identically answers the same requests one
-//! by one — the per-request option skylines must agree bit for bit
-//! (vehicle ids, pickup-distance and price bit patterns, full schedules).
-//! The two sides' oracle *cache histories* diverge wildly (the service's
-//! cache is raced by every submitter), which is exactly what the
-//! canonical-direction folds of `ptrider_roadnet::oracle` make irrelevant.
+//! **Concurrent `&self` submits are bit-identical to sequential ones.** N
+//! submitter threads hammer one `RideService` over a fixed world while a
+//! second service built identically answers the same requests one by one
+//! on the test thread — the per-request option skylines must agree bit for
+//! bit (vehicle ids, pickup-distance and price bit patterns, full
+//! schedules). The two sides' oracle *cache histories* diverge wildly (the
+//! concurrent service's cache is raced by every submitter), which is
+//! exactly what the canonical-direction folds of `ptrider_roadnet::oracle`
+//! make irrelevant.
 //!
 //! On top of the equivalence property, the integration tests drive the
 //! full session lifecycle concurrently and check the conservation
-//! invariants (every session resolved, no leaked pending state).
+//! invariants (every session resolved, the fleet carries exactly the
+//! confirmed requests).
 
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
 use ptrider::{
-    Decision, EngineConfig, EngineEvent, GridConfig, MatcherKind, OptionId, PtRider, RideOption,
+    Decision, EngineConfig, EngineEvent, GridConfig, MatcherKind, OptionId, RideOption,
     RideService, ServiceConfig, SessionState, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Builds an engine with a deterministic fleet and warm-up, so every
+/// Builds a service with a deterministic fleet and warm-up, so every
 /// instance constructed from the same inputs reaches an identical world.
-fn build_engine(
+/// Warm-up riders answer at their submit's timestamp, so no offer TTL can
+/// expire them.
+fn build_service(
     seed: u64,
     num_vehicles: usize,
     warm_requests: usize,
-    config: EngineConfig,
     matcher: MatcherKind,
-) -> PtRider {
+    service_config: ServiceConfig,
+) -> RideService {
     let city = synthetic_city(&CityConfig::tiny(seed));
-    let mut engine = PtRider::new(city, GridConfig::with_dimensions(4, 4), config);
-    engine.set_matcher(matcher);
+    let service = RideService::new(
+        city,
+        GridConfig::with_dimensions(4, 4),
+        EngineConfig::paper_defaults(),
+    )
+    .with_matcher(matcher)
+    .with_service_config(service_config);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5e55);
-    let n = engine.network().num_vertices() as u32;
+    let n = service.network().num_vertices() as u32;
     for _ in 0..num_vehicles.max(1) {
-        engine.add_vehicle(VertexId(rng.gen_range(0..n)));
+        service.add_vehicle(VertexId(rng.gen_range(0..n)));
     }
     let warm = TripGenerator::new(
-        engine.network(),
+        service.network(),
         TripConfig {
             num_trips: warm_requests,
             seed: seed ^ 0x77,
@@ -49,14 +58,18 @@ fn build_engine(
     )
     .generate();
     for (i, trip) in warm.iter().enumerate() {
-        let (id, options) = engine.submit(trip.origin, trip.destination, trip.riders, i as f64);
-        if let Some(first) = options.first().cloned() {
-            let _ = engine.choose(id, &first, i as f64);
+        let now = i as f64;
+        let offer = service
+            .submit(trip.origin, trip.destination, trip.riders, now)
+            .expect("generated trips are valid requests");
+        let decision = if offer.options.is_empty() {
+            Decision::Decline
         } else {
-            let _ = engine.decline(id);
-        }
+            Decision::Choose(OptionId(0))
+        };
+        let _ = service.respond(offer.session, decision, now);
     }
-    engine
+    service
 }
 
 /// Bit-level equality of two skylines, modulo the *submitting request's own
@@ -118,7 +131,6 @@ fn run_scenario(
         1 => MatcherKind::SingleSide,
         _ => MatcherKind::DualSide,
     };
-    let base = EngineConfig::paper_defaults();
     let probes: Vec<(VertexId, VertexId, u32)> = TripGenerator::new(
         &synthetic_city(&CityConfig::tiny(seed)),
         TripConfig {
@@ -136,21 +148,29 @@ fn run_scenario(
         return Ok(());
     }
 
-    // Reference: the sequential facade answers every probe one by one,
-    // never committing, so the world stays fixed.
-    let mut reference = build_engine(seed, num_vehicles, warm_requests, base, matcher);
+    let build = || {
+        build_service(
+            seed,
+            num_vehicles,
+            warm_requests,
+            matcher,
+            ServiceConfig::default(),
+        )
+    };
+    // Reference: a second service answers every probe one by one on this
+    // thread, never committing, so the world stays fixed.
+    let reference = build();
     let expected: Vec<(ptrider::RequestId, Vec<RideOption>)> = probes
         .iter()
-        .map(|&(o, d, riders)| reference.submit(o, d, riders, 1_000.0))
+        .map(|&(o, d, riders)| {
+            let offer = reference
+                .submit(o, d, riders, 1_000.0)
+                .expect("probe requests are valid");
+            (offer.request, offer.options)
+        })
         .collect();
 
-    let service = RideService::from_engine(build_engine(
-        seed,
-        num_vehicles,
-        warm_requests,
-        base,
-        matcher,
-    ));
+    let service = build();
     // Concurrent submitters: every probe is submitted from one of 4
     // threads, racing on the shared `&self` service (and, transitively,
     // on the oracle's sharded cache).
@@ -208,19 +228,21 @@ proptest! {
 
 /// A concurrent submit/respond storm: sessions race on the world write
 /// lock, yet every session ends in a terminal-or-offered state consistent
-/// with its observed response, the fleet carries exactly the confirmed
-/// requests, and no pending bookkeeping leaks.
+/// with its observed response and the fleet carries exactly the confirmed
+/// requests.
 #[test]
 fn concurrent_lifecycle_storm_preserves_invariants() {
-    let engine = build_engine(
+    let service = build_service(
         42,
         12,
         4,
-        EngineConfig::paper_defaults(),
         MatcherKind::DualSide,
+        ServiceConfig::default().with_offer_ttl_secs(1e9),
     );
-    let service = RideService::from_engine(engine)
-        .with_service_config(ServiceConfig::default().with_offer_ttl_secs(1e9));
+    // The warm-up's counts and events are the baseline of the storm's.
+    let warm = service.stats();
+    let mut cursor = service.subscribe();
+    let _ = service.poll_events(&mut cursor);
     let probes: Vec<(VertexId, VertexId, u32)> = TripGenerator::new(
         service.network(),
         TripConfig {
@@ -270,30 +292,26 @@ fn concurrent_lifecycle_storm_preserves_invariants() {
 
     let confirmed = confirmed.load(std::sync::atomic::Ordering::Relaxed);
     let stats = service.stats();
-    assert_eq!(stats.offers_made as usize, probes.len());
-    assert_eq!(stats.offers_confirmed as usize, confirmed);
-    assert_eq!(service.open_offers(), 0, "every session was settled");
     assert_eq!(
-        service.ledger_pending_requests(),
-        0,
-        "no leaked pending state"
+        (stats.offers_made - warm.offers_made) as usize,
+        probes.len()
     );
-    // The fleet carries exactly the confirmed requests (the warm-up load
-    // rode in from the engine before the storm).
-    let warm_load: usize = 4; // warm_requests above, all confirmable or not
+    assert_eq!(
+        (stats.offers_confirmed - warm.offers_confirmed) as usize,
+        confirmed
+    );
+    assert_eq!(service.open_offers(), 0, "every session was settled");
+    // The fleet carries exactly the confirmed requests: the warm-up's
+    // (which may or may not have been assigned, so read from its stats)
+    // plus the storm's.
     let fleet_load =
         service.with_vehicles(|vehicles| vehicles.map(|v| v.num_requests()).sum::<usize>());
-    // Warm-up trips may or may not have been assigned; derive their count
-    // from the carried-over stats instead of assuming.
-    let _ = warm_load;
-    let warm_confirmed = (stats.requests_chosen - stats.offers_confirmed) as usize;
     let served: usize = (stats.pickups + stats.dropoffs) as usize; // storm serves no stops
     assert_eq!(served, 0);
-    assert_eq!(fleet_load, warm_confirmed + confirmed);
+    assert_eq!(fleet_load, warm.requests_chosen as usize + confirmed);
 
     // The event log saw one Submitted + one Offered per probe and one
     // terminal event per settled session.
-    let mut cursor = service.subscribe();
     let events = service.poll_events(&mut cursor);
     let submitted = events
         .iter()
@@ -323,14 +341,11 @@ fn concurrent_lifecycle_storm_preserves_invariants() {
 /// choose succeeds outright and `assignments_failed` stays at zero.
 #[test]
 fn concurrent_lifecycle_storm_with_holds_never_fails_an_assignment() {
-    let engine = build_engine(
+    let service = build_service(
         42,
         12,
         0,
-        EngineConfig::paper_defaults(),
         MatcherKind::DualSide,
-    );
-    let service = RideService::from_engine(engine).with_service_config(
         ServiceConfig::default()
             .with_offer_ttl_secs(1e9)
             .with_hold_offers(true),
@@ -387,7 +402,6 @@ fn concurrent_lifecycle_storm_with_holds_never_fails_an_assignment() {
         "holds reserve capacity at offer time"
     );
     assert_eq!(service.open_offers(), 0, "every session was settled");
-    assert_eq!(service.ledger_pending_requests(), 0);
     // Declined holds released their seats: the fleet carries exactly the
     // confirmed requests.
     let fleet_load =
@@ -401,15 +415,13 @@ fn concurrent_lifecycle_storm_with_holds_never_fails_an_assignment() {
 /// regression, service edition).
 #[test]
 fn expired_offers_release_state() {
-    let engine = build_engine(
+    let service = build_service(
         7,
         6,
         0,
-        EngineConfig::paper_defaults(),
         MatcherKind::DualSide,
+        ServiceConfig::default().with_offer_ttl_secs(30.0),
     );
-    let service = RideService::from_engine(engine)
-        .with_service_config(ServiceConfig::default().with_offer_ttl_secs(30.0));
     let first = service.submit(VertexId(3), VertexId(90), 1, 0.0).unwrap();
     assert_eq!(service.tick(30.0), 0, "the deadline itself is inclusive");
     assert_eq!(service.tick(31.0), 1);
@@ -421,7 +433,6 @@ fn expired_offers_release_state() {
         .respond(first.session, Decision::Choose(OptionId(0)), 32.0)
         .is_err());
     assert_eq!(service.open_offers(), 0);
-    assert_eq!(service.ledger_pending_requests(), 0);
 
     let second = service.submit(VertexId(3), VertexId(90), 1, 40.0).unwrap();
     assert_ne!(first.request, second.request, "fresh RequestId");

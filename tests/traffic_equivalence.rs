@@ -17,7 +17,8 @@ use ptrider::datagen::{
     TripGenerator,
 };
 use ptrider::{
-    EngineConfig, GridConfig, MatcherKind, PtRider, RoadNetwork, TrafficModel, VertexId,
+    Decision, EngineConfig, GridConfig, MatcherKind, Offer, OptionId, RideService, RoadNetwork,
+    TrafficModel, VertexId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -33,14 +34,14 @@ fn canonical(options: &[ptrider::RideOption]) -> Vec<(u32, u64, u64)> {
     v
 }
 
-/// An engine over `net` with the scenario's fleet.
-fn make_engine(net: RoadNetwork, seed: u64, num_vehicles: usize) -> PtRider {
-    let mut engine = PtRider::new(
+/// A service over `net` with the scenario's fleet.
+fn make_engine(net: RoadNetwork, seed: u64, num_vehicles: usize) -> RideService {
+    let engine = RideService::new(
         net,
         GridConfig::with_dimensions(4, 4),
         EngineConfig::paper_defaults(),
-    );
-    engine.set_matcher(MatcherKind::DualSide);
+    )
+    .with_matcher(MatcherKind::DualSide);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xbac);
     for _ in 0..num_vehicles {
         engine.add_vehicle(VertexId(
@@ -50,12 +51,18 @@ fn make_engine(net: RoadNetwork, seed: u64, num_vehicles: usize) -> PtRider {
     engine
 }
 
+fn submit(service: &RideService, trip: &TimedTrip, now: f64) -> Offer {
+    service
+        .submit(trip.origin, trip.destination, trip.riders, now)
+        .expect("generated trips are valid requests")
+}
+
 /// Submits every trip at `now` and declines it: warms the oracle cache
 /// under the current epoch without changing the world.
-fn probe_and_decline(engine: &mut PtRider, trips: &[TimedTrip], now: f64) {
+fn probe_and_decline(service: &RideService, trips: &[TimedTrip], now: f64) {
     for trip in trips {
-        let (req, _) = engine.submit(trip.origin, trip.destination, trip.riders, now);
-        let _ = engine.decline(req);
+        let offer = submit(service, trip, now);
+        let _ = service.respond(offer.session, Decision::Decline, now);
     }
 }
 
@@ -96,13 +103,13 @@ fn run_scenario(seed: u64, num_vehicles: usize, epochs: usize) -> Result<(), Tes
     for (epoch, model) in models.iter().enumerate() {
         // The swapped engine lives through every earlier epoch, warming its
         // cache under each, before the epoch under test is applied.
-        let mut swapped = make_engine(city.clone(), seed, num_vehicles);
+        let swapped = make_engine(city.clone(), seed, num_vehicles);
         let epoch0 = swapped.oracle().traffic_epoch();
         for (k, earlier) in models[..epoch].iter().enumerate() {
-            swapped.apply_traffic_update(earlier);
-            probe_and_decline(&mut swapped, &trips, k as f64);
+            swapped.apply_traffic_update(earlier, k as f64);
+            probe_and_decline(&swapped, &trips, k as f64);
         }
-        let outcome = swapped.apply_traffic_update(model);
+        let outcome = swapped.apply_traffic_update(model, epoch as f64);
         prop_assert_eq!(outcome.epoch, epoch0 + epoch as u64 + 1);
         prop_assert_eq!(outcome.congested_arcs, model.congested_arcs());
         prop_assert_eq!(swapped.stats().traffic_epochs, epoch as u64 + 1);
@@ -115,18 +122,17 @@ fn run_scenario(seed: u64, num_vehicles: usize, epochs: usize) -> Result<(), Tes
         let metric = city
             .with_metric(model.scaled_weights(&city))
             .expect("scaled weights are valid");
-        let mut fresh = make_engine(metric, seed, num_vehicles);
+        let fresh = make_engine(metric, seed, num_vehicles);
 
         // Probe both, committing every fourth trip on both identically so
         // the two worlds evolve: skylines must agree bit for bit.
         let now = epoch as f64 + 100.0;
         for (k, trip) in trips.iter().enumerate() {
-            let (s_req, s_options) =
-                swapped.submit(trip.origin, trip.destination, trip.riders, now);
-            let (f_req, f_options) = fresh.submit(trip.origin, trip.destination, trip.riders, now);
+            let s_offer = submit(&swapped, trip, now);
+            let f_offer = submit(&fresh, trip, now);
             prop_assert_eq!(
-                canonical(&s_options),
-                canonical(&f_options),
+                canonical(&s_offer.options),
+                canonical(&f_offer.options),
                 "epoch {} trip {} ({} -> {})",
                 epoch,
                 k,
@@ -134,14 +140,14 @@ fn run_scenario(seed: u64, num_vehicles: usize, epochs: usize) -> Result<(), Tes
                 trip.destination
             );
             // The first option of a bit-identical skyline is the same one.
-            if k % 4 == 0 && !s_options.is_empty() {
-                let ok_s = swapped.choose(s_req, &s_options[0], now).is_ok();
-                let ok_f = fresh.choose(f_req, &f_options[0], now).is_ok();
-                prop_assert_eq!(ok_s, ok_f);
+            let decision = if k % 4 == 0 && !s_offer.options.is_empty() {
+                Decision::Choose(OptionId(0))
             } else {
-                let _ = swapped.decline(s_req);
-                let _ = fresh.decline(f_req);
-            }
+                Decision::Decline
+            };
+            let ok_s = swapped.respond(s_offer.session, decision, now).is_ok();
+            let ok_f = fresh.respond(f_offer.session, decision, now).is_ok();
+            prop_assert_eq!(ok_s, ok_f);
         }
     }
     Ok(())
@@ -166,7 +172,7 @@ proptest! {
 /// original bits.
 #[test]
 fn service_traffic_lifecycle_round_trips() {
-    use ptrider::{Decision, EngineEvent, RideService};
+    use ptrider::EngineEvent;
     let city = synthetic_city(&CityConfig::tiny(5));
     let service = RideService::new(
         city,

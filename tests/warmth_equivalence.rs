@@ -26,7 +26,10 @@
 use proptest::prelude::*;
 use ptrider::datagen::{synthetic_city, CityConfig, TripConfig, TripGenerator};
 use ptrider::roadnet::{DistanceOracle, LandmarkIndex};
-use ptrider::{EngineConfig, GridConfig, MatcherKind, PtRider, Request, RequestId, VertexId};
+use ptrider::{
+    Decision, EngineConfig, GridConfig, MatcherKind, OptionId, Request, RequestId, RideService,
+    VertexId,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -41,12 +44,12 @@ fn bytes(options: &[ptrider::RideOption]) -> String {
 fn run_scenario(seed: u64, num_vehicles: usize, num_warm: usize, num_probes: usize) {
     let city = synthetic_city(&CityConfig::tiny(seed));
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x3a7);
-    let mut engine = PtRider::new(
+    let engine = RideService::new(
         city,
         GridConfig::with_dimensions(4, 4),
         EngineConfig::paper_defaults(),
-    );
-    engine.set_matcher(MatcherKind::DualSide);
+    )
+    .with_matcher(MatcherKind::DualSide);
     let n = engine.network().num_vertices() as u32;
     for _ in 0..num_vehicles {
         engine.add_vehicle(VertexId(rng.gen_range(0..n)));
@@ -61,11 +64,16 @@ fn run_scenario(seed: u64, num_vehicles: usize, num_warm: usize, num_probes: usi
     )
     .generate();
     for (i, trip) in trips.iter().take(num_warm).enumerate() {
-        let (id, options) = engine.submit(trip.origin, trip.destination, trip.riders, i as f64);
-        match options.first() {
-            Some(first) => drop(engine.choose(id, first, i as f64)),
-            None => drop(engine.decline(id)),
-        }
+        let now = i as f64;
+        let offer = engine
+            .submit(trip.origin, trip.destination, trip.riders, now)
+            .expect("valid request");
+        let decision = if offer.options.is_empty() {
+            Decision::Decline
+        } else {
+            Decision::Choose(OptionId(0))
+        };
+        let _ = engine.respond(offer.session, decision, now);
     }
 
     let net = engine.oracle().network_arc();
