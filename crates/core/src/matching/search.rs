@@ -22,6 +22,17 @@ use std::time::Instant;
 /// Tolerance for constraint comparisons, in metres.
 const EPS: f64 = 1e-6;
 
+/// Shaves a per-vehicle bound before it meets the pickup radius or the
+/// skyline. A composed bound (`lb(l, s) + dist(s, d) − dist_tri`, the fare
+/// product over it, P5's stop sums) folds its terms in another order than
+/// verification folds the schedule it bounds, so even when every term is
+/// an exact cached distance it can round an ulp above the verified value
+/// and prune an option that is not dominated. The relative haircut dwarfs
+/// that error; every per-vehicle time and price bound takes it.
+fn shaved(bound: f64) -> f64 {
+    bound * LOWER_BOUND_HAIRCUT
+}
+
 /// Which pruning rules to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SearchMode {
@@ -173,15 +184,13 @@ fn empty_survives_pruning(
     skyline: &Skyline,
     stats: &mut MatchStats,
 ) -> bool {
-    let t_lb = ctx.oracle.lower_bound(vehicle.location(), req.pickup);
+    let t_lb = shaved(ctx.oracle.lower_bound(vehicle.location(), req.pickup));
     if t_lb > ctx.config.max_pickup_dist {
         stats.vehicles_pruned += 1;
         return false;
     }
-    let p_lb = ctx
-        .config
-        .price
-        .empty_vehicle_price(req.riders, t_lb, req.direct_dist);
+    let fare = &ctx.config.price;
+    let p_lb = shaved(fare.empty_vehicle_price(req.riders, t_lb, req.direct_dist));
     if skyline.would_dominate(t_lb, p_lb) {
         stats.vehicles_pruned += 1;
         return false;
@@ -201,7 +210,7 @@ fn non_empty_survives_pruning(
     stats: &mut MatchStats,
 ) -> bool {
     let loc = vehicle.location();
-    let mut time_lb = ctx.oracle.lower_bound(loc, req.pickup);
+    let mut time_lb = shaved(ctx.oracle.lower_bound(loc, req.pickup));
     if time_lb > ctx.config.max_pickup_dist {
         stats.vehicles_pruned += 1;
         return false;
@@ -221,7 +230,7 @@ fn non_empty_survives_pruning(
                 return false;
             }
             Analysis::Bounds { pickup_dist_lb } => {
-                time_lb = time_lb.max(pickup_dist_lb);
+                time_lb = time_lb.max(shaved(pickup_dist_lb));
                 if time_lb > ctx.config.max_pickup_dist {
                     stats.vehicles_pruned += 1;
                     return false;
@@ -231,10 +240,8 @@ fn non_empty_survives_pruning(
         }
     }
 
-    let p_lb = ctx
-        .config
-        .price
-        .price(req.riders, delta_lb, req.direct_dist);
+    let fare = &ctx.config.price;
+    let p_lb = shaved(fare.price(req.riders, delta_lb, req.direct_dist));
     if skyline.would_dominate(time_lb, p_lb) {
         stats.vehicles_pruned += 1;
         return false;
