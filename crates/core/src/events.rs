@@ -179,6 +179,9 @@ struct LogInner {
     next_seq: u64,
     /// Events evicted because the buffer was full.
     dropped: u64,
+    /// Slots still taken by events a restored log cannot serve: the ones
+    /// the original log retained at the snapshot. They are evicted first.
+    unavailable: usize,
     capacity: usize,
     /// Live subscriber loss counters (pruned when the cursor is gone).
     cursors: Vec<Arc<CursorShared>>,
@@ -200,6 +203,7 @@ impl EventLog {
                 buf: VecDeque::with_capacity(capacity.min(1024)),
                 next_seq: 0,
                 dropped: 0,
+                unavailable: 0,
                 capacity: capacity.max(1),
                 cursors: Vec::new(),
                 next_cursor_id: 0,
@@ -211,12 +215,16 @@ impl EventLog {
     /// Resets the log's sequencing counters from a snapshot. The retained
     /// buffer starts empty: journal replay re-publishes the tail's events,
     /// which thereby receive the same sequence numbers the original run
-    /// assigned them.
+    /// assigned them. The events the original log still retained at the
+    /// snapshot keep their slots as unavailable, so replay evicts — and
+    /// counts evictions — exactly where the original run did.
     pub(crate) fn restore(&self, next_seq: u64, dropped: u64) {
         let mut inner = self.lock();
         inner.buf.clear();
         inner.next_seq = next_seq;
         inner.dropped = dropped;
+        let retained = next_seq.saturating_sub(dropped);
+        inner.unavailable = retained.min(inner.capacity as u64) as usize;
     }
 
     /// The log is pure bookkeeping with no cross-field invariant a panicking
@@ -242,8 +250,12 @@ impl EventLog {
     pub(crate) fn publish_in(&self, event: EngineEvent, trace_id: u64) -> u64 {
         let stamp = self.now_nanos();
         let mut inner = self.lock();
-        if inner.buf.len() == inner.capacity {
-            inner.buf.pop_front();
+        if inner.buf.len() + inner.unavailable == inner.capacity {
+            if inner.unavailable > 0 {
+                inner.unavailable -= 1;
+            } else {
+                inner.buf.pop_front();
+            }
             inner.dropped += 1;
         }
         let seq = inner.next_seq;

@@ -10,23 +10,28 @@
 
 use ptrider::datagen::{synthetic_city, CityConfig};
 use ptrider::{
-    Decision, EngineConfig, EngineEvent, GridConfig, RideService, ServiceConfig, VertexId,
+    Decision, EngineConfig, EngineEvent, GridConfig, Journal, JournalConfig, PtRider, RideService,
+    ServiceConfig, VertexId,
 };
 
 const CAPACITY: usize = 4;
 
-fn tiny_service() -> RideService {
-    let city = synthetic_city(&CityConfig::tiny(3));
-    let service = RideService::new(
-        city,
+fn engine() -> PtRider {
+    PtRider::new(
+        synthetic_city(&CityConfig::tiny(3)),
         GridConfig::with_dimensions(4, 4),
         EngineConfig::paper_defaults(),
     )
-    .with_service_config(
-        ServiceConfig::default()
-            .with_offer_ttl_secs(1e9)
-            .with_event_capacity(CAPACITY),
-    );
+}
+
+fn service_config() -> ServiceConfig {
+    ServiceConfig::default()
+        .with_offer_ttl_secs(1e9)
+        .with_event_capacity(CAPACITY)
+}
+
+fn tiny_service() -> RideService {
+    let service = RideService::from_engine(engine()).with_service_config(service_config());
     service.add_vehicle(VertexId(0));
     service
 }
@@ -128,4 +133,33 @@ fn missed_accumulates_over_repeated_overflows() {
     }
     assert_eq!(service.events_published(), 1 + 36);
     assert_eq!(seen_since + expected_missed + 1, 1 + 36);
+}
+
+#[test]
+fn a_recovered_log_evicts_where_the_live_one_did() {
+    let dir = std::env::temp_dir().join(format!("ptrider-event-evict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = Journal::create(&dir, JournalConfig::default().with_snapshot_every_ops(0))
+        .expect("journal dir is writable");
+    let service = RideService::from_engine(engine())
+        .with_service_config(service_config())
+        .with_journal(journal);
+    service.add_vehicle(VertexId(0));
+    // The snapshot catches the log below capacity, still holding events
+    // the WAL tail will not re-publish; the tail then overflows it.
+    run_cycle(&service, 0);
+    assert!(service.snapshot().is_some());
+    assert_eq!(service.events_published(), 4);
+    for k in 1..4u64 {
+        run_cycle(&service, k);
+    }
+    assert!(service.sync_journal());
+
+    let recovered =
+        RideService::recover(engine(), service_config(), &dir, JournalConfig::default())
+            .expect("the journal recovers");
+    assert_eq!(recovered.events_published(), service.events_published());
+    assert_eq!(recovered.fingerprint(), service.fingerprint());
+    drop((service, recovered));
+    let _ = std::fs::remove_dir_all(&dir);
 }
