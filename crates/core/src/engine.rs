@@ -195,8 +195,7 @@ impl World {
             return;
         }
         if let Some(vehicle) = self.vehicles.get(&id) {
-            self.index
-                .update_from_vehicle(vehicle, &shared.net, &shared.grid);
+            self.index.update_from_vehicle(vehicle, &shared.grid);
         }
     }
 
@@ -207,15 +206,15 @@ impl World {
     }
 
     /// Ends a deferral by rebuilding the index over the whole fleet. Exact:
-    /// a vehicle's registration depends only on its current state, the
-    /// base network and the grid. A no-op when the index is live.
+    /// a vehicle's registration depends only on its current location and
+    /// emptiness and on the grid. A no-op when the index is live.
     pub(crate) fn resume_index(&mut self, shared: &EngineShared) {
         if self.index_live {
             return;
         }
         let mut index = VehicleIndex::new(shared.grid.num_cells());
         for vehicle in self.vehicles.values() {
-            index.update_from_vehicle(vehicle, &shared.net, &shared.grid);
+            index.update_from_vehicle(vehicle, &shared.grid);
         }
         self.index = index;
         self.index_live = true;

@@ -104,7 +104,7 @@ mod tests {
         let mut index = VehicleIndex::new(grid.num_cells());
         for (i, loc) in [VertexId(0), VertexId(15)].iter().enumerate() {
             let v = Vehicle::new(VehicleId(i as u32), config.capacity, *loc);
-            index.update_from_vehicle(&v, &net, &grid);
+            index.update_from_vehicle(&v, &grid);
             vehicles.insert(v.id(), v);
         }
         (net, grid, oracle, vehicles, index, config)

@@ -16,7 +16,6 @@ use crate::skyline::Skyline;
 use crate::telemetry::Stage;
 use ptrider_roadnet::LOWER_BOUND_HAIRCUT;
 use ptrider_vehicles::{ProspectiveRequest, Vehicle};
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Tolerance for constraint comparisons, in metres.
@@ -85,7 +84,6 @@ pub(crate) fn grid_search(
     // Universal price floor for non-empty vehicles (zero detour).
     let price_floor_shared = fare.floor(req.riders, direct);
 
-    let mut seen_non_empty = HashSet::new();
     let mut empty_done = false;
     let mut non_empty_done = false;
     // Vehicles that survived the cheap bound pruning of the current cell;
@@ -137,9 +135,6 @@ pub(crate) fn grid_search(
                 non_empty_done = true;
             } else {
                 for vid in ctx.index.non_empty_in_cell(cell) {
-                    if !seen_non_empty.insert(vid) {
-                        continue;
-                    }
                     let Some(vehicle) = ctx.vehicles.get(&vid) else {
                         continue;
                     };

@@ -2970,7 +2970,7 @@ pub(crate) mod tests {
                 continue;
             }
             let (_, path) =
-                ptrider_roadnet::astar::shortest_path(svc.network(), location, stop.location)
+                ptrider_roadnet::dijkstra::shortest_path(svc.network(), location, stop.location)
                     .unwrap();
             let travelled = svc.oracle().distance(location, path[1]);
             svc.location_update(id, path[1], travelled).unwrap();
@@ -3034,8 +3034,7 @@ pub(crate) mod tests {
                 RideService::recover(engine(), config, &copy, JournalConfig::default()).unwrap();
             assert_eq!(recovered.fingerprint(), svc.fingerprint());
             // The per-cell lists are the whole registration (a vehicle's
-            // cells and its empty flag follow from them); the leg memo is
-            // a cache and not compared.
+            // cell and its empty flag follow from them).
             let registrations = |svc: &RideService| {
                 let world = svc.world_read_tolerant();
                 let index = &world.index;

@@ -69,58 +69,6 @@ pub fn distance_with_landmarks(
     })
 }
 
-/// A* point-to-point shortest path returning `(distance, path)`, using the
-/// Euclidean heuristic. Exactly matches [`crate::dijkstra::shortest_path`]
-/// but settles far fewer vertices on spatial networks; used by the vehicle
-/// index to find the grid cells a schedule leg crosses.
-pub fn shortest_path(
-    net: &RoadNetwork,
-    source: VertexId,
-    target: VertexId,
-) -> Option<(f64, Vec<VertexId>)> {
-    if source == target {
-        return Some((0.0, vec![source]));
-    }
-    let ratio = net.min_weight_ratio();
-    let h = |v: VertexId| net.euclidean(v, target) * ratio;
-    crate::scratch::with_scratch(|s| {
-        s.begin(net.num_vertices());
-        s.set(source, 0.0);
-        s.push(h(source), source);
-        while let Some((f, u)) = s.pop() {
-            let gu = s.get(u);
-            if f > gu + h(u) + 1e-9 {
-                continue;
-            }
-            if u == target {
-                break;
-            }
-            for (v, w) in net.neighbors(u) {
-                let ng = gu + w;
-                if s.relax(v, ng, u) {
-                    s.push(ng + h(v), v);
-                }
-            }
-        }
-        let total = s.get(target);
-        if total.is_infinite() {
-            return None;
-        }
-        let mut path = vec![target];
-        let mut cur = target;
-        while let Some(p) = s.parent_of(cur) {
-            path.push(p);
-            cur = p;
-            if cur == source {
-                break;
-            }
-        }
-        path.reverse();
-        debug_assert_eq!(path.first(), Some(&source));
-        Some((total, path))
-    })
-}
-
 /// A* core over an arbitrary admissible heuristic `h(v) ≤ dist(v, target)`.
 pub fn distance_with_heuristic(
     net: &RoadNetwork,

@@ -20,7 +20,7 @@ pub mod types;
 pub mod vehicle;
 
 pub use distances::{Distances, FnDistances, PrefetchedDistances};
-pub use index::{schedule_cells, VehicleIndex};
+pub use index::VehicleIndex;
 pub use kinetic::{InsertionCandidate, KineticNode, KineticTree, ScheduleContext};
 pub use request::{AssignedRequest, ProspectiveRequest, RequestProgress};
 pub use types::{RequestId, Stop, StopKind, VehicleId};

@@ -6,7 +6,8 @@ use ptrider::datagen::{synthetic_city, CityConfig};
 use ptrider::roadnet::dijkstra;
 use ptrider::vehicles::StopEvent;
 use ptrider::{
-    Decision, EngineConfig, GridConfig, MatcherKind, Offer, OptionId, RideService, VertexId,
+    Decision, EngineConfig, GridConfig, MatcherKind, Offer, OptionId, RideService, VehicleId,
+    VertexId,
 };
 
 fn service(config: EngineConfig, matcher: MatcherKind) -> RideService {
@@ -47,8 +48,22 @@ fn decline(engine: &RideService, offer: &Offer, now: f64) {
         .unwrap();
 }
 
+/// Asserts that the vehicle index lists `vehicle` under the cell of its
+/// current location.
+fn assert_indexed_at_location(engine: &RideService, vehicle: VehicleId) {
+    let location = engine.with_vehicle(vehicle, |v| v.location()).unwrap();
+    let cell = engine.oracle().grid().cell_of(location);
+    assert_eq!(
+        engine.with_vehicle_index(|index| index.cell_of(vehicle)),
+        Some(cell),
+        "{vehicle} at {location}"
+    );
+}
+
 /// Drives a vehicle along shortest paths, serving stops until it is empty.
-fn drive_until_idle(engine: &RideService, vehicle: ptrider::VehicleId) -> Vec<StopEvent> {
+/// After every move and every stop the vehicle must be indexed in its
+/// location cell.
+fn drive_until_idle(engine: &RideService, vehicle: VehicleId) -> Vec<StopEvent> {
     let mut events = Vec::new();
     let net = engine.oracle().network_arc();
     for _ in 0..64 {
@@ -65,6 +80,7 @@ fn drive_until_idle(engine: &RideService, vehicle: ptrider::VehicleId) -> Vec<St
             for v in path.into_iter().skip(1) {
                 let leg = dijkstra::distance(&net, prev, v).unwrap();
                 engine.location_update(vehicle, v, leg).unwrap();
+                assert_indexed_at_location(engine, vehicle);
                 prev = v;
             }
             assert!(dist >= 0.0);
@@ -72,6 +88,7 @@ fn drive_until_idle(engine: &RideService, vehicle: ptrider::VehicleId) -> Vec<St
         if let Some(event) = engine.vehicle_arrived(vehicle).unwrap() {
             events.push(event);
         }
+        assert_indexed_at_location(engine, vehicle);
     }
     events
 }
@@ -154,21 +171,33 @@ fn vehicle_index_tracks_empty_and_non_empty_transitions() {
     let engine = small_city_engine(MatcherKind::SingleSide);
     let taxi = engine.add_vehicle(VertexId(0));
     let registered_empty = || engine.with_vehicle_index(|index| index.is_registered_empty(taxi));
-    let num_cells = || engine.with_vehicle_index(|index| index.cells_of(taxi).len());
     assert_eq!(registered_empty(), Some(true));
+    assert_indexed_at_location(&engine, taxi);
 
     let r1 = submit(&engine, 4, 9, 1, 0.0);
     choose(&engine, &r1, 0, 0.0);
     assert_eq!(registered_empty(), Some(false));
-    // A non-empty vehicle is registered in at least the cells of its stops.
-    assert!(num_cells() > 0);
+    assert_indexed_at_location(&engine, taxi);
 
-    // Complete the trip: the vehicle becomes empty again and is re-registered
-    // in exactly one cell.
+    // Complete the trip, checking the registration after every move: the
+    // vehicle stays in its location cell, busy and then empty again.
     let events = drive_until_idle(&engine, taxi);
     assert_eq!(events.len(), 2);
     assert_eq!(registered_empty(), Some(true));
-    assert_eq!(num_cells(), 1);
+
+    // Idle moves carry the registration along too.
+    let net = engine.oracle().network_arc();
+    let here = engine.with_vehicle(taxi, |v| v.location()).unwrap();
+    let (_, path) = dijkstra::shortest_path(&net, here, VertexId(99)).unwrap();
+    let mut cells = std::collections::BTreeSet::new();
+    for pair in path.windows(2) {
+        let leg = dijkstra::distance(&net, pair[0], pair[1]).unwrap();
+        engine.location_update(taxi, pair[1], leg).unwrap();
+        assert_eq!(registered_empty(), Some(true));
+        assert_indexed_at_location(&engine, taxi);
+        cells.insert(engine.with_vehicle_index(|index| index.cell_of(taxi)));
+    }
+    assert!(cells.len() > 1, "the idle taxi crossed cells");
 }
 
 #[test]

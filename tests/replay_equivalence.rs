@@ -19,7 +19,7 @@
 //!   confirming it on both services keeps them equal.
 
 use ptrider::datagen::{synthetic_city, CityConfig};
-use ptrider::roadnet::astar;
+use ptrider::roadnet::dijkstra;
 use ptrider::{
     Decision, EngineConfig, GridConfig, Journal, JournalConfig, MatcherKind, Offer, OptionId,
     PtRider, Request, RequestId, RideService, ServiceConfig, VehicleId, VertexId,
@@ -82,7 +82,7 @@ fn step_fleet(svc: &RideService, fleet: &[VehicleId]) {
             svc.vehicle_arrived(v).unwrap();
             continue;
         }
-        let (_, path) = astar::shortest_path(svc.network(), location, stop.location).unwrap();
+        let (_, path) = dijkstra::shortest_path(svc.network(), location, stop.location).unwrap();
         let travelled = svc.oracle().distance(location, path[1]);
         svc.location_update(v, path[1], travelled).unwrap();
     }
