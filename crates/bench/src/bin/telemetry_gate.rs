@@ -8,7 +8,7 @@
 //!   (request-scoped tracing disabled), held to the histogram budget
 //!   (default 5%, override with `PTRIDER_TELEMETRY_GATE_PCT`);
 //! * `spans` with the default trace capacity — full request-scoped
-//!   tracing (span trees, exemplars, lock profiles), held to the tracing
+//!   tracing (span trees, the slow log, exemplars), held to the tracing
 //!   budget (7%, or the histogram budget when that is set higher).
 //!
 //! Keeps the best round per level to damp scheduler noise and fails

@@ -289,8 +289,8 @@ fn crash_leg(dir: &Path) {
 
 /// Leg 3: request-scoped tracing over the wire. Every response echoes
 /// `X-Request-Id`; a traced submit's span tree comes back through
-/// `GET /trace/{id}`; inbound identities are honored; the lock-contention
-/// profiler and trace-drop counter are exposed in `/metrics`.
+/// `GET /trace/{id}`; inbound identities are honored; the trace-drop
+/// counter is exposed in `/metrics`.
 fn tracing_leg() {
     // `TelemetryConfig::from_env` is read at engine construction, so the
     // flip below affects only this leg's service.
@@ -372,16 +372,10 @@ fn tracing_leg() {
         client.request("GET", "/metrics", None),
         "metrics (tracing leg)",
     );
-    for needle in [
-        "ptrider_lock_acquisitions_total",
-        "site=\"world.write\"",
-        "ptrider_trace_dropped_total",
-    ] {
-        gate(
-            metrics.body.contains(needle),
-            &format!("/metrics exposes {needle}"),
-        );
-    }
+    gate(
+        metrics.body.contains("ptrider_trace_dropped_total"),
+        "/metrics exposes ptrider_trace_dropped_total",
+    );
     gate(handle.shutdown(), "tracing leg: graceful shutdown");
 }
 

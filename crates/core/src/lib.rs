@@ -76,10 +76,9 @@ pub use session::{Confirmation, Decision, Offer, OptionId, ServiceError, Session
 pub use skyline::Skyline;
 pub use stats::EngineStats;
 pub use telemetry::{
-    ContentionReport, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, LockSite,
-    LockSiteSummary, ProfiledMutex, ProfiledRwLock, PromWriter, ShardedHistogram, SlowEntry, Span,
-    SpanNode, Stage, Telemetry, TelemetryConfig, TelemetryLevel, TraceContext, TraceEvent,
-    TraceTree,
+    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, PromWriter, ShardedHistogram,
+    SlowEntry, Span, SpanNode, Stage, Telemetry, TelemetryConfig, TelemetryLevel, TraceContext,
+    TraceEvent, TraceTree,
 };
 
 // Re-export the substrate types users need to drive the engine.

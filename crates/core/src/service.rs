@@ -69,10 +69,7 @@ use crate::session::{
     Confirmation, Decision, Offer, OptionId, ServiceError, Session, SessionId, SessionState,
 };
 use crate::stats::{EngineStats, MatchWork};
-use crate::telemetry::{
-    ProfiledMutex, ProfiledMutexGuard, ProfiledReadGuard, ProfiledRwLock, ProfiledWriteGuard,
-    PromWriter, SeqSnapshot, Stage, Telemetry, TraceContext,
-};
+use crate::telemetry::{PromWriter, SeqSnapshot, Stage, Telemetry, TraceContext};
 use ptrider_roadnet::{fault, DistanceOracle, GridConfig, RoadNetwork, TrafficModel, VertexId};
 use ptrider_vehicles::{
     AssignedRequest, KineticNode, KineticTree, ProspectiveRequest, RequestId, RequestProgress,
@@ -81,7 +78,7 @@ use ptrider_vehicles::{
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Service-layer knobs (the engine-level knobs stay in [`EngineConfig`]).
@@ -185,21 +182,17 @@ pub struct RideService {
     matcher_kind: MatcherKind,
     matcher: Box<dyn Matcher>,
     service_config: ServiceConfig,
-    /// The vehicle world behind the read/write-path split. Profiled (at
-    /// the `Spans` telemetry level) as the `world.read` / `world.write`
-    /// lock sites — the write site is the single-admission-writer convoy
-    /// the contention report quantifies.
-    world: ProfiledRwLock<World>,
-    /// Profiled as the `ledger` lock site.
-    ledger: ProfiledMutex<Ledger>,
-    /// Profiled as the `sessions` lock site.
-    sessions: ProfiledMutex<SessionStore>,
+    /// The vehicle world behind the read/write-path split. The admission
+    /// writer's wait for the write lock is the [`Stage::ServiceLockWait`]
+    /// stage.
+    world: RwLock<World>,
+    ledger: Mutex<Ledger>,
+    sessions: Mutex<SessionStore>,
     events: EventLog,
     /// The write-ahead admission journal, when durability is enabled. A
-    /// leaf mutex (profiled as the `journal` lock site): it is only ever
-    /// taken while already inside the critical section that orders the
-    /// journaled operation.
-    journal: Option<ProfiledMutex<Journal>>,
+    /// leaf mutex: it is only ever taken while already inside the critical
+    /// section that orders the journaled operation.
+    journal: Option<Mutex<Journal>>,
     /// The non-free-flow arc factors of the latest traffic epoch. Snapshots
     /// carry them (plus the epoch count) as a prelude so recovery can
     /// reinstate the oracle's metric without the pre-watermark
@@ -221,7 +214,7 @@ pub struct RideService {
 /// admission-ordered prefix.
 struct LedgerGuard<'a> {
     mirror: &'a SeqSnapshot<{ EngineStats::WORDS }>,
-    guard: ProfiledMutexGuard<'a, Ledger>,
+    guard: MutexGuard<'a, Ledger>,
 }
 
 impl Deref for LedgerGuard<'_> {
@@ -257,28 +250,18 @@ impl RideService {
     pub fn from_engine(engine: PtRider) -> Self {
         let (shared, matcher_kind, world) = engine.into_parts();
         let service_config = ServiceConfig::default();
-        // Lock sites resolve to `None` below the `Spans` telemetry level,
-        // leaving each lock a plain `std::sync` lock behind one branch.
-        let t = &shared.telemetry;
-        let world =
-            ProfiledRwLock::new(world, t.lock_site("world.read"), t.lock_site("world.write"));
-        let ledger = ProfiledMutex::new(Ledger::new(), t.lock_site("ledger"));
-        let sessions = ProfiledMutex::new(
-            SessionStore {
-                sessions: HashMap::new(),
-                next_session: 0,
-            },
-            t.lock_site("sessions"),
-        );
         RideService {
             shared,
             matcher_kind,
             matcher: matcher_kind.build(),
             events: EventLog::new(service_config.event_capacity),
             service_config,
-            world,
-            ledger,
-            sessions,
+            world: RwLock::new(world),
+            ledger: Mutex::new(Ledger::new()),
+            sessions: Mutex::new(SessionStore {
+                sessions: HashMap::new(),
+                next_session: 0,
+            }),
             journal: None,
             last_traffic: Mutex::new(None),
             stats_mirror: SeqSnapshot::new(),
@@ -306,8 +289,7 @@ impl RideService {
     /// with [`RideService::recover`], which re-attaches it).
     pub fn with_journal(mut self, mut journal: Journal) -> Self {
         journal.attach_telemetry(&self.shared.telemetry);
-        let site = self.shared.telemetry.lock_site("journal");
-        self.journal = Some(ProfiledMutex::new(journal, site));
+        self.journal = Some(Mutex::new(journal));
         self
     }
 
@@ -324,13 +306,13 @@ impl RideService {
     // (observing possibly-torn state is acceptable for diagnostics, and
     // `fingerprint`/`recover` need to work on a crashed service).
 
-    fn world_read(&self) -> Result<ProfiledReadGuard<'_, World>, ServiceError> {
+    fn world_read(&self) -> Result<RwLockReadGuard<'_, World>, ServiceError> {
         self.world
             .read()
             .map_err(|_| ServiceError::Unavailable("world"))
     }
 
-    fn world_write(&self) -> Result<ProfiledWriteGuard<'_, World>, ServiceError> {
+    fn world_write(&self) -> Result<RwLockWriteGuard<'_, World>, ServiceError> {
         let wait = self.lock_wait_clock();
         let guard = self
             .world
@@ -343,7 +325,7 @@ impl RideService {
     /// Admission-writer acquisition of the world write lock for the paths
     /// that panic on poison; times the wait into
     /// [`Stage::ServiceLockWait`] when spans are on.
-    fn world_write_panicky(&self) -> ProfiledWriteGuard<'_, World> {
+    fn world_write_panicky(&self) -> RwLockWriteGuard<'_, World> {
         let wait = self.lock_wait_clock();
         let guard = self.world.write().unwrap();
         self.record_lock_wait(wait);
@@ -364,7 +346,7 @@ impl RideService {
         }
     }
 
-    fn sessions_lock(&self) -> Result<ProfiledMutexGuard<'_, SessionStore>, ServiceError> {
+    fn sessions_lock(&self) -> Result<MutexGuard<'_, SessionStore>, ServiceError> {
         self.sessions
             .lock()
             .map_err(|_| ServiceError::Unavailable("sessions"))
@@ -389,11 +371,11 @@ impl RideService {
         }
     }
 
-    fn world_read_tolerant(&self) -> ProfiledReadGuard<'_, World> {
+    fn world_read_tolerant(&self) -> RwLockReadGuard<'_, World> {
         self.world.read().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn sessions_tolerant(&self) -> ProfiledMutexGuard<'_, SessionStore> {
+    fn sessions_tolerant(&self) -> MutexGuard<'_, SessionStore> {
         self.sessions.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -1590,52 +1572,9 @@ impl RideService {
         if t.tracing_enabled() {
             w.counter(
                 "ptrider_trace_dropped_total",
-                "Trace events evicted from the bounded trace ring.",
+                "Trace spans lost to store eviction or per-trace truncation.",
                 t.trace_dropped(),
             );
-        }
-        // Lock-contention profiler: per-site wait/hold histograms and
-        // acquisition counters (populated at the `Spans` level).
-        let sites = t.lock_sites();
-        if !sites.is_empty() {
-            w.counter_family(
-                "ptrider_lock_acquisitions_total",
-                "Lock acquisitions per profiled site.",
-            );
-            for site in &sites {
-                w.counter_sample(
-                    "ptrider_lock_acquisitions_total",
-                    &format!("site=\"{}\"", site.name()),
-                    site.acquisitions(),
-                );
-            }
-            w.counter_family(
-                "ptrider_lock_contended_total",
-                "Acquisitions that had to block behind another holder.",
-            );
-            for site in &sites {
-                w.counter_sample(
-                    "ptrider_lock_contended_total",
-                    &format!("site=\"{}\"", site.name()),
-                    site.contended(),
-                );
-            }
-            for site in &sites {
-                let mangled = site.name().replace('.', "_");
-                w.histogram(
-                    &format!("ptrider_lock_wait_seconds_{mangled}"),
-                    "Time spent waiting to acquire the lock, in seconds \
-                     (0 for uncontended acquisitions).",
-                    &site.wait_snapshot(),
-                    1e-9,
-                );
-                w.histogram(
-                    &format!("ptrider_lock_hold_seconds_{mangled}"),
-                    "Time the lock was held, in seconds.",
-                    &site.hold_snapshot(),
-                    1e-9,
-                );
-            }
         }
         w.finish()
     }
@@ -1938,8 +1877,7 @@ impl RideService {
 
         let mut svc = svc;
         journal.attach_telemetry(&svc.shared.telemetry);
-        let site = svc.shared.telemetry.lock_site("journal");
-        svc.journal = Some(ProfiledMutex::new(journal, site));
+        svc.journal = Some(Mutex::new(journal));
         Ok(svc)
     }
 

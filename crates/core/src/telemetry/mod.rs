@@ -1,7 +1,7 @@
 //! In-repo telemetry: atomic counters, gauges, log-scale-bucketed latency
-//! histograms, scoped spans, request-scoped trace trees, Prometheus
-//! exemplars and a lock-contention profiler — the runtime observability
-//! substrate behind [`crate::RideService::metrics_text`].
+//! histograms, scoped spans, request-scoped trace trees and Prometheus
+//! exemplars — the runtime observability substrate behind
+//! [`crate::RideService::metrics_text`].
 //!
 //! Vendored offline builds preclude `tracing`/`prometheus`, so the whole
 //! registry lives here with zero dependencies. Design constraints:
@@ -23,29 +23,23 @@
 //! Three levels ([`TelemetryLevel`], env `PTRIDER_TELEMETRY=off|counters|
 //! spans`): `off` disables everything, `counters` keeps cheap counters and
 //! gauges, `spans` additionally times pipeline stages ([`Stage`]) into
-//! per-stage histograms, activates the lock-contention profiler
-//! ([`locks`]), and — when a trace capacity is configured (env
-//! `PTRIDER_TRACE_CAPACITY`, default 4096; 0 disables tracing while
-//! keeping stage histograms) — records request-scoped [`TraceEvent`]s
-//! into the bounded [`trace`] store, from which parent/child span trees
-//! and the slowest-request log are served.
+//! per-stage histograms, and — when a trace capacity is configured (env
+//! `PTRIDER_TRACE_CAPACITY`, in spans, default 4096; 0 disables tracing
+//! while keeping stage histograms) — records request-scoped
+//! [`TraceEvent`]s into the bounded [`trace`] store, one map of traces
+//! from which the span dump, parent/child span trees and the
+//! slowest-request log are served.
 //!
 //! The module splits by concern: [`histogram`] (bucket math, sharding,
 //! exemplar slots), [`trace`] (context propagation and the span store),
-//! [`locks`] (the contention profiler), [`prom`] (text exposition), with
-//! the [`Telemetry`] hub, levels, spans and the [`SeqSnapshot`] seqlock
-//! cell here at the root.
+//! [`prom`] (text exposition), with the [`Telemetry`] hub, levels, spans
+//! and the [`SeqSnapshot`] seqlock cell here at the root.
 
 pub mod histogram;
-pub mod locks;
 pub mod prom;
 pub mod trace;
 
 pub use histogram::{Exemplar, Histogram, HistogramSnapshot, ShardedHistogram};
-pub use locks::{
-    ContentionReport, LockSite, LockSiteSummary, ProfiledMutex, ProfiledMutexGuard,
-    ProfiledReadGuard, ProfiledRwLock, ProfiledWriteGuard,
-};
 pub use prom::PromWriter;
 pub use trace::{SlowEntry, SpanNode, TraceContext, TraceEvent, TraceTree};
 
@@ -65,8 +59,8 @@ pub enum TelemetryLevel {
     Off,
     /// Counters and gauges only — no clocks are read on the hot path.
     Counters,
-    /// Counters plus per-stage latency histograms, the lock profiler and
-    /// (with a non-zero trace capacity) request-scoped tracing.
+    /// Counters plus per-stage latency histograms and (with a non-zero
+    /// trace capacity) request-scoped tracing.
     Spans,
 }
 
@@ -100,9 +94,9 @@ const DEFAULT_TRACE_CAPACITY: usize = 4096;
 pub struct TelemetryConfig {
     /// Recording level.
     pub level: TelemetryLevel,
-    /// Capacity of the trace-event ring (0 disables tracing — the ring,
-    /// the per-trace index and the slow log). Only consulted at the
-    /// `Spans` level.
+    /// Spans the trace store holds (0 disables tracing — the span dump,
+    /// the trace trees and the slow log). Only consulted at the `Spans`
+    /// level.
     pub trace_capacity: usize,
 }
 
@@ -141,19 +135,13 @@ impl TelemetryConfig {
         }
     }
 
-    /// Full instrumentation: counters, per-stage histograms, the lock
-    /// profiler and request tracing at the default capacity.
+    /// Full instrumentation: counters, per-stage histograms and request
+    /// tracing at the default capacity.
     pub fn spans() -> TelemetryConfig {
         TelemetryConfig {
             level: TelemetryLevel::Spans,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
-    }
-
-    /// Replaces the trace-ring capacity.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> TelemetryConfig {
-        self.trace_capacity = capacity;
-        self
     }
 }
 
@@ -310,16 +298,12 @@ impl Stage {
             Stage::ServerWrite => "server.write",
         }
     }
-
-    /// Looks a stage up by its dotted name.
-    pub fn by_name(name: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|s| s.name() == name)
-    }
 }
 
-/// A scoped timing guard: created by [`Telemetry::span`] (or
-/// [`Span::enter`]), records its elapsed time into the stage's histogram —
-/// and, when tracing is configured, a [`TraceEvent`] — on drop.
+/// A scoped timing guard: created by [`Telemetry::span`] or
+/// [`Telemetry::span_in`], records its elapsed time into the stage's
+/// histogram — and, when it belongs to a trace, a [`TraceEvent`] — on
+/// drop.
 ///
 /// When spans are disabled the guard is inert: no clock is read.
 #[must_use = "a span measures the scope it is alive for"]
@@ -338,17 +322,8 @@ struct SpanInner<'a> {
 }
 
 impl<'a> Span<'a> {
-    /// Starts a span for the stage named `name` (see [`Stage::name`]);
-    /// unknown names produce an inert span.
-    pub fn enter(telemetry: &'a Telemetry, name: &str) -> Span<'a> {
-        match Stage::by_name(name) {
-            Some(stage) => telemetry.span(stage),
-            None => Span { inner: None },
-        }
-    }
-
-    /// Tags the span with an engine request id (shows up in the trace
-    /// ring).
+    /// Tags the span with an engine request id (shows up in its
+    /// [`TraceEvent`]).
     pub fn with_request(mut self, request: u64) -> Span<'a> {
         if let Some(inner) = &mut self.inner {
             inner.request = request;
@@ -382,8 +357,7 @@ impl Drop for Span<'_> {
 // ---------------------------------------------------------------------------
 
 /// The per-engine telemetry hub: one latency histogram per [`Stage`], an
-/// optional trace store, the lock-site registry and a registry of named
-/// counters and gauges that other layers (the event log's per-cursor loss
+/// optional trace store and a registry of named counters and gauges that other layers (the event log's per-cursor loss
 /// counters, for instance) can hook metrics into.
 ///
 /// One `Telemetry` is created per engine (`EngineShared`) and shared by
@@ -398,7 +372,6 @@ pub struct Telemetry {
     next_span: AtomicU64,
     counters: Mutex<Vec<(String, Arc<Counter>)>>,
     gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
-    lock_sites: Mutex<Vec<Arc<LockSite>>>,
 }
 
 impl Telemetry {
@@ -419,7 +392,6 @@ impl Telemetry {
             next_span: AtomicU64::new(1),
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
-            lock_sites: Mutex::new(Vec::new()),
         }
     }
 
@@ -526,6 +498,9 @@ impl Telemetry {
 
     fn finish_span(&self, inner: &SpanInner<'_>, nanos: u64) {
         self.stages[inner.stage as usize].record_traced(nanos, inner.trace_id);
+        if inner.trace_id == 0 {
+            return;
+        }
         if let Some(store) = &self.store {
             let start_us = inner.start.duration_since(self.origin).as_micros() as u64;
             store.push(TraceEvent {
@@ -648,37 +623,6 @@ impl Telemetry {
         g
     }
 
-    /// The named lock site, registering it on first use — `None` unless
-    /// spans are enabled, so an unprofiled lock stays a plain `std::sync`
-    /// lock behind one branch.
-    pub fn lock_site(&self, name: &str) -> Option<Arc<LockSite>> {
-        if !self.spans_enabled() {
-            return None;
-        }
-        let mut reg = self.lock_sites.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(site) = reg.iter().find(|s| s.name() == name) {
-            return Some(Arc::clone(site));
-        }
-        let site = Arc::new(LockSite::new(name));
-        reg.push(Arc::clone(&site));
-        Some(site)
-    }
-
-    /// Every registered lock site, in registration order.
-    pub fn lock_sites(&self) -> Vec<Arc<LockSite>> {
-        self.lock_sites
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
-    /// Summarizes every lock site — the geo-sharding baseline instrument.
-    pub fn contention_report(&self) -> ContentionReport {
-        ContentionReport {
-            sites: self.lock_sites().iter().map(|s| s.summary()).collect(),
-        }
-    }
-
     /// Every registered counter as `(name, value)`, sorted by name.
     pub fn counter_values(&self) -> Vec<(String, u64)> {
         let reg = self.counters.lock().unwrap_or_else(|p| p.into_inner());
@@ -695,14 +639,14 @@ impl Telemetry {
         out
     }
 
-    /// Drains nothing — copies the current trace ring, oldest first. Empty
-    /// unless tracing is active.
+    /// Copies every resident traced span, in start order. Empty unless
+    /// tracing is active.
     pub fn trace_dump(&self) -> Vec<TraceEvent> {
         self.store.as_ref().map(|s| s.dump()).unwrap_or_default()
     }
 
-    /// Events evicted from the flat trace ring since startup (exposed as
-    /// `ptrider_trace_dropped_total`).
+    /// Spans lost to trace eviction or per-trace truncation since startup
+    /// (exposed as `ptrider_trace_dropped_total`).
     pub fn trace_dropped(&self) -> u64 {
         self.store.as_ref().map_or(0, |s| s.dropped())
     }
@@ -714,7 +658,9 @@ impl Telemetry {
         self.store.as_ref()?.tree(trace_id)
     }
 
-    /// The slowest root spans seen so far, sorted slowest-first.
+    /// The longest root span of each resident trace, the slowest
+    /// [`trace::SLOW_LOG_K`] first — every entry resolves through
+    /// [`Telemetry::trace_tree`].
     pub fn slow_traces(&self) -> Vec<SlowEntry> {
         self.store.as_ref().map(|s| s.slow()).unwrap_or_default()
     }
@@ -855,21 +801,26 @@ mod tests {
 
     #[test]
     fn spans_record_into_stage_histograms_and_ring() {
-        let t = Telemetry::new(TelemetryConfig::spans().with_trace_capacity(4));
+        let t = Telemetry::new(TelemetryConfig {
+            level: TelemetryLevel::Spans,
+            trace_capacity: 4,
+        });
         for i in 0..6u64 {
-            let _span = t.span(Stage::MatchVerify).with_request(i);
+            let ctx = t.new_trace();
+            let _span = t.span_in(Stage::MatchVerify, ctx).with_request(i);
         }
         {
-            let _named = Span::enter(&t, "service.submit");
+            let _untraced = t.span(Stage::ServiceSubmit);
         }
         assert_eq!(t.stage_snapshot(Stage::MatchVerify).count(), 6);
         assert_eq!(t.stage_snapshot(Stage::ServiceSubmit).count(), 1);
-        let ring = t.trace_dump();
-        assert_eq!(ring.len(), 4, "ring is bounded");
-        assert_eq!(ring.last().unwrap().stage, Stage::ServiceSubmit);
-        // ring kept the newest events: requests 3, 4, 5 then the submit
-        assert_eq!(ring[0].request, 3);
-        assert_eq!(t.trace_dropped(), 3, "overwrites are counted");
+        let dump = t.trace_dump();
+        assert_eq!(dump.len(), 4, "the store holds at most its capacity");
+        // The store kept the newest traces: requests 2..=5; the untraced
+        // submit reached its histogram only.
+        let requests: Vec<u64> = dump.iter().map(|e| e.request).collect();
+        assert_eq!(requests, vec![2, 3, 4, 5]);
+        assert_eq!(t.trace_dropped(), 2, "evicted spans are counted");
     }
 
     #[test]
@@ -883,7 +834,6 @@ mod tests {
             assert_eq!(t.stage_snapshot(Stage::ServiceSubmit).count(), 0);
             assert!(t.trace_dump().is_empty());
             assert!(t.new_trace().is_none());
-            assert!(t.lock_site("world.write").is_none());
         }
     }
 
@@ -927,7 +877,10 @@ mod tests {
 
     #[test]
     fn spans_without_trace_capacity_keep_histograms_only() {
-        let t = Telemetry::new(TelemetryConfig::spans().with_trace_capacity(0));
+        let t = Telemetry::new(TelemetryConfig {
+            level: TelemetryLevel::Spans,
+            trace_capacity: 0,
+        });
         assert!(t.spans_enabled());
         assert!(!t.tracing_enabled());
         assert!(t.new_trace().is_none());
@@ -937,8 +890,6 @@ mod tests {
         assert_eq!(t.stage_snapshot(Stage::ServiceSubmit).count(), 1);
         assert!(t.trace_dump().is_empty());
         assert!(t.slow_traces().is_empty());
-        // Lock sites still register: the profiler rides the spans level.
-        assert!(t.lock_site("world.write").is_some());
     }
 
     #[test]
@@ -974,27 +925,6 @@ mod tests {
             vec![("events_cursor_missed_total".into(), 4)]
         );
         assert_eq!(t.gauge_values(), vec![("journal_fsync_failed".into(), 1.0)]);
-    }
-
-    #[test]
-    fn lock_site_registry_returns_stable_handles() {
-        let t = Telemetry::new(TelemetryConfig::spans());
-        let a = t.lock_site("ledger").unwrap();
-        let b = t.lock_site("ledger").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        t.lock_site("world.write").unwrap();
-        let report = t.contention_report();
-        assert_eq!(report.sites.len(), 2);
-        assert!(report.site("ledger").is_some());
-        assert!(report.site("nope").is_none());
-    }
-
-    #[test]
-    fn stage_names_round_trip() {
-        for stage in Stage::ALL {
-            assert_eq!(Stage::by_name(stage.name()), Some(stage));
-        }
-        assert_eq!(Stage::by_name("nope"), None);
     }
 
     #[test]

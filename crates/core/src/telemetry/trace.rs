@@ -1,8 +1,7 @@
 //! Request-scoped tracing: [`TraceContext`] propagation, the per-span
-//! [`TraceEvent`] record, and the bounded [`TraceStore`] that keeps (a) the
-//! flat chronological ring PR 7 introduced, (b) a per-trace span index from
-//! which parent/child span *trees* are reassembled, and (c) a top-K
-//! slowest-request log.
+//! [`TraceEvent`] record, and the bounded [`TraceStore`] — one map of
+//! traces in arrival order, from which every trace view is served: the
+//! flat span dump, parent/child span *trees* and the slowest-request log.
 //!
 //! # Context propagation rules
 //!
@@ -16,18 +15,22 @@
 //! "untraced" sentinel everywhere; spans started without a context record
 //! histograms but never enter the store.
 //!
-//! # Storage bounds
+//! # Storage bound
 //!
-//! Every bound is explicit and observable: the flat ring drops its oldest
-//! event when full (counted in `trace_dropped_total`); the per-trace index
-//! keeps at most [`MAX_TRACES`] traces (FIFO eviction removes a trace
-//! wholesale, so a lost trace is a 404, never a complete-looking stub) of
-//! at most [`MAX_SPANS_PER_TRACE`] spans each — a trace that hit the span
-//! cap is flagged `truncated` so a partial tree is detectable rather than
-//! silently incomplete.
+//! The store holds at most `capacity` spans. When a span would exceed it,
+//! whole traces are evicted oldest first (by the arrival of their first
+//! span), so a lost trace is a 404, never a complete-looking stub. One
+//! trace keeps at most [`MAX_SPANS_PER_TRACE`] spans (and never more than
+//! the capacity); a trace that hit that cap is flagged `truncated`, so a
+//! partial tree is detectable rather than silently incomplete. Every span
+//! lost either way is counted in `trace_dropped_total`.
+//!
+//! Eviction never takes the trace being appended to, but it may take a
+//! trace whose request is still running on another thread; that trace's
+//! later spans then start a fresh entry that is not flagged.
 
 use super::Stage;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -42,7 +45,7 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
-/// One completed span in the trace ring.
+/// One completed span of a trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Span start, microseconds since the engine's telemetry was created.
@@ -53,7 +56,7 @@ pub struct TraceEvent {
     pub stage: Stage,
     /// Engine request id the span worked on (0 when not request-scoped).
     pub request: u64,
-    /// The trace this span belongs to (0 = untraced; ring only).
+    /// The trace this span belongs to (never 0 in the store).
     pub trace_id: u64,
     /// This span's id within the trace (0 when untraced).
     pub span_id: u64,
@@ -70,8 +73,6 @@ impl TraceEvent {
     }
 }
 
-/// Maximum traces the per-trace index keeps before evicting the oldest.
-pub const MAX_TRACES: usize = 512;
 /// Maximum spans retained per trace; extra spans set the truncation flag.
 pub const MAX_SPANS_PER_TRACE: usize = 256;
 /// Entries in the slowest-request log.
@@ -106,14 +107,14 @@ impl TraceTree {
     /// truncation), children hang off their recorded parent, and every
     /// sibling list is sorted by `start_us`.
     pub fn roots(&self) -> Vec<SpanNode<'_>> {
-        let known: std::collections::HashSet<u64> = self.spans.iter().map(|s| s.span_id).collect();
+        let known: HashSet<u64> = self.spans.iter().map(|s| s.span_id).collect();
         let mut by_parent: HashMap<u64, Vec<&TraceEvent>> = HashMap::new();
         let mut roots: Vec<&TraceEvent> = Vec::new();
         for span in &self.spans {
-            if span.parent_span_id != 0 && known.contains(&span.parent_span_id) {
-                by_parent.entry(span.parent_span_id).or_default().push(span);
-            } else {
+            if is_root(span, &known) {
                 roots.push(span);
+            } else {
+                by_parent.entry(span.parent_span_id).or_default().push(span);
             }
         }
         fn build<'a>(
@@ -131,10 +132,24 @@ impl TraceTree {
         out.sort_by_key(|n| n.event.start_us);
         out
     }
+
+    /// The trace's longest root span.
+    fn slowest_root(&self) -> Option<&TraceEvent> {
+        let known: HashSet<u64> = self.spans.iter().map(|s| s.span_id).collect();
+        self.spans
+            .iter()
+            .filter(|s| is_root(s, &known))
+            .max_by_key(|s| s.duration_ns)
+    }
 }
 
-/// One entry of the slowest-request log: the root span of a trace, kept
-/// when it ranks among the top-K by duration.
+/// Whether `span` roots a tree among the trace's `known` span ids.
+fn is_root(span: &TraceEvent, known: &HashSet<u64>) -> bool {
+    span.parent_span_id == 0 || !known.contains(&span.parent_span_id)
+}
+
+/// One entry of the slowest-request log: the longest root span of a
+/// resident trace that ranks among the top-K by duration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SlowEntry {
     /// The trace the root span belongs to.
@@ -150,26 +165,19 @@ pub struct SlowEntry {
     pub request: u64,
 }
 
-struct TraceEntry {
-    spans: Vec<TraceEvent>,
-    truncated: bool,
-}
-
 struct StoreInner {
-    /// Flat chronological ring — the PR 7 view, kept for `GET /trace`.
-    ring: VecDeque<TraceEvent>,
-    /// Per-trace span index keyed by trace id.
-    traces: HashMap<u64, TraceEntry>,
-    /// Trace insertion order, for FIFO eviction at [`MAX_TRACES`].
+    /// The resident traces, keyed by trace id.
+    traces: HashMap<u64, TraceTree>,
+    /// Trace ids in arrival order of their first span — the eviction order.
     order: VecDeque<u64>,
-    /// Top-K slowest root spans (unordered; scanned linearly, K is small).
-    slow: Vec<SlowEntry>,
+    /// Spans held across all resident traces (at most the capacity).
+    resident: usize,
 }
 
 /// The bounded span store behind a `Spans`-level [`super::Telemetry`] with
-/// a non-zero trace capacity. One mutex guards all three views — pushes
-/// happen once per completed span (not per sample), so the lock is far off
-/// the per-sample hot path.
+/// a non-zero trace capacity. One mutex guards it — pushes happen once per
+/// completed traced span (not per sample), so the lock is far off the
+/// per-sample hot path.
 pub(crate) struct TraceStore {
     inner: Mutex<StoreInner>,
     capacity: usize,
@@ -180,113 +188,89 @@ impl TraceStore {
     pub(crate) fn new(capacity: usize) -> TraceStore {
         TraceStore {
             inner: Mutex::new(StoreInner {
-                ring: VecDeque::with_capacity(capacity.min(1024)),
                 traces: HashMap::new(),
                 order: VecDeque::new(),
-                slow: Vec::with_capacity(SLOW_LOG_K),
+                resident: 0,
             }),
             capacity,
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Events evicted from the flat ring since startup.
+    /// Spans lost to eviction or truncation since startup.
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
+    /// Stores one span of a traced request (`ev.trace_id != 0`).
     pub(crate) fn push(&self, ev: TraceEvent) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
+        debug_assert_ne!(ev.trace_id, 0, "untraced spans never enter the store");
+        let mut guard = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let inner = &mut *guard;
+        let tree = inner.traces.entry(ev.trace_id).or_insert_with(|| {
+            inner.order.push_back(ev.trace_id);
+            TraceTree {
+                trace_id: ev.trace_id,
+                truncated: false,
+                spans: Vec::new(),
+            }
+        });
+        if tree.spans.len() >= MAX_SPANS_PER_TRACE.min(self.capacity) {
+            tree.truncated = true;
             self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        inner.ring.push_back(ev);
-        if ev.trace_id == 0 {
             return;
         }
-        // Per-trace index. Eviction removes a trace wholesale, so a lost
-        // trace reads as 404 — never as a silently complete-looking tree.
-        if !inner.traces.contains_key(&ev.trace_id) {
-            if inner.traces.len() >= MAX_TRACES {
-                if let Some(oldest) = inner.order.pop_front() {
-                    inner.traces.remove(&oldest);
-                }
-            }
-            inner.order.push_back(ev.trace_id);
-            inner.traces.insert(
-                ev.trace_id,
-                TraceEntry {
-                    spans: Vec::new(),
-                    truncated: false,
-                },
-            );
-        }
-        let entry = inner.traces.get_mut(&ev.trace_id).expect("just inserted");
-        if entry.spans.len() >= MAX_SPANS_PER_TRACE {
-            entry.truncated = true;
-        } else {
-            entry.spans.push(ev);
-        }
-        // Slow log: root spans only. `parent == 0` catches locally minted
-        // roots; adopted traces (remote parent id) surface via the wire
-        // root stage.
-        if ev.parent_span_id == 0 || ev.stage == Stage::ServerHandle {
-            if let Some(existing) = inner.slow.iter_mut().find(|s| s.trace_id == ev.trace_id) {
-                if ev.duration_ns > existing.duration_ns {
-                    *existing = SlowEntry {
-                        trace_id: ev.trace_id,
-                        stage: ev.stage,
-                        start_us: ev.start_us,
-                        duration_ns: ev.duration_ns,
-                        request: ev.request,
-                    };
-                }
-            } else {
-                let entry = SlowEntry {
-                    trace_id: ev.trace_id,
-                    stage: ev.stage,
-                    start_us: ev.start_us,
-                    duration_ns: ev.duration_ns,
-                    request: ev.request,
-                };
-                if inner.slow.len() < SLOW_LOG_K {
-                    inner.slow.push(entry);
-                } else if let Some(min) = inner
-                    .slow
-                    .iter_mut()
-                    .min_by_key(|s| s.duration_ns)
-                    .filter(|s| s.duration_ns < entry.duration_ns)
-                {
-                    *min = entry;
-                }
-            }
+        tree.spans.push(ev);
+        inner.resident += 1;
+        // Make room by evicting whole traces, oldest first — never the one
+        // just appended to, whose span count is within the capacity.
+        while inner.resident > self.capacity {
+            let Some(oldest) = inner.order.iter().position(|&id| id != ev.trace_id) else {
+                break;
+            };
+            let id = inner.order.remove(oldest).expect("position is in range");
+            let evicted = inner.traces.remove(&id).map_or(0, |t| t.spans.len());
+            inner.resident -= evicted;
+            self.dropped.fetch_add(evicted as u64, Ordering::Relaxed);
         }
     }
 
+    /// Every resident span, in start order.
     pub(crate) fn dump(&self) -> Vec<TraceEvent> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .ring
+        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut out: Vec<TraceEvent> = inner
+            .order
             .iter()
+            .flat_map(|id| &inner.traces[id].spans)
             .copied()
-            .collect()
+            .collect();
+        out.sort_by_key(|e| e.start_us);
+        out
     }
 
     pub(crate) fn tree(&self, trace_id: u64) -> Option<TraceTree> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.traces.get(&trace_id).map(|e| TraceTree {
-            trace_id,
-            truncated: e.truncated,
-            spans: e.spans.clone(),
-        })
+        inner.traces.get(&trace_id).cloned()
     }
 
+    /// The longest root span of each resident trace, the [`SLOW_LOG_K`]
+    /// slowest first.
     pub(crate) fn slow(&self) -> Vec<SlowEntry> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = inner.slow.clone();
+        let mut out: Vec<SlowEntry> = inner
+            .order
+            .iter()
+            .filter_map(|id| inner.traces[id].slowest_root())
+            .map(|root| SlowEntry {
+                trace_id: root.trace_id,
+                stage: root.stage,
+                start_us: root.start_us,
+                duration_ns: root.duration_ns,
+                request: root.request,
+            })
+            .collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.duration_ns));
+        out.truncate(SLOW_LOG_K);
         out
     }
 }
@@ -309,16 +293,19 @@ mod tests {
 
     #[test]
     fn ring_overflow_counts_drops() {
-        let store = TraceStore::new(2);
-        store.push(ev(0, 0, 0, 1, 10));
-        store.push(ev(0, 0, 0, 2, 10));
+        let store = TraceStore::new(4);
+        store.push(ev(1, 2, 1, 1, 10));
+        store.push(ev(1, 1, 0, 0, 10));
+        store.push(ev(2, 1, 0, 2, 10));
+        store.push(ev(3, 1, 0, 3, 10));
         assert_eq!(store.dropped(), 0);
-        store.push(ev(0, 0, 0, 3, 10));
-        store.push(ev(0, 0, 0, 4, 10));
+        // The fifth span evicts trace 1 whole: both of its spans go.
+        store.push(ev(4, 1, 0, 4, 10));
         assert_eq!(store.dropped(), 2);
-        let ring = store.dump();
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring[0].start_us, 3);
+        assert!(store.tree(1).is_none());
+        let dump = store.dump();
+        let starts: Vec<u64> = dump.iter().map(|e| e.start_us).collect();
+        assert_eq!(starts, vec![2, 3, 4], "resident spans in start order");
     }
 
     #[test]
@@ -365,14 +352,50 @@ mod tests {
 
     #[test]
     fn trace_index_evicts_oldest_fifo() {
-        let store = TraceStore::new(16);
-        for t in 1..=(MAX_TRACES as u64 + 3) {
+        // Three spans per trace, eight traces' worth of capacity.
+        let store = TraceStore::new(24);
+        for t in 1..=11u64 {
+            store.push(ev(t, 2, 1, t, 100));
+            store.push(ev(t, 3, 1, t, 100));
             store.push(ev(t, 1, 0, t, 100));
         }
         assert!(store.tree(1).is_none(), "oldest trace evicted");
         assert!(store.tree(3).is_none());
-        assert!(store.tree(4).is_some());
-        assert!(store.tree(MAX_TRACES as u64 + 3).is_some());
+        assert_eq!(store.tree(4).expect("resident").spans.len(), 3);
+        assert_eq!(store.tree(11).expect("resident").spans.len(), 3);
+        assert_eq!(store.dropped(), 9);
+    }
+
+    #[test]
+    fn a_trace_never_outgrows_a_small_store() {
+        // Capacity below the per-trace cap: the lone trace truncates
+        // instead of evicting itself.
+        let store = TraceStore::new(3);
+        for i in 0..5u64 {
+            store.push(ev(1, i + 2, 1, i, 100));
+        }
+        let tree = store.tree(1).expect("resident");
+        assert!(tree.truncated);
+        assert_eq!(tree.spans.len(), 3);
+        assert_eq!(store.dropped(), 2);
+    }
+
+    #[test]
+    fn slow_entries_resolve_after_many_traces() {
+        // Far more than 512 traces, the oldest the slowest: every slow
+        // entry must still name a resident trace.
+        let store = TraceStore::new(4096);
+        for t in 1..=3_000u64 {
+            store.push(ev(t, 2, 1, t, 10));
+            store.push(ev(t, 1, 0, t, 1_000_000_000 / t));
+        }
+        let slow = store.slow();
+        assert_eq!(slow.len(), SLOW_LOG_K);
+        for entry in &slow {
+            assert!(store.tree(entry.trace_id).is_some(), "{entry:?} evicted");
+        }
+        // The 2,048 resident traces are the newest; the oldest of them leads.
+        assert_eq!(slow[0].trace_id, 3_000 - 2_048 + 1);
     }
 
     #[test]
@@ -381,8 +404,9 @@ mod tests {
         for t in 1..=(SLOW_LOG_K as u64 + 10) {
             store.push(ev(t, 1, 0, t, t * 1_000));
         }
-        // Child spans never enter the slow log.
+        // Child spans never rank: trace 1000 ranks by its 1 ns root.
         store.push(ev(1000, 2, 1, 0, 999_999_999));
+        store.push(ev(1000, 1, 0, 0, 1));
         let slow = store.slow();
         assert_eq!(slow.len(), SLOW_LOG_K);
         assert_eq!(slow[0].trace_id, SLOW_LOG_K as u64 + 10, "sorted desc");

@@ -4,14 +4,14 @@
 //! commutative, `since` inverts `merge`, concurrent recording never
 //! tears a snapshot — and, for request-scoped tracing: arbitrary span
 //! trees reassemble exactly (every child's parent exists and intervals
-//! nest), trees stay per-trace-exact under 4-thread concurrency,
-//! exemplar slots never tear under racing recorders, and the lock
-//! profiler's wait/hold accounting balances.
+//! nest), trees stay per-trace-exact under 4-thread concurrency, the
+//! span store keeps its bound by evicting whole traces and counts every
+//! span it loses, and exemplar slots never tear under racing recorders.
 
 use proptest::prelude::*;
 use ptrider_core::{
-    Histogram, HistogramSnapshot, ProfiledMutex, ShardedHistogram, SpanNode, Stage, Telemetry,
-    TelemetryConfig, TraceContext,
+    Histogram, HistogramSnapshot, ShardedHistogram, SpanNode, Stage, Telemetry, TelemetryConfig,
+    TelemetryLevel, TraceContext,
 };
 use std::sync::Arc;
 
@@ -266,7 +266,7 @@ proptest! {
 
 /// Four threads submit traced work concurrently; every thread's trees
 /// reassemble bit-identically to the shape it wrote — concurrency can
-/// interleave the ring, never cross-wire the per-trace index.
+/// interleave pushes, never cross-wire the per-trace store.
 #[test]
 fn concurrent_traces_stay_disjoint() {
     const THREADS: usize = 4;
@@ -355,49 +355,56 @@ fn exemplars_never_tear_under_racing_recorders() {
     assert!(exemplars.windows(2).all(|w| w[0].value <= w[1].value));
 }
 
-/// The lock profiler's books balance: every acquisition lands one wait
-/// sample and (once the guard drops) one hold sample; the contended
-/// count never exceeds acquisitions; total wait is the histogram sum.
-#[test]
-fn lock_profiler_accounting_balances() {
-    const THREADS: u64 = 4;
-    const PER_THREAD: u64 = 500;
-    let t = Telemetry::new(TelemetryConfig::spans());
-    let site = t
-        .lock_site("proptest.mutex")
-        .expect("spans level registers sites");
-    let lock = ProfiledMutex::new(0u64, Some(Arc::clone(&site)));
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            let lock = &lock;
-            scope.spawn(move || {
-                for _ in 0..PER_THREAD {
-                    let mut guard = lock.lock().unwrap();
-                    *guard += 1;
-                }
-            });
-        }
-    });
-    assert_eq!(*lock.lock().unwrap(), THREADS * PER_THREAD);
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    let total = THREADS * PER_THREAD + 1; // + the verification lock above
-    assert_eq!(site.acquisitions(), total);
-    assert!(site.contended() <= total);
-    let wait = site.wait_snapshot();
-    let hold = site.hold_snapshot();
-    assert_eq!(wait.count(), total, "one wait sample per acquisition");
-    assert_eq!(hold.count(), total, "one hold sample per released guard");
-    let summary = site.summary();
-    assert_eq!(summary.wait_total_ns, wait.sum());
-    assert!(summary.wait_p50_ns <= summary.wait_p99_ns);
-    assert!(summary.wait_p99_ns <= summary.wait_max_ns);
-    assert!(summary.hold_p50_ns <= summary.hold_p99_ns);
-    let report = t.contention_report();
-    assert_eq!(
-        report
-            .site("proptest.mutex")
-            .expect("site reported")
-            .acquisitions,
-        total
-    );
+    /// The span store under a random capacity and random trace shapes:
+    /// resident spans never exceed the capacity, the resident traces are
+    /// the newest ones and each is whole (or flagged truncated when it
+    /// alone outgrows the store), every lost span is counted as dropped,
+    /// and untraced spans reach their histogram but never the store.
+    #[test]
+    fn span_store_evicts_whole_traces(
+        shapes in proptest::collection::vec(tree_shapes(), 1..40),
+        capacity in 1usize..300,
+        untraced in 0usize..4,
+    ) {
+        let t = Telemetry::new(TelemetryConfig {
+            level: TelemetryLevel::Spans,
+            trace_capacity: capacity,
+        });
+        let mut traces = Vec::new();
+        for parents in &shapes {
+            let ctx = t.new_trace().expect("tracing on");
+            build_subtree(&t, 0, &children_of(parents), ctx);
+            traces.push((ctx.trace_id, parents.len()));
+            for _ in 0..untraced {
+                let _s = t.span(Stage::ServiceTick);
+            }
+            prop_assert!(t.trace_dump().len() <= capacity);
+        }
+        prop_assert_eq!(
+            t.stage_snapshot(Stage::ServiceTick).count(),
+            (shapes.len() * untraced) as u64
+        );
+        let dump = t.trace_dump();
+        prop_assert!(dump.iter().all(|e| e.trace_id != 0));
+
+        let mut resident = 0usize;
+        let mut evicted_seen = false;
+        for &(trace_id, spans) in traces.iter().rev() {
+            match t.trace_tree(trace_id) {
+                Some(tree) => {
+                    prop_assert!(!evicted_seen, "trace {} outlived a newer one", trace_id);
+                    prop_assert_eq!(tree.spans.len(), spans.min(capacity));
+                    prop_assert_eq!(tree.truncated, spans > capacity);
+                    resident += tree.spans.len();
+                }
+                None => evicted_seen = true,
+            }
+        }
+        prop_assert_eq!(resident, dump.len());
+        let pushed: usize = traces.iter().map(|&(_, spans)| spans).sum();
+        prop_assert_eq!(t.trace_dropped(), (pushed - resident) as u64);
+    }
 }

@@ -14,9 +14,9 @@
 //! | `POST /vehicles/{id}/arrived`   | Serve the vehicle's next stop                |
 //! | `POST /tick`                    | Advance the offer-expiry clock               |
 //! | `GET /metrics`                  | Prometheus text exposition (0.0.4)           |
-//! | `GET /trace`                    | Drain the bounded trace ring as JSON         |
+//! | `GET /trace`                    | Resident traces' spans as JSON, start order  |
 //! | `GET /trace/{id}`               | One request's reassembled span tree          |
-//! | `GET /debug/slow`               | Top-K slowest request roots, slowest first   |
+//! | `GET /debug/slow`               | Top-K slowest resident roots, slowest first  |
 //! | `GET /events`                   | SSE stream (`?session=&request=&trace=`)     |
 //! | `GET /healthz`                  | Liveness probe                               |
 //!

@@ -516,7 +516,7 @@ fn render_span_node(out: &mut String, node: &SpanNode<'_>) {
 
 /// `GET /trace/{id}`: the reassembled span tree of one request. 404 when
 /// the trace was never recorded — or already evicted by the bounded
-/// per-trace index (the index keeps the most recent traces only).
+/// trace store (it keeps the most recent traces only).
 fn get_trace_tree(service: &RideService, trace_id: u64) -> Response {
     let Some(tree) = service.telemetry().trace_tree(trace_id) else {
         return Response::error(404, "trace not found (never recorded, or evicted)");
@@ -537,8 +537,9 @@ fn get_trace_tree(service: &RideService, trace_id: u64) -> Response {
     Response::json(200, out)
 }
 
-/// `GET /debug/slow`: the top-K slowest root spans seen so far, slowest
-/// first — each entry's trace id feeds `GET /trace/{id}`.
+/// `GET /debug/slow`: the top-K slowest root spans of the resident
+/// traces, slowest first — each entry's trace id resolves through
+/// `GET /trace/{id}`.
 fn get_slow(service: &RideService) -> Response {
     let slow = service.telemetry().slow_traces();
     let mut out = String::from("{\"slow\":[");

@@ -23,8 +23,7 @@ use crate::http::{self, ConnReader, HttpRequest, ReadLimits, ReadOutcome, Respon
 use crate::router::{self, parse_hex_id, Endpoint, Handled};
 use crate::sse;
 use ptrider_core::{
-    Counter, Gauge, ProfiledMutex, PromWriter, RideService, ShardedHistogram, Stage, Telemetry,
-    TraceContext,
+    Counter, Gauge, PromWriter, RideService, ShardedHistogram, Stage, Telemetry, TraceContext,
 };
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -142,9 +141,8 @@ struct Shared {
     handler_permits: Semaphore,
     metrics: ServerMetrics,
     /// Read-side clones of every open connection, so shutdown can force
-    /// idle keep-alive loops to wake. Profiled as `server.conns`: the
-    /// accept path and every connection exit contend on it.
-    registry: ProfiledMutex<HashMap<u64, TcpStream>>,
+    /// idle keep-alive loops to wake.
+    registry: Mutex<HashMap<u64, TcpStream>>,
     /// Count of live connection threads + the condvar shutdown waits on.
     live: Mutex<usize>,
     drained: Condvar,
@@ -177,7 +175,6 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let metrics = ServerMetrics::new(&service);
-        let conns_site = service.telemetry().lock_site("server.conns");
         let shared = Arc::new(Shared {
             handler_permits: Semaphore::new(config.threads),
             metrics,
@@ -188,7 +185,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             next_conn_id: AtomicU64::new(0),
             next_fallback_trace: AtomicU64::new(1),
-            registry: ProfiledMutex::new(HashMap::new(), conns_site),
+            registry: Mutex::new(HashMap::new()),
             live: Mutex::new(0),
             drained: Condvar::new(),
             started: Instant::now(),

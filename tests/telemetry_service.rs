@@ -1,7 +1,7 @@
 //! End-to-end telemetry: a spans-level service driven through the full
 //! session lifecycle (with a journal and an event cursor attached) must
 //! expose every subsystem in `metrics_text()` / `metrics_json()`, fill
-//! the per-stage histograms and the trace ring — and the seqlock-mirrored
+//! the per-stage histograms and the trace store — and the seqlock-mirrored
 //! `stats()` snapshot must never tear under concurrent load.
 
 use ptrider::datagen::{synthetic_city, CityConfig};
@@ -100,9 +100,9 @@ fn metrics_text_covers_every_subsystem() {
         "journal append stage missing:\n{text}"
     );
 
-    // The trace ring captured the driven spans.
+    // The trace store captured the driven spans.
     let events = service.telemetry().trace_dump();
-    assert!(!events.is_empty(), "trace ring is empty at spans level");
+    assert!(!events.is_empty(), "trace store is empty at spans level");
     assert!(events.iter().any(|e| e.request != 0));
 
     let json = service.metrics_json();
