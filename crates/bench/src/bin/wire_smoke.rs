@@ -5,13 +5,10 @@
 //! script, if `/metrics` stops exposing the `ptrider_server_*` family, or
 //! if a journal written through the server does not recover bit-identically
 //! — including after a mid-commit panic injected through the process-global
-//! fault plan. Run it under `PTRIDER_CHAOS=<seed>` and the scripted
-//! lifecycle additionally has to absorb seeded transient faults (journal
-//! writes, oracle builds) without a visible wire difference.
+//! fault plan.
 //!
 //! ```text
 //! cargo run --release -p ptrider-bench --bin wire_smoke
-//! PTRIDER_CHAOS=7 cargo run --release -p ptrider-bench --bin wire_smoke
 //! ```
 
 #![forbid(unsafe_code)]
@@ -380,12 +377,6 @@ fn tracing_leg() {
 }
 
 fn main() {
-    let chaos = std::env::var("PTRIDER_CHAOS").ok();
-    match &chaos {
-        Some(seed) => println!("wire_smoke: chaos armed (PTRIDER_CHAOS={seed})"),
-        None => println!("wire_smoke: chaos not armed"),
-    }
-
     let base = std::env::temp_dir().join(format!("ptrider-wire-smoke-{}", std::process::id()));
     let lifecycle_dir: PathBuf = base.join("lifecycle");
     let crash_dir: PathBuf = base.join("crash");
@@ -398,9 +389,6 @@ fn main() {
         "recovery reproduces the served state bit for bit",
     );
     gate(vehicles == 1, "recovery restores the wire-added vehicle");
-    if let Some(seed) = &chaos {
-        println!("  ok: lifecycle absorbed transient chaos (seed {seed})");
-    }
 
     println!("wire_smoke: crash-recovery leg");
     crash_leg(&crash_dir);

@@ -38,13 +38,6 @@ pub struct EngineConfig {
     /// The exact shortest-path backend the engine's distance oracle uses
     /// on a cache miss. ALT A* ([`DistanceBackend::Alt`]) is the only one.
     pub distance_backend: DistanceBackend,
-    /// Seed for the deterministic chaos harness: `Some(seed)` arms a
-    /// transient-error [`ptrider_roadnet::fault::FaultPlan`] process-wide
-    /// when the engine is built (injected journal-write failures, each
-    /// absorbed by a single retry at the call site). `None` (the default)
-    /// leaves fault injection to the `PTRIDER_CHAOS` environment variable,
-    /// or off entirely.
-    pub fault_seed: Option<u64>,
     /// The price calculator.
     pub price: PriceModel,
 }
@@ -61,7 +54,6 @@ impl Default for EngineConfig {
             max_pickup_dist: speed.seconds_to_distance(900.0),
             num_landmarks: 8,
             distance_backend: DistanceBackend::Alt,
-            fault_seed: None,
             price: PriceModel::default(),
         }
     }
@@ -111,13 +103,6 @@ impl EngineConfig {
     /// Selects the exact distance backend (see [`Self::distance_backend`]).
     pub fn with_distance_backend(mut self, backend: DistanceBackend) -> Self {
         self.distance_backend = backend;
-        self
-    }
-
-    /// Arms the deterministic chaos harness with the given seed when the
-    /// engine is built (see [`Self::fault_seed`]).
-    pub fn with_fault_seed(mut self, seed: u64) -> Self {
-        self.fault_seed = Some(seed);
         self
     }
 
@@ -184,10 +169,8 @@ mod tests {
     #[test]
     fn runtime_knobs_default_and_override() {
         let c = EngineConfig::default();
-        assert_eq!(c.fault_seed, None, "chaos is off by default");
         assert_eq!(c.num_landmarks, 8);
-        let c = c.with_fault_seed(7).with_num_landmarks(0);
-        assert_eq!(c.fault_seed, Some(7));
+        let c = c.with_num_landmarks(0);
         assert_eq!(c.num_landmarks, 0);
     }
 }

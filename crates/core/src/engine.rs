@@ -41,7 +41,7 @@ use ptrider_vehicles::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Errors returned by engine operations.
@@ -87,25 +87,6 @@ pub(crate) struct EngineShared {
     pub(crate) telemetry: Arc<Telemetry>,
 }
 
-/// `PTRIDER_TRAFFIC_EPOCHS` (read once per process): when set to `n > 0`,
-/// every engine construction applies `n` synthetic traffic epochs before
-/// serving — each mid epoch congests a deterministic third of the arcs, and
-/// the **final epoch returns every factor to free flow**. The whole epoch
-/// pipeline (metric swap, epoch-stamped cache invalidation) is therefore
-/// exercised by every test of the suite while the final metric is
-/// bit-identical to the base one (`w * 1.0 == w`), so no distance- or
-/// price-level assertion changes. CI runs the full suite
-/// once with this set; see `.github/workflows/ci.yml`.
-fn env_traffic_epochs() -> u64 {
-    static ENV: OnceLock<u64> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PTRIDER_TRAFFIC_EPOCHS")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0)
-    })
-}
-
 impl EngineShared {
     /// Builds the shared substrate around a caller-constructed oracle.
     pub(crate) fn new(
@@ -115,39 +96,13 @@ impl EngineShared {
         config: EngineConfig,
         telemetry_config: TelemetryConfig,
     ) -> Self {
-        if let Some(seed) = config.fault_seed {
-            // Arm the process-global chaos plan before anything that hosts a
-            // fail point runs.
-            ptrider_roadnet::fault::arm(ptrider_roadnet::fault::FaultPlan::transient(seed));
-        }
-        let telemetry = Arc::new(Telemetry::new(telemetry_config));
-        let shared = EngineShared {
+        EngineShared {
             net,
             grid,
             oracle,
             config,
-            telemetry,
-        };
-        let epochs = env_traffic_epochs();
-        if epochs > 0 {
-            // Env-gated repair-path exercise (see `env_traffic_epochs`).
-            let base = shared.oracle.network();
-            let mut model = TrafficModel::free_flow(base);
-            for k in 1..=epochs {
-                if k == epochs {
-                    model.reset();
-                } else {
-                    for i in 0..base.num_directed_edges() {
-                        if i as u64 % 3 == k % 3 {
-                            model.set_arc_factor(i, 1.0 + 0.5 * k as f64);
-                        }
-                    }
-                    model.bump_version();
-                }
-                shared.oracle.apply_traffic(&model);
-            }
+            telemetry: Arc::new(Telemetry::new(telemetry_config)),
         }
-        shared
     }
 
     /// A matching context over `world`.
@@ -949,9 +904,6 @@ mod tests {
         use ptrider_roadnet::TrafficModel;
         let e = service(MatcherKind::SingleSide);
         e.add_vehicle(VertexId(0));
-        // Relative to the construction epoch: `PTRIDER_TRAFFIC_EPOCHS`
-        // pre-applies synthetic epochs before the engine serves.
-        let epoch0 = e.oracle().traffic_epoch();
         let base_options = e.submit(VertexId(6), VertexId(8), 2, 0.0).unwrap().options;
         assert_eq!(base_options.len(), 1);
         let base_price = base_options[0].price;
@@ -960,7 +912,7 @@ mod tests {
         // Congest the whole city 2x: pickup distances and prices scale.
         let model = TrafficModel::uniform(e.network(), 2.0);
         let outcome = e.apply_traffic_update(&model, 1.0);
-        assert_eq!(outcome.epoch, epoch0 + 1);
+        assert_eq!(outcome.epoch, 1);
         assert_eq!(e.stats().traffic_epochs, 1);
         let congested = e.submit(VertexId(6), VertexId(8), 2, 1.0).unwrap().options;
         assert_eq!(congested.len(), 1);
@@ -969,7 +921,7 @@ mod tests {
 
         // Free flow again: options return to the base bits.
         let outcome = e.apply_traffic_update(&TrafficModel::free_flow(e.network()), 2.0);
-        assert_eq!(outcome.epoch, epoch0 + 2);
+        assert_eq!(outcome.epoch, 2);
         let restored = e.submit(VertexId(6), VertexId(8), 2, 2.0).unwrap().options;
         assert_eq!(restored[0].price.to_bits(), base_price.to_bits());
         assert_eq!(restored[0].pickup_dist.to_bits(), base_pickup.to_bits());

@@ -39,28 +39,26 @@
 //!
 //! `append` hands the record to the OS immediately (one `write` syscall),
 //! so a process crash after an acknowledged operation loses nothing. What a
-//! *power* failure can lose is bounded by the fsync cadence. By default
-//! fsyncs are **group-committed**: a background flusher thread issues one
-//! every [`JournalConfig::sync_interval_ms`] while the WAL is dirty, so the
+//! *power* failure can lose is bounded by the fsync cadence. Fsyncs are
+//! **group-committed**: a background flusher thread issues one every
+//! 100 ms while the WAL has appends no fsync covers yet, so the
 //! admission critical section never stalls on the disk and the power-loss
 //! window is a fixed wall-clock bound (à la `appendfsync everysec`) rather
-//! than a throughput-coupled op count. [`JournalConfig::fsync_every`] adds
-//! an optional op-count trigger on top; set
-//! [`JournalConfig::with_inline_sync`] together with `fsync_every = 1` for
-//! strict durable-at-ack-even-through-power-loss at the cost of one inline
-//! fsync per operation. See DESIGN.md "Fault model & durability".
+//! than a throughput-coupled op count. [`Journal::sync`] is the
+//! durable-at-call path: it returns once a completed fsync covers every
+//! append so far. See DESIGN.md "Fault model & durability".
 
 use crate::options::RideOption;
 use crate::stats::MatchWork;
 use crate::telemetry::{ShardedHistogram, Stage, Telemetry};
-use ptrider_roadnet::{fault, VertexId};
+use ptrider_roadnet::VertexId;
 use ptrider_vehicles::{RequestId, Stop, StopKind, VehicleId};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const MAGIC: [u8; 4] = *b"PTRJ";
 const VERSION: u32 = 1;
@@ -173,70 +171,34 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+/// Group-commit cadence: while the WAL has appends no fsync has covered
+/// yet, the flusher thread fsyncs this often. This makes the power-loss
+/// window a wall-clock bound, independent of admission throughput — and
+/// keeps the flusher idle (no inode-lock contention with appends) at any
+/// load.
+const SYNC_INTERVAL: Duration = Duration::from_millis(100);
+
 /// Journal tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JournalConfig {
-    /// Op-count fsync trigger: issue (or, under group commit, request) an
-    /// fsync after every this-many appends. 0 disables the count trigger —
-    /// the default, leaving the time-based `sync_interval_ms` cadence in
-    /// charge. The write itself always reaches the OS at append time.
-    pub fsync_every: u64,
     /// After this many journaled operations, [`crate::RideService::tick`]
     /// writes a snapshot and resets the counter (0 disables automatic
     /// snapshots; explicit [`crate::RideService::snapshot`] still works).
     pub snapshot_every_ops: u64,
-    /// When `false` (the default), fsyncs are group-committed: a background
-    /// flusher thread issues them, so the appending thread — and the
-    /// admission critical section it runs in — only ever pays the `write`
-    /// syscall. A completed fsync covers every preceding append. When
-    /// `true`, the `fsync_every` trigger fsyncs inline on the appending
-    /// thread; combine with `fsync_every = 1` for
-    /// durable-at-ack-even-through-power-loss.
-    pub inline_sync: bool,
-    /// Group-commit cadence: while the WAL has appends no fsync has covered
-    /// yet, the flusher thread fsyncs this often. This makes the power-loss
-    /// window a wall-clock bound, independent of admission throughput — and
-    /// keeps the flusher idle (no inode-lock contention with appends) at
-    /// any load. 0 disables the timer (count trigger and explicit
-    /// [`Journal::sync`] only). Ignored under `inline_sync`.
-    pub sync_interval_ms: u64,
 }
 
 impl Default for JournalConfig {
     fn default() -> Self {
         JournalConfig {
-            fsync_every: 0,
             snapshot_every_ops: 8192,
-            inline_sync: false,
-            sync_interval_ms: 100,
         }
     }
 }
 
 impl JournalConfig {
-    /// Sets the op-count fsync trigger (0 disables it).
-    pub fn with_fsync_every(mut self, every: u64) -> Self {
-        self.fsync_every = every;
-        self
-    }
-
     /// Sets the automatic snapshot cadence (in journaled operations).
     pub fn with_snapshot_every_ops(mut self, ops: u64) -> Self {
         self.snapshot_every_ops = ops;
-        self
-    }
-
-    /// Selects inline fsyncs on the appending thread instead of the
-    /// group-commit flusher thread.
-    pub fn with_inline_sync(mut self, inline: bool) -> Self {
-        self.inline_sync = inline;
-        self
-    }
-
-    /// Sets the group-commit fsync cadence in milliseconds (0 disables the
-    /// timer).
-    pub fn with_sync_interval_ms(mut self, ms: u64) -> Self {
-        self.sync_interval_ms = ms;
         self
     }
 }
@@ -276,9 +238,9 @@ pub struct Recovered {
 
 /// State shared between the appending thread and the group-commit flusher.
 struct FlushState {
-    /// Watermark (a `next_seq` value) explicitly requested durable (by
-    /// [`Journal::sync`] or the op-count trigger); the flusher services it
-    /// immediately rather than on the next timer tick.
+    /// Watermark (a `next_seq` value) explicitly requested durable by
+    /// [`Journal::sync`]; the flusher services it immediately rather than
+    /// on the next timer tick.
     requested: u64,
     /// Highest watermark covered by a completed fsync.
     synced: u64,
@@ -302,15 +264,22 @@ struct FlushShared {
     fsync_hist: OnceLock<Arc<ShardedHistogram>>,
 }
 
-/// The group-commit flusher: owns a cloned descriptor of the WAL and turns
-/// non-blocking sync *requests* from the appender into actual fsyncs.
+/// The group-commit flusher: owns a cloned descriptor of the WAL and
+/// fsyncs what the appender has published, on a timer tick or at once for
+/// [`Journal::sync`].
 struct Flusher {
     shared: Arc<FlushShared>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Flusher {
-    fn spawn(file: File, interval: Option<std::time::Duration>) -> Flusher {
+    /// Spawns a flusher over a clone of `wal`, timing its fsyncs into
+    /// `fsync_hist` when one is given.
+    fn spawn(
+        wal: &File,
+        fsync_hist: Option<Arc<ShardedHistogram>>,
+    ) -> Result<Flusher, JournalError> {
+        let file = wal.try_clone()?;
         let shared = Arc::new(FlushShared {
             state: Mutex::new(FlushState {
                 requested: 0,
@@ -320,17 +289,17 @@ impl Flusher {
             }),
             cv: Condvar::new(),
             published: std::sync::atomic::AtomicU64::new(0),
-            fsync_hist: OnceLock::new(),
+            fsync_hist: fsync_hist.map(OnceLock::from).unwrap_or_default(),
         });
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("ptrider-wal-sync".into())
-            .spawn(move || flusher_loop(&thread_shared, &file, interval))
+            .spawn(move || flusher_loop(&thread_shared, &file))
             .expect("spawning the WAL flusher thread");
-        Flusher {
+        Ok(Flusher {
             shared,
             handle: Some(handle),
-        }
+        })
     }
 
     /// Lock-free: records that everything below `watermark` has reached the
@@ -340,16 +309,6 @@ impl Flusher {
         self.shared
             .published
             .store(watermark, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Non-blocking: asks the flusher to make everything below `watermark`
-    /// durable now instead of on the next timer tick.
-    fn request(&self, watermark: u64) {
-        let mut st = self.shared.state.lock().unwrap();
-        if watermark > st.requested {
-            st.requested = watermark;
-            self.shared.cv.notify_all();
-        }
     }
 
     /// Blocking: returns once a completed fsync covers `watermark` (or the
@@ -379,10 +338,9 @@ impl Flusher {
             None => Ok(()),
         }
     }
-}
 
-impl Drop for Flusher {
-    fn drop(&mut self) {
+    /// Stops the flusher thread and waits for it; a no-op once stopped.
+    fn stop(&mut self) {
         {
             let mut st = self.shared.state.lock().unwrap();
             st.shutdown = true;
@@ -394,15 +352,21 @@ impl Drop for Flusher {
     }
 }
 
-fn flusher_loop(shared: &FlushShared, file: &File, interval: Option<std::time::Duration>) {
+impl Drop for Flusher {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+fn flusher_loop(shared: &FlushShared, file: &File) {
     use std::sync::atomic::Ordering;
     loop {
         let target = {
             let mut st = shared.state.lock().unwrap();
-            // Wait for an explicit request, a shutdown, or — when the timer
-            // is on — one interval, after which any published-but-unsynced
-            // appends get their fsync. One fsync per tick at most, so the
-            // flusher stays off the inode lock the appender's writes need.
+            // Wait for an explicit request, a shutdown, or one interval,
+            // after which any published-but-unsynced appends get their
+            // fsync. One fsync per tick at most, so the flusher stays off
+            // the inode lock the appender's writes need.
             loop {
                 if st.shutdown {
                     // `Journal::drop` issues the final fsync on the primary
@@ -412,15 +376,10 @@ fn flusher_loop(shared: &FlushShared, file: &File, interval: Option<std::time::D
                 if st.requested > st.synced {
                     break;
                 }
-                match interval {
-                    Some(d) => {
-                        let (guard, timeout) = shared.cv.wait_timeout(st, d).unwrap();
-                        st = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                    None => st = shared.cv.wait(st).unwrap(),
+                let (guard, timeout) = shared.cv.wait_timeout(st, SYNC_INTERVAL).unwrap();
+                st = guard;
+                if timeout.timed_out() {
+                    break;
                 }
             }
             let target = st.requested.max(shared.published.load(Ordering::Acquire));
@@ -429,8 +388,8 @@ fn flusher_loop(shared: &FlushShared, file: &File, interval: Option<std::time::D
             }
             target
         };
-        // fsync outside the lock: `request` and `wait_for` callers never
-        // block on a sync in flight.
+        // fsync outside the lock: `wait_for` callers never block on a sync
+        // in flight.
         let fsync_hist = shared.fsync_hist.get();
         let started = fsync_hist.map(|_| Instant::now());
         let result = file.sync_data();
@@ -460,17 +419,14 @@ pub struct Journal {
     /// First sequence number of the active WAL segment (`wal.bin`); the
     /// seal name when the next rotation retires it.
     wal_first_seq: u64,
-    appends_since_sync: u64,
     ops_since_snapshot: u64,
-    /// `Some` unless [`JournalConfig::inline_sync`] is set.
-    flusher: Option<Flusher>,
+    flusher: Flusher,
     /// Reusable record-assembly buffer so the commit path never allocates.
     scratch: Vec<u8>,
-    /// Latency histograms for the append / fsync / snapshot paths, attached
-    /// via [`Self::attach_telemetry`]. `None` keeps each timing site a
-    /// single branch.
+    /// Latency histograms for the append / snapshot paths, attached via
+    /// [`Self::attach_telemetry`] (the flusher holds the fsync one).
+    /// `None` keeps each timing site a single branch.
     append_hist: Option<Arc<ShardedHistogram>>,
-    fsync_hist: Option<Arc<ShardedHistogram>>,
     snapshot_hist: Option<Arc<ShardedHistogram>>,
 }
 
@@ -503,8 +459,7 @@ impl Journal {
         Journal::assemble(dir, wal, config, 0, 0)
     }
 
-    /// Builds the journal handle, spawning the group-commit flusher unless
-    /// the config asks for inline syncs.
+    /// Builds the journal handle and spawns its group-commit flusher.
     fn assemble(
         dir: PathBuf,
         wal: File,
@@ -512,25 +467,17 @@ impl Journal {
         next_seq: u64,
         wal_first_seq: u64,
     ) -> Result<Self, JournalError> {
-        let flusher = if config.inline_sync {
-            None
-        } else {
-            let interval = (config.sync_interval_ms > 0)
-                .then(|| std::time::Duration::from_millis(config.sync_interval_ms));
-            Some(Flusher::spawn(wal.try_clone()?, interval))
-        };
+        let flusher = Flusher::spawn(&wal, None)?;
         Ok(Journal {
             dir,
             wal,
             config,
             next_seq,
             wal_first_seq,
-            appends_since_sync: 0,
             ops_since_snapshot: 0,
             flusher,
             scratch: Vec::new(),
             append_hist: None,
-            fsync_hist: None,
             snapshot_hist: None,
         })
     }
@@ -539,31 +486,24 @@ impl Journal {
     /// latencies flow into the [`Stage::JournalAppend`] /
     /// [`Stage::JournalFsync`] / [`Stage::JournalSnapshot`] histograms. Only
     /// effective at the `Spans` level; the group-commit flusher keeps the
-    /// histogram handle behind a `OnceLock`, so the first attach wins for
-    /// the lifetime of the flusher thread.
+    /// fsync histogram behind a `OnceLock`, so the first attach wins for
+    /// the lifetime of the flusher thread (a rotation hands it on).
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         if !telemetry.spans_enabled() {
             return;
         }
         let fsync = telemetry.stage_histogram(Stage::JournalFsync);
-        if let Some(flusher) = &self.flusher {
-            let _ = flusher.shared.fsync_hist.set(Arc::clone(&fsync));
-        }
+        let _ = self.flusher.shared.fsync_hist.set(fsync);
         self.append_hist = Some(telemetry.stage_histogram(Stage::JournalAppend));
-        self.fsync_hist = Some(fsync);
         self.snapshot_hist = Some(telemetry.stage_histogram(Stage::JournalSnapshot));
     }
 
     /// Whether a background fsync has failed since the journal was opened.
     /// Sticky, like the underlying error: once `true` the durable prefix is
     /// unknown and every later [`Self::append`] / [`Self::sync`] reports the
-    /// error. Always `false` under [`JournalConfig::inline_sync`] (inline
-    /// fsync failures surface synchronously instead).
+    /// error.
     pub fn fsync_failed(&self) -> bool {
-        match &self.flusher {
-            Some(flusher) => flusher.check().is_err(),
-            None => false,
-        }
+        self.flusher.check().is_err()
     }
 
     /// Opens an existing journal directory for recovery: reads the latest
@@ -711,17 +651,10 @@ impl Journal {
 
     /// Appends one record and returns its sequence number. The record
     /// reaches the OS before this returns; an fsync covering it follows on
-    /// the group-commit flusher's next timer tick (and immediately at every
-    /// [`JournalConfig::fsync_every`] appends when that trigger is set —
-    /// inline on this thread under [`JournalConfig::inline_sync`]).
+    /// the group-commit flusher's next timer tick.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, JournalError> {
-        if let Some(flusher) = &self.flusher {
-            flusher.check()?;
-        }
+        self.flusher.check()?;
         let append_start = self.append_hist.as_ref().map(|_| Instant::now());
-        // Chaos site: an injected transient write failure is absorbed here —
-        // the write below is the single retry that then succeeds.
-        let _ = fault::fail_point(fault::JOURNAL_WRITE);
         let seq = self.next_seq;
         self.scratch.clear();
         self.scratch
@@ -733,43 +666,17 @@ impl Journal {
         self.wal.write_all(&self.scratch)?;
         self.next_seq += 1;
         self.ops_since_snapshot += 1;
-        self.appends_since_sync += 1;
-        if let Some(flusher) = &self.flusher {
-            flusher.publish(self.next_seq);
-        }
-        if self.config.fsync_every > 0 && self.appends_since_sync >= self.config.fsync_every {
-            match &self.flusher {
-                Some(flusher) => flusher.request(self.next_seq),
-                None => self.timed_inline_sync()?,
-            }
-            self.appends_since_sync = 0;
-        }
+        self.flusher.publish(self.next_seq);
         if let (Some(hist), Some(started)) = (&self.append_hist, append_start) {
             hist.record(started.elapsed().as_nanos() as u64);
         }
         Ok(seq)
     }
 
-    /// Inline-mode fsync on the appending thread, timed into the fsync
-    /// histogram when one is attached.
-    fn timed_inline_sync(&self) -> Result<(), JournalError> {
-        let started = self.fsync_hist.as_ref().map(|_| Instant::now());
-        self.wal.sync_data()?;
-        if let (Some(hist), Some(started)) = (&self.fsync_hist, started) {
-            hist.record(started.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    /// Forces the whole appended prefix durable: fsyncs inline, or blocks
-    /// until the group-commit flusher has fsynced past the current end.
+    /// Forces the whole appended prefix durable: blocks until the
+    /// group-commit flusher has fsynced past the current end.
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        match &self.flusher {
-            Some(flusher) => flusher.wait_for(self.next_seq)?,
-            None => self.timed_inline_sync()?,
-        }
-        self.appends_since_sync = 0;
-        Ok(())
+        self.flusher.wait_for(self.next_seq)
     }
 
     /// The sequence number the next appended record will receive (equals
@@ -849,22 +756,13 @@ impl Journal {
             let sealed = self.dir.join(segment_name(self.wal_first_seq));
             std::fs::rename(self.dir.join(WAL_FILE), &sealed)?;
             std::fs::rename(&tmp, self.dir.join(WAL_FILE))?;
-            // Retire the flusher watching the sealed descriptor (its bytes
-            // are already durable) and point a new one at the fresh file.
-            self.flusher.take();
-            let new_flusher = if self.config.inline_sync {
-                None
-            } else {
-                let interval = (self.config.sync_interval_ms > 0)
-                    .then(|| std::time::Duration::from_millis(self.config.sync_interval_ms));
-                Some(Flusher::spawn(fresh.try_clone()?, interval))
-            };
-            if let (Some(flusher), Some(hist)) = (&new_flusher, &self.fsync_hist) {
-                let _ = flusher.shared.fsync_hist.set(Arc::clone(hist));
-            }
+            // Point a new flusher at the fresh file; assigning it retires
+            // the one watching the sealed descriptor (its bytes are already
+            // durable).
+            let fsync_hist = self.flusher.shared.fsync_hist.get().cloned();
+            self.flusher = Flusher::spawn(&fresh, fsync_hist)?;
             self.wal = fresh;
             self.wal_first_seq = self.next_seq;
-            self.flusher = new_flusher;
         }
         // Drop segments the snapshot fully covers: a segment's records end
         // where the next segment (or the active WAL) begins.
@@ -886,7 +784,7 @@ impl Drop for Journal {
     fn drop(&mut self) {
         // Stop the flusher first so its final descriptor use races nothing,
         // then make the full prefix durable on the primary descriptor.
-        self.flusher.take();
+        self.flusher.stop();
         let _ = self.wal.sync_data();
     }
 }
@@ -1737,6 +1635,69 @@ mod tests {
         let seqs: Vec<u64> = recovered.ops.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![ops.len() as u64]);
         assert_eq!(j.next_seq(), ops.len() as u64 + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `next_seq` watermark a completed fsync of `j`'s flusher covers.
+    fn synced(j: &Journal) -> u64 {
+        j.flusher.shared.state.lock().unwrap().synced
+    }
+
+    #[test]
+    fn sync_returns_once_an_fsync_covers_every_append() {
+        let dir = temp_dir("sync-covers");
+        let mut j = Journal::create(&dir, JournalConfig::default()).unwrap();
+        j.sync().unwrap();
+        for (i, op) in sample_ops().iter().enumerate() {
+            j.append(&op.encode()).unwrap();
+            if i % 3 == 0 {
+                j.sync().unwrap();
+                assert_eq!(synced(&j), j.next_seq());
+            }
+        }
+        j.sync().unwrap();
+        assert_eq!(synced(&j), j.next_seq());
+        assert!(!j.fsync_failed());
+        drop(j);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_timer_tick_covers_appends_without_a_sync() {
+        let dir = temp_dir("sync-tick");
+        let mut j = Journal::create(&dir, JournalConfig::default()).unwrap();
+        for op in &sample_ops() {
+            j.append(&op.encode()).unwrap();
+        }
+        let head = j.next_seq();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while synced(&j) < head {
+            assert!(Instant::now() < deadline, "no timer tick fsynced the WAL");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(synced(&j), head);
+        let requested = j.flusher.shared.state.lock().unwrap().requested;
+        assert_eq!(requested, 0, "no sync asked: the timer ran it");
+        drop(j);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_works_after_a_rotation_respawns_the_flusher() {
+        let dir = temp_dir("sync-rotate");
+        let mut j = Journal::create(&dir, JournalConfig::default()).unwrap();
+        for op in &sample_ops() {
+            j.append(&op.encode()).unwrap();
+        }
+        let old = Arc::clone(&j.flusher.shared);
+        j.write_snapshot(j.next_seq(), b"head state").unwrap();
+        assert!(!Arc::ptr_eq(&old, &j.flusher.shared), "respawned");
+        assert!(old.state.lock().unwrap().shutdown, "old one stopped");
+        j.append(&Op::PruneResolved.encode()).unwrap();
+        j.sync().unwrap();
+        assert_eq!(synced(&j), j.next_seq());
+        assert!(!j.fsync_failed());
+        drop(j);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

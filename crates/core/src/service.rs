@@ -2695,9 +2695,6 @@ pub(crate) mod tests {
         let svc = service(60.0);
         let mut cursor = svc.subscribe();
         svc.add_vehicle(VertexId(0));
-        // Relative to the construction epoch: `PTRIDER_TRAFFIC_EPOCHS`
-        // pre-applies synthetic epochs before the service serves.
-        let epoch0 = svc.oracle().traffic_epoch();
         let base = svc.submit(VertexId(6), VertexId(8), 1, 0.0).unwrap();
         svc.respond(base.session, Decision::Decline, 0.0).unwrap();
         let base_price = base.options[0].price;
@@ -2707,7 +2704,7 @@ pub(crate) mod tests {
         assert_eq!(touched, 2);
         model.bump_version();
         let outcome = svc.apply_traffic_update(&model, 1.0);
-        assert_eq!(outcome.epoch, epoch0 + 1);
+        assert_eq!(outcome.epoch, 1);
         assert_eq!(outcome.congested_arcs, 2);
         assert_eq!(outcome.max_factor, 3.0);
         let stats = svc.stats();
@@ -2728,7 +2725,7 @@ pub(crate) mod tests {
                     congested_arcs: 2,
                     at,
                     ..
-                } if *at == 1.0 && *epoch == epoch0 + 1
+                } if *at == 1.0 && *epoch == 1
             )),
             "TrafficUpdated must be observable: {events:?}"
         );

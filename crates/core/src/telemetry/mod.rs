@@ -20,10 +20,10 @@
 //!   most 1/32 ≈ 3.125% (values below 32 are exact). This bound is
 //!   property-tested against exact references.
 //!
-//! Three levels ([`TelemetryLevel`], env `PTRIDER_TELEMETRY=off|counters|
-//! spans`): `off` disables everything, `counters` keeps cheap counters and
-//! gauges, `spans` additionally times pipeline stages ([`Stage`]) into
-//! per-stage histograms, and — when a trace capacity is configured (env
+//! Two levels ([`TelemetryLevel`], env `PTRIDER_TELEMETRY=off|spans`):
+//! `off` (the default) times nothing, `spans` times pipeline stages
+//! ([`Stage`]) into per-stage histograms and — when a trace capacity is
+//! configured (env
 //! `PTRIDER_TRACE_CAPACITY`, in spans, default 4096; 0 disables tracing
 //! while keeping stage histograms) — records request-scoped
 //! [`TraceEvent`]s into the bounded [`trace`] store, one map of traces
@@ -52,26 +52,25 @@ use trace::TraceStore;
 // Levels and configuration
 // ---------------------------------------------------------------------------
 
-/// How much the engine records at runtime.
+/// How much the engine records at runtime. The named counters and gauges
+/// of the registry record at every level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TelemetryLevel {
-    /// Record nothing; every instrumentation site reduces to a branch.
+    /// Time nothing; every instrumentation site reduces to a branch.
     Off,
-    /// Counters and gauges only — no clocks are read on the hot path.
-    Counters,
-    /// Counters plus per-stage latency histograms and (with a non-zero
-    /// trace capacity) request-scoped tracing.
+    /// Per-stage latency histograms and (with a non-zero trace capacity)
+    /// request-scoped tracing.
     Spans,
 }
 
 impl TelemetryLevel {
-    /// Parses the `PTRIDER_TELEMETRY` value; unknown strings fall back to
-    /// [`TelemetryLevel::Counters`], the default.
+    /// Parses the `PTRIDER_TELEMETRY` value: `spans` (any case) is
+    /// [`TelemetryLevel::Spans`], anything else [`TelemetryLevel::Off`].
     pub fn parse(s: &str) -> TelemetryLevel {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "0" | "false" => TelemetryLevel::Off,
-            "spans" | "full" | "all" | "trace" => TelemetryLevel::Spans,
-            _ => TelemetryLevel::Counters,
+        if s.trim().eq_ignore_ascii_case("spans") {
+            TelemetryLevel::Spans
+        } else {
+            TelemetryLevel::Off
         }
     }
 }
@@ -80,7 +79,6 @@ impl std::fmt::Display for TelemetryLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             TelemetryLevel::Off => "off",
-            TelemetryLevel::Counters => "counters",
             TelemetryLevel::Spans => "spans",
         })
     }
@@ -104,11 +102,11 @@ impl TelemetryConfig {
     /// Reads `PTRIDER_TELEMETRY` and `PTRIDER_TRACE_CAPACITY` from the
     /// environment **at call time** (no once-cache, so A/B harnesses can
     /// flip the variables between engine constructions in one process).
-    /// Unset defaults to `counters` with the default trace capacity.
+    /// Unset defaults to `off` with the default trace capacity.
     pub fn from_env() -> TelemetryConfig {
         let level = std::env::var("PTRIDER_TELEMETRY")
             .map(|v| TelemetryLevel::parse(&v))
-            .unwrap_or(TelemetryLevel::Counters);
+            .unwrap_or(TelemetryLevel::Off);
         let trace_capacity = std::env::var("PTRIDER_TRACE_CAPACITY")
             .ok()
             .and_then(|v| v.trim().parse().ok())
@@ -127,16 +125,8 @@ impl TelemetryConfig {
         }
     }
 
-    /// Counters and gauges only.
-    pub fn counters() -> TelemetryConfig {
-        TelemetryConfig {
-            level: TelemetryLevel::Counters,
-            trace_capacity: 0,
-        }
-    }
-
-    /// Full instrumentation: counters, per-stage histograms and request
-    /// tracing at the default capacity.
+    /// Full instrumentation: per-stage histograms and request tracing at
+    /// the default capacity.
     pub fn spans() -> TelemetryConfig {
         TelemetryConfig {
             level: TelemetryLevel::Spans,
@@ -408,12 +398,6 @@ impl Telemetry {
     /// The active level.
     pub fn level(&self) -> TelemetryLevel {
         self.config.level
-    }
-
-    /// Whether counters and gauges record.
-    #[inline]
-    pub fn counters_enabled(&self) -> bool {
-        self.config.level != TelemetryLevel::Off
     }
 
     /// Whether span timing records. This is the branch every hot
@@ -825,16 +809,14 @@ mod tests {
 
     #[test]
     fn disabled_levels_record_nothing() {
-        for cfg in [TelemetryConfig::off(), TelemetryConfig::counters()] {
-            let t = Telemetry::new(cfg);
-            {
-                let _s = t.span(Stage::ServiceSubmit);
-            }
-            t.record_stage(Stage::ServiceSubmit, 42);
-            assert_eq!(t.stage_snapshot(Stage::ServiceSubmit).count(), 0);
-            assert!(t.trace_dump().is_empty());
-            assert!(t.new_trace().is_none());
+        let t = Telemetry::new(TelemetryConfig::off());
+        {
+            let _s = t.span(Stage::ServiceSubmit);
         }
+        t.record_stage(Stage::ServiceSubmit, 42);
+        assert_eq!(t.stage_snapshot(Stage::ServiceSubmit).count(), 0);
+        assert!(t.trace_dump().is_empty());
+        assert!(t.new_trace().is_none());
     }
 
     #[test]
@@ -912,7 +894,7 @@ mod tests {
 
     #[test]
     fn registry_returns_stable_handles() {
-        let t = Telemetry::new(TelemetryConfig::counters());
+        let t = Telemetry::new(TelemetryConfig::off());
         let a = t.counter("events_cursor_missed_total");
         let b = t.counter("events_cursor_missed_total");
         a.add(3);
@@ -991,8 +973,8 @@ mod tests {
         assert_eq!(TelemetryLevel::parse("off"), TelemetryLevel::Off);
         assert_eq!(TelemetryLevel::parse("OFF"), TelemetryLevel::Off);
         assert_eq!(TelemetryLevel::parse("spans"), TelemetryLevel::Spans);
-        assert_eq!(TelemetryLevel::parse("counters"), TelemetryLevel::Counters);
-        assert_eq!(TelemetryLevel::parse("bogus"), TelemetryLevel::Counters);
+        assert_eq!(TelemetryLevel::parse(" Spans "), TelemetryLevel::Spans);
+        assert_eq!(TelemetryLevel::parse("bogus"), TelemetryLevel::Off);
         assert_eq!(TelemetryLevel::Spans.to_string(), "spans");
     }
 }

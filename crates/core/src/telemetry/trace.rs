@@ -26,8 +26,10 @@
 //! lost either way is counted in `trace_dropped_total`.
 //!
 //! Eviction never takes the trace being appended to, but it may take a
-//! trace whose request is still running on another thread; that trace's
-//! later spans then start a fresh entry that is not flagged.
+//! trace whose request is still running on another thread. The store
+//! remembers the ids of evicted traces (as many as its capacity, oldest
+//! forgotten first), so such a trace's later spans start a fresh entry
+//! already flagged `truncated`.
 
 use super::Stage;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -172,6 +174,10 @@ struct StoreInner {
     order: VecDeque<u64>,
     /// Spans held across all resident traces (at most the capacity).
     resident: usize,
+    /// Ids of evicted traces, oldest first, at most the capacity of them;
+    /// `evicted_set` holds the same ids for lookup.
+    evicted: VecDeque<u64>,
+    evicted_set: HashSet<u64>,
 }
 
 /// The bounded span store behind a `Spans`-level [`super::Telemetry`] with
@@ -191,6 +197,8 @@ impl TraceStore {
                 traces: HashMap::new(),
                 order: VecDeque::new(),
                 resident: 0,
+                evicted: VecDeque::new(),
+                evicted_set: HashSet::new(),
             }),
             capacity,
             dropped: AtomicU64::new(0),
@@ -211,7 +219,8 @@ impl TraceStore {
             inner.order.push_back(ev.trace_id);
             TraceTree {
                 trace_id: ev.trace_id,
-                truncated: false,
+                // Earlier spans of a trace evicted mid-request are gone.
+                truncated: inner.evicted_set.contains(&ev.trace_id),
                 spans: Vec::new(),
             }
         });
@@ -232,6 +241,13 @@ impl TraceStore {
             let evicted = inner.traces.remove(&id).map_or(0, |t| t.spans.len());
             inner.resident -= evicted;
             self.dropped.fetch_add(evicted as u64, Ordering::Relaxed);
+            if inner.evicted_set.insert(id) {
+                inner.evicted.push_back(id);
+                if inner.evicted.len() > self.capacity {
+                    let forgotten = inner.evicted.pop_front().expect("non-empty");
+                    inner.evicted_set.remove(&forgotten);
+                }
+            }
         }
     }
 
@@ -306,6 +322,21 @@ mod tests {
         let dump = store.dump();
         let starts: Vec<u64> = dump.iter().map(|e| e.start_us).collect();
         assert_eq!(starts, vec![2, 3, 4], "resident spans in start order");
+    }
+
+    #[test]
+    fn a_trace_evicted_mid_request_is_never_served_unflagged() {
+        let store = TraceStore::new(4);
+        store.push(ev(1, 2, 1, 0, 10)); // trace 1's child completes first
+        for t in 2..=5 {
+            store.push(ev(t, 1, 0, t, 10)); // the fourth evicts trace 1
+        }
+        store.push(ev(1, 1, 0, 0, 100)); // then trace 1's root
+        let tree = store.tree(1);
+        assert!(
+            tree.as_ref().is_none_or(|t| t.truncated),
+            "a stub of trace 1 must be flagged: {tree:?}"
+        );
     }
 
     #[test]

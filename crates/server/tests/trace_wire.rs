@@ -16,7 +16,7 @@ use common::{service, start, Client};
 #[test]
 fn tracing_round_trips_over_the_wire() {
     // --- Leg 1: tracing off — the correlation id is still echoed. ---
-    std::env::set_var("PTRIDER_TELEMETRY", "counters");
+    std::env::set_var("PTRIDER_TELEMETRY", "off");
     let svc = service();
     std::env::set_var("PTRIDER_TELEMETRY", "spans");
     assert!(!svc.telemetry().tracing_enabled());

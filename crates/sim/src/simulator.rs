@@ -19,7 +19,7 @@ use crate::motion::Motion;
 use crate::report::{LatencySummary, RequestOutcome, SimulationReport};
 use ptrider_core::{
     Decision, EngineConfig, GridConfig, Journal, JournalConfig, JournalError, MatcherKind,
-    OptionId, PtRider, RideService, StopKind, TrafficModel,
+    OptionId, PtRider, RideService, TrafficModel,
 };
 use ptrider_datagen::{CongestionConfig, CongestionProfile, TimedTrip, Workload};
 use ptrider_roadnet::RoadNetwork;
@@ -668,20 +668,6 @@ impl Simulator {
             }
         }
     }
-
-    /// Pending stops across the fleet (used by tests to check drainage).
-    pub fn outstanding_stops(&self) -> usize {
-        self.service.with_vehicles(|vehicles| {
-            vehicles
-                .map(|v| {
-                    v.current_schedule()
-                        .iter()
-                        .filter(|s| s.kind == StopKind::Pickup || s.kind == StopKind::Dropoff)
-                        .count()
-                })
-                .sum()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -864,9 +850,7 @@ mod tests {
         // The start-of-day epoch plus one per 300 s at steps 300..=1500
         // (the 1800 s instant is the end of the run, never a step start).
         assert_eq!(stats.traffic_epochs, 6);
-        // ≥ rather than ==: `PTRIDER_TRAFFIC_EPOCHS` pre-applies epochs at
-        // construction, before the ledger starts counting.
-        assert!(sim.service().oracle().traffic_epoch() >= 6);
+        assert_eq!(sim.service().oracle().traffic_epoch(), 6);
     }
 
     #[test]

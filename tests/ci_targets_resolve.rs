@@ -8,6 +8,10 @@
 //! root, `crates/*`, `ptbench`) has a source file for it — the package the
 //! command line names with `-p`/`--package` or `--manifest-path` (or the
 //! directory in front of `target/release/`), when it names one.
+//!
+//! Every `PTRIDER_*` variable those files set must likewise be read by a
+//! `std::env::var("…")` call in `crates/` or `src/`: a leg that sets a
+//! variable nothing reads runs as a copy of the default leg.
 
 use std::path::{Path, PathBuf};
 
@@ -134,19 +138,59 @@ fn resolves(
         })
 }
 
+/// Every `PTRIDER_*` variable a text sets (`PTRIDER_X=…`), in order.
+fn set_variables(text: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices("PTRIDER_") {
+        let name = name_prefix(&text[at..]);
+        if text[at + name.len()..].starts_with('=') {
+            found.push(name);
+        }
+    }
+    found
+}
+
+/// Appends the text of every `.rs` file under `dir` to `out`, skipping
+/// build output.
+fn rust_sources(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).unwrap_or_default());
+        }
+    }
+}
+
+/// Whether `sources` read `name` with a `std::env::var("name")` call.
+fn is_read(sources: &str, name: &str) -> bool {
+    sources.contains(&format!("std::env::var(\"{name}\")"))
+}
+
+/// The workflow and the verify notes, each with its path. The verify notes
+/// are tooling, not source: a checkout without them has nothing there to
+/// rot.
+fn ci_texts(root: &Path) -> Vec<(&'static str, String)> {
+    let mut texts = Vec::new();
+    for file in [".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"] {
+        match std::fs::read_to_string(root.join(file)) {
+            Ok(text) => texts.push((file, text)),
+            Err(_) if file.starts_with(".claude") => {}
+            Err(e) => panic!("{file} is readable: {e}"),
+        }
+    }
+    texts
+}
+
 #[test]
 fn every_named_target_has_a_source_file() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let packages = packages(root);
     let mut checked = 0;
-    for file in [".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"] {
-        // The verify notes are tooling, not source: a checkout without them
-        // has nothing there to rot.
-        let text = match std::fs::read_to_string(root.join(file)) {
-            Ok(text) => text,
-            Err(_) if file.starts_with(".claude") => continue,
-            Err(e) => panic!("{file} is readable: {e}"),
-        };
+    for (file, text) in ci_texts(root) {
         for (dir, name, scope) in named_targets(&text) {
             assert!(
                 resolves(root, &packages, dir, &name, &scope),
@@ -156,6 +200,38 @@ fn every_named_target_has_a_source_file() {
         }
     }
     assert!(checked > 10, "the scan found only {checked} targets");
+}
+
+#[test]
+fn every_variable_set_is_read() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = String::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    rust_sources(&root.join("src"), &mut sources);
+    let mut checked = 0;
+    for (file, text) in ci_texts(root) {
+        for name in set_variables(&text) {
+            assert!(
+                is_read(&sources, name),
+                "{file} sets `{name}`, but no std::env::var call in crates/ or src/ reads it"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 3, "the scan found only {checked} variables");
+}
+
+#[test]
+fn a_variable_nothing_reads_is_reported() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = String::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let legs = "run: PTRIDER_NOPE=1 cargo test -q\n\
+                # any `PTRIDER_*` variable is refused\n\
+                run: PTRIDER_TELEMETRY=spans cargo test -q";
+    assert_eq!(set_variables(legs), ["PTRIDER_NOPE", "PTRIDER_TELEMETRY"]);
+    assert!(!is_read(&sources, "PTRIDER_NOPE"));
+    assert!(is_read(&sources, "PTRIDER_TELEMETRY"));
 }
 
 #[test]

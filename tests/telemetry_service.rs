@@ -159,7 +159,7 @@ fn telemetry_off_is_inert_but_stats_metrics_remain() {
 /// violation can only come from a torn read.
 #[test]
 fn stats_snapshot_never_tears_under_load() {
-    let service = Arc::new(service_with(TelemetryConfig::counters()));
+    let service = Arc::new(service_with(TelemetryConfig::off()));
     let n = service.network().num_vertices() as u32;
     for v in 0..6 {
         service.add_vehicle(VertexId(v * 11 % n));

@@ -104,13 +104,12 @@ fn run_scenario(seed: u64, num_vehicles: usize, epochs: usize) -> Result<(), Tes
         // The swapped engine lives through every earlier epoch, warming its
         // cache under each, before the epoch under test is applied.
         let swapped = make_engine(city.clone(), seed, num_vehicles);
-        let epoch0 = swapped.oracle().traffic_epoch();
         for (k, earlier) in models[..epoch].iter().enumerate() {
             swapped.apply_traffic_update(earlier, k as f64);
             probe_and_decline(&swapped, &trips, k as f64);
         }
         let outcome = swapped.apply_traffic_update(model, epoch as f64);
-        prop_assert_eq!(outcome.epoch, epoch0 + epoch as u64 + 1);
+        prop_assert_eq!(outcome.epoch, epoch as u64 + 1);
         prop_assert_eq!(outcome.congested_arcs, model.congested_arcs());
         prop_assert_eq!(swapped.stats().traffic_epochs, epoch as u64 + 1);
         if model.congested_arcs() == 0 {
@@ -181,9 +180,6 @@ fn service_traffic_lifecycle_round_trips() {
     );
     service.add_vehicle(VertexId(0));
     let mut cursor = service.subscribe();
-    // Under `PTRIDER_TRAFFIC_EPOCHS` the engine construction itself applies
-    // synthetic epochs, so all epoch assertions are relative to this base.
-    let epoch0 = service.oracle().traffic_epoch();
 
     let base = service.submit(VertexId(40), VertexId(80), 1, 0.0).unwrap();
     assert!(!base.options.is_empty());
@@ -193,7 +189,7 @@ fn service_traffic_lifecycle_round_trips() {
     let base_sig = canonical(&base.options);
 
     let outcome = service.apply_traffic_update(&TrafficModel::uniform(service.network(), 2.0), 1.0);
-    assert_eq!(outcome.epoch, epoch0 + 1);
+    assert_eq!(outcome.epoch, 1);
     let congested = service.submit(VertexId(40), VertexId(80), 1, 2.0).unwrap();
     assert_ne!(
         canonical(&congested.options),
@@ -205,7 +201,7 @@ fn service_traffic_lifecycle_round_trips() {
         .unwrap();
 
     let outcome = service.apply_traffic_update(&TrafficModel::free_flow(service.network()), 3.0);
-    assert_eq!(outcome.epoch, epoch0 + 2);
+    assert_eq!(outcome.epoch, 2);
     assert!(
         std::ptr::eq(&*service.oracle().metric_network(), service.network()),
         "free flow reinstates the base network"
