@@ -367,9 +367,40 @@ mod tests {
                 at: 3.0,
             },
         ];
-        for event in &events {
+        // The exact frames riders and operators parse: a change to how
+        // payloads are written must not move a byte.
+        let expected = [
+            (
+                "submitted",
+                r#"{"session":1,"request":1,"origin":0,"destination":5,"riders":2,"at":1.5}"#,
+            ),
+            (
+                "offered",
+                r#"{"session":1,"request":1,"options":1,"expires_at":300,"at":0}"#,
+            ),
+            (
+                "confirmed",
+                r#"{"session":1,"request":1,"vehicle":2,"price":4.5,"pickup_secs":30,"at":2}"#,
+            ),
+            ("declined", r#"{"session":1,"request":1,"at":2}"#),
+            ("expired", r#"{"session":1,"request":1,"at":2}"#),
+            (
+                "assignment_failed",
+                r#"{"session":1,"request":1,"vehicle":2,"at":2}"#,
+            ),
+            ("batch_admitted", r#"{"requests":4,"assigned":3,"at":2}"#),
+            ("picked_up", r#"{"vehicle":2,"request":1}"#),
+            ("dropped_off", r#"{"vehicle":2,"request":1}"#),
+            ("vehicle_added", r#"{"vehicle":2,"location":3}"#),
+            (
+                "traffic_updated",
+                r#"{"epoch":2,"congested_arcs":10,"max_factor":2.5,"at":3}"#,
+            ),
+        ];
+        assert_eq!(events.len(), expected.len());
+        for (event, (want_name, want_data)) in events.iter().zip(expected) {
             let (name, data) = render_event(event);
-            assert!(!name.is_empty());
+            assert_eq!((name, data.as_str()), (want_name, want_data));
             crate::json::Json::parse(&data)
                 .unwrap_or_else(|e| panic!("{name} rendered invalid JSON ({e}): {data}"));
         }
