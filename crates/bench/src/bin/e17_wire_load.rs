@@ -18,10 +18,10 @@
 
 #![forbid(unsafe_code)]
 
-use ptrider_bench::wire::{json_u64, open_sse, read_sse_frames, WireClient};
 use ptrider_bench::{build_world, WorldParams};
 use ptrider_core::{EngineConfig, RideService, ServiceConfig, VertexId};
 use ptrider_datagen::{TripConfig, TripGenerator};
+use ptrider_server::client::{open_sse, read_sse_frames, Client};
 use ptrider_server::{Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,7 +85,7 @@ fn drive_conn(
     let mut out = ConnOutcome::default();
     let mut client = None;
     for _ in 0..3 {
-        match WireClient::connect(addr, Duration::from_secs(30)) {
+        match Client::connect(addr, Duration::from_secs(30)) {
             Ok(c) => {
                 client = Some(c);
                 break;
@@ -134,7 +134,7 @@ fn drive_conn(
                 return out;
             }
         };
-        let Some(session) = json_u64(&offer.body, "session") else {
+        let Some(session) = offer.u64_field("session") else {
             out.errors += 1;
             return out;
         };

@@ -13,11 +13,11 @@
 
 #![forbid(unsafe_code)]
 
-use ptrider_bench::wire::{json_u64, open_sse, read_sse_frames, WireClient};
 use ptrider_core::{
     fault, EngineConfig, Journal, JournalConfig, PtRider, RideService, ServiceConfig,
 };
 use ptrider_roadnet::{GridConfig, RoadNetwork, RoadNetworkBuilder};
+use ptrider_server::client::{open_sse, read_sse_frames, Client};
 use ptrider_server::{Server, ServerConfig, ServerHandle};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -110,17 +110,14 @@ fn lifecycle_leg(dir: &Path) -> u64 {
     let service = journaled_service(dir);
     let mut handle = start_server(Arc::clone(&service), Duration::from_secs(5));
     let addr = handle.addr();
-    let mut client = must(
-        WireClient::connect(addr, Duration::from_secs(10)),
-        "connect",
-    );
+    let mut client = must(Client::connect(addr, Duration::from_secs(10)), "connect");
 
     let vehicle = must(
         client.request("POST", "/vehicles", Some(r#"{"location":0}"#)),
         "add vehicle",
     );
     gate(vehicle.status == 201, "POST /vehicles answers 201");
-    let vehicle = json_u64(&vehicle.body, "vehicle").expect("vehicle id");
+    let vehicle = vehicle.u64_field("vehicle").expect("vehicle id");
 
     let offer = must(
         client.request(
@@ -135,8 +132,8 @@ fn lifecycle_leg(dir: &Path) -> u64 {
         offer.body.contains("\"options\":[{"),
         "the offer carries at least one option",
     );
-    let session = json_u64(&offer.body, "session").expect("session id");
-    let request = json_u64(&offer.body, "request").expect("request id");
+    let session = offer.u64_field("session").expect("session id");
+    let request = offer.u64_field("request").expect("request id");
 
     let state = must(
         client.request("GET", &format!("/sessions/{session}"), None),
@@ -232,7 +229,7 @@ fn crash_leg(dir: &Path) {
     let mut handle = start_server(Arc::clone(&service), Duration::from_millis(500));
     let addr = handle.addr();
     let mut client = must(
-        WireClient::connect(addr, Duration::from_secs(10)),
+        Client::connect(addr, Duration::from_secs(10)),
         "connect (crash leg)",
     );
 
@@ -250,7 +247,7 @@ fn crash_leg(dir: &Path) {
         "submit (crash leg)",
     );
     gate(offer.status == 200, "crash leg: ride submitted");
-    let session = json_u64(&offer.body, "session").expect("session id");
+    let session = offer.u64_field("session").expect("session id");
 
     // Arm a one-shot panic at the engine's mid-commit fault site, then
     // confirm: the handler thread dies with the assignment half-applied
@@ -309,7 +306,7 @@ fn tracing_leg() {
     service.add_vehicle(ptrider_roadnet::VertexId(0));
     let mut handle = start_server(Arc::clone(&service), Duration::from_secs(5));
     let mut client = must(
-        WireClient::connect(handle.addr(), Duration::from_secs(10)),
+        Client::connect(handle.addr(), Duration::from_secs(10)),
         "connect (tracing leg)",
     );
 

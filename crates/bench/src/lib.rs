@@ -14,8 +14,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod wire;
-
 use ptrider_core::{
     Decision, EngineConfig, MatchResult, MatcherKind, OptionId, PtRider, Request, RideService,
 };

@@ -1,11 +1,30 @@
-//! A minimal JSON value parser and string escaper.
+//! JSON: one parser and one writer for every body the system reads or
+//! writes — the wire protocol's requests and responses, its SSE payloads
+//! and the simulator's report.
 //!
-//! The wire protocol's request bodies are small, flat objects, so this
-//! parser favours simplicity and robustness over speed: recursive
+//! The parser favours simplicity and robustness over speed: recursive
 //! descent with an explicit depth cap (no stack overflow on adversarial
-//! nesting), full string-escape handling, and typed errors. Response
-//! rendering stays hand-written at the call sites (the repo convention —
-//! see `RideService::metrics_json`), so only parsing lives here.
+//! nesting), full string-escape handling, and typed errors.
+//!
+//! The writer appends into one `String` and owns everything but the keys
+//! and values: escaping, the number rule (shortest round-trip for finite
+//! `f64`s, `null` otherwise), commas and nesting. A body is built by
+//! passing keys and values to an [`Object`] or [`Array`] view:
+//!
+//! ```
+//! use ptrider_core::json::{self, Json};
+//!
+//! let body = json::object(|o| {
+//!     o.field("session", 3u64).field("price", 4.5);
+//!     o.array("stops", |a| {
+//!         a.item(1u32).item(f64::NAN);
+//!     });
+//! });
+//! assert_eq!(body, r#"{"session":3,"price":4.5,"stops":[1,null]}"#);
+//! assert_eq!(Json::parse(&body).unwrap().get("session").and_then(Json::as_u64), Some(3));
+//! ```
+
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -236,32 +255,207 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-/// Renders `s` as a quoted JSON string with escapes.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Renders a whole document whose top level is an object; `f` writes
+/// its members.
+pub fn object(f: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut out = String::with_capacity(64);
+    write_object(&mut out, f);
     out
 }
 
-/// Renders an `f64` the way the repo's JSON emitters do: finite numbers
-/// via `{}` (shortest round-trip), non-finite as `null`.
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+fn write_object(out: &mut String, f: impl FnOnce(&mut Object<'_>)) {
+    out.push('{');
+    f(&mut Object { out, empty: true });
+    out.push('}');
+}
+
+fn write_array(out: &mut String, f: impl FnOnce(&mut Array<'_>)) {
+    out.push('[');
+    f(&mut Array { out, empty: true });
+    out.push(']');
+}
+
+/// The members of an object being written: keys and values only.
+pub struct Object<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Object<'_> {
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        key.write_json(self.out);
+        self.out.push(':');
+    }
+
+    /// Writes `"key":value`.
+    pub fn field(&mut self, key: &str, value: impl Value) -> &mut Self {
+        self.key(key);
+        value.write_json(self.out);
+        self
+    }
+
+    /// Writes `"key":{...}`; `f` writes the nested members.
+    pub fn object(&mut self, key: &str, f: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        self.key(key);
+        write_object(self.out, f);
+        self
+    }
+
+    /// Writes `"key":[...]`; `f` writes the items.
+    pub fn array(&mut self, key: &str, f: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        self.key(key);
+        write_array(self.out, f);
+        self
+    }
+}
+
+/// The items of an array being written.
+pub struct Array<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Array<'_> {
+    fn comma(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+    }
+
+    /// Writes one item.
+    pub fn item(&mut self, value: impl Value) -> &mut Self {
+        self.comma();
+        value.write_json(self.out);
+        self
+    }
+
+    /// Writes one object item; `f` writes its members.
+    pub fn object(&mut self, f: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        self.comma();
+        write_object(self.out, f);
+        self
+    }
+}
+
+/// A scalar (or a whole [`Json`] tree) the writer can emit.
+pub trait Value {
+    /// Appends the value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! integer_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+integer_values!(u32, u64, usize);
+
+/// The number rule: finite values in shortest round-trip form, anything
+/// else `null` (JSON has no NaN or infinity).
+impl Value for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl Value for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl Value for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+/// Formatted text as a JSON string, escaped and without an intermediate
+/// allocation: `o.field("trace", format_args!("{id:016x}"))`.
+impl Value for fmt::Arguments<'_> {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        let _ = Escaped(out).write_fmt(*self);
+        out.push('"');
+    }
+}
+
+impl<T: Value + ?Sized> Value for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl Value for Json {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => b.write_json(out),
+            Json::Num(n) => n.write_json(out),
+            Json::Str(s) => s.write_json(out),
+            Json::Arr(items) => write_array(out, |a| {
+                for item in items {
+                    a.item(item);
+                }
+            }),
+            Json::Obj(members) => write_object(out, |o| {
+                for (key, value) in members {
+                    o.field(key, value);
+                }
+            }),
+        }
+    }
+}
+
+/// Appends `s` with `"`, `\` and control characters escaped; everything
+/// else, non-ASCII text included, is copied as is.
+fn escape_into(out: &mut String, s: &str) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+}
+
+/// A `fmt::Write` sink that escapes what it is given.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
     }
 }
 
@@ -317,6 +511,13 @@ mod tests {
 
     #[test]
     fn quote_escapes_controls() {
-        assert_eq!(quote("a\"b\\c\nd\u{1}"), "\"a\\\"b\\\\c\\nd\\u0001\"");
+        let body = object(|o| {
+            o.field("s", "a\"b\\c\nd\u{1}é");
+        });
+        assert_eq!(body, "{\"s\":\"a\\\"b\\\\c\\nd\\u0001é\"}");
+        let body = object(|o| {
+            o.field("trace", format_args!("{:016x}\"", 0xabcu64));
+        });
+        assert_eq!(body, "{\"trace\":\"0000000000000abc\\\"\"}");
     }
 }

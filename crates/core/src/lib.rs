@@ -16,7 +16,9 @@
 //!   offer/respond interaction as a typed lifecycle (`Pending → Offered →
 //!   Confirmed / Declined / Expired`) with clock-driven offer expiry and a
 //!   subscriber-visible event log. A [`PtRider`] is the builder a service
-//!   is made from (substrate, matcher choice, initial fleet).
+//!   is made from (substrate, matcher choice, initial fleet);
+//! * [`json`] — the one JSON parser and writer every wire body and the
+//!   simulator's report go through.
 //!
 //! ```
 //! use ptrider_core::{Decision, EngineConfig, MatcherKind, OptionId, PtRider, RideService};
@@ -48,6 +50,7 @@ pub mod config;
 pub mod engine;
 pub mod events;
 pub mod journal;
+pub mod json;
 pub mod matching;
 pub mod options;
 pub mod price;

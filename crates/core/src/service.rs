@@ -1295,7 +1295,7 @@ impl RideService {
         request: &Request,
         oracle: &DistanceOracle,
     ) -> Result<MatchResult, EngineError> {
-        let world = self.world.read().unwrap();
+        let world = self.world_read_tolerant();
         engine::match_request_with_oracle(&self.shared, &world, kind, request, oracle)
     }
 
@@ -1577,106 +1577,6 @@ impl RideService {
             );
         }
         w.finish()
-    }
-
-    /// The same live metrics as [`Self::metrics_text`], rendered as one
-    /// JSON object — `service` / `oracle` / `journal` / `events`
-    /// sections plus, at the `Spans` level, a `stages` map of per-stage
-    /// latency summaries (`count`, `mean_ns`, `p50_ns`, `p90_ns`, `p99_ns`,
-    /// `max_ns`).
-    pub fn metrics_json(&self) -> String {
-        let t = &self.shared.telemetry;
-        let stats = self.stats();
-        let oracle = &self.shared.oracle;
-        let mut out = String::with_capacity(2048);
-        out.push('{');
-        out.push_str(&format!(
-            "\"service\":{{\"requests_submitted\":{},\"offers_made\":{},\
-             \"offers_confirmed\":{},\"offers_declined\":{},\"offers_expired\":{},\
-             \"requests_chosen\":{},\"assignments_failed\":{},\"pickups\":{},\
-             \"dropoffs\":{},\"location_updates\":{},\"open_offers\":{},\
-             \"sessions\":{}}},",
-            stats.requests_submitted,
-            stats.offers_made,
-            stats.offers_confirmed,
-            stats.offers_declined,
-            stats.offers_expired,
-            stats.requests_chosen,
-            stats.assignments_failed,
-            stats.pickups,
-            stats.dropoffs,
-            stats.location_updates,
-            self.open_offers(),
-            self.num_sessions(),
-        ));
-        out.push_str(&format!(
-            "\"oracle\":{{\"exact_computations\":{},\"cache_hits\":{},\
-             \"lower_bound_queries\":{},\"evictions\":{},\"cache_len\":{},\
-             \"traffic_epoch\":{},\"backend\":\"{}\"}},",
-            oracle.exact_computations(),
-            oracle.cache_hits(),
-            oracle.lower_bound_queries(),
-            oracle.evictions(),
-            oracle.cache_len(),
-            oracle.traffic_epoch(),
-            oracle.backend(),
-        ));
-        match &self.journal {
-            Some(journal) => {
-                let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                out.push_str(&format!(
-                    "\"journal\":{{\"fsync_failed\":{},\"next_seq\":{},\
-                     \"ops_since_snapshot\":{}}},",
-                    journal.fsync_failed(),
-                    journal.next_seq(),
-                    journal.ops_since_snapshot(),
-                ));
-            }
-            None => out.push_str("\"journal\":null,"),
-        }
-        out.push_str(&format!(
-            "\"events\":{{\"published\":{},\"evicted\":{},\"retained\":{},\
-             \"cursors_missed\":[{}]}},",
-            self.events.published(),
-            self.events.evicted(),
-            self.events.retained(),
-            self.events
-                .cursor_missed_totals()
-                .iter()
-                .map(|(id, missed)| format!("{{\"cursor\":{id},\"missed\":{missed}}}"))
-                .collect::<Vec<_>>()
-                .join(","),
-        ));
-        out.push_str("\"stages\":{");
-        if t.spans_enabled() {
-            let mut first = true;
-            for stage in Stage::ALL {
-                let snap = t.stage_snapshot(stage);
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\"{}\":{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\
-                     \"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                    stage.name(),
-                    snap.count(),
-                    snap.mean(),
-                    snap.quantile(0.5),
-                    snap.quantile(0.9),
-                    snap.quantile(0.99),
-                    snap.max(),
-                ));
-            }
-        }
-        out.push_str("},");
-        out.push_str(&format!(
-            "\"telemetry\":{{\"level\":\"{}\",\"uptime_secs\":{:.3}}}",
-            t.level(),
-            t.uptime_secs(),
-        ));
-        out.push('}');
-        out
     }
 }
 

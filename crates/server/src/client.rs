@@ -1,20 +1,20 @@
-//! A minimal blocking HTTP/1.1 client for the wire gates and the E17 load
-//! harness.
+//! A minimal blocking HTTP/1.1 client for tests, release gates and load
+//! tools.
 //!
-//! The server under test is the zero-dependency front door in
-//! `ptrider-server`; this client mirrors it on the other side of the
-//! socket: `Content-Length`-framed requests over a keep-alive connection,
-//! plus a tiny SSE frame reader. Everything returns `io::Result` so the
-//! load harness can treat a shed (503 + close) or reaped connection as
-//! data instead of a panic.
+//! It mirrors the server's [`http`](crate::http) framing on the other side
+//! of the socket: `Content-Length`-framed requests over a keep-alive
+//! connection, plus a tiny SSE frame reader. It uses only `std`.
+//! Everything returns `io::Result`, so a load tool can treat a shed (503 +
+//! close) or reaped connection as data; tests `.expect(..)` it.
 
+use ptrider_core::json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// A parsed HTTP response.
 #[derive(Clone, Debug)]
-pub struct WireResponse {
+pub struct ClientResponse {
     /// Status code from the status line.
     pub status: u16,
     /// Header `(name, value)` pairs, names lowercased.
@@ -23,7 +23,7 @@ pub struct WireResponse {
     pub body: String,
 }
 
-impl WireResponse {
+impl ClientResponse {
     /// Looks a header up case-insensitively.
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers
@@ -31,32 +31,34 @@ impl WireResponse {
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
-}
 
-/// Extracts `"key":<integer>` from a flat JSON body.
-pub fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    /// Top-level member `key` of a JSON object body, as a non-negative
+    /// integer (`None` when the body does not parse, the key is absent or
+    /// the value is not an integer).
+    pub fn u64_field(&self, key: &str) -> Option<u64> {
+        Json::parse(&self.body).ok()?.get(key)?.as_u64()
+    }
 }
 
 /// A keep-alive client connection.
-pub struct WireClient {
+pub struct Client {
     stream: TcpStream,
 }
 
-impl WireClient {
+impl Client {
     /// Connects with a read timeout so a wedged server shows up as an
     /// error, never a hang.
-    pub fn connect(addr: SocketAddr, read_timeout: Duration) -> io::Result<WireClient> {
+    pub fn connect(addr: SocketAddr, read_timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_nodelay(true)?;
-        Ok(WireClient { stream })
+        Ok(Client { stream })
+    }
+
+    /// Wraps a stream the caller already wrote to directly (its read
+    /// timeout is left as set).
+    pub fn from_stream(stream: TcpStream) -> Client {
+        Client { stream }
     }
 
     /// Sends one request and reads one response.
@@ -65,22 +67,22 @@ impl WireClient {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> io::Result<WireResponse> {
+    ) -> io::Result<ClientResponse> {
         self.request_with_headers(method, path, body, &[])
     }
 
-    /// [`WireClient::request`] with extra request headers — the tracing
-    /// gate sends `traceparent` / `x-request-id` through this.
+    /// [`Client::request`] with extra request headers — tracing callers
+    /// send `traceparent` / `x-request-id` through this.
     pub fn request_with_headers(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
         headers: &[(&str, &str)],
-    ) -> io::Result<WireResponse> {
+    ) -> io::Result<ClientResponse> {
         let body = body.unwrap_or("");
         let mut raw = format!(
-            "{method} {path} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n",
+            "{method} {path} HTTP/1.1\r\nhost: ptrider\r\ncontent-length: {}\r\n",
             body.len()
         );
         for (name, value) in headers {
@@ -88,11 +90,18 @@ impl WireClient {
         }
         raw.push_str("\r\n");
         raw.push_str(body);
-        self.stream.write_all(raw.as_bytes())?;
+        self.send_raw(raw.as_bytes())
+    }
+
+    /// Sends `raw` bytes verbatim, then reads one response.
+    pub fn send_raw(&mut self, raw: &[u8]) -> io::Result<ClientResponse> {
+        self.stream.write_all(raw)?;
         self.read_response()
     }
 
-    fn read_response(&mut self) -> io::Result<WireResponse> {
+    /// Reads one response (a pipelined one, or one to bytes written
+    /// before [`Client::from_stream`]).
+    pub fn read_response(&mut self) -> io::Result<ClientResponse> {
         let mut head = Vec::new();
         let mut byte = [0u8; 1];
         while !head.ends_with(b"\r\n\r\n") {
@@ -125,7 +134,7 @@ impl WireClient {
             .unwrap_or(0);
         let mut body = vec![0u8; length];
         self.stream.read_exact(&mut body)?;
-        Ok(WireResponse {
+        Ok(ClientResponse {
             status,
             headers,
             body: String::from_utf8_lossy(&body).into_owned(),
@@ -151,7 +160,7 @@ pub fn open_sse(
 ) -> io::Result<BufReader<TcpStream>> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(read_timeout))?;
-    let raw = format!("GET /events{query} HTTP/1.1\r\nhost: bench\r\n\r\n");
+    let raw = format!("GET /events{query} HTTP/1.1\r\nhost: ptrider\r\n\r\n");
     (&stream).write_all(raw.as_bytes())?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();

@@ -334,7 +334,9 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Response {
         Response::json(
             status,
-            format!("{{\"error\":{}}}", crate::json::quote(message)),
+            ptrider_core::json::object(|o| {
+                o.field("error", message);
+            }),
         )
     }
 

@@ -27,7 +27,11 @@
 //! root span. The id is the key into `GET /trace/{id}`.
 //!
 //! Request bodies are JSON; `now` (workload seconds) is optional
-//! everywhere and defaults to seconds since the server started.
+//! everywhere and defaults to seconds since the server started. Every
+//! body, both directions, goes through [`ptrider_core::json`]: its parser
+//! reads requests and its writer renders responses and SSE payloads.
+//! [`client`] is the matching blocking client the wire tests and release
+//! gates use.
 //!
 //! # Quickstart
 //!
@@ -61,15 +65,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod config;
 pub mod http;
-pub mod json;
 pub mod router;
 pub mod server;
 pub mod sse;
 
 pub use config::ServerConfig;
 pub use http::{HttpRequest, Response};
-pub use json::Json;
+pub use ptrider_core::json::Json;
 pub use router::{Endpoint, SseParams};
 pub use server::{Server, ServerHandle};

@@ -17,7 +17,7 @@
 //! | `Unavailable`             | 503    |
 
 use crate::http::{HttpRequest, Response};
-use crate::json::{self, Json};
+use ptrider_core::json::{self, Json};
 use ptrider_core::{
     Confirmation, Decision, EngineError, Offer, OptionId, RideService, ServiceError, SessionId,
     SpanNode, TraceContext, VertexId,
@@ -278,39 +278,34 @@ fn engine_error(e: &EngineError) -> Response {
 }
 
 fn render_offer(offer: &Offer) -> String {
-    let mut out = format!(
-        "{{\"session\":{},\"request\":{},\"expires_at\":{},\"options\":[",
-        offer.session.0,
-        offer.request.0,
-        json::num(offer.expires_at),
-    );
-    for (i, (id, option)) in offer.iter_ids().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":{},\"vehicle\":{},\"pickup_secs\":{},\"pickup_dist\":{},\"price\":{},\"detour_dist\":{}}}",
-            id.0,
-            option.vehicle.0,
-            json::num(option.pickup_secs),
-            json::num(option.pickup_dist),
-            json::num(option.price),
-            json::num(option.detour_dist()),
-        ));
-    }
-    out.push_str("]}");
-    out
+    json::object(|o| {
+        o.field("session", offer.session.0)
+            .field("request", offer.request.0)
+            .field("expires_at", offer.expires_at)
+            .array("options", |a| {
+                for (id, option) in offer.iter_ids() {
+                    a.object(|o| {
+                        o.field("id", id.0)
+                            .field("vehicle", option.vehicle.0)
+                            .field("pickup_secs", option.pickup_secs)
+                            .field("pickup_dist", option.pickup_dist)
+                            .field("price", option.price)
+                            .field("detour_dist", option.detour_dist());
+                    });
+                }
+            });
+    })
 }
 
 fn render_confirmation(c: &Confirmation) -> String {
-    format!(
-        "{{\"session\":{},\"state\":\"confirmed\",\"request\":{},\"vehicle\":{},\"price\":{},\"pickup_secs\":{}}}",
-        c.session.0,
-        c.request.0,
-        c.option.vehicle.0,
-        json::num(c.option.price),
-        json::num(c.option.pickup_secs),
-    )
+    json::object(|o| {
+        o.field("session", c.session.0)
+            .field("state", "confirmed")
+            .field("request", c.request.0)
+            .field("vehicle", c.option.vehicle.0)
+            .field("price", c.option.price)
+            .field("pickup_secs", c.option.pickup_secs);
+    })
 }
 
 fn post_rides(
@@ -370,7 +365,9 @@ fn post_respond(
         Ok(Some(confirmation)) => Response::json(200, render_confirmation(&confirmation)),
         Ok(None) => Response::json(
             200,
-            format!("{{\"session\":{},\"state\":\"declined\"}}", session.0),
+            json::object(|o| {
+                o.field("session", session.0).field("state", "declined");
+            }),
         ),
         Err(e) => service_error(&e),
     }
@@ -380,7 +377,10 @@ fn get_session(service: &RideService, session: SessionId) -> Response {
     match service.session_state(session) {
         Some(state) => Response::json(
             200,
-            format!("{{\"session\":{},\"state\":\"{state}\"}}", session.0),
+            json::object(|o| {
+                o.field("session", session.0)
+                    .field("state", format_args!("{state}"));
+            }),
         ),
         None => service_error(&ServiceError::UnknownSession(session)),
     }
@@ -407,7 +407,12 @@ fn post_vehicles(service: &RideService, req: &HttpRequest) -> Response {
         Some(_) => return Response::error(400, "capacity must be at least 1"),
         None => service.add_vehicle(VertexId(location as u32)),
     };
-    Response::json(201, format!("{{\"vehicle\":{}}}", id.0))
+    Response::json(
+        201,
+        json::object(|o| {
+            o.field("vehicle", id.0);
+        }),
+    )
 }
 
 fn post_location(service: &RideService, req: &HttpRequest, vehicle: VehicleId) -> Response {
@@ -435,21 +440,26 @@ fn post_arrived(service: &RideService, vehicle: VehicleId) -> Response {
     match service.vehicle_arrived(vehicle) {
         Ok(Some(StopEvent::PickedUp { request, riders })) => Response::json(
             200,
-            format!(
-                "{{\"event\":{{\"kind\":\"picked_up\",\"request\":{},\"riders\":{riders}}}}}",
-                request.0
-            ),
+            json::object(|o| {
+                o.object("event", |e| {
+                    e.field("kind", "picked_up")
+                        .field("request", request.0)
+                        .field("riders", riders);
+                });
+            }),
         ),
         Ok(Some(StopEvent::DroppedOff {
             request,
             onboard_distance,
         })) => Response::json(
             200,
-            format!(
-                "{{\"event\":{{\"kind\":\"dropped_off\",\"request\":{},\"onboard_distance\":{}}}}}",
-                request.id.0,
-                json::num(onboard_distance),
-            ),
+            json::object(|o| {
+                o.object("event", |e| {
+                    e.field("kind", "dropped_off")
+                        .field("request", request.id.0)
+                        .field("onboard_distance", onboard_distance);
+                });
+            }),
         ),
         Ok(None) => Response::json(200, "{\"event\":null}"),
         Err(e) => engine_error(&e),
@@ -468,50 +478,48 @@ fn post_tick(
     };
     let now = body_now(&body, default_now);
     let expired = service.tick_in(now, ctx);
-    Response::json(200, format!("{{\"expired\":{expired}}}"))
+    Response::json(
+        200,
+        json::object(|o| {
+            o.field("expired", expired);
+        }),
+    )
 }
 
 fn get_trace(service: &RideService) -> Response {
     let t = service.telemetry();
     let events = t.trace_dump();
-    let mut out = format!("{{\"dropped\":{},\"events\":[", t.trace_dropped());
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"start_us\":{},\"duration_ns\":{},\"stage\":\"{}\",\"request\":{},\"trace\":\"{:016x}\",\"span\":{},\"parent\":{}}}",
-            e.start_us,
-            e.duration_ns,
-            e.stage.name(),
-            e.request,
-            e.trace_id,
-            e.span_id,
-            e.parent_span_id,
-        ));
-    }
-    out.push_str("]}");
-    Response::json(200, out)
+    let body = json::object(|o| {
+        o.field("dropped", t.trace_dropped()).array("events", |a| {
+            for e in &events {
+                a.object(|o| {
+                    o.field("start_us", e.start_us)
+                        .field("duration_ns", e.duration_ns)
+                        .field("stage", e.stage.name())
+                        .field("request", e.request)
+                        .field("trace", format_args!("{:016x}", e.trace_id))
+                        .field("span", e.span_id)
+                        .field("parent", e.parent_span_id);
+                });
+            }
+        });
+    });
+    Response::json(200, body)
 }
 
-/// Renders one node of a reassembled span tree, children nested.
-fn render_span_node(out: &mut String, node: &SpanNode<'_>) {
+/// Writes one node of a reassembled span tree, children nested.
+fn write_span_node(o: &mut json::Object<'_>, node: &SpanNode<'_>) {
     let e = node.event;
-    out.push_str(&format!(
-        "{{\"stage\":\"{}\",\"start_us\":{},\"duration_ns\":{},\"request\":{},\"span\":{},\"children\":[",
-        e.stage.name(),
-        e.start_us,
-        e.duration_ns,
-        e.request,
-        e.span_id,
-    ));
-    for (i, child) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_span_node(out, child);
-    }
-    out.push_str("]}");
+    o.field("stage", e.stage.name())
+        .field("start_us", e.start_us)
+        .field("duration_ns", e.duration_ns)
+        .field("request", e.request)
+        .field("span", e.span_id)
+        .array("children", |a| {
+            for child in &node.children {
+                a.object(|o| write_span_node(o, child));
+            }
+        });
 }
 
 /// `GET /trace/{id}`: the reassembled span tree of one request. 404 when
@@ -521,20 +529,17 @@ fn get_trace_tree(service: &RideService, trace_id: u64) -> Response {
     let Some(tree) = service.telemetry().trace_tree(trace_id) else {
         return Response::error(404, "trace not found (never recorded, or evicted)");
     };
-    let mut out = format!(
-        "{{\"trace\":\"{:016x}\",\"truncated\":{},\"spans\":{},\"roots\":[",
-        tree.trace_id,
-        tree.truncated,
-        tree.spans.len(),
-    );
-    for (i, root) in tree.roots().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_span_node(&mut out, root);
-    }
-    out.push_str("]}");
-    Response::json(200, out)
+    let body = json::object(|o| {
+        o.field("trace", format_args!("{:016x}", tree.trace_id))
+            .field("truncated", tree.truncated)
+            .field("spans", tree.spans.len())
+            .array("roots", |a| {
+                for root in &tree.roots() {
+                    a.object(|o| write_span_node(o, root));
+                }
+            });
+    });
+    Response::json(200, body)
 }
 
 /// `GET /debug/slow`: the top-K slowest root spans of the resident
@@ -542,20 +547,18 @@ fn get_trace_tree(service: &RideService, trace_id: u64) -> Response {
 /// `GET /trace/{id}`.
 fn get_slow(service: &RideService) -> Response {
     let slow = service.telemetry().slow_traces();
-    let mut out = String::from("{\"slow\":[");
-    for (i, entry) in slow.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"trace\":\"{:016x}\",\"stage\":\"{}\",\"start_us\":{},\"duration_ns\":{},\"request\":{}}}",
-            entry.trace_id,
-            entry.stage.name(),
-            entry.start_us,
-            entry.duration_ns,
-            entry.request,
-        ));
-    }
-    out.push_str("]}");
-    Response::json(200, out)
+    let body = json::object(|o| {
+        o.array("slow", |a| {
+            for entry in &slow {
+                a.object(|o| {
+                    o.field("trace", format_args!("{:016x}", entry.trace_id))
+                        .field("stage", entry.stage.name())
+                        .field("start_us", entry.start_us)
+                        .field("duration_ns", entry.duration_ns)
+                        .field("request", entry.request);
+                });
+            }
+        });
+    });
+    Response::json(200, body)
 }

@@ -23,8 +23,8 @@
 //! [`EventLog`]: ptrider_core::EventLog
 
 use crate::http::Response;
-use crate::json;
 use crate::router::SseParams;
+use ptrider_core::json;
 use ptrider_core::{EngineEvent, RideService};
 use std::io::Write;
 use std::net::TcpStream;
@@ -33,6 +33,25 @@ use std::time::{Duration, Instant};
 
 /// The event name and JSON payload of one frame.
 pub fn render_event(event: &EngineEvent) -> (&'static str, String) {
+    render_traced(event, 0)
+}
+
+/// [`render_event`], plus a `"trace"` member (16 hex digits) when
+/// `trace_id` is nonzero, so a `?trace=` consumer can cross-reference
+/// `GET /trace/{id}`.
+fn render_traced(event: &EngineEvent, trace_id: u64) -> (&'static str, String) {
+    let mut name = "";
+    let data = json::object(|o| {
+        name = write_event(o, event);
+        if trace_id != 0 {
+            o.field("trace", format_args!("{trace_id:016x}"));
+        }
+    });
+    (name, data)
+}
+
+/// Writes an event's payload members and returns the event name.
+fn write_event(o: &mut json::Object<'_>, event: &EngineEvent) -> &'static str {
     match event {
         EngineEvent::Submitted {
             session,
@@ -41,26 +60,29 @@ pub fn render_event(event: &EngineEvent) -> (&'static str, String) {
             destination,
             riders,
             at,
-        } => (
-            "submitted",
-            format!(
-                "{{\"session\":{},\"request\":{},\"origin\":{},\"destination\":{},\"riders\":{},\"at\":{}}}",
-                session.0, request.0, origin.0, destination.0, riders, json::num(*at)
-            ),
-        ),
+        } => {
+            o.field("session", session.0)
+                .field("request", request.0)
+                .field("origin", origin.0)
+                .field("destination", destination.0)
+                .field("riders", *riders)
+                .field("at", *at);
+            "submitted"
+        }
         EngineEvent::Offered {
             session,
             request,
             options,
             expires_at,
             at,
-        } => (
-            "offered",
-            format!(
-                "{{\"session\":{},\"request\":{},\"options\":{},\"expires_at\":{},\"at\":{}}}",
-                session.0, request.0, options, json::num(*expires_at), json::num(*at)
-            ),
-        ),
+        } => {
+            o.field("session", session.0)
+                .field("request", request.0)
+                .field("options", *options)
+                .field("expires_at", *expires_at)
+                .field("at", *at);
+            "offered"
+        }
         EngineEvent::Confirmed {
             session,
             request,
@@ -68,74 +90,81 @@ pub fn render_event(event: &EngineEvent) -> (&'static str, String) {
             price,
             pickup_secs,
             at,
-        } => (
-            "confirmed",
-            format!(
-                "{{\"session\":{},\"request\":{},\"vehicle\":{},\"price\":{},\"pickup_secs\":{},\"at\":{}}}",
-                session.0, request.0, vehicle.0, json::num(*price), json::num(*pickup_secs), json::num(*at)
-            ),
-        ),
-        EngineEvent::Declined { session, request, at } => (
-            "declined",
-            format!(
-                "{{\"session\":{},\"request\":{},\"at\":{}}}",
-                session.0, request.0, json::num(*at)
-            ),
-        ),
-        EngineEvent::Expired { session, request, at } => (
-            "expired",
-            format!(
-                "{{\"session\":{},\"request\":{},\"at\":{}}}",
-                session.0, request.0, json::num(*at)
-            ),
-        ),
+        } => {
+            o.field("session", session.0)
+                .field("request", request.0)
+                .field("vehicle", vehicle.0)
+                .field("price", *price)
+                .field("pickup_secs", *pickup_secs)
+                .field("at", *at);
+            "confirmed"
+        }
+        EngineEvent::Declined {
+            session,
+            request,
+            at,
+        } => {
+            o.field("session", session.0)
+                .field("request", request.0)
+                .field("at", *at);
+            "declined"
+        }
+        EngineEvent::Expired {
+            session,
+            request,
+            at,
+        } => {
+            o.field("session", session.0)
+                .field("request", request.0)
+                .field("at", *at);
+            "expired"
+        }
         EngineEvent::AssignmentFailed {
             session,
             request,
             vehicle,
             at,
-        } => (
-            "assignment_failed",
-            format!(
-                "{{\"session\":{},\"request\":{},\"vehicle\":{},\"at\":{}}}",
-                session.0, request.0, vehicle.0, json::num(*at)
-            ),
-        ),
+        } => {
+            o.field("session", session.0)
+                .field("request", request.0)
+                .field("vehicle", vehicle.0)
+                .field("at", *at);
+            "assignment_failed"
+        }
         EngineEvent::BatchAdmitted {
             requests,
             assigned,
             at,
-        } => (
-            "batch_admitted",
-            format!(
-                "{{\"requests\":{requests},\"assigned\":{assigned},\"at\":{}}}",
-                json::num(*at)
-            ),
-        ),
-        EngineEvent::PickedUp { vehicle, request } => (
-            "picked_up",
-            format!("{{\"vehicle\":{},\"request\":{}}}", vehicle.0, request.0),
-        ),
-        EngineEvent::DroppedOff { vehicle, request } => (
-            "dropped_off",
-            format!("{{\"vehicle\":{},\"request\":{}}}", vehicle.0, request.0),
-        ),
-        EngineEvent::VehicleAdded { vehicle, location } => (
-            "vehicle_added",
-            format!("{{\"vehicle\":{},\"location\":{}}}", vehicle.0, location.0),
-        ),
+        } => {
+            o.field("requests", *requests)
+                .field("assigned", *assigned)
+                .field("at", *at);
+            "batch_admitted"
+        }
+        EngineEvent::PickedUp { vehicle, request } => {
+            o.field("vehicle", vehicle.0).field("request", request.0);
+            "picked_up"
+        }
+        EngineEvent::DroppedOff { vehicle, request } => {
+            o.field("vehicle", vehicle.0).field("request", request.0);
+            "dropped_off"
+        }
+        EngineEvent::VehicleAdded { vehicle, location } => {
+            o.field("vehicle", vehicle.0).field("location", location.0);
+            "vehicle_added"
+        }
         EngineEvent::TrafficUpdated {
             epoch,
             congested_arcs,
             max_factor,
             at,
-        } => (
-            "traffic_updated",
-            format!(
-                "{{\"epoch\":{epoch},\"congested_arcs\":{congested_arcs},\"max_factor\":{},\"at\":{}}}",
-                json::num(*max_factor), json::num(*at)
-            ),
-        ),
+        } => {
+            o.field("epoch", *epoch)
+                .field("congested_arcs", *congested_arcs)
+                .field("max_factor", *max_factor)
+                .field("at", *at);
+            "traffic_updated"
+        }
     }
 }
 
@@ -213,12 +242,11 @@ pub fn stream(
         // the client how many events it will never see.
         let missed = cursor.missed();
         if missed > reported_missed {
-            let frame = format!(
-                "event: missed\ndata: {{\"missed\":{},\"total_missed\":{}}}\n\n",
-                missed - reported_missed,
-                missed
-            );
-            w.write_all(frame.as_bytes())?;
+            let data = json::object(|o| {
+                o.field("missed", missed - reported_missed)
+                    .field("total_missed", missed);
+            });
+            w.write_all(format!("event: missed\ndata: {data}\n\n").as_bytes())?;
             reported_missed = missed;
         }
         for stamped in &events {
@@ -228,13 +256,7 @@ pub fn stream(
             if !matches(params, &stamped.event) {
                 continue;
             }
-            let (name, mut data) = render_event(&stamped.event);
-            if stamped.trace_id != 0 {
-                // Splice the trace id into the payload object so a
-                // `?trace=` consumer can cross-reference `GET /trace/{id}`.
-                data.truncate(data.len() - 1);
-                data.push_str(&format!(",\"trace\":\"{:016x}\"}}", stamped.trace_id));
-            }
+            let (name, data) = render_traced(&stamped.event, stamped.trace_id);
             w.write_all(format!("event: {name}\ndata: {data}\n\n").as_bytes())?;
             forwarded += 1;
             if params.limit.is_some_and(|limit| forwarded >= limit) {
@@ -305,6 +327,16 @@ mod tests {
                 request: RequestId(8)
             }
         ));
+    }
+
+    #[test]
+    fn a_traced_event_carries_its_trace_id_last() {
+        let (name, data) = render_traced(&offered(1, 1), 0xabc);
+        assert_eq!(name, "offered");
+        assert_eq!(
+            data,
+            r#"{"session":1,"request":1,"options":1,"expires_at":300,"at":0,"trace":"0000000000000abc"}"#
+        );
     }
 
     #[test]
@@ -401,7 +433,7 @@ mod tests {
         for (event, (want_name, want_data)) in events.iter().zip(expected) {
             let (name, data) = render_event(event);
             assert_eq!((name, data.as_str()), (want_name, want_data));
-            crate::json::Json::parse(&data)
+            json::Json::parse(&data)
                 .unwrap_or_else(|e| panic!("{name} rendered invalid JSON ({e}): {data}"));
         }
     }

@@ -1,5 +1,5 @@
-//! Shared plumbing for the wire-protocol tests: a tiny blocking HTTP
-//! client and a ready-made service + server fixture.
+//! Shared plumbing for the wire-protocol tests: a ready-made service +
+//! server fixture for [`ptrider_server::client`] to talk to.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a different subset of it.
@@ -8,119 +8,11 @@
 use ptrider_core::{EngineConfig, RideService, ServiceConfig};
 use ptrider_roadnet::{GridConfig, RoadNetwork, RoadNetworkBuilder};
 use ptrider_server::{Server, ServerConfig, ServerHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A parsed response.
-#[derive(Clone, Debug)]
-pub struct ClientResponse {
-    pub status: u16,
-    pub headers: Vec<(String, String)>,
-    pub body: String,
-}
-
-impl ClientResponse {
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// A keep-alive client connection.
-pub struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    pub fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        Client { stream }
-    }
-
-    /// Wraps a stream the test already manipulated directly.
-    pub fn from_stream(stream: TcpStream) -> Client {
-        Client { stream }
-    }
-
-    /// Sends one request and reads one response (Content-Length framed).
-    pub fn request(&mut self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        self.request_with_headers(method, path, body, &[])
-    }
-
-    /// [`Client::request`] with extra request headers (`(name, value)`).
-    pub fn request_with_headers(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        headers: &[(&str, &str)],
-    ) -> ClientResponse {
-        let body = body.unwrap_or("");
-        let mut raw = format!(
-            "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n",
-            body.len()
-        );
-        for (name, value) in headers {
-            raw.push_str(&format!("{name}: {value}\r\n"));
-        }
-        raw.push_str("\r\n");
-        raw.push_str(body);
-        self.stream.write_all(raw.as_bytes()).expect("write");
-        self.read_response()
-    }
-
-    /// Sends raw bytes verbatim, then reads one response.
-    pub fn send_raw(&mut self, raw: &[u8]) -> ClientResponse {
-        self.stream.write_all(raw).expect("write raw");
-        self.read_response()
-    }
-
-    pub fn read_response(&mut self) -> ClientResponse {
-        let mut head = Vec::new();
-        let mut byte = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            match self.stream.read(&mut byte) {
-                Ok(1) => head.push(byte[0]),
-                _ => panic!(
-                    "connection closed mid-response head: {:?}",
-                    String::from_utf8_lossy(&head)
-                ),
-            }
-        }
-        let head = String::from_utf8(head).expect("UTF-8 head");
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap();
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-        let headers: Vec<(String, String)> = lines
-            .filter(|l| !l.is_empty())
-            .filter_map(|l| l.split_once(':'))
-            .map(|(n, v)| (n.trim().to_lowercase(), v.trim().to_string()))
-            .collect();
-        let length: usize = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
-        let mut body = vec![0u8; length];
-        self.stream.read_exact(&mut body).expect("body");
-        ClientResponse {
-            status,
-            headers,
-            body: String::from_utf8(body).expect("UTF-8 body"),
-        }
-    }
-}
+/// How long a test client's read may block before it fails.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A 6-vertex line network (vertices 0..6, 500 m apart).
 pub fn line_net() -> RoadNetwork {
@@ -165,18 +57,4 @@ pub fn start(
             .with_sse_poll(Duration::from_millis(5)),
     );
     Server::start(service, config).expect("server start")
-}
-
-/// Extracts `"key":<number>` from a flat JSON body (test-grade).
-pub fn json_u64(body: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let start = body
-        .find(&needle)
-        .unwrap_or_else(|| panic!("{key:?} not in {body:?}"))
-        + needle.len();
-    let rest = &body[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().expect("number")
 }

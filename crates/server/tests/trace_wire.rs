@@ -11,10 +11,12 @@
 
 mod common;
 
-use common::{service, start, Client};
+use common::{service, start, READ_TIMEOUT};
+use ptrider_server::client::Client;
+use std::io;
 
 #[test]
-fn tracing_round_trips_over_the_wire() {
+fn tracing_round_trips_over_the_wire() -> io::Result<()> {
     // --- Leg 1: tracing off — the correlation id is still echoed. ---
     std::env::set_var("PTRIDER_TELEMETRY", "off");
     let svc = service();
@@ -22,12 +24,12 @@ fn tracing_round_trips_over_the_wire() {
     assert!(!svc.telemetry().tracing_enabled());
     {
         let mut handle = start(svc, |c| c);
-        let mut client = Client::connect(handle.addr());
+        let mut client = Client::connect(handle.addr(), READ_TIMEOUT)?;
         let offer = client.request(
             "POST",
             "/rides",
             Some(r#"{"origin":1,"destination":4,"riders":1,"now":0.0}"#),
-        );
+        )?;
         assert_eq!(offer.status, 200, "{}", offer.body);
         let rid = offer
             .header("x-request-id")
@@ -38,10 +40,10 @@ fn tracing_round_trips_over_the_wire() {
             "no traceparent without a recorded root span"
         );
         // Untraced ids have no stored tree.
-        let tree = client.request("GET", &format!("/trace/{rid}"), None);
+        let tree = client.request("GET", &format!("/trace/{rid}"), None)?;
         assert_eq!(tree.status, 404, "{}", tree.body);
         // Error responses echo an id too.
-        let missing = client.request("GET", "/no/such/route", None);
+        let missing = client.request("GET", "/no/such/route", None)?;
         assert_eq!(missing.status, 404);
         assert!(missing.header("x-request-id").is_some());
         handle.shutdown();
@@ -53,13 +55,13 @@ fn tracing_round_trips_over_the_wire() {
     std::env::remove_var("PTRIDER_TELEMETRY");
     assert!(svc.telemetry().tracing_enabled());
     let mut handle = start(svc, |c| c);
-    let mut client = Client::connect(handle.addr());
+    let mut client = Client::connect(handle.addr(), READ_TIMEOUT)?;
 
     let offer = client.request(
         "POST",
         "/rides",
         Some(r#"{"origin":1,"destination":4,"riders":1,"now":0.0}"#),
-    );
+    )?;
     assert_eq!(offer.status, 200, "{}", offer.body);
     let rid = offer
         .header("x-request-id")
@@ -76,7 +78,7 @@ fn tracing_round_trips_over_the_wire() {
 
     // The wire-minted trace is retrievable as a nested tree whose root
     // is the server's handle span, with the service submit under it.
-    let tree = client.request("GET", &format!("/trace/{rid}"), None);
+    let tree = client.request("GET", &format!("/trace/{rid}"), None)?;
     assert_eq!(tree.status, 200, "{}", tree.body);
     assert!(tree.body.contains("\"server.handle\""), "{}", tree.body);
     assert!(tree.body.contains("\"service.submit\""), "{}", tree.body);
@@ -99,10 +101,10 @@ fn tracing_round_trips_over_the_wire() {
         "/rides",
         Some(r#"{"origin":1,"destination":4,"riders":1,"now":0.0}"#),
         &[("traceparent", inbound)],
-    );
+    )?;
     assert_eq!(offer2.status, 200, "{}", offer2.body);
     assert_eq!(offer2.header("x-request-id"), Some("0123456789abcdef"));
-    let tree2 = client.request("GET", "/trace/0123456789abcdef", None);
+    let tree2 = client.request("GET", "/trace/0123456789abcdef", None)?;
     assert_eq!(tree2.status, 200, "{}", tree2.body);
 
     // A bare inbound X-Request-Id is honored as well.
@@ -111,27 +113,27 @@ fn tracing_round_trips_over_the_wire() {
         "/rides",
         Some(r#"{"origin":1,"destination":4,"riders":1,"now":0.0}"#),
         &[("x-request-id", "00000000deadbeef")],
-    );
+    )?;
     assert_eq!(offer3.header("x-request-id"), Some("00000000deadbeef"));
 
     // The slow log knows about the traced requests.
-    let slow = client.request("GET", "/debug/slow", None);
+    let slow = client.request("GET", "/debug/slow", None)?;
     assert_eq!(slow.status, 200);
     assert!(slow.body.contains(&rid), "{} missing {rid}", slow.body);
     // The slow log is a view of the resident traces: every entry
     // resolves to its tree.
     for entry in slow.body.split("\"trace\":\"").skip(1) {
         let id = &entry[..16];
-        let tree = client.request("GET", &format!("/trace/{id}"), None);
+        let tree = client.request("GET", &format!("/trace/{id}"), None)?;
         assert_eq!(tree.status, 200, "slow entry {id}: {}", tree.body);
     }
 
-    let metrics = client.request("GET", "/metrics", None);
+    let metrics = client.request("GET", "/metrics", None)?;
     assert_eq!(metrics.status, 200);
     assert!(metrics.body.contains("ptrider_trace_dropped_total"));
 
     // The span dump carries trace ids.
-    let flat = client.request("GET", "/trace", None);
+    let flat = client.request("GET", "/trace", None)?;
     assert_eq!(flat.status, 200);
     assert!(flat.body.contains("\"dropped\":"), "{}", flat.body);
     assert!(flat.body.contains("\"trace\":\""), "{}", flat.body);
@@ -139,10 +141,11 @@ fn tracing_round_trips_over_the_wire() {
     // Unknown trace ids 404; malformed ones too.
     assert_eq!(
         client
-            .request("GET", "/trace/fffffffffffffff1", None)
+            .request("GET", "/trace/fffffffffffffff1", None)?
             .status,
         404
     );
-    assert_eq!(client.request("GET", "/trace/zzzz", None).status, 404);
+    assert_eq!(client.request("GET", "/trace/zzzz", None)?.status, 404);
     handle.shutdown();
+    Ok(())
 }

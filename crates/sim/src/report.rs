@@ -2,6 +2,7 @@
 //! (current time, average response time, average sharing rate) plus the
 //! per-request outcomes needed by the experiment harness.
 
+use ptrider_core::json;
 use ptrider_core::{EngineStats, HistogramSnapshot, RequestId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -197,70 +198,55 @@ impl SimulationReport {
         self
     }
 
-    /// Renders the full report as a JSON object (hand-rendered: the build
-    /// environment has no serde_json; every field is numeric so no string
-    /// escaping is needed).
+    /// Renders the full report as one compact JSON object.
     pub fn to_json(&self) -> String {
-        let w = &self.engine.match_work;
-        let mut json = format!(
-            "{{\n  \"simulated_secs\": {},\n  \"requests\": {},\n  \"answered\": {},\n  \
-             \"assigned\": {},\n  \"completed\": {},\n  \"shared_trips\": {},\n  \
-             \"avg_options\": {},\n  \"avg_response_ms\": {},\n  \"avg_waiting_secs\": {},\n  \
-             \"avg_price\": {},\n  \"avg_detour_ratio\": {},\n  \"sharing_rate\": {},\n  \
-             \"answer_rate\": {},\n  \"fleet_distance_m\": {},\n  \"engine\": {{\n    \
-             \"requests_submitted\": {},\n    \"requests_with_options\": {},\n    \
-             \"options_returned\": {},\n    \"requests_chosen\": {},\n    \
-             \"assignments_failed\": {},\n    \"pickups\": {},\n    \"dropoffs\": {},\n    \
-             \"location_updates\": {},\n    \"total_match_secs\": {},\n    \"match_work\": {{\n      \
-             \"vehicles_considered\": {},\n      \"vehicles_verified\": {},\n      \
-             \"vehicles_pruned\": {},\n      \"cells_visited\": {},\n      \
-             \"exact_distance_computations\": {},\n      \"candidates_generated\": {}\n    }}\n  }}\n}}",
-            self.simulated_secs,
-            self.requests,
-            self.answered,
-            self.assigned,
-            self.completed,
-            self.shared_trips,
-            self.avg_options,
-            self.avg_response_ms,
-            self.avg_waiting_secs,
-            self.avg_price,
-            self.avg_detour_ratio,
-            self.sharing_rate,
-            self.answer_rate,
-            self.fleet_distance_m,
-            self.engine.requests_submitted,
-            self.engine.requests_with_options,
-            self.engine.options_returned,
-            self.engine.requests_chosen,
-            self.engine.assignments_failed,
-            self.engine.pickups,
-            self.engine.dropoffs,
-            self.engine.location_updates,
-            self.engine.total_match_secs,
-            w.vehicles_considered,
-            w.vehicles_verified,
-            w.vehicles_pruned,
-            w.cells_visited,
-            w.exact_distance_computations,
-            w.candidates_generated,
-        );
-        match &self.submit_latency {
-            Some(l) => {
-                let closing = json
-                    .rfind('}')
-                    .expect("the rendered report always ends with a brace");
-                json.truncate(closing);
-                json.push_str(&format!(
-                    ",\n  \"submit_latency\": {{\n    \"count\": {},\n    \"mean_ms\": {},\n    \
-                     \"p50_ms\": {},\n    \"p90_ms\": {},\n    \"p99_ms\": {},\n    \
-                     \"max_ms\": {}\n  }}\n}}",
-                    l.count, l.mean_ms, l.p50_ms, l.p90_ms, l.p99_ms, l.max_ms
-                ));
-                json
+        let e = &self.engine;
+        let w = &e.match_work;
+        json::object(|o| {
+            o.field("simulated_secs", self.simulated_secs)
+                .field("requests", self.requests)
+                .field("answered", self.answered)
+                .field("assigned", self.assigned)
+                .field("completed", self.completed)
+                .field("shared_trips", self.shared_trips)
+                .field("avg_options", self.avg_options)
+                .field("avg_response_ms", self.avg_response_ms)
+                .field("avg_waiting_secs", self.avg_waiting_secs)
+                .field("avg_price", self.avg_price)
+                .field("avg_detour_ratio", self.avg_detour_ratio)
+                .field("sharing_rate", self.sharing_rate)
+                .field("answer_rate", self.answer_rate)
+                .field("fleet_distance_m", self.fleet_distance_m)
+                .object("engine", |o| {
+                    o.field("requests_submitted", e.requests_submitted)
+                        .field("requests_with_options", e.requests_with_options)
+                        .field("options_returned", e.options_returned)
+                        .field("requests_chosen", e.requests_chosen)
+                        .field("assignments_failed", e.assignments_failed)
+                        .field("pickups", e.pickups)
+                        .field("dropoffs", e.dropoffs)
+                        .field("location_updates", e.location_updates)
+                        .field("total_match_secs", e.total_match_secs)
+                        .object("match_work", |o| {
+                            o.field("vehicles_considered", w.vehicles_considered)
+                                .field("vehicles_verified", w.vehicles_verified)
+                                .field("vehicles_pruned", w.vehicles_pruned)
+                                .field("cells_visited", w.cells_visited)
+                                .field("exact_distance_computations", w.exact_distance_computations)
+                                .field("candidates_generated", w.candidates_generated);
+                        });
+                });
+            if let Some(l) = &self.submit_latency {
+                o.object("submit_latency", |o| {
+                    o.field("count", l.count)
+                        .field("mean_ms", l.mean_ms)
+                        .field("p50_ms", l.p50_ms)
+                        .field("p90_ms", l.p90_ms)
+                        .field("p99_ms", l.p99_ms)
+                        .field("max_ms", l.max_ms);
+                });
             }
-            None => json,
-        }
+        })
     }
 
     /// One-line human-readable summary (used by the example binaries).
@@ -354,6 +340,111 @@ mod tests {
         assert!((report.avg_detour_ratio - 1.2).abs() < 1e-12);
         assert_eq!(report.fleet_distance_m, 50_000.0);
         assert!(!report.summary().is_empty());
+    }
+
+    #[test]
+    fn to_json_parses_and_every_field_reads_back() {
+        use ptrider_core::json::Json;
+        use ptrider_core::stats::MatchWork;
+
+        let report = SimulationReport {
+            simulated_secs: 3600.5,
+            requests: 1,
+            answered: 2,
+            assigned: 3,
+            completed: 4,
+            shared_trips: 5,
+            avg_options: 1.25,
+            avg_response_ms: 0.125,
+            avg_waiting_secs: 61.5,
+            avg_price: 7.75,
+            avg_detour_ratio: 1.1,
+            sharing_rate: 0.3,
+            answer_rate: f64::NAN,
+            fleet_distance_m: 12345.5,
+            engine: EngineStats {
+                requests_submitted: 6,
+                requests_with_options: 7,
+                options_returned: 8,
+                requests_chosen: 9,
+                assignments_failed: 10,
+                pickups: 11,
+                dropoffs: 12,
+                location_updates: 13,
+                total_match_secs: 0.0625,
+                match_work: MatchWork {
+                    vehicles_considered: 14,
+                    vehicles_verified: 15,
+                    vehicles_pruned: 16,
+                    cells_visited: 17,
+                    exact_distance_computations: 18,
+                    candidates_generated: 19,
+                },
+                ..EngineStats::default()
+            },
+            submit_latency: Some(LatencySummary {
+                count: 20,
+                mean_ms: 0.5,
+                p50_ms: 0.25,
+                p90_ms: 1.5,
+                p99_ms: 2.5,
+                max_ms: 3.5,
+            }),
+        };
+        let json = Json::parse(&report.to_json()).expect("the report is valid JSON");
+        let read = |path: &str| {
+            let found = path.split('.').try_fold(&json, |v, key| v.get(key));
+            found.unwrap_or_else(|| panic!("{path} missing")).clone()
+        };
+        for (path, want) in [
+            ("simulated_secs", 3600.5),
+            ("requests", 1.0),
+            ("answered", 2.0),
+            ("assigned", 3.0),
+            ("completed", 4.0),
+            ("shared_trips", 5.0),
+            ("avg_options", 1.25),
+            ("avg_response_ms", 0.125),
+            ("avg_waiting_secs", 61.5),
+            ("avg_price", 7.75),
+            ("avg_detour_ratio", 1.1),
+            ("sharing_rate", 0.3),
+            ("fleet_distance_m", 12345.5),
+            ("engine.requests_submitted", 6.0),
+            ("engine.requests_with_options", 7.0),
+            ("engine.options_returned", 8.0),
+            ("engine.requests_chosen", 9.0),
+            ("engine.assignments_failed", 10.0),
+            ("engine.pickups", 11.0),
+            ("engine.dropoffs", 12.0),
+            ("engine.location_updates", 13.0),
+            ("engine.total_match_secs", 0.0625),
+            ("engine.match_work.vehicles_considered", 14.0),
+            ("engine.match_work.vehicles_verified", 15.0),
+            ("engine.match_work.vehicles_pruned", 16.0),
+            ("engine.match_work.cells_visited", 17.0),
+            ("engine.match_work.exact_distance_computations", 18.0),
+            ("engine.match_work.candidates_generated", 19.0),
+            ("submit_latency.count", 20.0),
+            ("submit_latency.mean_ms", 0.5),
+            ("submit_latency.p50_ms", 0.25),
+            ("submit_latency.p90_ms", 1.5),
+            ("submit_latency.p99_ms", 2.5),
+            ("submit_latency.max_ms", 3.5),
+        ] {
+            assert_eq!(read(path), Json::Num(want), "{path}");
+        }
+        // JSON has no NaN: a non-finite rate reads back as null.
+        assert_eq!(read("answer_rate"), Json::Null);
+
+        // Without a latency summary the key is absent, not null.
+        let plain = SimulationReport {
+            submit_latency: None,
+            ..report
+        };
+        let json = Json::parse(&plain.to_json()).unwrap();
+        assert!(json.get("submit_latency").is_none());
+        assert!(json.get("engine").is_some());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!
 //! Run with `cargo run --example wire_quickstart`.
 
+use ptrider::core::json::Json;
 use ptrider::datagen::{synthetic_city, CityConfig};
 use ptrider::{EngineConfig, GridConfig, MatcherKind, RideService, Server, ServerConfig, VertexId};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -47,16 +48,6 @@ fn request(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> (u16
     (status, String::from_utf8(body).unwrap())
 }
 
-/// Extracts `"key":<integer>` from a flat JSON body.
-fn field(body: &str, key: &str) -> u64 {
-    let start = body.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
-    let rest = &body[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().unwrap()
-}
-
 fn main() {
     // 1. The same service every in-process example builds — then a server
     //    in front of it. Port 0 asks the OS for an ephemeral port.
@@ -89,7 +80,12 @@ fn main() {
         r#"{"origin":44,"destination":97,"riders":2,"now":0.0}"#,
     );
     assert_eq!(status, 200);
-    let session = field(&offer, "session");
+    // Ids are read with the same parser the server uses for its requests.
+    let session = Json::parse(&offer)
+        .expect("the offer is JSON")
+        .get("session")
+        .and_then(Json::as_u64)
+        .expect("the offer names its session");
     println!("offer for session {session}: {offer}");
 
     // 3. The rider confirms option 0 on the same connection (keep-alive).

@@ -8,8 +8,8 @@
 //! world locks poison. From there:
 //!
 //! * session-lifecycle calls surface [`ServiceError::Unavailable`];
-//! * read-only accessors (`stats`, `session_state`, `fingerprint`) stay
-//!   live by re-entering the poisoned locks;
+//! * read-only accessors (`stats`, `session_state`, `fingerprint`,
+//!   `match_request_with`) stay live by re-entering the poisoned locks;
 //! * `RideService::recover` over the journal reproduces the exact
 //!   pre-crash state — the half-committed respond was never journaled, so
 //!   it simply never happened, and the rider's offer is still open.
@@ -19,8 +19,9 @@
 
 use ptrider::roadnet::RoadNetworkBuilder;
 use ptrider::{
-    fault, Decision, EngineConfig, GridConfig, Journal, JournalConfig, OptionId, PtRider,
-    RideService, RoadNetwork, ServiceConfig, ServiceError, SessionState, VertexId,
+    fault, Decision, EngineConfig, GridConfig, Journal, JournalConfig, MatcherKind, OptionId,
+    PtRider, Request, RequestId, RideService, RoadNetwork, ServiceConfig, ServiceError,
+    SessionState, VertexId,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -107,6 +108,15 @@ fn poisoned_locks_surface_unavailable_and_recovery_rebuilds_the_service() {
         svc.journal_next_seq(),
         Some(pre_seq),
         "nothing was journaled by the killed respond"
+    );
+    // A read-only probe still matches over the torn world.
+    let probe = Request::new(RequestId(99), VertexId(12), VertexId(14), 1, 2.0);
+    let probed = catch_unwind(AssertUnwindSafe(|| {
+        svc.match_request_with(MatcherKind::DualSide, &probe)
+    }));
+    assert!(
+        probed.is_ok_and(|r| r.is_ok()),
+        "match_request_with answers on a poisoned world"
     );
 
     drop(svc);

@@ -1,8 +1,8 @@
 //! End-to-end telemetry: a spans-level service driven through the full
 //! session lifecycle (with a journal and an event cursor attached) must
-//! expose every subsystem in `metrics_text()` / `metrics_json()`, fill
-//! the per-stage histograms and the trace store — and the seqlock-mirrored
-//! `stats()` snapshot must never tear under concurrent load.
+//! expose every subsystem in `metrics_text()`, fill the per-stage
+//! histograms and the trace store — and the seqlock-mirrored `stats()`
+//! snapshot must never tear under concurrent load.
 
 use ptrider::datagen::{synthetic_city, CityConfig};
 use ptrider::roadnet::{DistanceOracle, GridIndex};
@@ -105,24 +105,6 @@ fn metrics_text_covers_every_subsystem() {
     assert!(!events.is_empty(), "trace store is empty at spans level");
     assert!(events.iter().any(|e| e.request != 0));
 
-    let json = service.metrics_json();
-    for key in [
-        "\"service\"",
-        "\"oracle\"",
-        "\"journal\"",
-        "\"events\"",
-        "\"stages\"",
-        "\"telemetry\"",
-    ] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
-    }
-    assert!(json.contains("\"fsync_failed\":false"));
-    // Crude structural validity: balanced braces outside strings (the
-    // exposition never emits braces inside string values).
-    let opens = json.matches('{').count();
-    let closes = json.matches('}').count();
-    assert_eq!(opens, closes, "unbalanced JSON:\n{json}");
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -146,9 +128,8 @@ fn telemetry_off_is_inert_but_stats_metrics_remain() {
         0
     );
 
-    let json = service.metrics_json();
-    assert!(json.contains("\"journal\":null"));
-    assert!(json.contains("\"level\":\"off\""));
+    // No journal is attached, so no journal rows appear.
+    assert!(!text.contains("ptrider_journal_"), "{text}");
 }
 
 /// Regression test for stats-snapshot tearing: `stats()` used to read the
