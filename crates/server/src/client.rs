@@ -5,7 +5,7 @@
 //! of the socket: `Content-Length`-framed requests over a keep-alive
 //! connection, plus a tiny SSE frame reader. It uses only `std`.
 //! Everything returns `io::Result`, so a load tool can treat a shed (503 +
-//! close) or reaped connection as data; tests `.expect(..)` it.
+//! close) or reaped connection as data; tests propagate it with `?`.
 
 use ptrider_core::json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
