@@ -29,12 +29,6 @@ pub struct EngineConfig {
     /// of the search algorithms stops there). Applied identically by every
     /// matcher so all matchers return the same option set.
     pub max_pickup_dist: f64,
-    /// Number of ALT landmarks the engine precomputes for its distance
-    /// oracle. Landmarks accelerate exact point-to-point queries (goal-
-    /// directed A*) and tighten the P1–P5 pruning lower bounds; `0`
-    /// disables them. Build cost is one single-source Dijkstra per
-    /// landmark.
-    pub num_landmarks: usize,
     /// The exact shortest-path backend the engine's distance oracle uses
     /// on a cache miss. ALT A* ([`DistanceBackend::Alt`]) is the only one.
     pub distance_backend: DistanceBackend,
@@ -52,7 +46,6 @@ impl Default for EngineConfig {
             speed,
             // 15 minutes of driving at the constant speed.
             max_pickup_dist: speed.seconds_to_distance(900.0),
-            num_landmarks: 8,
             distance_backend: DistanceBackend::Alt,
             price: PriceModel::default(),
         }
@@ -91,12 +84,6 @@ impl EngineConfig {
     /// Sets the maximum planned pickup distance in metres.
     pub fn with_max_pickup_dist(mut self, metres: f64) -> Self {
         self.max_pickup_dist = metres;
-        self
-    }
-
-    /// Sets the number of ALT landmarks (0 disables landmark acceleration).
-    pub fn with_num_landmarks(mut self, k: usize) -> Self {
-        self.num_landmarks = k;
         self
     }
 
@@ -164,13 +151,5 @@ mod tests {
     fn paper_defaults_price_per_km() {
         let c = EngineConfig::paper_defaults();
         assert_eq!(c.price.distance_scale, 0.001);
-    }
-
-    #[test]
-    fn runtime_knobs_default_and_override() {
-        let c = EngineConfig::default();
-        assert_eq!(c.num_landmarks, 8);
-        let c = c.with_num_landmarks(0);
-        assert_eq!(c.num_landmarks, 0);
     }
 }

@@ -545,6 +545,12 @@ pub(crate) fn match_request_with_oracle(
     Ok(matcher.find_options(&ctx, &prospective))
 }
 
+/// How many ALT landmarks [`PtRider::with_shared`] builds for the distance
+/// oracle. Landmarks accelerate exact point-to-point queries (goal-directed
+/// A*) and tighten the P1–P5 pruning lower bounds; each costs one
+/// single-source Dijkstra to build.
+pub const LANDMARKS: usize = 8;
+
 /// The builder a [`crate::RideService`] is made from: the engine substrate
 /// (network, grid, distance oracle, configuration, telemetry), the chosen
 /// matching algorithm and the initial fleet.
@@ -571,22 +577,12 @@ impl PtRider {
     /// handles (useful when benchmarks construct many engines over the same
     /// city).
     ///
-    /// The landmark tables are built here (seeded from a max-degree vertex,
-    /// see [`ptrider_roadnet::LandmarkIndex::build_auto`]); harnesses that
-    /// spin up many engines over one city should build them once and use
-    /// [`Self::with_shared_landmarks`] instead.
+    /// The [`LANDMARKS`] landmark tables are built here (seeded from a
+    /// max-degree vertex, see [`ptrider_roadnet::LandmarkIndex::build_auto`]);
+    /// harnesses that spin up many engines over one city should build them
+    /// once and use [`Self::with_shared_landmarks`] instead.
     pub fn with_shared(net: Arc<RoadNetwork>, grid: Arc<GridIndex>, config: EngineConfig) -> Self {
-        if config.num_landmarks == 0 {
-            let oracle = DistanceOracle::new(Arc::clone(&net), Arc::clone(&grid));
-            return Self::with_oracle_and_telemetry(
-                net,
-                grid,
-                oracle,
-                config,
-                TelemetryConfig::from_env(),
-            );
-        }
-        let landmarks = ptrider_roadnet::LandmarkIndex::build_auto(&net, config.num_landmarks);
+        let landmarks = ptrider_roadnet::LandmarkIndex::build_auto(&net, LANDMARKS);
         Self::with_shared_landmarks(net, grid, Arc::new(landmarks), config)
     }
 
@@ -595,8 +591,8 @@ impl PtRider {
     /// Unlike [`Self::with_shared`], which rebuilds the landmark tables per
     /// engine (one single-source Dijkstra per landmark), this reuses a
     /// caller-built `Arc<LandmarkIndex>` — the cheap path for
-    /// many-engines-one-city harnesses. `config.num_landmarks` is ignored;
-    /// the shared index decides how many landmarks exist.
+    /// many-engines-one-city harnesses; the shared index decides how many
+    /// landmarks exist.
     pub fn with_shared_landmarks(
         net: Arc<RoadNetwork>,
         grid: Arc<GridIndex>,

@@ -83,7 +83,7 @@ pub enum EngineEvent {
         at: f64,
     },
     /// The offer deadline passed before a response; the session is
-    /// `Expired` and its holds were released.
+    /// `Expired`.
     Expired {
         /// The expired session.
         session: SessionId,

@@ -179,17 +179,46 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
+/// RFC 8259's number grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, scanned before the
+/// text reaches `f64::from_str` (which also takes `+1`, `1.` and `.5`).
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let bad = || format!("bad number at offset {start}");
+    // Consumes a run of ASCII digits and says whether it was non-empty.
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(bad()),
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number".to_string())?;
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(bad());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(bad());
+        }
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| bad())?;
     let n: f64 = text
         .parse()
         .map_err(|_| format!("bad number {text:?} at offset {start}"))?;
@@ -225,6 +254,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // also takes a sign (`\u+041`).
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err("bad \\u escape".to_string());
+                        }
                         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                         let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         // Surrogate pairs are replaced, not combined — the
@@ -235,6 +269,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err("bad escape".to_string()),
                 }
                 *pos += 1;
+            }
+            Some(b) if *b < 0x20 => {
+                return Err(format!("raw control character in string at offset {pos}"))
             }
             Some(_) => {
                 // Consume one UTF-8 scalar (the head byte tells the width).

@@ -13,7 +13,7 @@
 //! * [`RideService::respond`] takes the rider's [`Decision`] and, for a
 //!   choice, commits the assignment on the **write path** — the single
 //!   admission writer behind the world's write lock;
-//! * [`RideService::tick`] expires overdue offers and releases their holds;
+//! * [`RideService::tick`] expires overdue offers;
 //! * every transition publishes a typed [`EngineEvent`] into the
 //!   subscriber-visible [`EventLog`].
 //!
@@ -81,7 +81,8 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-/// Service-layer knobs (the engine-level knobs stay in [`EngineConfig`]).
+/// Service-layer knobs: the offer TTL and the event-log retention (the
+/// engine-level knobs stay in [`EngineConfig`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceConfig {
     /// How long an offer stays respondable, in workload seconds:
@@ -96,13 +97,6 @@ pub struct ServiceConfig {
     pub offer_ttl_secs: f64,
     /// How many events the log retains for slow observers.
     pub event_capacity: usize,
-    /// Tentatively commit option 0 of every offer at offer time, holding
-    /// the vehicle's capacity until the rider responds. A rider who
-    /// confirms option 0 can then never hit
-    /// [`EngineError::AssignmentFailed`]; the hold is released on decline,
-    /// expiry, or switching to another option. Off by default (holds
-    /// reduce fleet capacity while offers are open).
-    pub hold_offers: bool,
 }
 
 /// Environment override for the default offer TTL, read once per process.
@@ -121,7 +115,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             offer_ttl_secs: env_offer_ttl().unwrap_or(300.0),
             event_capacity: 65_536,
-            hold_offers: false,
         }
     }
 }
@@ -136,13 +129,6 @@ impl ServiceConfig {
     /// Sets the event-log retention capacity.
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         self.event_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables offer capacity holds (see
-    /// [`ServiceConfig::hold_offers`]).
-    pub fn with_hold_offers(mut self, hold: bool) -> Self {
-        self.hold_offers = hold;
         self
     }
 }
@@ -433,7 +419,7 @@ impl RideService {
         &self.shared.config
     }
 
-    /// The service configuration (offer TTL, event retention, holds).
+    /// The service configuration (offer TTL, event retention).
     pub fn service_config(&self) -> &ServiceConfig {
         &self.service_config
     }
@@ -591,10 +577,9 @@ impl RideService {
     /// Submits a request and returns the offer — the **read path**.
     ///
     /// Validation and matching run under a shared read lock on the vehicle
-    /// world, so concurrent submits proceed in parallel. With
-    /// [`ServiceConfig::hold_offers`] the world is write-locked instead,
-    /// because option 0 is tentatively committed at offer time. The returned [`Offer`] stays respondable via
-    /// [`Self::respond`] until `expires_at`.
+    /// world, so concurrent submits proceed in parallel; nothing is
+    /// committed until the rider responds. The returned [`Offer`] stays
+    /// respondable via [`Self::respond`] until `expires_at`.
     ///
     /// Invalid requests (unknown vertices, `origin == destination`, zero
     /// riders, unreachable destination) are rejected before a session is
@@ -674,8 +659,8 @@ impl RideService {
         self.finish_submit(session_id, request, prospective, now, None, ctx)
     }
 
-    /// Matches a registered pending session, journals the submit, applies
-    /// the optional capacity hold and opens the offer. Shared by
+    /// Matches a registered pending session under the world read lock,
+    /// journals the submit and opens the offer. Shared by
     /// [`Self::submit`] and journal replay, which hands in a [`Replay`]:
     /// the journaled skyline in place of the matcher, and the journaled
     /// `total_match_secs` and `match_work` so the wall-clock and
@@ -693,25 +678,31 @@ impl RideService {
             Some(r) => (Some(r.accumulators), r.options),
             None => (None, None),
         };
-        let matched = |world: &World| match journaled_options {
-            Some(options) => (
-                MatchResult {
-                    options,
-                    stats: Default::default(),
-                },
-                0.0,
-            ),
-            None => {
-                engine::match_options_in(&self.shared, &*self.matcher, world, &prospective, ctx)
-            }
-        };
-        // The ledger update and the journal append form one critical
-        // section: journal order = ledger order, which is what lets replay
-        // force the environmental accumulators — wall-clock
-        // `total_match_secs` and the oracle-cache-warmth-dependent
-        // `match_work` counters — record by record under concurrency.
-        let journal_submit = |ledger: &mut Ledger, result: &MatchResult, elapsed: f64| {
-            ledger.record_match(result, elapsed);
+        let result = {
+            let world = self.world_read()?;
+            let (result, elapsed) = match journaled_options {
+                Some(options) => (
+                    MatchResult {
+                        options,
+                        stats: Default::default(),
+                    },
+                    0.0,
+                ),
+                None => engine::match_options_in(
+                    &self.shared,
+                    &*self.matcher,
+                    &world,
+                    &prospective,
+                    ctx,
+                ),
+            };
+            // The ledger update and the journal append form one critical
+            // section: journal order = ledger order, which is what lets
+            // replay force the environmental accumulators — wall-clock
+            // `total_match_secs` and the oracle-cache-warmth-dependent
+            // `match_work` counters — record by record under concurrency.
+            let mut ledger = self.ledger_lock()?;
+            ledger.record_match(&result, elapsed);
             ledger.stats.offers_made += 1;
             if let Some((total, work)) = forced_accumulators {
                 ledger.stats.total_match_secs = total;
@@ -736,36 +727,7 @@ impl RideService {
                     ctx,
                 );
             }
-        };
-
-        let (result, hold) = if self.service_config.hold_offers {
-            // Hold mode runs on the write path: option 0 is tentatively
-            // committed while the offer is open.
-            let mut world = self.world_write()?;
-            let (result, elapsed) = matched(&world);
-            {
-                let mut ledger = self.ledger_lock()?;
-                journal_submit(&mut ledger, &result, elapsed);
-            }
-            let hold = result.options.first().and_then(|option| {
-                engine::commit_choice(
-                    &self.shared,
-                    &mut world,
-                    &request,
-                    &prospective,
-                    option,
-                    now,
-                )
-                .ok()
-                .map(|()| option.vehicle)
-            });
-            (result, hold)
-        } else {
-            let world = self.world_read()?;
-            let (result, elapsed) = matched(&world);
-            let mut ledger = self.ledger_lock()?;
-            journal_submit(&mut ledger, &result, elapsed);
-            (result, None)
+            result
         };
 
         let expires_at = now + self.service_config.offer_ttl_secs;
@@ -777,7 +739,6 @@ impl RideService {
                 .get_mut(&session_id)
                 .expect("a pending session cannot disappear while matching");
             session.offer(options.clone(), expires_at);
-            session.hold = hold;
             // Published under the sessions lock: the session only becomes
             // respondable/expirable once this lock drops, so no concurrent
             // respond/tick can publish the session's terminal event before
@@ -802,18 +763,15 @@ impl RideService {
     }
 
     /// Delivers the rider's decision for an open offer — the **write
-    /// path** (for a choice; a decline only touches the session table and
-    /// any capacity hold).
+    /// path** (for a choice; a decline only touches the session table).
     ///
     /// * `Decision::Choose(option)` commits the assignment under the world
     ///   write lock and confirms the session. If the vehicle can no longer
     ///   honour the option, the session **stays offered** (the rider may
     ///   pick another option or decline) and
     ///   [`ServiceError::Engine`]`(`[`EngineError::AssignmentFailed`]`)` is
-    ///   returned. With [`ServiceConfig::hold_offers`], choosing option 0
-    ///   consumes the hold placed at offer time and can never fail.
-    /// * `Decision::Decline` resolves the session as declined and releases
-    ///   its hold.
+    ///   returned.
+    /// * `Decision::Decline` resolves the session as declined.
     ///
     /// Illegal transitions are rejected: unknown sessions, double
     /// responses ([`ServiceError::AlreadyResolved`]) and responses after
@@ -854,33 +812,19 @@ impl RideService {
         if let Err(gate) = session.respond_gate(now) {
             if matches!(gate, ServiceError::OfferExpired(_)) {
                 // A late response expires the offer on the spot.
-                let hold = session.hold.take();
                 session.resolve(SessionState::Expired);
-                let journaled_choice = match decision {
+                let choice = match decision {
                     Decision::Choose(option) => Some(option.0),
                     Decision::Decline => None,
                 };
-                if let Some(vehicle) = hold {
-                    let mut world = self.world_write()?;
-                    release_hold(&self.shared, &mut world, vehicle, request_id);
-                    self.journal_op_in(
-                        &Op::Respond {
-                            session: session_id.0,
-                            choice: journaled_choice,
-                            now,
-                        },
-                        ctx,
-                    );
-                } else {
-                    self.journal_op_in(
-                        &Op::Respond {
-                            session: session_id.0,
-                            choice: journaled_choice,
-                            now,
-                        },
-                        ctx,
-                    );
-                }
+                self.journal_op_in(
+                    &Op::Respond {
+                        session: session_id.0,
+                        choice,
+                        now,
+                    },
+                    ctx,
+                );
                 self.ledger_lock()?.stats.offers_expired += 1;
                 self.events.publish_in(
                     EngineEvent::Expired {
@@ -896,32 +840,15 @@ impl RideService {
 
         match decision {
             Decision::Decline => {
-                let hold = session.hold.take();
                 session.resolve(SessionState::Declined);
-                if let Some(vehicle) = hold {
-                    // The journal append stays inside the world critical
-                    // section so a concurrent submit cannot match the freed
-                    // capacity yet journal ahead of this release.
-                    let mut world = self.world_write()?;
-                    release_hold(&self.shared, &mut world, vehicle, request_id);
-                    self.journal_op_in(
-                        &Op::Respond {
-                            session: session_id.0,
-                            choice: None,
-                            now,
-                        },
-                        ctx,
-                    );
-                } else {
-                    self.journal_op_in(
-                        &Op::Respond {
-                            session: session_id.0,
-                            choice: None,
-                            now,
-                        },
-                        ctx,
-                    );
-                }
+                self.journal_op_in(
+                    &Op::Respond {
+                        session: session_id.0,
+                        choice: None,
+                        now,
+                    },
+                    ctx,
+                );
                 self.ledger_lock()?.stats.offers_declined += 1;
                 self.events.publish_in(
                     EngineEvent::Declined {
@@ -938,59 +865,15 @@ impl RideService {
                     return Err(ServiceError::UnknownOption(session_id, option_id));
                 };
 
-                // Hold fast path: option 0 was already committed at offer
-                // time, so confirming it is pure bookkeeping — no world
-                // lock, and no way to fail.
-                if session.hold.is_some() && option_id.0 == 0 {
-                    debug_assert_eq!(session.hold, Some(option.vehicle));
-                    session.resolve(SessionState::Confirmed);
-                    self.journal_op_in(
-                        &Op::Respond {
-                            session: session_id.0,
-                            choice: Some(0),
-                            now,
-                        },
-                        ctx,
-                    );
-                    // Chaos site: the record is durable but the caller has
-                    // not seen the confirmation yet.
-                    fault::panic_point(fault::POST_APPEND);
-                    {
-                        let mut ledger = self.ledger_lock()?;
-                        ledger.stats.requests_chosen += 1;
-                        ledger.stats.offers_confirmed += 1;
-                    }
-                    self.events.publish_in(
-                        EngineEvent::Confirmed {
-                            session: session_id,
-                            request: request_id,
-                            vehicle: option.vehicle,
-                            price: option.price,
-                            pickup_secs: option.pickup_secs,
-                            at: now,
-                        },
-                        trace_id,
-                    );
-                    return Ok(Some(Confirmation {
-                        session: session_id,
-                        request: request_id,
-                        option,
-                    }));
-                }
-
                 let request = session.request;
                 let prospective = session
                     .prospective
                     .expect("an offered session holds its prospective");
-                let hold = session.hold.take();
                 // Single admission writer: the commit happens under the
                 // world write lock, serialised with every other commit.
                 // The journal append happens inside the same guard.
                 let committed = {
                     let mut world = self.world_write()?;
-                    if let Some(vehicle) = hold {
-                        release_hold(&self.shared, &mut world, vehicle, request_id);
-                    }
                     let committed = engine::commit_choice(
                         &self.shared,
                         &mut world,
@@ -999,22 +882,6 @@ impl RideService {
                         &option,
                         now,
                     );
-                    if committed.is_err() && hold.is_some() {
-                        // Best-effort: re-place the hold on option 0 so the
-                        // still-open offer keeps its guarantee.
-                        session.hold = session.options.first().cloned().and_then(|previous| {
-                            engine::commit_choice(
-                                &self.shared,
-                                &mut world,
-                                &request,
-                                &prospective,
-                                &previous,
-                                now,
-                            )
-                            .ok()
-                            .map(|()| previous.vehicle)
-                        });
-                    }
                     self.journal_op_in(
                         &Op::Respond {
                             session: session_id.0,
@@ -1073,9 +940,8 @@ impl RideService {
     }
 
     /// Advances the offer clock: every open offer whose deadline lies
-    /// strictly before `now` is expired, its holds are released, and an
-    /// [`EngineEvent::Expired`] event is published per session (in session
-    /// order). Returns how many offers expired. Also the automatic
+    /// strictly before `now` is expired and an [`EngineEvent::Expired`]
+    /// event is published per session (in session order). Returns how many offers expired. Also the automatic
     /// snapshot trigger when a journal with a snapshot cadence is attached.
     pub fn tick(&self, now: f64) -> usize {
         self.tick_in(now, None)
@@ -1089,27 +955,20 @@ impl RideService {
         let ctx = span.context();
         let trace_id = ctx.map_or(0, |c| c.trace_id);
         let _span = span;
-        let mut expired: Vec<(SessionId, ptrider_vehicles::RequestId)> = Vec::new();
-        let mut holds: Vec<(VehicleId, ptrider_vehicles::RequestId)> = Vec::new();
+        let mut expired: Vec<(SessionId, RequestId)> = Vec::new();
         {
             let mut store = self.sessions.lock().unwrap();
             for session in store.sessions.values_mut() {
                 if session.state == SessionState::Offered && now > session.expires_at {
-                    if let Some(vehicle) = session.hold.take() {
-                        holds.push((vehicle, session.request.id));
-                    }
                     session.resolve(SessionState::Expired);
                     expired.push((session.id, session.request.id));
                 }
             }
             if !expired.is_empty() {
-                // World guard + journal append even when no holds exist:
-                // the guard orders the Tick record against concurrent
-                // submits' appends, so replay sees the same interleaving.
-                let mut world = self.world_write_panicky();
-                for (vehicle, request) in &holds {
-                    release_hold(&self.shared, &mut world, *vehicle, *request);
-                }
+                // The world write guard orders the Tick record against
+                // concurrent submits' appends, so replay sees the same
+                // interleaving.
+                let _world = self.world_write_panicky();
                 self.journal_op_in(&Op::Tick { now }, ctx);
             }
         }
@@ -1971,24 +1830,6 @@ impl RideService {
     }
 }
 
-/// Unassigns a tentatively committed request (an offer hold) from its
-/// vehicle and refreshes the vehicle index. Call under the world write
-/// lock.
-fn release_hold(
-    shared: &EngineShared,
-    world: &mut World,
-    vehicle_id: VehicleId,
-    request: RequestId,
-) {
-    let released = world
-        .vehicles
-        .get_mut(&vehicle_id)
-        .is_some_and(|vehicle| vehicle.unassign(&shared.oracle, request));
-    if released {
-        world.reindex(shared, vehicle_id);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The snapshot codec
 // ---------------------------------------------------------------------
@@ -2143,7 +1984,8 @@ fn encode_session(e: &mut Enc, s: &Session) {
     for option in &s.options {
         encode_option(e, option);
     }
-    e.opt_u32(s.hold.map(|v| v.0));
+    // The slot that held an offer's capacity-hold vehicle; always empty.
+    e.opt_u32(None);
 }
 
 fn decode_node(d: &mut Dec<'_>) -> Result<KineticNode, JournalError> {
@@ -2311,7 +2153,14 @@ fn decode_session(d: &mut Dec<'_>) -> Result<Session, JournalError> {
     for _ in 0..num_options {
         options.push(decode_option(d)?);
     }
-    let hold = d.opt_u32()?.map(VehicleId);
+    // Offer holds (option 0 committed at offer time) are gone; a session
+    // written with one would recover into a world that still carries the
+    // held assignment, so it is refused rather than dropped.
+    if d.opt_u32()?.is_some() {
+        return Err(JournalError::Corrupt(
+            "snapshot carries an offer hold; offer holds are no longer supported",
+        ));
+    }
     Ok(Session {
         id,
         request,
@@ -2319,7 +2168,6 @@ fn decode_session(d: &mut Dec<'_>) -> Result<Session, JournalError> {
         expires_at,
         prospective,
         options,
-        hold,
     })
 }
 
@@ -2660,47 +2508,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn hold_offers_reserve_capacity_and_confirm_without_failure() {
-        let svc = service(60.0).with_service_config(
-            ServiceConfig::default()
-                .with_offer_ttl_secs(60.0)
-                .with_hold_offers(true),
-        );
-        let taxi = svc.add_vehicle(VertexId(0));
-
-        // The hold commits option 0 at offer time: the vehicle is busy
-        // while the offer is open.
-        let offer = svc.submit(VertexId(6), VertexId(8), 1, 0.0).unwrap();
-        assert!(!offer.options.is_empty());
-        assert!(svc.with_vehicle(taxi, |v| !v.is_empty()).unwrap());
-
-        // Confirming option 0 consumes the hold — pure bookkeeping.
-        let confirmation = svc
-            .respond(offer.session, Decision::Choose(OptionId(0)), 1.0)
-            .unwrap()
-            .expect("the held option confirms");
-        assert_eq!(confirmation.option.vehicle, taxi);
-        assert!(svc.with_vehicle(taxi, |v| !v.is_empty()).unwrap());
-        assert_eq!(svc.stats().assignments_failed, 0);
-
-        // Decline releases the hold.
-        let second = svc.submit(VertexId(12), VertexId(14), 1, 2.0).unwrap();
-        assert!(svc.with_vehicle(taxi, |v| v.num_requests() == 2).unwrap());
-        svc.respond(second.session, Decision::Decline, 3.0).unwrap();
-        assert!(svc.with_vehicle(taxi, |v| v.num_requests() == 1).unwrap());
-
-        // Expiry releases the hold too.
-        let third = svc.submit(VertexId(12), VertexId(14), 1, 4.0).unwrap();
-        assert!(svc.with_vehicle(taxi, |v| v.num_requests() == 2).unwrap());
-        assert_eq!(svc.tick(100.0), 1);
-        assert_eq!(
-            svc.session_state(third.session),
-            Some(SessionState::Expired)
-        );
-        assert!(svc.with_vehicle(taxi, |v| v.num_requests() == 1).unwrap());
-    }
-
-    #[test]
     fn journaled_service_recovers_bit_identically() {
         let dir = temp_dir("recover-smoke");
         let journal = Journal::create(&dir, JournalConfig::default()).unwrap();
@@ -2813,83 +2620,128 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replay_rebuilds_the_index_the_live_service_maintained() {
-        for hold in [false, true] {
-            let dir = temp_dir(&format!("index-{hold}"));
-            let journal =
-                Journal::create(&dir, JournalConfig::default().with_snapshot_every_ops(0)).unwrap();
-            let config = ServiceConfig::default()
-                .with_offer_ttl_secs(0.5)
-                .with_hold_offers(hold);
-            let engine = || {
-                PtRider::new(
-                    city(),
-                    GridConfig::with_dimensions(3, 3),
-                    EngineConfig::default(),
-                )
-            };
-            let svc = RideService::from_engine(engine())
-                .with_service_config(config)
-                .with_journal(journal);
-            for v in [0, 4, 12, 20, 24] {
-                svc.add_vehicle(VertexId(v));
-            }
-            let mut busy_at_a_move = 0;
-            for i in 0..60u32 {
-                let now = f64::from(i);
-                if i == 30 {
-                    svc.snapshot().expect("snapshot written");
-                }
-                let origin = (i * 7) % 25;
-                let destination = (origin + 1 + (i * 11) % 24) % 25;
-                let offer = svc
-                    .submit(VertexId(origin), VertexId(destination), 1, now)
-                    .unwrap();
-                // Choose, decline or walk away; the tick expires the rest
-                // before the fleet moves.
-                if i % 4 < 2 && !offer.options.is_empty() {
-                    let last = OptionId(offer.options.len() as u32 - 1);
-                    let _ = svc.respond(offer.session, Decision::Choose(last), now);
-                } else if i % 4 == 2 {
-                    svc.respond(offer.session, Decision::Decline, now).unwrap();
-                }
-                svc.tick(now + 0.75);
-                busy_at_a_move += svc.with_vehicles(|it| it.filter(|v| !v.is_empty()).count());
-                step_fleet(&svc);
-            }
-            assert!(busy_at_a_move > 60, "the fleet carried riders");
-
-            let copy = temp_dir(&format!("index-{hold}-copy"));
-            std::fs::create_dir_all(&copy).unwrap();
-            for entry in std::fs::read_dir(&dir).unwrap() {
-                let entry = entry.unwrap();
-                std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
-            }
-            let recovered =
-                RideService::recover(engine(), config, &copy, JournalConfig::default()).unwrap();
-            assert_eq!(recovered.fingerprint(), svc.fingerprint());
-            // The per-cell lists are the whole registration (a vehicle's
-            // cell and its empty flag follow from them).
-            let registrations = |svc: &RideService| {
-                let world = svc.world_read_tolerant();
-                let index = &world.index;
-                assert_eq!(index.num_vehicles(), 5);
-                (0..index.num_cells())
-                    .map(|cell| {
-                        let empty: Vec<VehicleId> = index.empty_in_cell(cell).collect();
-                        let busy: Vec<VehicleId> = index.non_empty_in_cell(cell).collect();
-                        (empty, busy)
-                    })
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                registrations(&recovered),
-                registrations(&svc),
-                "holds {hold}"
+    fn a_snapshot_carrying_an_offer_hold_is_refused() {
+        let svc = service(60.0);
+        svc.add_vehicle(VertexId(0));
+        svc.submit(VertexId(6), VertexId(8), 1, 0.0).unwrap();
+        // The payload `snapshot` writes for a free-flow world: the traffic
+        // prelude (epoch 0, no factors), then the state.
+        let mut payload = Enc::new();
+        payload.u64(0);
+        payload.u32(0);
+        let mut payload = payload.finish();
+        payload.extend_from_slice(&encode_snapshot(
+            &svc.world_read_tolerant(),
+            &svc.ledger.lock().unwrap(),
+            &svc.sessions_tolerant(),
+            &svc.events,
+        ));
+        let recover = |tag: &str, payload: &[u8]| {
+            let dir = temp_dir(tag);
+            Journal::create(&dir, JournalConfig::default())
+                .unwrap()
+                .write_snapshot(0, payload)
+                .unwrap();
+            let engine = PtRider::new(
+                city(),
+                GridConfig::with_dimensions(3, 3),
+                EngineConfig::default(),
             );
-            drop((svc, recovered));
+            let recovered = RideService::recover(
+                engine,
+                ServiceConfig::default(),
+                &dir,
+                JournalConfig::default(),
+            );
             let _ = std::fs::remove_dir_all(&dir);
-            let _ = std::fs::remove_dir_all(&copy);
+            recovered
+        };
+        assert_eq!(
+            recover("hold-none", &payload).unwrap().fingerprint(),
+            svc.fingerprint()
+        );
+        // The open session is the last one; only the two event counters
+        // follow its hold slot. Fill the slot with vehicle 0.
+        let slot = payload.len() - 17;
+        assert_eq!(payload[slot], 0, "an empty hold slot");
+        payload.splice(slot..=slot, [1, 0, 0, 0, 0]);
+        match recover("hold-some", &payload) {
+            Err(JournalError::Corrupt(reason)) => assert!(reason.contains("offer hold")),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a held offer must not recover"),
         }
+    }
+
+    #[test]
+    fn replay_rebuilds_the_index_the_live_service_maintained() {
+        let dir = temp_dir("index");
+        let journal =
+            Journal::create(&dir, JournalConfig::default().with_snapshot_every_ops(0)).unwrap();
+        let config = ServiceConfig::default().with_offer_ttl_secs(0.5);
+        let engine = || {
+            PtRider::new(
+                city(),
+                GridConfig::with_dimensions(3, 3),
+                EngineConfig::default(),
+            )
+        };
+        let svc = RideService::from_engine(engine())
+            .with_service_config(config)
+            .with_journal(journal);
+        for v in [0, 4, 12, 20, 24] {
+            svc.add_vehicle(VertexId(v));
+        }
+        let mut busy_at_a_move = 0;
+        for i in 0..60u32 {
+            let now = f64::from(i);
+            if i == 30 {
+                svc.snapshot().expect("snapshot written");
+            }
+            let origin = (i * 7) % 25;
+            let destination = (origin + 1 + (i * 11) % 24) % 25;
+            let offer = svc
+                .submit(VertexId(origin), VertexId(destination), 1, now)
+                .unwrap();
+            // Choose, decline or walk away; the tick expires the rest
+            // before the fleet moves.
+            if i % 4 < 2 && !offer.options.is_empty() {
+                let last = OptionId(offer.options.len() as u32 - 1);
+                let _ = svc.respond(offer.session, Decision::Choose(last), now);
+            } else if i % 4 == 2 {
+                svc.respond(offer.session, Decision::Decline, now).unwrap();
+            }
+            svc.tick(now + 0.75);
+            busy_at_a_move += svc.with_vehicles(|it| it.filter(|v| !v.is_empty()).count());
+            step_fleet(&svc);
+        }
+        assert!(busy_at_a_move > 60, "the fleet carried riders");
+
+        let copy = temp_dir("index-copy");
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        let recovered =
+            RideService::recover(engine(), config, &copy, JournalConfig::default()).unwrap();
+        assert_eq!(recovered.fingerprint(), svc.fingerprint());
+        // The per-cell lists are the whole registration (a vehicle's
+        // cell and its empty flag follow from them).
+        let registrations = |svc: &RideService| {
+            let world = svc.world_read_tolerant();
+            let index = &world.index;
+            assert_eq!(index.num_vehicles(), 5);
+            (0..index.num_cells())
+                .map(|cell| {
+                    let empty: Vec<VehicleId> = index.empty_in_cell(cell).collect();
+                    let busy: Vec<VehicleId> = index.non_empty_in_cell(cell).collect();
+                    (empty, busy)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(registrations(&recovered), registrations(&svc));
+        drop((svc, recovered));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&copy);
     }
 }

@@ -26,7 +26,7 @@
 use crate::engine::EngineError;
 use crate::options::RideOption;
 use crate::request::Request;
-use ptrider_vehicles::{ProspectiveRequest, RequestId, VehicleId};
+use ptrider_vehicles::{ProspectiveRequest, RequestId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -206,11 +206,6 @@ pub(crate) struct Session {
     /// is released when the session resolves.
     pub(crate) prospective: Option<ProspectiveRequest>,
     pub(crate) options: Vec<RideOption>,
-    /// Vehicle tentatively holding capacity for this offer (only with
-    /// `ServiceConfig::hold_offers`): option 0 is committed at offer time so
-    /// a later confirm can never fail, and the hold is released on decline,
-    /// expiry, or switching to another option.
-    pub(crate) hold: Option<VehicleId>,
 }
 
 impl Session {
@@ -227,7 +222,6 @@ impl Session {
             expires_at: f64::INFINITY,
             prospective: Some(prospective),
             options: Vec::new(),
-            hold: None,
         }
     }
 
@@ -259,7 +253,6 @@ impl Session {
         self.prospective = None;
         self.options = Vec::new();
         self.options.shrink_to_fit();
-        self.hold = None;
     }
 }
 
@@ -313,7 +306,7 @@ mod tests {
         ] {
             let mut s = offered(20.0);
             s.resolve(terminal);
-            assert!(s.prospective.is_none(), "resolution must release the hold");
+            assert!(s.prospective.is_none(), "resolution drops the prospective");
             assert!(s.options.is_empty());
             assert_eq!(
                 s.respond_gate(10.0),

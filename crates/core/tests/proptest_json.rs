@@ -6,6 +6,8 @@
 //! * Seeded mutations of valid documents (byte flips, insertions,
 //!   deletions, truncations) parse to `Ok` or `Err`, never a panic; every
 //!   strict prefix of a document is an `Err`.
+//! * Input RFC 8259 rejects is an `Err`: numbers off its grammar, `\u`
+//!   escapes without four hex digits, raw control characters in strings.
 
 use proptest::prelude::*;
 use ptrider_core::json::{self, Json};
@@ -79,6 +81,25 @@ fn render(v: &Json) -> String {
     json::object(|o| {
         o.field("v", v);
     })
+}
+
+#[test]
+fn the_parser_takes_rfc_8259_json_only() {
+    for bad in [
+        "01",
+        "+1",
+        "1.",
+        ".5",
+        "-",
+        "1e",
+        "\"\\u+041\"",
+        "\"a\u{1}b\"",
+    ] {
+        assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+    }
+    for (good, n) in [("0", 0.0), ("-0.5", -0.5), ("1e-7", 1e-7), ("2E+3", 2e3)] {
+        assert_eq!(Json::parse(good), Ok(Json::Num(n)), "{good:?}");
+    }
 }
 
 proptest! {

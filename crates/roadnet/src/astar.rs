@@ -22,17 +22,6 @@ use crate::landmarks::LandmarkIndex;
 use crate::scratch::with_scratch;
 use crate::types::VertexId;
 
-/// Point-to-point shortest-path distance using A* with the Euclidean
-/// heuristic.
-///
-/// Produces exactly the same result as [`crate::dijkstra::distance`]; it is
-/// usually faster on spatial networks because the heuristic directs the
-/// search toward the target.
-pub fn distance(net: &RoadNetwork, source: VertexId, target: VertexId) -> Option<f64> {
-    let ratio = net.min_weight_ratio();
-    distance_with_heuristic(net, source, target, |v| net.euclidean(v, target) * ratio)
-}
-
 /// A* distance with the tightest available heuristic:
 /// `max(euclidean, grid cell bound, ALT landmark bound)`.
 ///
@@ -70,7 +59,7 @@ pub fn distance_with_landmarks(
 }
 
 /// A* core over an arbitrary admissible heuristic `h(v) ≤ dist(v, target)`.
-pub fn distance_with_heuristic(
+fn distance_with_heuristic(
     net: &RoadNetwork,
     source: VertexId,
     target: VertexId,
@@ -144,7 +133,7 @@ mod tests {
         for _ in 0..50 {
             let s = VertexId(rng.gen_range(0..net.num_vertices() as u32));
             let t = VertexId(rng.gen_range(0..net.num_vertices() as u32));
-            let a = distance(&net, s, t);
+            let a = distance_with_landmarks(&net, s, t, None, None);
             let d = dijkstra::distance(&net, s, t);
             match (a, d) {
                 (Some(a), Some(d)) => assert!((a - d).abs() < 1e-6, "A*={a} dijkstra={d}"),
@@ -197,6 +186,9 @@ mod tests {
     #[test]
     fn astar_identity() {
         let net = grid_network(3);
-        assert_eq!(distance(&net, VertexId(4), VertexId(4)), Some(0.0));
+        assert_eq!(
+            distance_with_landmarks(&net, VertexId(4), VertexId(4), None, None),
+            Some(0.0)
+        );
     }
 }

@@ -282,84 +282,6 @@ pub fn multi_source(net: &RoadNetwork, sources: impl IntoIterator<Item = VertexI
     dist
 }
 
-/// Bidirectional Dijkstra for point-to-point distance queries.
-///
-/// On an undirected network this typically settles far fewer vertices than
-/// unidirectional search; it assumes every directed edge has a reverse edge
-/// with the same weight (true for all networks produced by
-/// `RoadNetworkBuilder::add_bidirectional_edge` and by the workload
-/// generators). Returns `None` when unreachable.
-pub fn bidirectional_distance(
-    net: &RoadNetwork,
-    source: VertexId,
-    target: VertexId,
-) -> Option<f64> {
-    if source == target {
-        return Some(0.0);
-    }
-    let n = net.num_vertices();
-    let mut dist_f = vec![INFINITE_DISTANCE; n];
-    let mut dist_b = vec![INFINITE_DISTANCE; n];
-    let mut frontier_f = Frontier::default();
-    let mut frontier_b = Frontier::default();
-    dist_f[source.index()] = 0.0;
-    dist_b[target.index()] = 0.0;
-    frontier_f.push(0.0, source);
-    frontier_b.push(0.0, target);
-    let mut best = INFINITE_DISTANCE;
-
-    loop {
-        let top_f = frontier_f.peek().map(|(d, _)| d);
-        let top_b = frontier_b.peek().map(|(d, _)| d);
-        if let (None, None) = (top_f, top_b) {
-            break;
-        }
-        let tf = top_f.unwrap_or(INFINITE_DISTANCE);
-        let tb = top_b.unwrap_or(INFINITE_DISTANCE);
-        if tf + tb >= best {
-            break;
-        }
-        // Expand the side with the smaller frontier distance.
-        if tf <= tb {
-            if let Some((d, u)) = frontier_f.pop() {
-                if d > dist_f[u.index()] {
-                    continue;
-                }
-                for (v, w) in net.neighbors(u) {
-                    let nd = d + w;
-                    if nd < dist_f[v.index()] {
-                        dist_f[v.index()] = nd;
-                        frontier_f.push(nd, v);
-                    }
-                    if dist_b[v.index()].is_finite() {
-                        best = best.min(nd + dist_b[v.index()]);
-                    }
-                }
-            }
-        } else if let Some((d, u)) = frontier_b.pop() {
-            if d > dist_b[u.index()] {
-                continue;
-            }
-            for (v, w) in net.neighbors(u) {
-                let nd = d + w;
-                if nd < dist_b[v.index()] {
-                    dist_b[v.index()] = nd;
-                    frontier_b.push(nd, v);
-                }
-                if dist_f[v.index()].is_finite() {
-                    best = best.min(nd + dist_f[v.index()]);
-                }
-            }
-        }
-    }
-
-    if best.is_finite() {
-        Some(best)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,7 +333,6 @@ mod tests {
         b.add_directed_edge(v0, v2, 1.0);
         let net = b.build().unwrap();
         assert_eq!(distance(&net, VertexId(0), VertexId(1)), None);
-        assert_eq!(bidirectional_distance(&net, VertexId(0), VertexId(1)), None);
         assert_eq!(shortest_path(&net, VertexId(0), VertexId(1)), None);
     }
 
@@ -487,18 +408,6 @@ mod tests {
         let plain = multi_target(&net, VertexId(3), &[VertexId(0), VertexId(1)]);
         for (c, p) in canonical.iter().zip(&plain) {
             assert!((c - p).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn bidirectional_matches_unidirectional() {
-        let net = shortcut_net();
-        for s in 0..3u32 {
-            for t in 0..3u32 {
-                let a = distance(&net, VertexId(s), VertexId(t));
-                let b = bidirectional_distance(&net, VertexId(s), VertexId(t));
-                assert_eq!(a, b, "mismatch for {s}->{t}");
-            }
         }
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! * the **border vertex list** — endpoints of edges that cross cell
 //!   boundaries;
-//! * the **vertex list** — member vertices, each with its shortest-path
-//!   distance to every border vertex of the cell and the minimum of those
-//!   distances (`v.min`);
+//! * the **vertex list** — member vertices, each with the shortest-path
+//!   distance to the nearest border vertex of the cell (`v.min`; the
+//!   paper's per-border-vertex distance tables are not kept, since no
+//!   bound reads them);
 //! * the **grid cell list** — every other cell sorted in ascending order of
 //!   the lower-bound distance (equivalently travel time, speed being
 //!   constant);
@@ -37,28 +38,13 @@ pub struct GridConfig {
     pub nx: usize,
     /// Number of rows.
     pub ny: usize,
-    /// Whether to compute, for every vertex, the full table of distances to
-    /// each border vertex of its cell. `v.min` is always computed; the full
-    /// table is only needed by diagnostics and some tighter bounds, so large
-    /// benchmarks may disable it.
-    pub compute_border_tables: bool,
 }
 
 impl GridConfig {
     /// Grid with the given number of columns and rows.
     pub fn with_dimensions(nx: usize, ny: usize) -> Self {
         assert!(nx > 0 && ny > 0, "grid dimensions must be positive");
-        GridConfig {
-            nx,
-            ny,
-            compute_border_tables: true,
-        }
-    }
-
-    /// Disables the per-vertex border-distance tables.
-    pub fn without_border_tables(mut self) -> Self {
-        self.compute_border_tables = false;
-        self
+        GridConfig { nx, ny }
     }
 }
 
@@ -91,8 +77,6 @@ pub struct GridIndex {
     /// `v.min`: distance from each vertex to the nearest border vertex of its
     /// own cell. Infinite when the cell has no border vertices.
     vertex_min: Vec<f64>,
-    /// Optional per-vertex `{(border vertex, dist)}` table for its own cell.
-    border_tables: Option<Vec<Vec<(VertexId, f64)>>>,
     /// Row-major `ncells x ncells` matrix of lower-bound distances between
     /// cells (minimum border-vertex-pair distance). Diagonal is 0.
     lb_matrix: Vec<f64>,
@@ -174,22 +158,6 @@ impl GridIndex {
             }
         }
 
-        // Optional full per-vertex border tables.
-        let border_tables = if config.compute_border_tables {
-            let mut tables: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); net.num_vertices()];
-            for cell in &cells {
-                for &b in &cell.border_vertices {
-                    let ds = dijkstra::multi_target(net, b, &cell.vertices);
-                    for (&v, &d) in cell.vertices.iter().zip(ds.iter()) {
-                        tables[v.index()].push((b, d));
-                    }
-                }
-            }
-            Some(tables)
-        } else {
-            None
-        };
-
         // Per-cell neighbour list sorted by lower bound (self first at 0).
         let mut sorted_cells = Vec::with_capacity(ncells);
         for ci in 0..ncells {
@@ -209,7 +177,6 @@ impl GridIndex {
             cell_of_vertex,
             cells,
             vertex_min,
-            border_tables,
             lb_matrix,
             sorted_cells,
         }
@@ -255,12 +222,6 @@ impl GridIndex {
     #[inline]
     pub fn vertex_min(&self, v: VertexId) -> f64 {
         self.vertex_min[v.index()]
-    }
-
-    /// Distance table from `v` to each border vertex of its own cell, if the
-    /// index was built with border tables.
-    pub fn border_table(&self, v: VertexId) -> Option<&[(VertexId, f64)]> {
-        self.border_tables.as_ref().map(|t| t[v.index()].as_slice())
     }
 
     /// Lower bound on the distance between any vertex of `from` and any
@@ -355,11 +316,6 @@ impl GridIndex {
         }
         for row in &self.sorted_cells {
             bytes += row.len() * 16;
-        }
-        if let Some(tables) = &self.border_tables {
-            for t in tables {
-                bytes += t.len() * 12;
-            }
         }
         bytes
     }
@@ -479,34 +435,18 @@ mod tests {
     }
 
     #[test]
-    fn border_tables_match_exact_distances() {
+    fn vertex_min_is_the_distance_from_the_nearest_border_vertex() {
         let net = lattice(6, 500.0);
         let grid = GridIndex::build(&net, GridConfig::with_dimensions(3, 3));
         for v in net.vertices() {
-            let table = grid.border_table(v).unwrap();
-            let mut min = INFINITE_DISTANCE;
-            for &(b, d) in table {
-                let exact = crate::dijkstra::distance(&net, v, b).unwrap();
-                assert!((d - exact).abs() < 1e-9);
-                min = min.min(d);
-            }
-            if !table.is_empty() {
-                assert!((grid.vertex_min(v) - min).abs() < 1e-9);
-            }
+            let border = &grid.cell(grid.cell_of(v)).border_vertices;
+            assert!(!border.is_empty(), "every lattice cell has a border");
+            let nearest = border
+                .iter()
+                .map(|&b| crate::dijkstra::distance(&net, b, v).unwrap())
+                .fold(INFINITE_DISTANCE, f64::min);
+            assert!((grid.vertex_min(v) - nearest).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn without_border_tables_skips_tables_but_keeps_vmin() {
-        let net = lattice(6, 500.0);
-        let grid = GridIndex::build(
-            &net,
-            GridConfig::with_dimensions(3, 3).without_border_tables(),
-        );
-        assert!(grid.border_table(VertexId(0)).is_none());
-        // v.min still finite for cells that have border vertices.
-        let any_finite = net.vertices().any(|v| grid.vertex_min(v).is_finite());
-        assert!(any_finite);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use ptrider_datagen::{synthetic_city, CityConfig};
 use ptrider_roadnet::{
-    astar, dijkstra, DistanceOracle, GridConfig, GridIndex, LandmarkIndex, RoadNetwork,
+    dijkstra, DistanceOracle, GridConfig, GridIndex, LandmarkIndex, RoadNetwork,
     RoadNetworkBuilder, VertexId,
 };
 use rand::{Rng, SeedableRng};
@@ -85,10 +85,6 @@ proptest! {
             let u = VertexId(rng.gen_range(0..net.num_vertices() as u32));
             let v = VertexId(rng.gen_range(0..net.num_vertices() as u32));
             let d = dijkstra::distance(&net, u, v).unwrap();
-            let bi = dijkstra::bidirectional_distance(&net, u, v).unwrap();
-            let a = astar::distance(&net, u, v).unwrap();
-            prop_assert!((d - bi).abs() < 1e-6, "dijkstra {d} vs bidirectional {bi}");
-            prop_assert!((d - a).abs() < 1e-6, "dijkstra {d} vs A* {a}");
             // The reconstructed path has exactly the reported length.
             let (pd, path) = dijkstra::shortest_path(&net, u, v).unwrap();
             prop_assert!((pd - d).abs() < 1e-9);

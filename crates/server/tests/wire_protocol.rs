@@ -210,6 +210,15 @@ fn malformed_requests_get_4xx_and_the_server_survives() -> io::Result<()> {
     let r = client.request("POST", "/rides", Some("{not json"))?;
     assert_eq!(r.status, 400);
     assert!(r.body.contains("bad JSON"), "{}", r.body);
+    // A leading zero is off RFC 8259's number grammar.
+    let mut client = Client::connect(addr, READ_TIMEOUT)?;
+    let r = client.request(
+        "POST",
+        "/rides",
+        Some(r#"{"origin":1,"destination":2,"riders":01,"now":0.0}"#),
+    )?;
+    assert_eq!(r.status, 400);
+    assert!(r.body.contains("bad JSON"), "{}", r.body);
 
     // An oversized *actual* body (content-length honest) still 413s.
     let mut client = Client::connect(addr, READ_TIMEOUT)?;

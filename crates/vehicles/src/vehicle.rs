@@ -311,44 +311,6 @@ impl Vehicle {
         Some(kept)
     }
 
-    /// Removes an assigned request that has not been picked up, releasing a
-    /// tentative capacity hold (a declined or expired offer). Every schedule
-    /// keeps serving the remaining requests: the request's stops are
-    /// stripped from each branch and the tree is rebuilt from the stripped
-    /// branches — which stay valid, since removing stops only shortens the
-    /// distance prefix every constraint is checked against. Returns `false`
-    /// when the vehicle does not hold the request.
-    ///
-    /// Must not be called for a request whose riders are already on board
-    /// (the service layer only holds/releases `Waiting` requests).
-    pub fn unassign<D: Distances>(&mut self, dist: &D, id: RequestId) -> bool {
-        let Some(removed) = self.requests.remove(&id) else {
-            return false;
-        };
-        debug_assert!(removed.is_waiting(), "cannot unassign an on-board request");
-        if self.requests.is_empty() {
-            self.tree = KineticTree::new();
-            return true;
-        }
-        let branches: Vec<Vec<Stop>> = self
-            .tree
-            .branches()
-            .into_iter()
-            .map(|b| b.into_iter().filter(|s| s.request != id).collect())
-            .collect();
-        let prefetched = self.prefetch(dist, &[]);
-        let ctx = ScheduleContext {
-            start: self.location,
-            odometer: self.odometer,
-            capacity: self.capacity,
-            initial_occupancy: self.onboard_riders(),
-            requests: &self.requests,
-            dist: &prefetched,
-        };
-        self.tree.commit_insertion(&ctx, branches);
-        true
-    }
-
     /// Moves the vehicle to a new location after driving `travelled` metres.
     ///
     /// Updates the odometer, the on-board distance of every riding request
@@ -666,29 +628,6 @@ mod tests {
         tree.sort_unstable();
         assert_eq!(direct, tree);
         assert!(!direct.contains(&VertexId(2)), "served pickup is gone");
-    }
-
-    #[test]
-    fn unassign_releases_a_waiting_request() {
-        let dist = line_dist();
-        let mut v = Vehicle::new(VehicleId(1), 4, VertexId(0));
-        v.assign(&dist, &request(1, 2, 8, 1, 0.5), 200.0, 1000.0, 4.0, 0.0)
-            .unwrap();
-        let baseline = v.current_best_distance();
-        v.assign(&dist, &request(2, 4, 6, 1, 0.5), 400.0, 1000.0, 2.0, 1.0)
-            .unwrap();
-        assert!(v.unassign(&dist, RequestId(2)));
-        assert_eq!(v.num_requests(), 1);
-        assert_eq!(v.current_best_distance(), baseline);
-        assert!(v
-            .all_schedules()
-            .iter()
-            .all(|b| b.iter().all(|s| s.request != RequestId(2))));
-        // Unassigning the last request empties the vehicle entirely.
-        assert!(v.unassign(&dist, RequestId(1)));
-        assert!(v.is_empty());
-        assert!(v.kinetic_tree().is_empty());
-        assert!(!v.unassign(&dist, RequestId(1)), "already removed");
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //!   service (a fresh submit/confirm round-trip) stand in for the missing
 //!   observation.
 //!
-//! Covered with capacity holds on and off and frequent automatic
-//! snapshots so the snapshot + tail path is exercised, not just
-//! from-genesis replay. The scripts include bursts
+//! Covered with frequent automatic snapshots so the snapshot + tail path
+//! is exercised, not just from-genesis replay. The scripts include bursts
 //! (`submit_batch_greedy`), which commit each choice before matching the
 //! next request; a deterministic case kills a burst between two of its
 //! commits.
@@ -278,19 +277,17 @@ fn recover_once(
     .expect("recovery succeeds")
 }
 
-fn service_config(hold_offers: bool) -> ServiceConfig {
-    ServiceConfig::default()
-        .with_offer_ttl_secs(8.0)
-        .with_hold_offers(hold_offers)
+fn service_config() -> ServiceConfig {
+    ServiceConfig::default().with_offer_ttl_secs(8.0)
 }
 
 /// Runs `ops` fault-free and returns the plan that counted its hits of
 /// every panic site ([`fault::FaultPlan::hits`]). The chaos run is
 /// byte-identical to this one up to its scheduled panic, so it reaches
 /// the same hits.
-fn count_hits(ops: &[ScriptOp], hold_offers: bool) -> Arc<fault::FaultPlan> {
+fn count_hits(ops: &[ScriptOp]) -> Arc<fault::FaultPlan> {
     let dir = temp_dir();
-    let svc = build_service(EngineConfig::default(), service_config(hold_offers), &dir);
+    let svc = build_service(EngineConfig::default(), service_config(), &dir);
     for at in VEHICLES {
         svc.add_vehicle(VertexId(at));
     }
@@ -321,10 +318,9 @@ fn run_case(
     ops: &[ScriptOp],
     site: &'static str,
     panic_at: u64,
-    hold_offers: bool,
 ) -> Result<CaseOutcome, TestCaseError> {
     let engine_config = EngineConfig::default();
-    let service_config = service_config(hold_offers);
+    let service_config = service_config();
     let dir = temp_dir();
 
     // Chaos run, recording its own reference trail: every fingerprint is
@@ -365,10 +361,9 @@ fn run_case(
     prop_assert_eq!(
         recovered.fingerprint(),
         again.fingerprint(),
-        "replay is deterministic ({} hit {}, holds {})",
+        "replay is deterministic ({} hit {})",
         site,
-        panic_at,
-        hold_offers
+        panic_at
     );
 
     let on_trail = fingerprints.contains_key(&seq);
@@ -378,11 +373,10 @@ fn run_case(
         Some(expected) => prop_assert_eq!(
             recovered.fingerprint(),
             expected,
-            "recovery diverged at seq {} ({} hit {}, holds {})",
+            "recovery diverged at seq {} ({} hit {})",
             seq,
             site,
-            panic_at,
-            hold_offers
+            panic_at
         ),
         // The op was journaled and *then* killed: its post-state was never
         // observed live, so the journal is exactly one record past the
@@ -398,7 +392,7 @@ fn run_case(
     }
 
     // Whatever it recovered to, the service keeps serving and journaling.
-    // (A decline is legal even when saturated holds leave the skyline
+    // (A decline is legal even when a saturated fleet leaves the skyline
     // empty, so it probes liveness without assuming spare capacity.)
     let offer = recovered
         .submit(VertexId(0), VertexId(24), 1, 1e6)
@@ -431,9 +425,8 @@ proptest! {
         pick in 0u64..1_000_000,
     ) {
         let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
-        let hold_offers = seed % 2 == 0;
         let ops = script(seed, 28);
-        let counted = count_hits(&ops, hold_offers);
+        let counted = count_hits(&ops);
         // Only sites the script reaches can kill it.
         let reached: Vec<&'static str> = fault::PANIC_SITES
             .iter()
@@ -443,7 +436,7 @@ proptest! {
         if let Some(&site) = reached.get(site_index % reached.len().max(1)) {
             let hits = counted.hits(site);
             let panic_at = pick % hits;
-            let outcome = run_case(&ops, site, panic_at, hold_offers)?;
+            let outcome = run_case(&ops, site, panic_at)?;
             prop_assert!(
                 outcome.died_at.is_some(),
                 "{} hit {} of {} never fired (seed {})",
@@ -486,22 +479,19 @@ fn a_burst_killed_mid_commit_recovers_to_the_pre_burst_state() -> Result<(), Tes
             at: 4.0,
         },
     ];
-    for hold_offers in [false, true] {
-        let before_burst = count_hits(&ops[..2], hold_offers).hits(fault::MID_COMMIT);
-        let through_burst = count_hits(&ops[..3], hold_offers).hits(fault::MID_COMMIT);
-        prop_assert!(
-            through_burst >= before_burst + 2,
-            "the burst commits at least twice (holds {})",
-            hold_offers
-        );
-        let outcome = run_case(&ops, fault::MID_COMMIT, before_burst + 1, hold_offers)?;
-        prop_assert_eq!(outcome.died_at, Some(2), "the burst dies");
-        prop_assert!(outcome.on_trail, "recovery lands on a recorded state");
-        prop_assert_eq!(
-            outcome.recovered_seq,
-            outcome.last_observed_seq,
-            "recovery lands on the pre-burst state"
-        );
-    }
+    let before_burst = count_hits(&ops[..2]).hits(fault::MID_COMMIT);
+    let through_burst = count_hits(&ops[..3]).hits(fault::MID_COMMIT);
+    prop_assert!(
+        through_burst >= before_burst + 2,
+        "the burst commits at least twice"
+    );
+    let outcome = run_case(&ops, fault::MID_COMMIT, before_burst + 1)?;
+    prop_assert_eq!(outcome.died_at, Some(2), "the burst dies");
+    prop_assert!(outcome.on_trail, "recovery lands on a recorded state");
+    prop_assert_eq!(
+        outcome.recovered_seq,
+        outcome.last_observed_seq,
+        "recovery lands on the pre-burst state"
+    );
     Ok(())
 }

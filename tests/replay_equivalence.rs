@@ -4,8 +4,7 @@
 //! A moving fleet (location updates one vertex at a time along shortest
 //! paths, stop arrivals) serves a scripted stream of 220 submits: riders
 //! choose, decline or walk away (a tick expires those), a snapshot is
-//! taken halfway, and the last offer is still open at the crash. The
-//! script runs once with capacity holds off and once with them on.
+//! taken halfway, and the last offer is still open at the crash.
 //!
 //! Replay installs each journaled skyline without running the matcher and
 //! rebuilds the vehicle index once, after the last record. After
@@ -38,10 +37,8 @@ fn engine() -> PtRider {
     )
 }
 
-fn service_config(hold: bool) -> ServiceConfig {
-    ServiceConfig::default()
-        .with_offer_ttl_secs(0.5)
-        .with_hold_offers(hold)
+fn service_config() -> ServiceConfig {
+    ServiceConfig::default().with_offer_ttl_secs(0.5)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -90,11 +87,11 @@ fn step_fleet(svc: &RideService, fleet: &[VehicleId]) {
 
 /// Runs the script on a journaled service and returns it with the offer
 /// left open at the end and the clock.
-fn run_script(dir: &Path, hold: bool) -> (RideService, Offer, f64) {
+fn run_script(dir: &Path) -> (RideService, Offer, f64) {
     let journal = Journal::create(dir, JournalConfig::default().with_snapshot_every_ops(0))
         .expect("journal dir is writable");
     let svc = RideService::from_engine(engine())
-        .with_service_config(service_config(hold))
+        .with_service_config(service_config())
         .with_journal(journal);
     let fleet: Vec<VehicleId> = FLEET
         .iter()
@@ -123,7 +120,7 @@ fn run_script(dir: &Path, hold: bool) -> (RideService, Offer, f64) {
             break;
         }
         match next(8) {
-            // Walk away: the tick below expires the offer (and its hold).
+            // Walk away: the tick below expires the offer.
             0 => {}
             1 => {
                 svc.respond(offer.session, Decision::Decline, clock)
@@ -138,8 +135,7 @@ fn run_script(dir: &Path, hold: bool) -> (RideService, Offer, f64) {
                 let _ = svc.respond(offer.session, Decision::Choose(OptionId(k)), clock);
             }
         }
-        // Every offer is resolved before the fleet moves, so no vehicle
-        // drives to a pickup that is only held.
+        // Every offer is resolved before the fleet moves.
         svc.tick(clock + 0.75);
         assert_eq!(svc.open_offers(), 0);
         step_fleet(&svc, &fleet);
@@ -156,22 +152,18 @@ fn option_bits(svc: &RideService, request: &Request) -> String {
     format!("{:?}", result.options)
 }
 
-fn live_and_recovered_agree(hold: bool) {
-    let tag = if hold { "hold" } else { "plain" };
-    let dir = temp_dir(tag);
-    let (live, open, clock) = run_script(&dir, hold);
+#[test]
+fn a_moving_fleet_recovers_to_the_live_service() {
+    let dir = temp_dir("plain");
+    let (live, open, clock) = run_script(&dir);
     assert!(!open.options.is_empty(), "the open offer has options");
     assert!(live.sync_journal());
-    let copy = temp_dir(&format!("{tag}-copy"));
+    let copy = temp_dir("plain-copy");
     copy_dir(&dir, &copy);
 
-    let recovered = RideService::recover(
-        engine(),
-        service_config(hold),
-        &copy,
-        JournalConfig::default(),
-    )
-    .expect("the journal recovers");
+    let recovered =
+        RideService::recover(engine(), service_config(), &copy, JournalConfig::default())
+            .expect("the journal recovers");
     assert_eq!(recovered.fingerprint(), live.fingerprint());
 
     let mut next = rng(0xfeed);
@@ -203,14 +195,4 @@ fn live_and_recovered_agree(hold: bool) {
     drop((live, recovered));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&copy);
-}
-
-#[test]
-fn a_moving_fleet_recovers_to_the_live_service() {
-    live_and_recovered_agree(false);
-}
-
-#[test]
-fn a_moving_fleet_with_holds_recovers_to_the_live_service() {
-    live_and_recovered_agree(true);
 }

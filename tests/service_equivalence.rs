@@ -335,80 +335,6 @@ fn concurrent_lifecycle_storm_preserves_invariants() {
     assert_eq!(terminal, probes.len());
 }
 
-/// The same storm with capacity holds on: option 0's seats are reserved at
-/// offer time inside the write critical section, so a rider choosing the
-/// held option can never lose the race to a competing commit — every
-/// choose succeeds outright and `assignments_failed` stays at zero.
-#[test]
-fn concurrent_lifecycle_storm_with_holds_never_fails_an_assignment() {
-    let service = build_service(
-        42,
-        12,
-        0,
-        MatcherKind::DualSide,
-        ServiceConfig::default()
-            .with_offer_ttl_secs(1e9)
-            .with_hold_offers(true),
-    );
-    let probes: Vec<(VertexId, VertexId, u32)> = TripGenerator::new(
-        service.network(),
-        TripConfig {
-            num_trips: 64,
-            seed: 0xabcd,
-            ..TripConfig::default()
-        },
-    )
-    .generate()
-    .iter()
-    .map(|t| (t.origin, t.destination, t.riders))
-    .filter(|(o, d, _)| o != d)
-    .collect();
-
-    let confirmed = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for t in 0..4usize {
-            let service = &service;
-            let probes = &probes;
-            let confirmed = &confirmed;
-            scope.spawn(move || {
-                for (i, &(o, d, riders)) in probes.iter().enumerate() {
-                    if i % 4 != t {
-                        continue;
-                    }
-                    let offer = service.submit(o, d, riders, 0.0).expect("valid probe");
-                    let decision = if offer.options.is_empty() || i % 3 == 0 {
-                        Decision::Decline
-                    } else {
-                        Decision::Choose(OptionId(0))
-                    };
-                    match service.respond(offer.session, decision, 0.0) {
-                        Ok(Some(_)) => {
-                            confirmed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Ok(None) => {}
-                        Err(e) => panic!("a held option can never fail to commit: {e:?}"),
-                    }
-                }
-            });
-        }
-    });
-
-    let confirmed = confirmed.load(std::sync::atomic::Ordering::Relaxed);
-    let stats = service.stats();
-    assert_eq!(stats.offers_made as usize, probes.len());
-    assert_eq!(stats.offers_confirmed as usize, confirmed);
-    assert_eq!(
-        stats.assignments_failed, 0,
-        "holds reserve capacity at offer time"
-    );
-    assert_eq!(service.open_offers(), 0, "every session was settled");
-    // Declined holds released their seats: the fleet carries exactly the
-    // confirmed requests.
-    let fleet_load =
-        service.with_vehicles(|vehicles| vehicles.map(|v| v.num_requests()).sum::<usize>());
-    assert_eq!(fleet_load, confirmed);
-}
-
 /// Expiry under a finite TTL: offers left unanswered expire on `tick`, and
 /// a rider coming back later is turned away with a typed error — while a
 /// resubmission gets a fresh request id (the request-state-leak

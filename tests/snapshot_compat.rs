@@ -7,11 +7,11 @@
 //! snapshot keeps the 8-byte slot that held the CH customization count: 0
 //! in the ALT snapshot, 1 in the CH one. The decoder reads and drops it.
 //!
-//! `tests/data/parent_wal/{holds_off,holds_on}` were written by the last
-//! build whose submit records did not carry their offer: six vehicles
+//! `tests/data/parent_wal/holds_off` was written by the last build whose
+//! submit records did not carry their offer, with offer holds off: six vehicles
 //! driven one vertex at a time along shortest paths, 40 submits (riders
 //! choose or decline, the fleet moves three steps after each), a snapshot
-//! after the twentieth, and the last offer left open. Their WAL tails are
+//! after the twentieth, and the last offer left open. Its WAL tail is
 //! old-tag submits, which replay re-matches against the index it rebuilds
 //! on the first of them.
 
@@ -28,10 +28,9 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// `RideService::fingerprint` of the ALT run, printed by the writer.
 const ALT_FINGERPRINT: u64 = 0x6b33_9791_a5a6_139f;
 
-/// `RideService::fingerprint` of the two `parent_wal` runs, printed by the
+/// `RideService::fingerprint` of the `parent_wal` run, printed by the
 /// writer.
 const WAL_HOLDS_OFF_FINGERPRINT: u64 = 0xbd3a_4896_7931_c953;
-const WAL_HOLDS_ON_FINGERPRINT: u64 = 0xfdfe_2b8d_bed9_5e14;
 
 /// Recovers a copy of one fixture directory (recovery re-opens the journal
 /// for appending, so the committed files are never touched).
@@ -67,15 +66,13 @@ fn recover(name: &str) -> RideService {
     )
 }
 
-fn recover_parent_wal(hold: bool, fingerprint: u64) {
-    let name = if hold { "holds_on" } else { "holds_off" };
+#[test]
+fn a_parent_wal_recovers_bit_identically() {
     let service = recover_fixture(
-        &format!("parent_wal/{name}"),
-        ServiceConfig::default()
-            .with_offer_ttl_secs(30.0)
-            .with_hold_offers(hold),
+        "parent_wal/holds_off",
+        ServiceConfig::default().with_offer_ttl_secs(30.0),
     );
-    assert_eq!(service.fingerprint(), fingerprint, "{name}");
+    assert_eq!(service.fingerprint(), WAL_HOLDS_OFF_FINGERPRINT);
     let stats = service.stats();
     assert_eq!(stats.requests_submitted, 40);
     assert_eq!(stats.requests_chosen, 32);
@@ -88,16 +85,6 @@ fn recover_parent_wal(hold: bool, fingerprint: u64) {
         .expect("the open offer is respondable")
         .expect("a choice confirms");
     assert_eq!(confirmation.session, SessionId(39));
-}
-
-#[test]
-fn a_parent_wal_recovers_bit_identically() {
-    recover_parent_wal(false, WAL_HOLDS_OFF_FINGERPRINT);
-}
-
-#[test]
-fn a_parent_wal_with_holds_recovers_bit_identically() {
-    recover_parent_wal(true, WAL_HOLDS_ON_FINGERPRINT);
 }
 
 #[test]
