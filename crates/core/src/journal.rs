@@ -10,30 +10,25 @@
 //!
 //! # On-disk layout
 //!
-//! A journal is a directory holding the active WAL, zero or more sealed
-//! WAL segments, and the latest snapshot:
+//! A journal is a directory holding one WAL and the latest snapshot:
 //!
-//! * `wal.bin` — the **active** write-ahead log: a header (`b"PTRJ"` magic
-//!   and format version, plus the segment's first sequence number once the
-//!   log has rotated) followed by length-prefixed records
+//! * `wal.bin` — the write-ahead log: a header (`b"PTRJ"` magic and format
+//!   version, plus the log's first sequence number once a snapshot has
+//!   replaced it) followed by length-prefixed records
 //!   `[len: u32][seq: u64][checksum: u32][payload]`, all little-endian.
 //!   The checksum is FNV-1a over the sequence number and payload, so a torn
 //!   or corrupted tail is detected and truncated on open — never replayed
 //!   half-applied, never a panic (property-tested byte-by-byte in
 //!   `tests/journal_torn_tail.rs`).
-//! * `segment-<first_seq>.bin` — sealed segments: at every snapshot the
-//!   active WAL is fsynced and renamed into a sequence-stamped segment and
-//!   a fresh `wal.bin` starts at the current sequence number. Segments
-//!   whose records all fall below the snapshot watermark are deleted on
-//!   the spot, so disk use for a long-running service is bounded by the
-//!   snapshot cadence instead of growing forever. Recovery scans the
-//!   sealed segments in sequence order, then the active WAL, with the same
-//!   valid-prefix semantics throughout.
 //! * `snapshot.bin` — the latest full-state snapshot, written atomically
-//!   (`snapshot.tmp` + fsync + rename) with a sequence watermark: replay
-//!   applies only the WAL records at or past the watermark. The snapshot
-//!   is durable *before* the rotation drops any segment it supersedes, so
-//!   a crash at any point leaves a recoverable directory.
+//!   (`snapshot.tmp` + fsync + rename). Its watermark is the journal's
+//!   next sequence number, so it covers every record in the WAL. Once the
+//!   snapshot is durable, an empty WAL starting at the watermark is
+//!   written to `wal.tmp`, fsynced and renamed over `wal.bin`, so disk use
+//!   for a long-running service is bounded by the snapshot cadence. A
+//!   crash between the two renames leaves the old WAL, which the new
+//!   snapshot covers, and a stray `wal.tmp` that [`Journal::open`]
+//!   discards.
 //!
 //! # Durability semantics
 //!
@@ -50,7 +45,7 @@
 
 use crate::options::RideOption;
 use crate::stats::MatchWork;
-use crate::telemetry::{ShardedHistogram, Stage, Telemetry};
+use crate::telemetry::{Histogram, Stage, Telemetry};
 use ptrider_roadnet::VertexId;
 use ptrider_vehicles::{RequestId, Stop, StopKind, VehicleId};
 use std::fs::{File, OpenOptions};
@@ -62,13 +57,13 @@ use std::time::{Duration, Instant};
 
 const MAGIC: [u8; 4] = *b"PTRJ";
 const VERSION: u32 = 1;
-/// Format version of a WAL file whose header carries the segment's first
-/// sequence number (any file produced by a rotation). Version-1 files are
-/// still opened: they implicitly start at sequence 0.
-const VERSION_SEGMENTED: u32 = 2;
+/// Format version of a WAL file whose header carries the log's first
+/// sequence number (any WAL that replaced one at a snapshot). Version-1
+/// files are still opened: they implicitly start at sequence 0.
+const VERSION_FIRST_SEQ: u32 = 2;
 const HEADER_LEN: usize = 8;
-/// Header length of a [`VERSION_SEGMENTED`] file (adds the first seq).
-const SEGMENT_HEADER_LEN: usize = 16;
+/// Header length of a [`VERSION_FIRST_SEQ`] file (adds the first seq).
+const FIRST_SEQ_HEADER_LEN: usize = 16;
 const RECORD_HEADER_LEN: usize = 16;
 /// Sanity bound on a single record (far above any real op).
 const MAX_RECORD_LEN: u32 = 1 << 28;
@@ -77,51 +72,23 @@ const WAL_FILE: &str = "wal.bin";
 const WAL_TMP: &str = "wal.tmp";
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
-const SEGMENT_PREFIX: &str = "segment-";
-
-/// File name of the sealed segment whose first record is `first_seq`.
-/// Zero-padded so lexicographic directory order equals sequence order.
-fn segment_name(first_seq: u64) -> String {
-    format!("{SEGMENT_PREFIX}{first_seq:020}.bin")
-}
-
-/// Every sealed segment in `dir`, sorted by first sequence number.
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, JournalError> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(first_seq) = name
-            .strip_prefix(SEGMENT_PREFIX)
-            .and_then(|rest| rest.strip_suffix(".bin"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        out.push((first_seq, entry.path()));
-    }
-    out.sort_unstable();
-    Ok(out)
-}
-
-/// The header a WAL segment starting at `first_seq` carries. A fresh
-/// journal (first_seq 0) keeps the original version-1 layout so
-/// pre-rotation journals and new ones are byte-identical.
+/// The header a WAL starting at `first_seq` carries. A fresh journal
+/// (first_seq 0) keeps the original version-1 layout so journals that
+/// never snapshotted are byte-identical to the first format.
 fn header_bytes(first_seq: u64) -> Vec<u8> {
-    let mut h = Vec::with_capacity(SEGMENT_HEADER_LEN);
+    let mut h = Vec::with_capacity(FIRST_SEQ_HEADER_LEN);
     h.extend_from_slice(&MAGIC);
     if first_seq == 0 {
         h.extend_from_slice(&VERSION.to_le_bytes());
     } else {
-        h.extend_from_slice(&VERSION_SEGMENTED.to_le_bytes());
+        h.extend_from_slice(&VERSION_FIRST_SEQ.to_le_bytes());
         h.extend_from_slice(&first_seq.to_le_bytes());
     }
     h
 }
 
-/// Parses a WAL/segment header; returns the segment's first sequence
-/// number and the header length the record scan starts after.
+/// Parses a WAL header; returns the log's first sequence number and the
+/// header length the record scan starts after.
 fn parse_wal_header(buf: &[u8]) -> Result<(u64, usize), JournalError> {
     if buf.len() < HEADER_LEN {
         return Err(JournalError::Corrupt("wal header truncated"));
@@ -132,12 +99,12 @@ fn parse_wal_header(buf: &[u8]) -> Result<(u64, usize), JournalError> {
     if buf[4..HEADER_LEN] == VERSION.to_le_bytes() {
         return Ok((0, HEADER_LEN));
     }
-    if buf[4..HEADER_LEN] == VERSION_SEGMENTED.to_le_bytes() {
-        if buf.len() < SEGMENT_HEADER_LEN {
+    if buf[4..HEADER_LEN] == VERSION_FIRST_SEQ.to_le_bytes() {
+        if buf.len() < FIRST_SEQ_HEADER_LEN {
             return Err(JournalError::Corrupt("wal header truncated"));
         }
-        let first = u64::from_le_bytes(buf[HEADER_LEN..SEGMENT_HEADER_LEN].try_into().unwrap());
-        return Ok((first, SEGMENT_HEADER_LEN));
+        let first = u64::from_le_bytes(buf[HEADER_LEN..FIRST_SEQ_HEADER_LEN].try_into().unwrap());
+        return Ok((first, FIRST_SEQ_HEADER_LEN));
     }
     Err(JournalError::Corrupt("unsupported wal format version"))
 }
@@ -229,10 +196,10 @@ pub struct Recovered {
     /// with `seq >= watermark` must still be replayed on top) and the raw
     /// snapshot payload.
     pub snapshot: Option<(u64, Vec<u8>)>,
-    /// Every valid WAL record still on disk (sealed segments first, then
-    /// the active WAL), in sequence order. Rotation drops segments fully
-    /// below the snapshot watermark, so the list may start past zero; the
-    /// caller skips any remaining records below the watermark.
+    /// Every valid WAL record still on disk, in sequence order. A snapshot
+    /// replaces the WAL with one that starts at its watermark, so the list
+    /// may start past zero; the caller skips any records below the
+    /// watermark (the old WAL a crash left before its replacement).
     pub ops: Vec<(u64, Vec<u8>)>,
 }
 
@@ -261,7 +228,7 @@ struct FlushShared {
     /// Fsync-latency histogram, attached after the flusher thread is
     /// already running (the journal is built before the telemetry hub is
     /// handed over), hence the `OnceLock` rather than a constructor field.
-    fsync_hist: OnceLock<Arc<ShardedHistogram>>,
+    fsync_hist: OnceLock<Arc<Histogram>>,
 }
 
 /// The group-commit flusher: owns a cloned descriptor of the WAL and
@@ -275,10 +242,7 @@ struct Flusher {
 impl Flusher {
     /// Spawns a flusher over a clone of `wal`, timing its fsyncs into
     /// `fsync_hist` when one is given.
-    fn spawn(
-        wal: &File,
-        fsync_hist: Option<Arc<ShardedHistogram>>,
-    ) -> Result<Flusher, JournalError> {
+    fn spawn(wal: &File, fsync_hist: Option<Arc<Histogram>>) -> Result<Flusher, JournalError> {
         let file = wal.try_clone()?;
         let shared = Arc::new(FlushShared {
             state: Mutex::new(FlushState {
@@ -416,9 +380,6 @@ pub struct Journal {
     wal: File,
     config: JournalConfig,
     next_seq: u64,
-    /// First sequence number of the active WAL segment (`wal.bin`); the
-    /// seal name when the next rotation retires it.
-    wal_first_seq: u64,
     ops_since_snapshot: u64,
     flusher: Flusher,
     /// Reusable record-assembly buffer so the commit path never allocates.
@@ -426,27 +387,21 @@ pub struct Journal {
     /// Latency histograms for the append / snapshot paths, attached via
     /// [`Self::attach_telemetry`] (the flusher holds the fsync one).
     /// `None` keeps each timing site a single branch.
-    append_hist: Option<Arc<ShardedHistogram>>,
-    snapshot_hist: Option<Arc<ShardedHistogram>>,
+    append_hist: Option<Arc<Histogram>>,
+    snapshot_hist: Option<Arc<Histogram>>,
 }
 
 impl Journal {
-    /// Creates a **fresh** journal at `dir`: any existing WAL, sealed
-    /// segments and snapshot there are discarded. Use [`Self::open`] to
-    /// resume an existing one.
+    /// Creates a **fresh** journal at `dir`: any existing WAL and snapshot
+    /// there are discarded. Use [`Self::open`] to resume an existing one.
     pub fn create(dir: impl AsRef<Path>, config: JournalConfig) -> Result<Self, JournalError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let snapshot = dir.join(SNAPSHOT_FILE);
-        if snapshot.exists() {
-            std::fs::remove_file(&snapshot)?;
-        }
-        for (_, path) in list_segments(&dir)? {
-            std::fs::remove_file(&path)?;
-        }
-        let tmp = dir.join(WAL_TMP);
-        if tmp.exists() {
-            std::fs::remove_file(&tmp)?;
+        for stale in [SNAPSHOT_FILE, WAL_TMP] {
+            let path = dir.join(stale);
+            if path.exists() {
+                std::fs::remove_file(&path)?;
+            }
         }
         let mut wal = OpenOptions::new()
             .read(true)
@@ -456,7 +411,7 @@ impl Journal {
             .open(dir.join(WAL_FILE))?;
         wal.write_all(&header_bytes(0))?;
         wal.sync_data()?;
-        Journal::assemble(dir, wal, config, 0, 0)
+        Journal::assemble(dir, wal, config, 0)
     }
 
     /// Builds the journal handle and spawns its group-commit flusher.
@@ -465,7 +420,6 @@ impl Journal {
         wal: File,
         config: JournalConfig,
         next_seq: u64,
-        wal_first_seq: u64,
     ) -> Result<Self, JournalError> {
         let flusher = Flusher::spawn(&wal, None)?;
         Ok(Journal {
@@ -473,7 +427,6 @@ impl Journal {
             wal,
             config,
             next_seq,
-            wal_first_seq,
             ops_since_snapshot: 0,
             flusher,
             scratch: Vec::new(),
@@ -487,7 +440,7 @@ impl Journal {
     /// [`Stage::JournalFsync`] / [`Stage::JournalSnapshot`] histograms. Only
     /// effective at the `Spans` level; the group-commit flusher keeps the
     /// fsync histogram behind a `OnceLock`, so the first attach wins for
-    /// the lifetime of the flusher thread (a rotation hands it on).
+    /// the lifetime of the flusher thread (a WAL swap hands it on).
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         if !telemetry.spans_enabled() {
             return;
@@ -507,11 +460,10 @@ impl Journal {
     }
 
     /// Opens an existing journal directory for recovery: reads the latest
-    /// snapshot (if any), scans the sealed WAL segments in sequence order
-    /// and then the active WAL — truncating a torn or corrupt tail instead
-    /// of failing on it — and returns the recovered contents plus a journal
-    /// positioned to continue appending where the valid prefix ends. A
-    /// missing or empty directory opens as an empty journal.
+    /// snapshot (if any) and scans the WAL — truncating a torn or corrupt
+    /// tail instead of failing on it — and returns the recovered contents
+    /// plus a journal positioned to continue appending where the valid
+    /// prefix ends. A missing or empty directory opens as an empty journal.
     pub fn open(
         dir: impl AsRef<Path>,
         config: JournalConfig,
@@ -519,11 +471,15 @@ impl Journal {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let snapshot = read_snapshot(&dir)?;
+        let watermark = snapshot.as_ref().map_or(0, |(w, _)| *w);
 
-        // A rotation that crashed between its two renames leaves the fresh
-        // active segment at `wal.tmp`: promote it if the old WAL was
-        // already sealed away, discard it otherwise (the retry will
-        // rebuild it).
+        // A `wal.tmp` beside `wal.bin` is a replacement WAL a crash left
+        // before its rename: the old WAL holds only records the snapshot
+        // covers, so it is as good, and the stray file goes. A `wal.tmp`
+        // with no `wal.bin` comes from the older segmented layout, which
+        // renamed the old WAL away (to `segment-<n>.bin`, covered by the
+        // snapshot) before moving its fsynced replacement into place:
+        // finish that move.
         let wal_path = dir.join(WAL_FILE);
         let tmp = dir.join(WAL_TMP);
         if tmp.exists() {
@@ -532,58 +488,6 @@ impl Journal {
             } else {
                 std::fs::rename(&tmp, &wal_path)?;
             }
-        }
-
-        // Sealed segments, in sequence order. They were fsynced before the
-        // seal, so a tear here is disk damage rather than a crash — but the
-        // same valid-prefix rule applies: the scan stops at the first
-        // invalid point and everything past it (including later segments
-        // and the active WAL) is dropped.
-        let mut ops: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut expected_seq: Option<u64> = None;
-        let mut torn_segment = false;
-        for (name_seq, path) in list_segments(&dir)? {
-            if torn_segment {
-                std::fs::remove_file(&path)?;
-                continue;
-            }
-            let buf = std::fs::read(&path)?;
-            let (first_seq, header_len) = parse_wal_header(&buf)?;
-            if first_seq != name_seq {
-                return Err(JournalError::Corrupt("segment name/header mismatch"));
-            }
-            if let Some(expected) = expected_seq {
-                if first_seq != expected {
-                    return Err(JournalError::Corrupt("gap between wal segments"));
-                }
-            }
-            let (mut seg_ops, valid_len) = scan_records(&buf, header_len, first_seq);
-            expected_seq = Some(first_seq + seg_ops.len() as u64);
-            ops.append(&mut seg_ops);
-            if valid_len < buf.len() {
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(valid_len as u64)?;
-                file.sync_data()?;
-                torn_segment = true;
-            }
-        }
-        if torn_segment {
-            // The valid prefix ended inside a sealed segment: the active
-            // WAL continues a stream that no longer exists. Restart it
-            // empty at the prefix end.
-            let first = expected_seq.unwrap_or(0);
-            let mut wal = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&wal_path)?;
-            wal.write_all(&header_bytes(first))?;
-            wal.sync_data()?;
-            return Ok((
-                Recovered { snapshot, ops },
-                Journal::assemble(dir, wal, config, first, first)?,
-            ));
         }
 
         let mut wal = OpenOptions::new()
@@ -595,23 +499,19 @@ impl Journal {
         let mut buf = Vec::new();
         wal.read_to_end(&mut buf)?;
 
-        // Where the active WAL must resume when it is missing or torn at
-        // creation: after the sealed prefix, or from scratch.
-        let resume_first = expected_seq.unwrap_or(0);
-
         // A file shorter than its header is a torn creation: everything
         // written so far must be a prefix of the expected header, in which
-        // case the active segment is simply empty. Anything else is
-        // corruption. (A missing `wal.bin` — crash between seal and
-        // promote — lands here too, as the zero-length prefix.)
+        // case the WAL is simply empty and resumes at the snapshot
+        // watermark (0 without one). Anything else is corruption. A
+        // missing `wal.bin` lands here too, as the zero-length prefix.
         let full_header_len =
-            if buf.len() >= HEADER_LEN && buf[4..HEADER_LEN] == VERSION_SEGMENTED.to_le_bytes() {
-                SEGMENT_HEADER_LEN
+            if buf.len() >= HEADER_LEN && buf[4..HEADER_LEN] == VERSION_FIRST_SEQ.to_le_bytes() {
+                FIRST_SEQ_HEADER_LEN
             } else {
                 HEADER_LEN
             };
         if buf.len() < full_header_len {
-            let expected = header_bytes(resume_first);
+            let expected = header_bytes(watermark);
             if buf.len() > expected.len() || buf[..] != expected[..buf.len()] {
                 return Err(JournalError::Corrupt("wal header mismatch"));
             }
@@ -620,20 +520,23 @@ impl Journal {
             wal.write_all(&expected)?;
             wal.sync_data()?;
             return Ok((
-                Recovered { snapshot, ops },
-                Journal::assemble(dir, wal, config, resume_first, resume_first)?,
+                Recovered {
+                    snapshot,
+                    ops: Vec::new(),
+                },
+                Journal::assemble(dir, wal, config, watermark)?,
             ));
         }
         let (first_seq, header_len) = parse_wal_header(&buf)?;
-        if let Some(expected) = expected_seq {
-            if first_seq != expected {
-                return Err(JournalError::Corrupt(
-                    "wal does not continue the sealed segments",
-                ));
-            }
+        if first_seq > watermark {
+            // The records between the watermark and the WAL's first one
+            // are lost: replaying across the gap would build a state no
+            // live service reached.
+            return Err(JournalError::Corrupt(
+                "wal starts past the snapshot watermark",
+            ));
         }
-
-        let (mut wal_ops, valid_len) = scan_records(&buf, header_len, first_seq);
+        let (ops, valid_len) = scan_records(&buf, header_len, first_seq);
         if valid_len < buf.len() {
             // Torn or corrupted tail: truncate to the valid prefix so the
             // next append continues from a clean boundary.
@@ -641,11 +544,10 @@ impl Journal {
             wal.sync_data()?;
         }
         wal.seek(SeekFrom::Start(valid_len as u64))?;
-        let next_seq = first_seq + wal_ops.len() as u64;
-        ops.append(&mut wal_ops);
+        let next_seq = first_seq + ops.len() as u64;
         Ok((
             Recovered { snapshot, ops },
-            Journal::assemble(dir, wal, config, next_seq, first_seq)?,
+            Journal::assemble(dir, wal, config, next_seq)?,
         ))
     }
 
@@ -696,18 +598,18 @@ impl Journal {
             && self.ops_since_snapshot >= self.config.snapshot_every_ops
     }
 
-    /// Atomically replaces the snapshot file: the payload is written to a
-    /// temp file, fsynced, and renamed over `snapshot.bin`. `watermark` is
-    /// the sequence number of the next *unapplied* record (replay applies
-    /// records with `seq >= watermark` on top of the snapshot).
+    /// Atomically replaces the snapshot file and returns its watermark,
+    /// [`Self::next_seq`]: the payload must be the state after every
+    /// appended record. The payload is written to a temp file, fsynced,
+    /// and renamed over `snapshot.bin`; replay applies only records with
+    /// `seq >= watermark` on top of it.
     ///
-    /// Once the snapshot is durable the WAL **rotates**: the active
-    /// segment is sealed under a sequence-stamped name, a fresh `wal.bin`
-    /// starts at the current sequence number, and sealed segments whose
-    /// records all fall below `watermark` are deleted — the snapshot
-    /// supersedes them, so disk use stays bounded by the snapshot cadence.
-    pub fn write_snapshot(&mut self, watermark: u64, payload: &[u8]) -> Result<(), JournalError> {
+    /// Once the snapshot is durable the WAL, whose records it now all
+    /// covers, is replaced by an empty one starting at the watermark, so
+    /// disk use stays bounded by the snapshot cadence.
+    pub fn write_snapshot(&mut self, payload: &[u8]) -> Result<u64, JournalError> {
         let snapshot_start = self.snapshot_hist.as_ref().map(|_| Instant::now());
+        let watermark = self.next_seq;
         let tmp = self.dir.join(SNAPSHOT_TMP);
         {
             let mut file = File::create(&tmp)?;
@@ -722,60 +624,36 @@ impl Journal {
             file.sync_data()?;
         }
         // Make the WAL prefix durable before the snapshot that supersedes
-        // it becomes visible (and before the rotation renames it away).
+        // it becomes visible (and before the swap below replaces it).
         self.sync()?;
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         self.ops_since_snapshot = 0;
-        self.rotate_wal(watermark)?;
+        self.replace_wal()?;
         if let (Some(hist), Some(started)) = (&self.snapshot_hist, snapshot_start) {
             hist.record(started.elapsed().as_nanos() as u64);
         }
-        Ok(())
+        Ok(watermark)
     }
 
-    /// Seals the active WAL as a sequence-stamped segment, starts a fresh
-    /// active WAL at the current sequence number, and drops sealed
-    /// segments whose records all fall below `watermark`. Only called
-    /// after the superseding snapshot is durable; the active WAL was
-    /// already fsynced, so the sealed bytes are durable before the old
-    /// name disappears.
-    fn rotate_wal(&mut self, watermark: u64) -> Result<(), JournalError> {
-        if self.next_seq > self.wal_first_seq {
-            // Build the fresh segment under a temp name first: `wal.bin`
-            // moves in two renames, and `open` finishes the promotion if
-            // the process dies between them.
-            let tmp = self.dir.join(WAL_TMP);
-            let mut fresh = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            fresh.write_all(&header_bytes(self.next_seq))?;
-            fresh.sync_data()?;
-            let sealed = self.dir.join(segment_name(self.wal_first_seq));
-            std::fs::rename(self.dir.join(WAL_FILE), &sealed)?;
-            std::fs::rename(&tmp, self.dir.join(WAL_FILE))?;
-            // Point a new flusher at the fresh file; assigning it retires
-            // the one watching the sealed descriptor (its bytes are already
-            // durable).
-            let fsync_hist = self.flusher.shared.fsync_hist.get().cloned();
-            self.flusher = Flusher::spawn(&fresh, fsync_hist)?;
-            self.wal = fresh;
-            self.wal_first_seq = self.next_seq;
-        }
-        // Drop segments the snapshot fully covers: a segment's records end
-        // where the next segment (or the active WAL) begins.
-        let segments = list_segments(&self.dir)?;
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let end = segments
-                .get(i + 1)
-                .map(|(next_first, _)| *next_first)
-                .unwrap_or(self.wal_first_seq);
-            if end <= watermark {
-                std::fs::remove_file(path)?;
-            }
-        }
+    /// Swaps in an empty WAL starting at the current sequence number: it
+    /// is written and fsynced as `wal.tmp`, then renamed over `wal.bin` in
+    /// one step. Only called once the superseding snapshot is durable.
+    fn replace_wal(&mut self) -> Result<(), JournalError> {
+        let tmp = self.dir.join(WAL_TMP);
+        let mut fresh = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        fresh.write_all(&header_bytes(self.next_seq))?;
+        fresh.sync_data()?;
+        std::fs::rename(&tmp, self.dir.join(WAL_FILE))?;
+        // Point a new flusher at the fresh file; assigning it retires the
+        // one watching the old descriptor (its bytes are already durable).
+        let fsync_hist = self.flusher.shared.fsync_hist.get().cloned();
+        self.flusher = Flusher::spawn(&fresh, fsync_hist)?;
+        self.wal = fresh;
         Ok(())
     }
 }
@@ -794,13 +672,12 @@ impl std::fmt::Debug for Journal {
         f.debug_struct("Journal")
             .field("dir", &self.dir)
             .field("next_seq", &self.next_seq)
-            .field("wal_first_seq", &self.wal_first_seq)
             .field("ops_since_snapshot", &self.ops_since_snapshot)
             .finish()
     }
 }
 
-/// Scans WAL records after the `header_len`-byte header of a segment whose
+/// Scans WAL records after the `header_len`-byte header of a log whose
 /// first record is `first_seq`; returns the decoded records and the byte
 /// length of the valid prefix (header included). Stops at the first torn
 /// or corrupt record.
@@ -1590,24 +1467,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The journal directory's file names, sorted.
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn snapshot_round_trips_with_watermark() {
         let dir = temp_dir("snapshot");
         let payload = b"state image".to_vec();
+        let ops = sample_ops();
         {
             let mut j = Journal::create(&dir, JournalConfig::default()).unwrap();
-            for op in sample_ops() {
+            for op in &ops[..4] {
                 j.append(&op.encode()).unwrap();
             }
-            j.write_snapshot(4, &payload).unwrap();
+            assert_eq!(j.write_snapshot(&payload).unwrap(), 4);
             assert_eq!(j.ops_since_snapshot(), 0);
+            for op in &ops[4..] {
+                j.append(&op.encode()).unwrap();
+            }
         }
         let (recovered, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
         let (watermark, snap) = recovered.snapshot.expect("snapshot present");
         assert_eq!(watermark, 4);
         assert_eq!(snap, payload);
-        // The WAL still holds every record; the caller filters by watermark.
-        assert_eq!(recovered.ops.len(), sample_ops().len());
+        // The WAL holds exactly the records past the watermark.
+        let seqs: Vec<u64> = recovered.ops.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, (4..ops.len() as u64).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1620,13 +1512,12 @@ mod tests {
             for op in &ops {
                 j.append(&op.encode()).unwrap();
             }
-            // Snapshot at the current head: every sealed record is below
-            // the watermark, so the rotation deletes the sealed segment
-            // on the spot.
-            let watermark = j.next_seq();
-            j.write_snapshot(watermark, b"head state").unwrap();
-            assert!(list_segments(&dir).unwrap().is_empty());
-            // Appends continue into the fresh segment with unbroken seqs.
+            // The snapshot covers every record, so the WAL is replaced by
+            // an empty one that starts at the watermark.
+            let watermark = j.write_snapshot(b"head state").unwrap();
+            assert_eq!(watermark, ops.len() as u64);
+            assert_eq!(file_names(&dir), ["snapshot.bin", "wal.bin"]);
+            // Appends continue into the fresh WAL with unbroken seqs.
             assert_eq!(j.append(&Op::PruneResolved.encode()).unwrap(), watermark);
         }
         let (recovered, j) = Journal::open(&dir, JournalConfig::default()).unwrap();
@@ -1690,7 +1581,7 @@ mod tests {
             j.append(&op.encode()).unwrap();
         }
         let old = Arc::clone(&j.flusher.shared);
-        j.write_snapshot(j.next_seq(), b"head state").unwrap();
+        j.write_snapshot(b"head state").unwrap();
         assert!(!Arc::ptr_eq(&old, &j.flusher.shared), "respawned");
         assert!(old.state.lock().unwrap().shutdown, "old one stopped");
         j.append(&Op::PruneResolved.encode()).unwrap();
@@ -1702,63 +1593,6 @@ mod tests {
     }
 
     #[test]
-    fn rotation_keeps_segments_the_watermark_does_not_cover() {
-        let dir = temp_dir("rotate-keep");
-        let ops = sample_ops();
-        {
-            let mut j = Journal::create(&dir, JournalConfig::default()).unwrap();
-            for op in &ops {
-                j.append(&op.encode()).unwrap();
-            }
-            // Watermark 4 leaves records 4.. uncovered: the sealed segment
-            // [0, 10) must survive the rotation.
-            j.write_snapshot(4, b"mid state").unwrap();
-            assert_eq!(list_segments(&dir).unwrap().len(), 1);
-        }
-        let (recovered, j) = Journal::open(&dir, JournalConfig::default()).unwrap();
-        assert_eq!(recovered.ops.len(), ops.len());
-        let seqs: Vec<u64> = recovered.ops.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, (0..ops.len() as u64).collect::<Vec<_>>());
-        assert_eq!(j.next_seq(), ops.len() as u64);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovery_spans_multiple_sealed_segments() {
-        let dir = temp_dir("multiseg");
-        let ops = sample_ops();
-        {
-            let mut j = Journal::create(&dir, JournalConfig::default()).unwrap();
-            // Watermark 0 never covers anything: each snapshot seals a
-            // segment and keeps them all.
-            for chunk in ops.chunks(3) {
-                for op in chunk {
-                    j.append(&op.encode()).unwrap();
-                }
-                j.write_snapshot(0, b"keep everything").unwrap();
-            }
-            assert_eq!(
-                list_segments(&dir).unwrap().len(),
-                ops.chunks(3).count(),
-                "one sealed segment per snapshot"
-            );
-        }
-        let (recovered, mut j) = Journal::open(&dir, JournalConfig::default()).unwrap();
-        assert_eq!(recovered.ops.len(), ops.len());
-        for ((_seq, payload), op) in recovered.ops.iter().zip(&ops) {
-            assert_eq!(Op::decode(payload).unwrap(), *op);
-        }
-        let seqs: Vec<u64> = recovered.ops.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, (0..ops.len() as u64).collect::<Vec<_>>());
-        // The reopened journal appends into the active segment seamlessly.
-        assert_eq!(
-            j.append(&Op::PruneResolved.encode()).unwrap(),
-            ops.len() as u64
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn a_stranded_wal_tmp_is_promoted_or_discarded() {
         let dir = temp_dir("waltmp");
         {
@@ -1766,34 +1600,29 @@ mod tests {
             for op in sample_ops() {
                 j.append(&op.encode()).unwrap();
             }
-            j.write_snapshot(4, b"state").unwrap();
+            j.write_snapshot(b"state").unwrap();
             j.append(&Op::PruneResolved.encode()).unwrap();
             j.sync().unwrap();
         }
         let n = sample_ops().len() as u64;
 
-        // Crash window A: the fresh segment reached `wal.tmp` but the old
-        // WAL was never renamed away — `wal.bin` still present, the tmp is
-        // a leftover to discard.
+        // A crash before the swap's rename: `wal.bin` is still in place,
+        // so the stray `wal.tmp` is discarded.
         std::fs::write(dir.join("wal.tmp"), header_bytes(99)).unwrap();
         let (recovered, j) = Journal::open(&dir, JournalConfig::default()).unwrap();
         assert_eq!(j.next_seq(), n + 1);
-        assert_eq!(recovered.ops.len() as u64, n + 1);
-        assert!(!dir.join("wal.tmp").exists());
+        assert_eq!(recovered.ops.len(), 1);
+        assert_eq!(file_names(&dir), ["snapshot.bin", "wal.bin"]);
         drop(j);
 
-        // Crash window B: the old WAL was sealed but the fresh segment
-        // never moved into place — promote `wal.tmp` to `wal.bin`. The
-        // active WAL held record `n` (first seq `n`), so its seal is
-        // `segment-<n>` and the fresh segment starts at `n + 1`.
-        let sealed = dir.join(segment_name(n));
-        std::fs::write(dir.join("wal.tmp"), header_bytes(n + 1)).unwrap();
-        std::fs::rename(dir.join("wal.bin"), &sealed).unwrap();
-        // (The rename above stands in for the seal of the active segment.)
+        // No `wal.bin` beside it (the segmented layout renamed the old WAL
+        // away before moving its replacement in): `wal.tmp` is promoted.
+        std::fs::rename(dir.join("wal.bin"), dir.join("wal.tmp")).unwrap();
         let (recovered, j) = Journal::open(&dir, JournalConfig::default()).unwrap();
         assert_eq!(j.next_seq(), n + 1);
-        assert_eq!(recovered.ops.len() as u64, n + 1);
-        assert!(dir.join("wal.bin").exists());
+        assert_eq!(recovered.ops.len(), 1);
+        assert_eq!(recovered.ops[0].0, n);
+        assert_eq!(file_names(&dir), ["snapshot.bin", "wal.bin"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1803,7 +1632,7 @@ mod tests {
         {
             let mut j = Journal::create(&dir, JournalConfig::default()).unwrap();
             j.append(&Op::PruneResolved.encode()).unwrap();
-            j.write_snapshot(1, b"payload").unwrap();
+            j.write_snapshot(b"payload").unwrap();
         }
         let snap = dir.join("snapshot.bin");
         let mut bytes = std::fs::read(&snap).unwrap();

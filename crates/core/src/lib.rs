@@ -79,9 +79,8 @@ pub use session::{Confirmation, Decision, Offer, OptionId, ServiceError, Session
 pub use skyline::Skyline;
 pub use stats::EngineStats;
 pub use telemetry::{
-    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, PromWriter, ShardedHistogram,
-    SlowEntry, Span, SpanNode, Stage, Telemetry, TelemetryConfig, TelemetryLevel, TraceContext,
-    TraceEvent, TraceTree,
+    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, PromWriter, SlowEntry, Span, SpanNode,
+    Stage, Telemetry, TelemetryConfig, TelemetryLevel, TraceContext, TraceEvent, TraceTree,
 };
 
 // Re-export the substrate types users need to drive the engine.

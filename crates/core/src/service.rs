@@ -69,14 +69,13 @@ use crate::session::{
     Confirmation, Decision, Offer, OptionId, ServiceError, Session, SessionId, SessionState,
 };
 use crate::stats::{EngineStats, MatchWork};
-use crate::telemetry::{PromWriter, SeqSnapshot, Stage, Telemetry, TraceContext};
+use crate::telemetry::{PromWriter, Stage, Telemetry, TraceContext};
 use ptrider_roadnet::{fault, DistanceOracle, GridConfig, RoadNetwork, TrafficModel, VertexId};
 use ptrider_vehicles::{
     AssignedRequest, KineticNode, KineticTree, ProspectiveRequest, RequestId, RequestProgress,
     StopEvent, Vehicle, VehicleId, VehicleIndex,
 };
 use std::collections::HashMap;
-use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -182,46 +181,10 @@ pub struct RideService {
     /// The non-free-flow arc factors of the latest traffic epoch. Snapshots
     /// carry them (plus the epoch count) as a prelude so recovery can
     /// reinstate the oracle's metric without the pre-watermark
-    /// `TrafficUpdate` records — WAL rotation prunes those. Only written
-    /// under the world write lock (the traffic-epoch critical section).
+    /// `TrafficUpdate` records — a snapshot replaces the WAL that held
+    /// them. Only written under the world write lock (the traffic-epoch
+    /// critical section).
     last_traffic: Mutex<Option<Vec<(u32, f64)>>>,
-    /// Seqlock mirror of [`Ledger::stats`]: every [`LedgerGuard`] republishes
-    /// the stats on drop (while still holding the ledger mutex, so writers
-    /// are serialized), and [`RideService::stats`] reads the mirror without
-    /// taking any lock — and, unlike the old clone-under-mutex, can never
-    /// observe a torn multi-field update.
-    stats_mirror: SeqSnapshot<{ EngineStats::WORDS }>,
-}
-
-/// A ledger guard that mirrors the stats into the service's seqlock
-/// snapshot when dropped. Every ledger-mutating path holds one of these, so
-/// the mirror can lag the mutex-protected truth only while the mutex is
-/// held — [`RideService::stats`] therefore always reads some consistent
-/// admission-ordered prefix.
-struct LedgerGuard<'a> {
-    mirror: &'a SeqSnapshot<{ EngineStats::WORDS }>,
-    guard: MutexGuard<'a, Ledger>,
-}
-
-impl Deref for LedgerGuard<'_> {
-    type Target = Ledger;
-    fn deref(&self) -> &Ledger {
-        &self.guard
-    }
-}
-
-impl DerefMut for LedgerGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Ledger {
-        &mut self.guard
-    }
-}
-
-impl Drop for LedgerGuard<'_> {
-    fn drop(&mut self) {
-        // Still inside the mutex (fields drop after this body), so
-        // publishes are serialized as the seqlock requires.
-        self.mirror.publish(&self.guard.stats.to_words());
-    }
 }
 
 impl RideService {
@@ -250,7 +213,6 @@ impl RideService {
             }),
             journal: None,
             last_traffic: Mutex::new(None),
-            stats_mirror: SeqSnapshot::new(),
         }
     }
 
@@ -338,23 +300,15 @@ impl RideService {
             .map_err(|_| ServiceError::Unavailable("sessions"))
     }
 
-    fn ledger_lock(&self) -> Result<LedgerGuard<'_>, ServiceError> {
+    fn ledger_lock(&self) -> Result<MutexGuard<'_, Ledger>, ServiceError> {
         self.ledger
             .lock()
-            .map(|guard| LedgerGuard {
-                mirror: &self.stats_mirror,
-                guard,
-            })
             .map_err(|_| ServiceError::Unavailable("ledger"))
     }
 
-    /// Ledger acquisition for the paths that panic on poison; the returned
-    /// guard mirrors the stats like every other [`LedgerGuard`].
-    fn ledger_panicky(&self) -> LedgerGuard<'_> {
-        LedgerGuard {
-            mirror: &self.stats_mirror,
-            guard: self.ledger.lock().unwrap(),
-        }
+    /// Ledger acquisition for the paths that panic on poison.
+    fn ledger_panicky(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().unwrap()
     }
 
     fn world_read_tolerant(&self) -> RwLockReadGuard<'_, World> {
@@ -365,11 +319,8 @@ impl RideService {
         self.sessions.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn ledger_tolerant(&self) -> LedgerGuard<'_> {
-        LedgerGuard {
-            mirror: &self.stats_mirror,
-            guard: self.ledger.lock().unwrap_or_else(|p| p.into_inner()),
-        }
+    fn ledger_tolerant(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Appends one logical operation to the journal, if one is attached.
@@ -445,13 +396,10 @@ impl RideService {
         self.matcher_kind
     }
 
-    /// A snapshot of the aggregated statistics.
+    /// A snapshot of the aggregated statistics, cloned under the ledger
+    /// mutex (poison-tolerant, so a crashed service still answers).
     pub fn stats(&self) -> EngineStats {
-        // Read the seqlock mirror instead of the ledger mutex: lock-free,
-        // and guaranteed un-torn (the old clone-under-mutex could observe a
-        // writer's half-applied multi-field update through a poisoned
-        // re-entry; the seqlock read retries instead).
-        EngineStats::from_words(&self.stats_mirror.read())
+        self.ledger_tolerant().stats.clone()
     }
 
     /// The engine's telemetry hub (counters, per-stage histograms, trace
@@ -1190,13 +1138,15 @@ impl RideService {
     // ------------------------------------------------------------------
 
     /// Renders a live metrics exposition in the Prometheus text format
-    /// (version 0.0.4): the admission-ordered service counters (read
-    /// through the seqlock stats mirror), derived gauges sampled from the
-    /// oracle / journal / event log at scrape time, any
-    /// counters and gauges registered on the [`Telemetry`] hub, and — at
-    /// the `Spans` level — one latency histogram per pipeline [`Stage`]
-    /// (values in seconds). Cheap enough to scrape continuously: no world
-    /// or ledger lock is taken.
+    /// (version 0.0.4): the admission-ordered service counters (cloned
+    /// by [`Self::stats`]), derived gauges sampled from the oracle /
+    /// journal / event log at scrape time, any counters and gauges
+    /// registered on the [`Telemetry`] hub, and — at the `Spans` level —
+    /// one latency histogram per pipeline [`Stage`] (values in seconds).
+    /// It never takes the world lock. It takes the ledger mutex (to clone
+    /// the stats), the sessions mutex twice (to count open offers and
+    /// sessions), the journal mutex and the event log's mutex, one at a
+    /// time and each only long enough to read its numbers.
     pub fn metrics_text(&self) -> String {
         let t = &self.shared.telemetry;
         let stats = self.stats();
@@ -1482,9 +1432,9 @@ impl RideService {
         };
         // Prelude: the oracle's traffic-metric state (epoch count + the
         // latest non-free-flow factors). It travels in the snapshot because
-        // the WAL rotation that follows the snapshot prunes the
-        // pre-watermark `TrafficUpdate` records recovery used to rebuild
-        // the metric from. Not part of the fingerprint's canonical form —
+        // the WAL swap that follows the snapshot drops the pre-watermark
+        // `TrafficUpdate` records recovery used to rebuild the metric
+        // from. Not part of the fingerprint's canonical form —
         // the epoch count is already covered via the ledger stats.
         let mut prelude = Enc::new();
         prelude.u64(self.shared.oracle.traffic_epoch());
@@ -1501,11 +1451,7 @@ impl RideService {
         payload.extend_from_slice(&encode_snapshot(&world, &ledger, &store, &self.events));
         let journal = self.journal.as_ref()?;
         let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-        let watermark = journal.next_seq();
-        match journal.write_snapshot(watermark, &payload) {
-            Ok(()) => Some(watermark),
-            Err(_) => None,
-        }
+        journal.write_snapshot(&payload).ok()
     }
 
     /// Forces the attached journal's appended prefix durable (an explicit
@@ -1595,8 +1541,8 @@ impl RideService {
 
         if let Some((_, payload)) = &recovered.snapshot {
             // The snapshot prelude carries the oracle's traffic-metric
-            // state (the pre-watermark `TrafficUpdate` records were pruned
-            // by the WAL rotation). Reinstate it *before* replaying the
+            // state (the pre-watermark `TrafficUpdate` records left with
+            // the WAL the snapshot replaced). Reinstate it *before* replaying the
             // tail: replayed commits query the oracle, so the metric must
             // match the one the snapshot was taken under. The
             // snapshot's stats already count those epochs, so the oracle is
@@ -2640,7 +2586,7 @@ pub(crate) mod tests {
             let dir = temp_dir(tag);
             Journal::create(&dir, JournalConfig::default())
                 .unwrap()
-                .write_snapshot(0, payload)
+                .write_snapshot(payload)
                 .unwrap();
             let engine = PtRider::new(
                 city(),

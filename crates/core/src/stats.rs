@@ -75,69 +75,6 @@ impl MatchWork {
 }
 
 impl EngineStats {
-    /// Number of `u64` words in the seqlock wire encoding used by the
-    /// service's tearing-free stats mirror (see `core::telemetry::SeqSnapshot`).
-    pub const WORDS: usize = 22;
-
-    /// Encodes every field into a fixed word array (floats as IEEE bits).
-    /// The order is a private wire format shared only with `from_words`.
-    pub fn to_words(&self) -> [u64; Self::WORDS] {
-        [
-            self.requests_submitted,
-            self.requests_with_options,
-            self.options_returned,
-            self.requests_chosen,
-            self.assignments_failed,
-            self.pickups,
-            self.dropoffs,
-            self.location_updates,
-            self.total_match_secs.to_bits(),
-            self.batch_bursts,
-            self.batch_requests,
-            self.offers_made,
-            self.offers_confirmed,
-            self.offers_declined,
-            self.offers_expired,
-            self.traffic_epochs,
-            self.match_work.vehicles_considered,
-            self.match_work.vehicles_verified,
-            self.match_work.vehicles_pruned,
-            self.match_work.cells_visited,
-            self.match_work.exact_distance_computations,
-            self.match_work.candidates_generated,
-        ]
-    }
-
-    /// Inverse of [`EngineStats::to_words`].
-    pub fn from_words(w: &[u64; Self::WORDS]) -> EngineStats {
-        EngineStats {
-            requests_submitted: w[0],
-            requests_with_options: w[1],
-            options_returned: w[2],
-            requests_chosen: w[3],
-            assignments_failed: w[4],
-            pickups: w[5],
-            dropoffs: w[6],
-            location_updates: w[7],
-            total_match_secs: f64::from_bits(w[8]),
-            batch_bursts: w[9],
-            batch_requests: w[10],
-            offers_made: w[11],
-            offers_confirmed: w[12],
-            offers_declined: w[13],
-            offers_expired: w[14],
-            traffic_epochs: w[15],
-            match_work: MatchWork {
-                vehicles_considered: w[16],
-                vehicles_verified: w[17],
-                vehicles_pruned: w[18],
-                cells_visited: w[19],
-                exact_distance_computations: w[20],
-                candidates_generated: w[21],
-            },
-        }
-    }
-
     /// Average wall-clock matching latency per request, in seconds.
     pub fn avg_response_secs(&self) -> f64 {
         if self.requests_submitted == 0 {
@@ -202,19 +139,6 @@ mod tests {
         assert!((s.avg_options_per_request() - 2.5).abs() < 1e-12);
         assert!((s.answer_rate() - 0.75).abs() < 1e-12);
         assert!((s.avg_vehicles_verified() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn words_round_trip() {
-        let mut s = EngineStats {
-            requests_submitted: 7,
-            total_match_secs: 1.25,
-            offers_expired: 3,
-            batch_requests: 2,
-            ..Default::default()
-        };
-        s.match_work.candidates_generated = 99;
-        assert_eq!(EngineStats::from_words(&s.to_words()), s);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Log-linear latency histograms: the lock-free single-writer-friendly
-//! [`Histogram`], the cache-line-sharded [`ShardedHistogram`] and the
+//! Log-linear latency histograms: the lock-free [`Histogram`] and the
 //! mergeable [`HistogramSnapshot`], plus per-bucket-scale [`Exemplar`]
 //! retention linking histogram buckets back to the trace that filled them.
 
@@ -54,10 +53,15 @@ pub(crate) fn bucket_high(idx: usize) -> u64 {
 /// every bucket, with the total count derived from the bucket sums so a
 /// snapshot is always self-consistent (`count == Σ buckets`) even while
 /// writers race.
+///
+/// The histogram also owns the exemplar slots (one per value scale):
+/// [`Histogram::record_traced`] retains the last `(value, trace_id)` pair
+/// per scale for Prometheus exemplar exposition.
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
     max: AtomicU64,
+    exemplars: Vec<ExemplarSlot>,
 }
 
 impl Histogram {
@@ -65,10 +69,13 @@ impl Histogram {
     pub fn new() -> Histogram {
         let mut buckets = Vec::with_capacity(NUM_BUCKETS);
         buckets.resize_with(NUM_BUCKETS, || AtomicU64::new(0));
+        let mut exemplars = Vec::with_capacity(EXEMPLAR_SLOTS);
+        exemplars.resize_with(EXEMPLAR_SLOTS, ExemplarSlot::new);
         Histogram {
             buckets,
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
+            exemplars,
         }
     }
 
@@ -78,6 +85,24 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Records one sample and, when `trace_id` is non-zero, retains it as
+    /// the exemplar for the sample's value scale.
+    #[inline]
+    pub fn record_traced(&self, v: u64, trace_id: u64) {
+        self.record(v);
+        if trace_id != 0 {
+            self.exemplars[exemplar_slot(v)].store(v, trace_id);
+        }
+    }
+
+    /// The retained exemplars, sorted by value ascending. Empty until a
+    /// traced sample has been recorded.
+    pub fn exemplars(&self) -> Vec<Exemplar> {
+        let mut out: Vec<Exemplar> = self.exemplars.iter().filter_map(|s| s.load()).collect();
+        out.sort_by_key(|e| e.value);
+        out
     }
 
     /// A consistent point-in-time copy for percentile queries and
@@ -113,21 +138,8 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// One histogram shard, padded to a cache line so concurrent writers on
-/// different shards never false-share bucket words.
-#[repr(align(64))]
-struct HistogramShard(Histogram);
-
-/// Hands each OS thread a stable small ordinal on first use; shards are
-/// picked by masking it, so a thread always lands on the same shard of a
-/// given [`ShardedHistogram`] and threads spread round-robin.
-static NEXT_THREAD_ORDINAL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-thread_local! {
-    static THREAD_ORDINAL: usize = NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed);
-}
-
 /// The last traced sample retained for one bucket scale of a
-/// [`ShardedHistogram`] — the Prometheus exemplar payload that makes a
+/// [`Histogram`] — the Prometheus exemplar payload that makes a
 /// p99 bucket clickable to the exact trace that landed there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Exemplar {
@@ -202,107 +214,6 @@ fn exemplar_slot(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
-/// A [`Histogram`] sharded per core: recording lands on a per-thread shard
-/// (cache-line padded, picked by a stable thread ordinal masked to the
-/// shard count), so concurrent recorders on different threads never
-/// contend on the same bucket cache lines. Snapshots merge the shards with
-/// [`HistogramSnapshot::merge`] — associative and commutative
-/// (property-tested), so the merged snapshot is exactly what one unsharded
-/// histogram would have recorded.
-///
-/// The sharded histogram also owns the exemplar slots (one per value
-/// scale, shared across shards — exemplars are samples, not counters, so
-/// they do not need shard bandwidth): [`ShardedHistogram::record_traced`]
-/// retains the last `(value, trace_id)` pair per scale for Prometheus
-/// exemplar exposition.
-pub struct ShardedHistogram {
-    /// Always a power of two so shard picking is a mask, not a division.
-    shards: Vec<HistogramShard>,
-    exemplars: Vec<ExemplarSlot>,
-}
-
-impl ShardedHistogram {
-    /// A histogram with one shard per detected core, clamped to
-    /// `[1, 16]` and rounded up to a power of two.
-    pub fn new() -> ShardedHistogram {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        ShardedHistogram::with_shards(cores.min(16))
-    }
-
-    /// A histogram with an explicit shard count (rounded up to a power of
-    /// two, minimum 1). `with_shards(1)` is an unsharded histogram behind
-    /// the same interface.
-    pub fn with_shards(shards: usize) -> ShardedHistogram {
-        let n = shards.max(1).next_power_of_two();
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || HistogramShard(Histogram::new()));
-        let mut exemplars = Vec::with_capacity(EXEMPLAR_SLOTS);
-        exemplars.resize_with(EXEMPLAR_SLOTS, ExemplarSlot::new);
-        ShardedHistogram {
-            shards: v,
-            exemplars,
-        }
-    }
-
-    /// The shard count (a power of two).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Records one sample into the calling thread's shard.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        let ordinal = THREAD_ORDINAL.with(|o| *o);
-        self.shards[ordinal & (self.shards.len() - 1)].0.record(v);
-    }
-
-    /// Records one sample and, when `trace_id` is non-zero, retains it as
-    /// the exemplar for the sample's value scale.
-    #[inline]
-    pub fn record_traced(&self, v: u64, trace_id: u64) {
-        self.record(v);
-        if trace_id != 0 {
-            self.exemplars[exemplar_slot(v)].store(v, trace_id);
-        }
-    }
-
-    /// The retained exemplars, sorted by value ascending. Empty until a
-    /// traced sample has been recorded.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        let mut out: Vec<Exemplar> = self.exemplars.iter().filter_map(|s| s.load()).collect();
-        out.sort_by_key(|e| e.value);
-        out
-    }
-
-    /// A merged point-in-time copy across every shard. While writers race
-    /// the snapshot stays self-consistent per shard (`count == Σ buckets`),
-    /// and merging preserves that invariant.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::empty();
-        for shard in &self.shards {
-            out.merge(&shard.0.snapshot());
-        }
-        out
-    }
-}
-
-impl Default for ShardedHistogram {
-    fn default() -> Self {
-        ShardedHistogram::new()
-    }
-}
-
-impl std::fmt::Debug for ShardedHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let snap = self.snapshot();
-        f.debug_struct("ShardedHistogram")
-            .field("shards", &self.shards.len())
-            .field("count", &snap.count)
-            .field("max", &snap.max)
-            .finish()
-    }
-}
-
 /// A point-in-time copy of a [`Histogram`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -371,9 +282,9 @@ impl HistogramSnapshot {
     }
 
     /// Merges another snapshot into this one. Merging is associative and
-    /// commutative (property-tested), so shard-level histograms can be
-    /// combined in any order. Sums saturate rather than wrap, so an
-    /// extreme merge degrades the mean instead of panicking.
+    /// commutative (property-tested), so snapshots can be combined in any
+    /// order. Sums saturate rather than wrap, so an extreme merge degrades
+    /// the mean instead of panicking.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a = a.saturating_add(*b);
@@ -521,77 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_histogram_merges_to_the_unsharded_reference() {
-        let sharded = ShardedHistogram::with_shards(8);
-        assert_eq!(sharded.num_shards(), 8);
-        let reference = Histogram::new();
-        let samples: Vec<u64> = (0..5000u64)
-            .map(|i| (i.wrapping_mul(2654435761) % 750_000) + 1)
-            .collect();
-        for &s in &samples {
-            reference.record(s);
-        }
-        // Record the same samples from several threads: whatever shard each
-        // thread lands on, the merged snapshot must equal the unsharded one
-        // (merge is associative/commutative, so shard order cannot matter).
-        std::thread::scope(|scope| {
-            for chunk in samples.chunks(samples.len().div_ceil(4)) {
-                let sharded = &sharded;
-                scope.spawn(move || {
-                    for &s in chunk {
-                        sharded.record(s);
-                    }
-                });
-            }
-        });
-        assert_eq!(sharded.snapshot(), reference.snapshot());
-    }
-
-    #[test]
-    fn sharded_histogram_shard_counts_round_to_powers_of_two() {
-        for (ask, got) in [(0, 1), (1, 1), (3, 4), (8, 8), (9, 16)] {
-            assert_eq!(ShardedHistogram::with_shards(ask).num_shards(), got);
-        }
-        let h = ShardedHistogram::with_shards(1);
-        h.record(7);
-        h.record(7000);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 2);
-        assert_eq!(snap.sum(), 7007);
-        assert_eq!(snap.max(), 7000);
-    }
-
-    #[test]
-    fn concurrent_sharded_record_and_snapshot_stay_self_consistent() {
-        let h = Arc::new(ShardedHistogram::with_shards(4));
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
-            .map(|t| {
-                let h = Arc::clone(&h);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        h.record((i % 10_000) * (t + 1) + 1);
-                        i += 1;
-                    }
-                    i
-                })
-            })
-            .collect();
-        for _ in 0..200 {
-            let snap = h.snapshot();
-            assert_eq!(
-                snap.count(),
-                snap.cumulative_buckets().last().map_or(0, |&(_, c)| c)
-            );
-        }
-        stop.store(true, Ordering::Relaxed);
-        let total: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert_eq!(h.snapshot().count(), total);
-    }
-
-    #[test]
     fn since_subtracts_an_earlier_snapshot() {
         let h = Histogram::new();
         h.record(10);
@@ -638,7 +478,7 @@ mod tests {
 
     #[test]
     fn exemplars_track_the_last_traced_sample_per_scale() {
-        let h = ShardedHistogram::with_shards(2);
+        let h = Histogram::new();
         h.record(100); // untraced: no exemplar
         assert!(h.exemplars().is_empty());
         h.record_traced(100, 7);
@@ -666,7 +506,7 @@ mod tests {
         // Each recorder writes (value, value ^ MAGIC) pairs; any torn
         // exemplar breaks the bijection and is caught by the readers.
         const MAGIC: u64 = 0x5eed_cafe_f00d_1234;
-        let h = Arc::new(ShardedHistogram::with_shards(4));
+        let h = Arc::new(Histogram::new());
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..4)
             .map(|t: u64| {

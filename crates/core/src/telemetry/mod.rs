@@ -30,16 +30,16 @@
 //! from which the span dump, parent/child span trees and the
 //! slowest-request log are served.
 //!
-//! The module splits by concern: [`histogram`] (bucket math, sharding,
-//! exemplar slots), [`trace`] (context propagation and the span store),
-//! [`prom`] (text exposition), with the [`Telemetry`] hub, levels, spans
-//! and the [`SeqSnapshot`] seqlock cell here at the root.
+//! The module splits by concern: [`histogram`] (bucket math, exemplar
+//! slots), [`trace`] (context propagation and the span store), [`prom`]
+//! (text exposition), with the [`Telemetry`] hub, levels and spans here
+//! at the root.
 
 pub mod histogram;
 pub mod prom;
 pub mod trace;
 
-pub use histogram::{Exemplar, Histogram, HistogramSnapshot, ShardedHistogram};
+pub use histogram::{Exemplar, Histogram, HistogramSnapshot};
 pub use prom::PromWriter;
 pub use trace::{SlowEntry, SpanNode, TraceContext, TraceEvent, TraceTree};
 
@@ -356,7 +356,7 @@ impl Drop for Span<'_> {
 pub struct Telemetry {
     config: TelemetryConfig,
     origin: Instant,
-    stages: Vec<Arc<ShardedHistogram>>,
+    stages: Vec<Arc<Histogram>>,
     store: Option<TraceStore>,
     next_trace: AtomicU64,
     next_span: AtomicU64,
@@ -369,7 +369,7 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Telemetry {
         let stages = Stage::ALL
             .iter()
-            .map(|_| Arc::new(ShardedHistogram::new()))
+            .map(|_| Arc::new(Histogram::new()))
             .collect();
         let store = (config.level == TelemetryLevel::Spans && config.trace_capacity > 0)
             .then(|| TraceStore::new(config.trace_capacity));
@@ -573,8 +573,8 @@ impl Telemetry {
     /// The stage's histogram handle (always live; it simply stays empty
     /// when spans are disabled). Layers that cannot call back into
     /// `Telemetry` (the journal's flusher thread) hold this `Arc` and
-    /// record directly; recording lands on the calling thread's shard.
-    pub fn stage_histogram(&self, stage: Stage) -> Arc<ShardedHistogram> {
+    /// record directly.
+    pub fn stage_histogram(&self, stage: Stage) -> Arc<Histogram> {
         Arc::clone(&self.stages[stage as usize])
     }
 
@@ -700,88 +700,12 @@ impl StageClock {
 }
 
 // ---------------------------------------------------------------------------
-// Seqlock-style consistent snapshot cell
-// ---------------------------------------------------------------------------
-
-/// A seqlock-style cell publishing an `N`-word snapshot to lock-free
-/// readers without tearing.
-///
-/// Writers must be externally serialized (the engine publishes under the
-/// ledger mutex); readers never block and retry while a write is in
-/// flight. All storage is `AtomicU64`, so the race is well-defined — the
-/// sequence check only decides whether a read is *consistent*.
-pub struct SeqSnapshot<const N: usize> {
-    seq: AtomicU64,
-    words: [AtomicU64; N],
-}
-
-impl<const N: usize> SeqSnapshot<N> {
-    /// A cell holding all zeros at sequence 0.
-    pub fn new() -> SeqSnapshot<N> {
-        SeqSnapshot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Publishes a new snapshot. Callers must hold whatever lock
-    /// serializes writers.
-    pub fn publish(&self, words: &[u64; N]) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::SeqCst); // odd: write in flight
-        for (slot, &w) in self.words.iter().zip(words) {
-            slot.store(w, Ordering::SeqCst);
-        }
-        self.seq.store(s.wrapping_add(2), Ordering::SeqCst); // even: consistent
-    }
-
-    /// Reads a consistent snapshot, spinning past in-flight writes.
-    pub fn read(&self) -> [u64; N] {
-        loop {
-            let s1 = self.seq.load(Ordering::SeqCst);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut out = [0u64; N];
-            for (o, slot) in out.iter_mut().zip(&self.words) {
-                *o = slot.load(Ordering::SeqCst);
-            }
-            if self.seq.load(Ordering::SeqCst) == s1 {
-                return out;
-            }
-        }
-    }
-
-    /// The current sequence number (even when no write is in flight).
-    pub fn sequence(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
-    }
-}
-
-impl<const N: usize> Default for SeqSnapshot<N> {
-    fn default() -> Self {
-        SeqSnapshot::new()
-    }
-}
-
-impl<const N: usize> std::fmt::Debug for SeqSnapshot<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SeqSnapshot")
-            .field("words", &N)
-            .field("sequence", &self.sequence())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn spans_record_into_stage_histograms_and_ring() {
@@ -924,48 +848,6 @@ mod tests {
         clock.time(&mut acc, || ());
         assert_eq!(acc, 0);
         assert!(!StageClock::new(None).enabled());
-    }
-
-    #[test]
-    fn seq_snapshot_reads_are_never_torn() {
-        const N: usize = 8;
-        let cell = Arc::new(SeqSnapshot::<N>::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let cell = Arc::clone(&cell);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut v = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // every word carries the same value — a torn read would
-                    // surface as a mixed array
-                    cell.publish(&[v; N]);
-                    v += 1;
-                }
-                v
-            })
-        };
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut last = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let words = cell.read();
-                        assert!(words.iter().all(|&w| w == words[0]), "torn read: {words:?}");
-                        assert!(words[0] >= last, "snapshot went backwards");
-                        last = words[0];
-                    }
-                })
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
     }
 
     #[test]

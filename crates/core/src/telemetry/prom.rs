@@ -78,7 +78,7 @@ impl PromWriter {
     /// annotations: each emitted bucket whose range contains an exemplar's
     /// value gains a trailing `# {trace_id="..."} value` so a p99 bucket
     /// resolves directly to a retrievable trace. `exemplars` must be
-    /// sorted by value ascending (as [`super::ShardedHistogram::exemplars`]
+    /// sorted by value ascending (as [`super::Histogram::exemplars`]
     /// returns them); exemplars above every finite bucket attach to `+Inf`.
     pub fn histogram_with_exemplars(
         &mut self,

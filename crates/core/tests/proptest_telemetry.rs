@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use ptrider_core::{
-    Histogram, HistogramSnapshot, ShardedHistogram, SpanNode, Stage, Telemetry, TelemetryConfig,
-    TelemetryLevel, TraceContext,
+    Histogram, HistogramSnapshot, SpanNode, Stage, Telemetry, TelemetryConfig, TelemetryLevel,
+    TraceContext,
 };
 use std::sync::Arc;
 
@@ -320,7 +320,7 @@ fn exemplars_never_tear_under_racing_recorders() {
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10_000;
     let pair = |trace_id: u64| trace_id.wrapping_mul(3) + 1;
-    let hist = ShardedHistogram::new();
+    let hist = Histogram::new();
     std::thread::scope(|scope| {
         for th in 0..THREADS {
             let hist = &hist;

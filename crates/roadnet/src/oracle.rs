@@ -253,8 +253,6 @@ pub struct DistanceOracle {
     cache_hits: Arc<AtomicU64>,
     lower_bound_queries: Arc<AtomicU64>,
     evictions: Arc<AtomicU64>,
-    /// Traffic epochs applied (equals the current metric epoch).
-    traffic_epochs: Arc<AtomicU64>,
 }
 
 impl DistanceOracle {
@@ -283,7 +281,6 @@ impl DistanceOracle {
             cache_hits: Arc::new(AtomicU64::new(0)),
             lower_bound_queries: Arc::new(AtomicU64::new(0)),
             evictions: Arc::new(AtomicU64::new(0)),
-            traffic_epochs: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -674,7 +671,6 @@ impl DistanceOracle {
             self.epoch.store(state.epoch, Ordering::Relaxed);
             state.epoch
         };
-        self.traffic_epochs.fetch_add(1, Ordering::Relaxed);
         TrafficApplied {
             epoch,
             congested_arcs: model.congested_arcs(),

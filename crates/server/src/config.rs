@@ -35,21 +35,9 @@ pub struct ServerConfig {
     /// A slow sender (slow loris) exceeding it gets `408` and the
     /// connection closed. Default 10 s.
     pub read_timeout: Duration,
-    /// Budget for writing one response (including one SSE frame). A
-    /// consumer slower than this is disconnected. Default 10 s.
-    pub write_timeout: Duration,
     /// How long a keep-alive connection may sit idle between requests
     /// before the reaper closes it silently. Default 30 s.
     pub idle_timeout: Duration,
-    /// `Retry-After` seconds advertised on the `503` shed path.
-    /// Default 1.
-    pub retry_after_secs: u32,
-    /// Largest accepted request body; larger bodies get `413`.
-    /// Default 64 KiB.
-    pub max_body_bytes: usize,
-    /// Largest accepted request head (request line + headers); larger
-    /// heads get `431`. Default 8 KiB.
-    pub max_header_bytes: usize,
     /// How long an SSE stream sleeps between event-log polls.
     /// Default 20 ms.
     pub sse_poll: Duration,
@@ -95,11 +83,7 @@ impl Default for ServerConfig {
             threads: env_threads().unwrap_or(8),
             max_conns: env_max_conns().unwrap_or(1024),
             read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
-            retry_after_secs: 1,
-            max_body_bytes: 64 * 1024,
-            max_header_bytes: 8 * 1024,
             sse_poll: Duration::from_millis(20),
             drain_timeout: Duration::from_secs(5),
         }
@@ -131,21 +115,9 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-response write budget.
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
     /// Sets the keep-alive idle budget.
     pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// Sets the request-body cap in bytes.
-    pub fn with_max_body_bytes(mut self, bytes: usize) -> Self {
-        self.max_body_bytes = bytes;
         self
     }
 

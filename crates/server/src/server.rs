@@ -23,7 +23,7 @@ use crate::http::{self, ConnReader, HttpRequest, ReadLimits, ReadOutcome, Respon
 use crate::router::{self, parse_hex_id, Endpoint, Handled};
 use crate::sse;
 use ptrider_core::{
-    Counter, Gauge, PromWriter, RideService, ShardedHistogram, Stage, Telemetry, TraceContext,
+    Counter, Gauge, Histogram, PromWriter, RideService, Stage, Telemetry, TraceContext,
 };
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -34,6 +34,20 @@ use std::time::{Duration, Instant};
 /// Stack size for connection threads: the handlers call into the engine,
 /// whose deep recursion lives on the worker pool, not here.
 const CONN_STACK: usize = 256 * 1024;
+
+/// Budget for writing one response (including one SSE frame); a consumer
+/// slower than this is disconnected.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// `Retry-After` seconds advertised on the `503` shed path.
+const RETRY_AFTER_SECS: u32 = 1;
+
+/// Largest accepted request body; larger bodies get `413`.
+const MAX_BODY_BYTES: usize = 64 * 1024;
+
+/// Largest accepted request head (request line + headers); larger heads
+/// get `431`.
+const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// A counting semaphore bounding concurrent handler execution.
 struct Semaphore {
@@ -81,7 +95,7 @@ struct ServerMetrics {
     protocol_errors: Arc<Counter>,
     open_conns: Arc<Gauge>,
     inflight: Arc<Gauge>,
-    endpoints: Vec<(Endpoint, ShardedHistogram)>,
+    endpoints: Vec<(Endpoint, Histogram)>,
 }
 
 impl ServerMetrics {
@@ -96,7 +110,7 @@ impl ServerMetrics {
             inflight: t.gauge("server_inflight_requests"),
             endpoints: Endpoint::ALL
                 .iter()
-                .map(|e| (*e, ShardedHistogram::new()))
+                .map(|e| (*e, Histogram::new()))
                 .collect(),
         }
     }
@@ -156,8 +170,8 @@ impl Shared {
 
     fn limits(&self) -> ReadLimits {
         ReadLimits {
-            max_head: self.config.max_header_bytes,
-            max_body: self.config.max_body_bytes,
+            max_head: MAX_HEADER_BYTES,
+            max_body: MAX_BODY_BYTES,
             read_timeout: self.config.read_timeout,
             idle_timeout: self.config.idle_timeout,
         }
@@ -289,7 +303,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             continue;
         }
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             shared
@@ -406,7 +420,7 @@ fn shed(shared: &Shared, stream: &TcpStream) {
         &shared.next_fallback_trace,
     );
     let resp = Response::error(503, "connection limit reached")
-        .with_header("retry-after", shared.config.retry_after_secs.to_string());
+        .with_header("retry-after", RETRY_AFTER_SECS.to_string());
     let resp = echo_trace(resp, rt, 0);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let _ = http::write_response(stream, &resp, false);

@@ -495,3 +495,92 @@ fn a_burst_killed_mid_commit_recovers_to_the_pre_burst_state() -> Result<(), Tes
     );
     Ok(())
 }
+
+/// A journaled service that has run script `seed`, plus one submit, so its
+/// WAL holds records no snapshot covers yet.
+fn scripted_service(dir: &PathBuf, seed: u64) -> RideService {
+    let svc = build_service(EngineConfig::default(), service_config(), dir);
+    for at in VEHICLES {
+        svc.add_vehicle(VertexId(at));
+    }
+    assert_eq!(run_script(&svc, &script(seed, 40), |_| {}), None);
+    svc.submit(VertexId(0), VertexId(24), 1, 1e6)
+        .expect("a valid probe");
+    svc
+}
+
+/// The journal directory's file names, sorted.
+fn file_names(dir: &PathBuf) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_snapshot_leaves_only_the_snapshot_and_one_wal() {
+    let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = temp_dir();
+    let svc = scripted_service(&dir, 7);
+    assert!(svc.snapshot().is_some(), "the snapshot was written");
+    assert_eq!(file_names(&dir), ["snapshot.bin", "wal.bin"]);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash after the snapshot's rename but before the WAL swap's leaves
+/// the old WAL, whose records the snapshot all covers, beside a stray
+/// `wal.tmp`.
+#[test]
+fn a_crash_between_the_snapshot_and_the_wal_swap_recovers() {
+    let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = temp_dir();
+    let svc = scripted_service(&dir, 11);
+    let old_wal = std::fs::read(dir.join("wal.bin")).unwrap();
+    let watermark = svc.snapshot().expect("the snapshot was written");
+    let fresh_wal = std::fs::read(dir.join("wal.bin")).unwrap();
+    let (live, live_seq) = (svc.fingerprint(), svc.journal_next_seq());
+    drop(svc);
+    assert_eq!(live_seq, Some(watermark));
+
+    std::fs::write(dir.join("wal.bin"), &old_wal).unwrap();
+    std::fs::write(dir.join("wal.tmp"), &fresh_wal).unwrap();
+    let recovered = recover_once(EngineConfig::default(), service_config(), &dir);
+    assert_eq!(recovered.fingerprint(), live);
+    assert_eq!(recovered.journal_next_seq(), live_seq);
+    assert_eq!(file_names(&dir), ["snapshot.bin", "wal.bin"]);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The segmented layout of earlier builds renamed the WAL to
+/// `segment-<first seq>.bin` before moving its fsynced replacement from
+/// `wal.tmp` to `wal.bin`; a crash between the two renames left no
+/// `wal.bin`. The segment's records all lie below the snapshot watermark.
+#[test]
+fn a_directory_left_mid_rotation_by_the_segmented_layout_recovers() {
+    let _plan = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = temp_dir();
+    let svc = scripted_service(&dir, 13);
+    let old_wal = std::fs::read(dir.join("wal.bin")).unwrap();
+    // A version-2 header carries the WAL's first sequence number; a
+    // version-1 WAL starts at 0.
+    let first_seq = if old_wal[4..8] == 2u32.to_le_bytes() {
+        u64::from_le_bytes(old_wal[8..16].try_into().unwrap())
+    } else {
+        0
+    };
+    svc.snapshot().expect("the snapshot was written");
+    let (live, live_seq) = (svc.fingerprint(), svc.journal_next_seq());
+    drop(svc);
+
+    std::fs::write(dir.join(format!("segment-{first_seq:020}.bin")), &old_wal).unwrap();
+    std::fs::rename(dir.join("wal.bin"), dir.join("wal.tmp")).unwrap();
+    let recovered = recover_once(EngineConfig::default(), service_config(), &dir);
+    assert_eq!(recovered.fingerprint(), live);
+    assert_eq!(recovered.journal_next_seq(), live_seq);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}

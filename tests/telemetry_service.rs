@@ -1,8 +1,8 @@
 //! End-to-end telemetry: a spans-level service driven through the full
 //! session lifecycle (with a journal and an event cursor attached) must
 //! expose every subsystem in `metrics_text()`, fill the per-stage
-//! histograms and the trace store — and the seqlock-mirrored `stats()`
-//! snapshot must never tear under concurrent load.
+//! histograms and the trace store — and the `stats()` snapshot, cloned
+//! under the ledger mutex, must never tear under concurrent load.
 
 use ptrider::datagen::{synthetic_city, CityConfig};
 use ptrider::roadnet::{DistanceOracle, GridIndex};
@@ -132,12 +132,12 @@ fn telemetry_off_is_inert_but_stats_metrics_remain() {
     assert!(!text.contains("ptrider_journal_"), "{text}");
 }
 
-/// Regression test for stats-snapshot tearing: `stats()` used to read the
-/// ledger fields without the mutex, so a reader racing a submit could see
-/// `offers_made` ahead of `requests_submitted`. The seqlock mirror makes
-/// every read a consistent point-in-time copy; these cross-field
-/// invariants each hold inside any single ledger critical section, so a
-/// violation can only come from a torn read.
+/// Regression test for stats-snapshot tearing: a `stats()` that read the
+/// ledger fields without the mutex let a reader racing a submit see
+/// `offers_made` ahead of `requests_submitted`. Cloning under the ledger
+/// mutex makes every read a consistent point-in-time copy; these
+/// cross-field invariants each hold inside any single ledger critical
+/// section, so a violation can only come from a torn read.
 #[test]
 fn stats_snapshot_never_tears_under_load() {
     let service = Arc::new(service_with(TelemetryConfig::off()));
